@@ -15,7 +15,9 @@ Cli::Cli(int argc, char** argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args_[arg] = argv[++i];
     } else {
-      args_[arg] = "1";
+      // Move-assigned: assigning the literal in place trips GCC 12's
+      // -Wrestrict false positive in Release.
+      args_[arg] = std::string("1");
     }
   }
 }

@@ -32,7 +32,13 @@ std::string format_bytes(Bytes b) {
 
 std::string format_time(TimeNs t) {
   const double v = static_cast<double>(t);
-  if (t < 0) return "-" + format_time(-t);
+  if (t < 0) {
+    // Appended rather than `"-" + format_time(-t)`: inserting at the front
+    // of a temporary trips GCC 12's -Wrestrict false positive in Release.
+    std::string out = "-";
+    out += format_time(-t);
+    return out;
+  }
   if (t >= seconds(1)) return format_scaled(v / 1e9, "s");
   if (t >= milliseconds(1)) return format_scaled(v / 1e6, "ms");
   if (t >= microseconds(1)) return format_scaled(v / 1e3, "us");
