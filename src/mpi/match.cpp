@@ -12,36 +12,31 @@ constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 std::optional<Envelope> Matcher::post(PostedRecv recv) {
   // Find the earliest-arrived matching envelope. A concrete receive can only
   // match its own (src, tag) bucket; a wildcard receive must consider the
-  // front (earliest) of every bucket whose key it matches.
-  Fifo<Envelope>* hit = nullptr;
-  std::uint64_t best = kNoStamp;
+  // front (earliest) of every bucket whose key it matches. Every bucket in
+  // the table is non-empty: drained ones are retired.
+  auto hit = unexpected_.end();
   if (recv.src != kAnyRank && recv.tag != kAnyTag) {
-    const auto it = unexpected_buckets_.find(key_of(recv.src, recv.tag));
-    if (it != unexpected_buckets_.end() && !it->second.empty()) {
-      hit = &it->second;
-      best = it->second.front().stamp;
-    }
+    hit = unexpected_.find(key_of(recv.src, recv.tag));
   } else {
-    for (auto& [key, bucket] : unexpected_buckets_) {
-      if (bucket.empty()) continue;
-      const Envelope& env = bucket.front().value;
-      if (!matches(recv, env)) continue;
-      if (bucket.front().stamp < best) {
-        best = bucket.front().stamp;
-        hit = &bucket;
+    std::uint64_t best = kNoStamp;
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      const Stamped<Envelope>& front = it->second.front();
+      if (front.stamp < best && matches(recv, front.value)) {
+        best = front.stamp;
+        hit = it;
       }
     }
   }
-  if (hit != nullptr) {
-    Envelope env = std::move(hit->front().value);
-    hit->pop_front();
+  if (hit != unexpected_.end()) {
+    Envelope env = std::move(hit->second.front().value);
+    unexpected_.pop_front(hit);
     --unexpected_count_;
     return env;
   }
   const std::uint64_t stamp = next_stamp_++;
   if (recv.src != kAnyRank && recv.tag != kAnyTag) {
-    posted_buckets_[key_of(recv.src, recv.tag)].push_back(
-        Stamped<PostedRecv>{stamp, std::move(recv)});
+    posted_.get(key_of(recv.src, recv.tag))
+        .push_back(Stamped<PostedRecv>{stamp, std::move(recv)});
   } else {
     posted_wild_.push_back(Stamped<PostedRecv>{stamp, std::move(recv)});
   }
@@ -53,13 +48,9 @@ std::optional<PostedRecv> Matcher::arrive(Envelope&& env) {
   // Two candidates can match: the front of the exact (src, tag) bucket and
   // the earliest matching wildcard. Earliest posted wins overall, so compare
   // stamps — this reproduces the original single-queue FIFO scan exactly.
-  Fifo<PostedRecv>* bucket = nullptr;
-  std::uint64_t bucket_stamp = kNoStamp;
-  const auto it = posted_buckets_.find(key_of(env.src, env.tag));
-  if (it != posted_buckets_.end() && !it->second.empty()) {
-    bucket = &it->second;
-    bucket_stamp = it->second.front().stamp;
-  }
+  const auto bucket = posted_.find(key_of(env.src, env.tag));
+  const std::uint64_t bucket_stamp =
+      bucket != posted_.end() ? bucket->second.front().stamp : kNoStamp;
   auto wild = posted_wild_.begin();
   for (; wild != posted_wild_.end(); ++wild) {
     if (matches(wild->value, env)) break;
@@ -68,8 +59,8 @@ std::optional<PostedRecv> Matcher::arrive(Envelope&& env) {
       wild != posted_wild_.end() ? wild->stamp : kNoStamp;
 
   if (bucket_stamp < wild_stamp) {
-    PostedRecv recv = std::move(bucket->front().value);
-    bucket->pop_front();
+    PostedRecv recv = std::move(bucket->second.front().value);
+    posted_.pop_front(bucket);
     --posted_count_;
     return recv;
   }
@@ -79,8 +70,8 @@ std::optional<PostedRecv> Matcher::arrive(Envelope&& env) {
     --posted_count_;
     return recv;
   }
-  unexpected_buckets_[key_of(env.src, env.tag)].push_back(
-      Stamped<Envelope>{next_stamp_++, std::move(env)});
+  unexpected_.get(key_of(env.src, env.tag))
+      .push_back(Stamped<Envelope>{next_stamp_++, std::move(env)});
   ++unexpected_count_;
   ++total_unexpected_;
   return std::nullopt;

@@ -18,7 +18,18 @@
 // table. Every entry carries a monotone arrival stamp, and a match always
 // takes the lowest stamp among the bucket candidate and the wildcard
 // candidate — exactly the earliest-wins order of the original single-queue
-// scan, which the interleaving unit test pins down.
+// scan, which the interleaving unit tests pin down.
+//
+// Bucket lifetime: a bucket exists only while it holds an entry. The moment
+// it drains it is unlinked from its table (unordered_map::extract) and its
+// node — key, Fifo and the Fifo's vector capacity — goes on a spare list;
+// the next fresh (source, tag) key re-keys a spare node instead of
+// allocating one. One-shot collectives take fresh tags every call, so
+// without retirement the tables would grow by one bucket per segment for
+// the life of the engine; with it they hold only live entries, and the
+// tables plus spares are bounded by the peak number of simultaneously live
+// keys. Matching recurring or fresh tags allocates nothing once that peak
+// has been reached.
 #pragma once
 
 #include <cstdint>
@@ -80,27 +91,17 @@ class Matcher {
   std::uint64_t total_unexpected() const { return total_unexpected_; }
 
   /// Approximate resident bytes of the matching structures: bucket-table
-  /// slots, per-bucket node overhead, and every Fifo's retained capacity.
+  /// slots, per-bucket node overhead and every Fifo's retained capacity, for
+  /// live buckets and spare (retired) nodes alike — both stay resident.
   /// Deterministic for a given rank's matching history (capacities grow by
   /// the same doubling sequence whatever the shard count), which lets the
   /// rank-state gauge sum it across ranks and stay byte-comparable across
-  /// --shards values.
+  /// --shards values. Bounded by the peak number of live keys, not by the
+  /// number of keys ever seen.
   std::size_t footprint_bytes() const {
-    // unordered_map node: key + value + next pointer (libstdc++ layout).
-    constexpr std::size_t kNode = sizeof(std::uint64_t) + sizeof(void*);
-    std::size_t total = sizeof(Matcher);
-    total += posted_buckets_.bucket_count() * sizeof(void*);
-    for (const auto& [key, fifo] : posted_buckets_) {
-      total += kNode + sizeof(fifo) +
-               fifo.items.capacity() * sizeof(Stamped<PostedRecv>);
-    }
-    total += unexpected_buckets_.bucket_count() * sizeof(void*);
-    for (const auto& [key, fifo] : unexpected_buckets_) {
-      total += kNode + sizeof(fifo) +
-               fifo.items.capacity() * sizeof(Stamped<Envelope>);
-    }
-    total += posted_wild_.size() * sizeof(Stamped<PostedRecv>);
-    return total;
+    return sizeof(Matcher) + posted_.footprint_bytes() +
+           unexpected_.footprint_bytes() +
+           posted_wild_.size() * sizeof(Stamped<PostedRecv>);
   }
 
  private:
@@ -122,8 +123,8 @@ class Matcher {
   };
 
   /// Vector-backed FIFO: pop_front advances a head index and storage resets
-  /// (capacity kept) once drained — one allocation per bucket lifetime
-  /// instead of a deque's chunk map, and contiguous for the scans.
+  /// (capacity kept) once drained, so the capacity travels with a retired
+  /// node to its next key — no deque chunk map, and contiguous for the scans.
   template <typename T>
   struct Fifo {
     std::vector<Stamped<T>> items;
@@ -156,12 +157,60 @@ class Matcher {
     }
   };
 
+  /// Buckets keyed by concrete (src, tag), holding only non-empty Fifos.
+  /// A drained bucket is retired onto `spares`, and a fresh key re-keys a
+  /// spare node, so neither path allocates once the spares cover the peak
+  /// number of live keys.
+  template <typename T>
+  class Table {
+   public:
+    using Map = std::unordered_map<std::uint64_t, Fifo<T>>;
+    using iterator = typename Map::iterator;
+
+    iterator find(std::uint64_t key) { return live_.find(key); }
+    iterator end() { return live_.end(); }
+    iterator begin() { return live_.begin(); }
+
+    /// The bucket for `key`, reviving a spare node if the key is not live.
+    Fifo<T>& get(std::uint64_t key) {
+      if (const auto it = live_.find(key); it != live_.end()) return it->second;
+      if (spares_.empty()) return live_.try_emplace(key).first->second;
+      typename Map::node_type node = std::move(spares_.back());
+      spares_.pop_back();
+      node.key() = key;
+      return live_.insert(std::move(node)).position->second;
+    }
+
+    /// Pops the front of `it`'s bucket, retiring the bucket if it drained.
+    void pop_front(iterator it) {
+      it->second.pop_front();
+      if (it->second.empty()) spares_.push_back(live_.extract(it));
+    }
+
+    std::size_t footprint_bytes() const {
+      // unordered_map node: key + value + next pointer (libstdc++ layout).
+      constexpr std::size_t kNode = sizeof(std::uint64_t) + sizeof(void*);
+      const auto bucket_bytes = [](const Fifo<T>& fifo) {
+        return kNode + sizeof(fifo) +
+               fifo.items.capacity() * sizeof(Stamped<T>);
+      };
+      std::size_t total = live_.bucket_count() * sizeof(void*);
+      for (const auto& [key, fifo] : live_) total += bucket_bytes(fifo);
+      for (const auto& node : spares_) total += bucket_bytes(node.mapped());
+      return total;
+    }
+
+   private:
+    Map live_;
+    std::vector<typename Map::node_type> spares_;
+  };
+
   /// Fully specified receives, bucketed by (src, tag); FIFO within a bucket.
-  std::unordered_map<std::uint64_t, Fifo<PostedRecv>> posted_buckets_;
+  Table<PostedRecv> posted_;
   /// Receives with a kAnyRank/kAnyTag wildcard, in posting order.
   std::deque<Stamped<PostedRecv>> posted_wild_;
   /// Unexpected envelopes, bucketed by their concrete (src, tag).
-  std::unordered_map<std::uint64_t, Fifo<Envelope>> unexpected_buckets_;
+  Table<Envelope> unexpected_;
 
   std::uint64_t next_stamp_ = 0;
   std::size_t posted_count_ = 0;

@@ -52,6 +52,12 @@ int Fabric::allocate_pending() {
   return static_cast<int>(pending_pool_.size() - 1);
 }
 
+Fabric::SerialQueue& Fabric::serial_queue(std::int64_t key) {
+  const auto k = static_cast<std::size_t>(key);
+  if (k >= serial_.size()) serial_.resize(k + 1);
+  return serial_[k];
+}
+
 void Fabric::transfer(const Route& route, Bytes bytes,
                       sim::EventFn on_complete) {
   ADAPT_CHECK(bytes >= 0);
@@ -77,7 +83,7 @@ void Fabric::transfer(const Route& route, Bytes bytes,
   }
 
   if (route.serial_key >= 0) {
-    SerialQueue& q = serial_[route.serial_key];
+    SerialQueue& q = serial_queue(route.serial_key);
     if (q.busy) {
       // The pair's transmit queue is busy: park in a recycled pool slot and
       // wait for the predecessor; the time spent waiting counts against this
@@ -193,7 +199,7 @@ void Fabric::finish(int flow_index) {
 
   // Hand the pair's transmit queue to the next waiting message.
   if (key >= 0) {
-    SerialQueue& q = serial_[key];
+    SerialQueue& q = serial_queue(key);
     if (q.head >= 0) {
       const int slot = q.head;
       Pending& next = pending_pool_[static_cast<std::size_t>(slot)];

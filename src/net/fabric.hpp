@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "src/net/fault.hpp"
@@ -37,7 +36,9 @@ struct Route {
   /// transmit queue): concurrent segments between one (src, dst) pair go out
   /// back to back at full stream rate instead of fair-sharing the lane —
   /// keeping per-segment latency flat while the pipe stays busy. Queueing
-  /// time counts against alpha.
+  /// time counts against alpha. Keys are dense indices (the fabric keeps a
+  /// table sized by the largest key seen), e.g. a sender-assigned pair
+  /// number; -1 opts out.
   std::int64_t serial_key = -1;
   /// Trace-record id from obs::Recorder::transfer_begin (0 = untraced). The
   /// fabric fills in activation and completion times.
@@ -154,16 +155,18 @@ class Fabric {
   std::vector<int> unfixed_on_;
   std::vector<double> rates_;
 
-  // Per-serial-key FIFO state: a key is "busy" while one of its flows is
-  // queued for activation or active; waiters chain through pending_pool_
-  // slots. Map nodes persist once created (bounded by the number of
-  // communicating pairs), so steady-state queueing never touches the heap.
+  // Per-serial-key FIFO state, indexed by the key: a key is "busy" while one
+  // of its flows is queued for activation or active; waiters chain through
+  // pending_pool_ slots. The table grows to the largest key seen (bounded by
+  // the number of communicating pairs) and never shrinks, so steady-state
+  // queueing never touches the heap.
   struct SerialQueue {
     bool busy = false;
     int head = -1;
     int tail = -1;
   };
-  std::map<std::int64_t, SerialQueue> serial_;
+  SerialQueue& serial_queue(std::int64_t key);
+  std::vector<SerialQueue> serial_;
   std::vector<Pending> pending_pool_;
   std::vector<int> pending_free_;
 };

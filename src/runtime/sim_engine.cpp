@@ -1,7 +1,9 @@
 #include "src/runtime/sim_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "src/gpu/device.hpp"
@@ -66,16 +68,20 @@ class SimEngine::SimTransport final : public mpi::Transport {
                       std::move(on_sent), std::move(on_failed));
       return;
     }
-    net::Route& route = cached_route(env.src, src_space, env.dst, dst_space);
+    const std::uint32_t pi = pair_index(env.src, env.dst);
+    const std::uint32_t ri =
+        route_index(pi, env.src, src_space, env.dst, dst_space);
+    const std::uint64_t seq = ++pairs_[pi].raw_seq;
     if (env.size <= engine_.machine_.spec().eager_threshold) {
+      net::Route& route = routes_[ri];
       if (obs::Recorder* rec = engine_.obs_) {
         route.trace = rec->transfer_begin(
             env.src, env.dst, env.size,
             static_cast<int>(mpi::Frame::Kind::kEager), engine_.sim_.now());
       }
-      submit_eager(route, std::move(env), std::move(on_sent));
+      submit_eager(route, seq, std::move(env), std::move(on_sent));
     } else {
-      submit_rendezvous(route, std::move(env), std::move(on_sent));
+      submit_rendezvous(ri, seq, std::move(env), std::move(on_sent));
     }
   }
 
@@ -241,6 +247,58 @@ class SimEngine::SimTransport final : public mpi::Transport {
     std::uint64_t trace = 0;
   };
 
+  /// In-flight raw rendezvous message, parked from its RTS until the
+  /// receiver finalises it (or a fault loses one of its legs). Slot-pooled:
+  /// see submit_rendezvous.
+  struct RdvzPending {
+    mpi::Envelope env;  ///< the payload ships with the bulk leg
+    std::function<void()> on_sent;
+    mpi::PostedRecv recv;      ///< the matched receive, set by the grant
+    std::uint32_t route = 0;   ///< routes_ index
+    std::uint64_t seq = 0;     ///< raw fault-key sequence number
+    std::uint64_t trace = 0;   ///< bulk-leg trace record (0 = untraced)
+  };
+
+  /// Recycled slots for per-message state: the callbacks a message leaves
+  /// with the event queue and the fabric capture only {this, slot}, which
+  /// fits std::function's and EventFn's inline storage, so a warmed-up pool
+  /// makes a message's journey allocation-free.
+  template <typename T>
+  struct SlotPool {
+    std::vector<T> slots;
+    std::vector<std::uint32_t> free;
+
+    std::uint32_t acquire(T value) {
+      std::uint32_t slot;
+      if (free.empty()) {
+        slots.emplace_back();
+        slot = static_cast<std::uint32_t>(slots.size() - 1);
+      } else {
+        slot = free.back();
+        free.pop_back();
+      }
+      slots[slot] = std::move(value);
+      return slot;
+    }
+    /// Moves the state out and recycles the slot (dropping payload refs).
+    T release(std::uint32_t slot) {
+      T value = std::move(slots[slot]);
+      slots[slot] = {};
+      free.push_back(slot);
+      return value;
+    }
+  };
+
+  /// Per-(src, dst) message-path state, reached with one hash lookup per
+  /// message: the raw fault-key sequence counter and the pair's cached
+  /// routes, one per (src space, dst space) combination (routes_ indices,
+  /// -1 until first used). A pair's dense index doubles as its fabric
+  /// serial-queue index.
+  struct PairState {
+    std::uint64_t raw_seq = 0;
+    std::array<std::int32_t, 4> routes{-1, -1, -1, -1};
+  };
+
   mpi::Endpoint& endpoint(Rank r) {
     return *engine_.endpoints_[static_cast<std::size_t>(r)];
   }
@@ -250,8 +308,14 @@ class SimEngine::SimTransport final : public mpi::Transport {
   std::int64_t pair_key(Rank src, Rank dst) const {
     return static_cast<std::int64_t>(src) * engine_.machine_.nranks() + dst;
   }
-  std::uint64_t next_raw_seq(Rank src, Rank dst) {
-    return ++raw_seq_[pair_key(src, dst)];
+
+  /// Dense index of the (src, dst) pair, assigned on first use: the tables
+  /// grow with the pairs that actually communicate, not with nranks^2.
+  std::uint32_t pair_index(Rank src, Rank dst) {
+    const auto [it, fresh] = pair_index_.try_emplace(
+        pair_key(src, dst), static_cast<std::uint32_t>(pairs_.size()));
+    if (fresh) pairs_.emplace_back();
+    return it->second;
   }
 
   /// Route between fixed endpoints, cached: building a Route allocates its
@@ -259,21 +323,30 @@ class SimEngine::SimTransport final : public mpi::Transport {
   /// per-message send paths reuse one entry per (pair, memory spaces). The
   /// serial key is part of the route (FIFO per (src, dst): segments between
   /// one pair leave back to back — NIC transmit queue — instead of
-  /// fair-sharing against each other); the trace id is per-message state and
-  /// is reset here, stamped by the caller only when a recorder is attached.
+  /// fair-sharing against each other); it is the pair's dense index, which
+  /// the fabric uses to index its serial-queue table. The trace id is
+  /// per-message state and is reset here, stamped by the caller only when a
+  /// recorder is attached. Returns a routes_ index: slots keep the index
+  /// across legs, since routes_ may grow underneath a held reference.
+  std::uint32_t route_index(std::uint32_t pi, Rank src, MemSpace src_space,
+                            Rank dst, MemSpace dst_space) {
+    const int spaces = (src_space == MemSpace::kDevice ? 2 : 0) |
+                       (dst_space == MemSpace::kDevice ? 1 : 0);
+    std::int32_t& ri = pairs_[pi].routes[static_cast<std::size_t>(spaces)];
+    if (ri < 0) {
+      net::Route route = engine_.net_.route_mem(src, src_space, dst, dst_space);
+      route.serial_key = pi;
+      ri = static_cast<std::int32_t>(routes_.size());
+      routes_.push_back(std::move(route));
+    }
+    routes_[static_cast<std::size_t>(ri)].trace = 0;
+    return static_cast<std::uint32_t>(ri);
+  }
+
   net::Route& cached_route(Rank src, MemSpace src_space, Rank dst,
                            MemSpace dst_space) {
-    const RouteKey key{pair_key(src, dst),
-                       (src_space == MemSpace::kDevice ? 2 : 0) |
-                           (dst_space == MemSpace::kDevice ? 1 : 0)};
-    auto it = route_cache_.find(key);
-    if (it == route_cache_.end()) {
-      net::Route route = engine_.net_.route_mem(src, src_space, dst, dst_space);
-      route.serial_key = pair_key(src, dst);
-      it = route_cache_.emplace(key, std::move(route)).first;
-    }
-    it->second.trace = 0;
-    return it->second;
+    return routes_[route_index(pair_index(src, dst), src, src_space, dst,
+                               dst_space)];
   }
 
   /// Local failure of one operation: fail its request with the specific
@@ -345,38 +418,23 @@ class SimEngine::SimTransport final : public mpi::Transport {
   /// storage. This is the last per-segment heap allocation on the raw eager
   /// path, which persistent collectives require to be allocation-free in
   /// steady state.
-  void submit_eager(const net::Route& route, mpi::Envelope env,
-                    std::function<void()> on_sent) {
+  void submit_eager(const net::Route& route, std::uint64_t seq,
+                    mpi::Envelope env, std::function<void()> on_sent) {
     const Rank src = env.src;
     const Rank dst = env.dst;
-    const net::FaultKey key{src, dst, next_raw_seq(src, dst), 0,
+    const net::FaultKey key{src, dst, seq, 0,
                             static_cast<int>(mpi::Frame::Kind::kEager)};
-    const std::uint32_t slot = acquire_eager_slot(
+    const std::uint32_t slot = eager_.acquire(
         {std::move(env), std::move(on_sent), src, dst, route.trace});
     engine_.net_.fabric().transfer_tagged(
-        route, eager_slots_[slot].env.size, key,
+        route, eager_.slots[slot].env.size, key,
         [this, slot](const net::TransferFate& fate) {
           finish_eager(slot, fate);
         });
   }
 
-  std::uint32_t acquire_eager_slot(EagerPending pending) {
-    std::uint32_t slot;
-    if (eager_free_.empty()) {
-      eager_slots_.emplace_back();
-      slot = static_cast<std::uint32_t>(eager_slots_.size() - 1);
-    } else {
-      slot = eager_free_.back();
-      eager_free_.pop_back();
-    }
-    eager_slots_[slot] = std::move(pending);
-    return slot;
-  }
-
   void finish_eager(std::uint32_t slot, const net::TransferFate& fate) {
-    EagerPending p = std::move(eager_slots_[slot]);
-    eager_slots_[slot] = {};  // drop payload refs before recycling the slot
-    eager_free_.push_back(slot);
+    EagerPending p = eager_.release(slot);
     engine_.run_progress(p.src, std::move(p.on_sent), 0);
     if (!fate.delivered) {
       if (p.trace) engine_.obs_->transfer_undelivered(p.trace);
@@ -394,86 +452,138 @@ class SimEngine::SimTransport final : public mpi::Transport {
   /// lets a noisy receiver stall its parent in blocking/Waitall designs.
   /// Control legs (RTS/CTS) consult the fault injector directly: a lost
   /// notice stalls the rendezvous forever in raw mode.
-  void submit_rendezvous(const net::Route& route, mpi::Envelope env,
-                         std::function<void()> on_sent) {
+  ///
+  /// The message lives in one recycled slot for its whole journey: the RTS
+  /// event, the grant, the CTS event, the bulk completion and the
+  /// finalisation each capture {this, slot}, so no leg copies the route,
+  /// the envelope or the callbacks. A leg that a fault loses releases the
+  /// slot on the spot.
+  void submit_rendezvous(std::uint32_t route, std::uint64_t seq,
+                         mpi::Envelope env, std::function<void()> on_sent) {
+    const Rank src = env.src;
     const Rank dst = env.dst;
-    const net::FaultInjector* inj = engine_.injector_.get();
-    const std::uint64_t rseq = next_raw_seq(env.src, env.dst);
-    mpi::Envelope rts = env;  // shares the payload pointer
-    rts.grant = [this, route, inj, rseq, env = std::move(env),
-                 on_sent = std::move(on_sent)](mpi::PostedRecv recv) {
-      // CTS back to the sender, then the bulk transfer.
-      TimeNs cts_delay = route.alpha;
-      if (inj) {
-        const net::TransferFate fate =
-            inj->decide({env.dst, env.src, rseq, 0,
-                         static_cast<int>(mpi::Frame::Kind::kCts)},
-                        route.links, engine_.sim_.now());
-        if (!fate.delivered || fate.corrupted) return;  // CTS lost
-        cts_delay += fate.delay;
-      }
-      if (obs::Recorder* rec = engine_.obs_) {
-        rec->transfer_alpha_only(env.dst, env.src,
-                                 static_cast<int>(mpi::Frame::Kind::kCts),
-                                 engine_.sim_.now(),
-                                 engine_.sim_.now() + cts_delay);
-      }
-      engine_.sim_.after(cts_delay, [this, route, rseq, env, on_sent, recv] {
-        const Rank src = env.src;
-        const Rank rdst = env.dst;
-        net::Route bulk_route = route;
-        if (obs::Recorder* rec = engine_.obs_) {
-          bulk_route.trace = rec->transfer_begin(
-              src, rdst, env.size, static_cast<int>(mpi::Frame::Kind::kBulk),
-              engine_.sim_.now());
-        }
-        engine_.net_.fabric().transfer_tagged(
-            bulk_route, env.size,
-            {src, rdst, rseq, 0, static_cast<int>(mpi::Frame::Kind::kBulk)},
-            [this, src, rdst, trace = bulk_route.trace, env, on_sent,
-             recv](const net::TransferFate& fate) mutable {
-              engine_.run_progress(src, on_sent, 0);
-              if (!fate.delivered) {
-                if (trace) engine_.obs_->transfer_undelivered(trace);
-                return;
-              }
-              if (fate.corrupted) corrupt_in_place(env, fate.salt);
-              engine_.run_progress(
-                  rdst,
-                  [this, rdst, recv, env] { endpoint(rdst).finalize_recv(recv, env); },
-                  engine_.machine_.spec().cpu_overhead);
-            });
-      });
-    };
-    TimeNs rts_delay = route.alpha;
-    if (inj) {
+    const std::uint32_t slot =
+        rdvz_.acquire({std::move(env), std::move(on_sent), {}, route, seq, 0});
+    const net::Route& r = routes_[route];
+    TimeNs rts_delay = r.alpha;
+    if (const net::FaultInjector* inj = engine_.injector_.get()) {
       const net::TransferFate fate =
-          inj->decide({rts.src, rts.dst, rseq, 0,
+          inj->decide({src, dst, seq, 0,
                        static_cast<int>(mpi::Frame::Kind::kRts)},
-                      route.links, engine_.sim_.now());
-      if (!fate.delivered || fate.corrupted) return;  // RTS lost
+                      r.links, engine_.sim_.now());
+      if (!fate.delivered || fate.corrupted) {  // RTS lost
+        rdvz_.release(slot);
+        return;
+      }
       rts_delay += fate.delay;
     }
     if (obs::Recorder* rec = engine_.obs_) {
-      rec->transfer_alpha_only(rts.src, rts.dst,
+      rec->transfer_alpha_only(src, dst,
                                static_cast<int>(mpi::Frame::Kind::kRts),
                                engine_.sim_.now(),
                                engine_.sim_.now() + rts_delay);
     }
-    engine_.sim_.after(rts_delay, [this, dst, rts = std::move(rts)]() mutable {
-      endpoint(dst).deliver(std::move(rts));
-    });
+    engine_.sim_.after(rts_delay, [this, slot] { deliver_rts(slot); });
+  }
+
+  /// The RTS reaches the receiver: a metadata-only envelope whose grant
+  /// points back at the slot.
+  void deliver_rts(std::uint32_t slot) {
+    const mpi::Envelope& env = rdvz_.slots[slot].env;
+    mpi::Envelope rts;
+    rts.src = env.src;
+    rts.dst = env.dst;
+    rts.tag = env.tag;
+    rts.size = env.size;
+    rts.grant = [this, slot](mpi::PostedRecv recv) {
+      grant_rendezvous(slot, std::move(recv));
+    };
+    mpi::Endpoint& receiver = endpoint(rts.dst);
+    if (receiver.poisoned()) {  // deliver() would drop it: nothing to grant
+      rdvz_.release(slot);
+      return;
+    }
+    receiver.deliver(std::move(rts));
+  }
+
+  /// A receive matched the RTS: CTS back to the sender, then the bulk leg.
+  void grant_rendezvous(std::uint32_t slot, mpi::PostedRecv recv) {
+    RdvzPending& p = rdvz_.slots[slot];
+    p.recv = std::move(recv);
+    const Rank src = p.env.src;
+    const Rank dst = p.env.dst;
+    const net::Route& route = routes_[p.route];
+    TimeNs cts_delay = route.alpha;
+    if (const net::FaultInjector* inj = engine_.injector_.get()) {
+      const net::TransferFate fate =
+          inj->decide({dst, src, p.seq, 0,
+                       static_cast<int>(mpi::Frame::Kind::kCts)},
+                      route.links, engine_.sim_.now());
+      if (!fate.delivered || fate.corrupted) {  // CTS lost
+        rdvz_.release(slot);
+        return;
+      }
+      cts_delay += fate.delay;
+    }
+    if (obs::Recorder* rec = engine_.obs_) {
+      rec->transfer_alpha_only(dst, src,
+                               static_cast<int>(mpi::Frame::Kind::kCts),
+                               engine_.sim_.now(),
+                               engine_.sim_.now() + cts_delay);
+    }
+    engine_.sim_.after(cts_delay, [this, slot] { start_bulk(slot); });
+  }
+
+  void start_bulk(std::uint32_t slot) {
+    RdvzPending& p = rdvz_.slots[slot];
+    const Rank src = p.env.src;
+    const Rank dst = p.env.dst;
+    net::Route& route = routes_[p.route];
+    route.trace = 0;
+    if (obs::Recorder* rec = engine_.obs_) {
+      route.trace = rec->transfer_begin(
+          src, dst, p.env.size, static_cast<int>(mpi::Frame::Kind::kBulk),
+          engine_.sim_.now());
+    }
+    p.trace = route.trace;
+    engine_.net_.fabric().transfer_tagged(
+        route, p.env.size,
+        {src, dst, p.seq, 0, static_cast<int>(mpi::Frame::Kind::kBulk)},
+        [this, slot](const net::TransferFate& fate) {
+          finish_bulk(slot, fate);
+        });
+  }
+
+  void finish_bulk(std::uint32_t slot, const net::TransferFate& fate) {
+    RdvzPending& p = rdvz_.slots[slot];
+    engine_.run_progress(p.env.src, std::move(p.on_sent), 0);
+    if (!fate.delivered) {
+      const std::uint64_t trace = p.trace;
+      rdvz_.release(slot);
+      if (trace) engine_.obs_->transfer_undelivered(trace);
+      return;
+    }
+    if (fate.corrupted) corrupt_in_place(p.env, fate.salt);
+    engine_.run_progress(
+        p.env.dst, [this, slot] { finalize_rendezvous(slot); },
+        engine_.machine_.spec().cpu_overhead);
+  }
+
+  void finalize_rendezvous(std::uint32_t slot) {
+    // Moved out first: completion callbacks may send again and grow rdvz_.
+    const RdvzPending p = rdvz_.release(slot);
+    endpoint(p.env.dst).finalize_recv(p.recv, p.env);
   }
 
   SimEngine& engine_;
   std::map<RdvzKey, PendingSend> rdvz_send_;
   std::map<RdvzKey, mpi::PostedRecv> rdvz_recv_;
-  using RouteKey = std::pair<std::int64_t, int>;  ///< (pair, space bits)
-  std::map<RouteKey, net::Route> route_cache_;
-  std::map<std::int64_t, std::uint64_t> raw_seq_;
   std::uint64_t rdvz_counter_ = 0;
-  std::vector<EagerPending> eager_slots_;
-  std::vector<std::uint32_t> eager_free_;
+  std::unordered_map<std::int64_t, std::uint32_t> pair_index_;
+  std::vector<PairState> pairs_;
+  std::vector<net::Route> routes_;
+  SlotPool<EagerPending> eager_;
+  SlotPool<RdvzPending> rdvz_;
 };
 
 // ------------------------------------------------------------- SimContext ---

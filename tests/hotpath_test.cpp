@@ -8,7 +8,10 @@
 //    and a conformance matrix run reports identically for any --jobs value;
 //  * allocation-freedom — a counting global operator new proves the event
 //    queue, the buffer pool, and the matcher allocate NOTHING in steady
-//    state (after their slabs/free-lists/buckets have warmed up).
+//    state (after their slabs/free-lists/buckets have warmed up), also when
+//    every round takes fresh tags, and that SimEngine's per-message state
+//    (matcher buckets, rendezvous slots) stays bounded across one-shot
+//    collectives.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -23,11 +26,16 @@
 
 #include <gtest/gtest.h>
 
+#include "src/coll/coll.hpp"
+#include "src/coll/tree.hpp"
 #include "src/mpi/match.hpp"
+#include "src/obs/trace.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/support/inline_fn.hpp"
 #include "src/support/parallel.hpp"
+#include "src/topo/presets.hpp"
 #include "src/verify/conformance.hpp"
 #include "tests/trace_trio.hpp"
 
@@ -381,6 +389,56 @@ TEST(Matcher, ExactBucketsKeepFifoWithinPair) {
   EXPECT_EQ(m.arrive(make_env(5, 2))->request.get(), r2.request.get());
 }
 
+// Drained buckets retire to a spare list and fresh keys revive spare nodes;
+// none of that may disturb earliest-stamp order. Each envelope's size is its
+// arrival order, so the wildcard drain below reads the order it took.
+TEST(Matcher, WildcardOrderSurvivesBucketRetirementAndReuse) {
+  mpi::Matcher m;
+  const auto env = [](Rank src, Tag tag, Bytes order) {
+    mpi::Envelope e = make_env(src, tag);
+    e.size = order;
+    return e;
+  };
+  // (1, 7) fills and drains, retiring its node; (2, 8) revives it.
+  EXPECT_FALSE(m.arrive(env(1, 7, 0)).has_value());
+  ASSERT_TRUE(m.post(make_recv(1, 7)).has_value());
+  EXPECT_FALSE(m.arrive(env(2, 8, 1)).has_value());
+  EXPECT_FALSE(m.arrive(env(1, 7, 2)).has_value());
+  EXPECT_FALSE(m.arrive(env(2, 8, 3)).has_value());
+  EXPECT_FALSE(m.arrive(env(3, 7, 4)).has_value());
+  // A specific post drains (2, 8)'s front only; the wildcards then take the
+  // earliest remaining stamps across buckets, retiring each as it empties.
+  auto first = m.post(make_recv(2, 8));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->size, 1);
+  std::vector<Bytes> order;
+  while (auto hit = m.post(make_recv(kAnyRank, kAnyTag))) {
+    order.push_back(hit->size);
+    if (order.size() > 8) break;
+  }
+  EXPECT_EQ(order, (std::vector<Bytes>{2, 3, 4}));
+  EXPECT_EQ(m.unexpected_count(), 0u);
+  // That last wildcard found nothing and parked on the posted side. Now a
+  // specific receive revives a retired node for (5, 9) while an older
+  // wildcard for source 5 is still posted: the older one wins.
+  EXPECT_EQ(m.posted_count(), 1u);
+  auto wild = make_recv(5, kAnyTag);
+  auto specific = make_recv(5, 9);
+  auto later = make_recv(5, 9);
+  EXPECT_FALSE(m.post(wild).has_value());
+  EXPECT_FALSE(m.post(specific).has_value());
+  auto any = m.arrive(env(6, 1, 5));  // the (any, any) wildcard, oldest
+  ASSERT_TRUE(any.has_value());
+  EXPECT_EQ(any->src, kAnyRank);
+  EXPECT_EQ(m.arrive(env(5, 9, 6))->request.get(), wild.request.get());
+  EXPECT_EQ(m.arrive(env(5, 9, 7))->request.get(), specific.request.get());
+  // (5, 9) drained and retired; posting it again revives a spare node.
+  EXPECT_FALSE(m.post(later).has_value());
+  EXPECT_EQ(m.arrive(env(5, 9, 8))->request.get(), later.request.get());
+  EXPECT_EQ(m.posted_count(), 0u);
+  EXPECT_EQ(m.unexpected_count(), 0u);
+}
+
 // -------------------------------------------------- steady-state allocation
 
 TEST(AllocationFree, EventQueueSteadyState) {
@@ -498,6 +556,126 @@ TEST(AllocationFree, MatcherSteadyState) {
   for (int i = 0; i < 1000; ++i) churn();
   EXPECT_EQ(g_alloc_count.load() - before, 0u)
       << "matching allocated in steady state";
+}
+
+TEST(AllocationFree, MatcherFreshTagsSteadyState) {
+  // The one-shot pattern: every round takes fresh tags (one per segment, as
+  // ctx.alloc_tags does per collective). Half the segments find a pre-posted
+  // receive, half arrive unexpected and are posted for later. Drained buckets
+  // retire and fresh keys revive them, so after warm-up neither table grows
+  // and matching touches no heap.
+  mpi::Matcher m;
+  constexpr int kSources = 3;
+  constexpr int kSegs = 8;
+  std::vector<mpi::PostedRecv> recvs;
+  for (int i = 0; i < kSources * kSegs; ++i) recvs.push_back(make_recv(0, 0));
+  Tag next_tag = 1 << 20;
+  const auto round = [&] {
+    const Tag base = next_tag;
+    next_tag += kSegs;
+    for (int src = 0; src < kSources; ++src) {
+      for (int seg = 0; seg < kSegs; ++seg) {
+        mpi::PostedRecv& recv = recvs[static_cast<std::size_t>(src * kSegs + seg)];
+        recv.src = src;
+        recv.tag = base + seg;
+        if (seg % 2 == 0) (void)m.post(recv);  // pre-posted
+      }
+    }
+    for (int seg = 0; seg < kSegs; ++seg) {
+      for (int src = 0; src < kSources; ++src) {
+        (void)m.arrive(make_env(src, base + seg));
+      }
+    }
+    for (int src = 0; src < kSources; ++src) {
+      for (int seg = 1; seg < kSegs; seg += 2) {  // late posts: unexpected hits
+        (void)m.post(recvs[static_cast<std::size_t>(src * kSegs + seg)]);
+      }
+    }
+  };
+  for (int i = 0; i < 4; ++i) round();  // warm the spares and the tables
+  ASSERT_EQ(m.posted_count(), 0u);
+  ASSERT_EQ(m.unexpected_count(), 0u);
+  constexpr int kRounds = 1000;
+  std::vector<std::size_t> footprints;
+  footprints.reserve(kRounds + 1);
+  footprints.push_back(m.footprint_bytes());
+  const std::uint64_t before = g_alloc_count.load();
+  for (int i = 0; i < kRounds; ++i) {
+    round();
+    footprints.push_back(m.footprint_bytes());
+  }
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "fresh-tag matching allocated in steady state";
+  for (int i = 1; i <= kRounds; ++i) {
+    ASSERT_EQ(footprints[static_cast<std::size_t>(i)], footprints[0])
+        << "matcher footprint grew at round " << i;
+  }
+}
+
+// One-shot ADAPT bcasts of rendezvous-sized segments, back to back on one
+// engine: each collective takes fresh tags, and each segment runs the full
+// RTS -> grant -> CTS -> bulk -> finalise journey. The matcher gauge must
+// stop growing after warm-up, and the per-message state must come from
+// recycled slots — what is left per message is the collective's own
+// bookkeeping, amortised.
+TEST(SimEngineMessageState, OneShotRendezvousBcastsStayBounded) {
+  constexpr int kRanks = 8;
+  constexpr Bytes kBytes = mib(4);
+  constexpr Bytes kSegment = mib(1);  // > eager threshold: all rendezvous
+  constexpr int kRounds = 24;
+  constexpr int kWarm = 4;
+  topo::Machine machine(topo::cori(1), kRanks);
+  ASSERT_GT(kSegment, machine.spec().eager_threshold);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const coll::Tree tree = coll::binomial_tree(kRanks, 0);
+  const coll::CollOpts opts{.segment_size = kSegment};
+  auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    co_await coll::bcast(ctx, world, mpi::MutView{nullptr, kBytes}, 0, tree,
+                         coll::Style::kAdapt, opts);
+  };
+
+  // Traced engine: sim.matcher_bytes is assigned after every run.
+  runtime::SimEngineOptions traced;
+  traced.recorder = std::make_shared<obs::Recorder>(true);
+  runtime::SimEngine gauged(machine, traced);
+  std::vector<std::int64_t> matcher_bytes;
+  for (int round = 1; round <= kRounds; ++round) {
+    gauged.run(program);
+    matcher_bytes.push_back(
+        traced.recorder->metrics().counter("sim.matcher_bytes"));
+  }
+  ASSERT_GT(matcher_bytes[1], 0);
+  EXPECT_EQ(matcher_bytes[19], matcher_bytes[1])
+      << "matcher gauge after round 20 differs from round 2";
+  EXPECT_EQ(matcher_bytes.back(), matcher_bytes[1]);
+
+  // Untraced engine (trace buffers would allocate): heap allocations per
+  // rendezvous message once the pools, spares and route table are warm.
+  runtime::SimEngine engine(machine);
+  for (int round = 0; round < kWarm; ++round) engine.run(program);
+  const auto sends = [&] {
+    std::uint64_t total = 0;
+    for (Rank r = 0; r < kRanks; ++r) {
+      total += engine.endpoint(r).sends_started();
+    }
+    return total;
+  };
+  const std::uint64_t sends_before = sends();
+  const std::uint64_t before = g_alloc_count.load();
+  for (int round = kWarm; round < kRounds; ++round) engine.run(program);
+  const std::uint64_t allocs = g_alloc_count.load() - before;
+  const std::uint64_t messages = sends() - sends_before;
+  ASSERT_EQ(messages, static_cast<std::uint64_t>((kRanks - 1) * 4 *
+                                                 (kRounds - kWarm)));
+  // About 5 today, all outside the transport: two Request control blocks
+  // (send and receive), their completion notifications, and the engine
+  // run's and the collective's own set-up spread over 28 messages. The
+  // transport's share is 0; before it parked messages in slots (and the
+  // matcher kept every drained bucket) this read 16.
+  const double per_message =
+      static_cast<double>(allocs) / static_cast<double>(messages);
+  EXPECT_LE(per_message, 6.0) << allocs << " allocations over " << messages
+                              << " rendezvous messages";
 }
 
 // -------------------------------------------------------------- parallel_for
