@@ -667,11 +667,10 @@ TEST(SimEngineMessageState, OneShotRendezvousBcastsStayBounded) {
   const std::uint64_t messages = sends() - sends_before;
   ASSERT_EQ(messages, static_cast<std::uint64_t>((kRanks - 1) * 4 *
                                                  (kRounds - kWarm)));
-  // About 5 today, all outside the transport: two Request control blocks
-  // (send and receive), their completion notifications, and the engine
-  // run's and the collective's own set-up spread over 28 messages. The
-  // transport's share is 0; before it parked messages in slots (and the
-  // matcher kept every drained bucket) this read 16.
+  // About 5, none of them in the transport or the matcher: two Request
+  // control blocks (send and receive), their completion notifications, and
+  // the engine run's and the collective's own set-up spread over the
+  // round's 28 messages.
   const double per_message =
       static_cast<double>(allocs) / static_cast<double>(messages);
   EXPECT_LE(per_message, 6.0) << allocs << " allocations over " << messages
