@@ -38,20 +38,8 @@ RequestPtr Endpoint::failed_request(Request::Kind kind, Rank peer, Tag tag,
   return req;
 }
 
-std::uint32_t Endpoint::acquire_send_slot(RequestPtr request) {
-  if (send_free_.empty()) {
-    send_slots_.push_back(std::move(request));
-    return static_cast<std::uint32_t>(send_slots_.size() - 1);
-  }
-  const std::uint32_t slot = send_free_.back();
-  send_free_.pop_back();
-  send_slots_[slot] = std::move(request);
-  return slot;
-}
-
 void Endpoint::finish_send(std::uint32_t slot, ErrCode code) {
-  RequestPtr req = std::move(send_slots_[slot]);
-  send_free_.push_back(slot);
+  RequestPtr req = send_slots_.release(slot);
   if (code == ErrCode::kOk) {
     req->mark_complete();
   } else {
@@ -59,23 +47,8 @@ void Endpoint::finish_send(std::uint32_t slot, ErrCode code) {
   }
 }
 
-std::uint32_t Endpoint::acquire_finalize_slot(PostedRecv recv, Envelope env) {
-  std::uint32_t slot;
-  if (finalize_free_.empty()) {
-    finalize_slots_.emplace_back();
-    slot = static_cast<std::uint32_t>(finalize_slots_.size() - 1);
-  } else {
-    slot = finalize_free_.back();
-    finalize_free_.pop_back();
-  }
-  finalize_slots_[slot] = {std::move(recv), std::move(env)};
-  return slot;
-}
-
 void Endpoint::run_finalize_slot(std::uint32_t slot) {
-  PendingFinalize pf = std::move(finalize_slots_[slot]);
-  finalize_slots_[slot] = {};  // drop payload refs before recycling the slot
-  finalize_free_.push_back(slot);
+  const PendingFinalize pf = finalize_slots_.release(slot);
   finalize_recv(pf.recv, pf.env);
 }
 
@@ -143,7 +116,7 @@ RequestPtr Endpoint::isend(Rank dst, Tag tag, ConstView data, SendOpts opts) {
   // Park the request in a recycled slot: both transport callbacks capture
   // {this, slot} (std::function inline storage, no boxing) and exactly one
   // of them fires, releasing the slot's ownership.
-  const std::uint32_t slot = acquire_send_slot(req);
+  const std::uint32_t slot = send_slots_.acquire(req);
   transport_.submit(std::move(env), opts.src_space, opts.dst_space,
                     [this, slot] { finish_send(slot, ErrCode::kOk); },
                     [this, slot](ErrCode code) { finish_send(slot, code); });
@@ -182,7 +155,7 @@ RequestPtr Endpoint::irecv(Rank src, Tag tag, MutView buffer, Datatype dtype) {
           static_cast<TimeNs>(costs_.memcpy_beta *
                               static_cast<double>(env->size));
       const std::uint32_t slot =
-          acquire_finalize_slot(posted, std::move(*env));
+          finalize_slots_.acquire({posted, std::move(*env)});
       exec_.post_progress([this, slot] { run_finalize_slot(slot); },
                           copy_cost);
     }
@@ -209,7 +182,7 @@ void Endpoint::deliver(Envelope env) {
       env.grant(*recv);
     } else {
       const std::uint32_t slot =
-          acquire_finalize_slot(std::move(*recv), std::move(env));
+          finalize_slots_.acquire({std::move(*recv), std::move(env)});
       exec_.post_progress([this, slot] { run_finalize_slot(slot); },
                           costs_.cpu_overhead);
     }

@@ -23,6 +23,7 @@
 #include "src/mpi/payload.hpp"
 #include "src/mpi/request.hpp"
 #include "src/support/arena.hpp"
+#include "src/support/slot_pool.hpp"
 #include "src/support/units.hpp"
 
 namespace adapt::obs {
@@ -157,13 +158,10 @@ class Endpoint {
   /// (std::make_shared was the last per-P2P heap allocation on the hot path).
   RequestPtr make_request(Request::Kind kind, Rank peer, Tag tag, Bytes size);
 
-  // Slot pools: per-message transport state parked in recycled slots so the
-  // callbacks handed to the transport / executor capture only {this, slot}
-  // — small enough for std::function's inline storage, which keeps the
-  // steady-state path free of callback boxing.
-  std::uint32_t acquire_send_slot(RequestPtr request);
+  // Completion legs of parked sends and finalisations (see the slot pools
+  // below): the callbacks handed to the transport / executor capture only
+  // {this, slot}.
   void finish_send(std::uint32_t slot, ErrCode code);
-  std::uint32_t acquire_finalize_slot(PostedRecv recv, Envelope env);
   void run_finalize_slot(std::uint32_t slot);
 
   Rank rank_;
@@ -184,15 +182,13 @@ class Endpoint {
       std::make_shared<support::BlockArena>();
   /// In-flight sends: the slot owns the request until the transport reports
   /// the outcome (exactly one of on_sent/on_failed fires per submit).
-  std::vector<RequestPtr> send_slots_;
-  std::vector<std::uint32_t> send_free_;
+  support::SlotPool<RequestPtr> send_slots_;
   /// Matched receives queued for CPU-side finalisation.
   struct PendingFinalize {
     PostedRecv recv;
     Envelope env;
   };
-  std::vector<PendingFinalize> finalize_slots_;
-  std::vector<std::uint32_t> finalize_free_;
+  support::SlotPool<PendingFinalize> finalize_slots_;
 };
 
 }  // namespace adapt::mpi

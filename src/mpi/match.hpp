@@ -158,9 +158,9 @@ class Matcher {
   };
 
   /// Buckets keyed by concrete (src, tag), holding only non-empty Fifos.
-  /// A drained bucket is retired onto `spares`, and a fresh key re-keys a
-  /// spare node, so neither path allocates once the spares cover the peak
-  /// number of live keys.
+  /// A drained bucket is retired onto the spare list, and a fresh key
+  /// re-keys a spare node, so neither path allocates once the spares cover
+  /// the peak number of live keys.
   template <typename T>
   class Table {
    public:

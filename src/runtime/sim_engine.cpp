@@ -9,6 +9,7 @@
 #include "src/gpu/device.hpp"
 #include "src/support/error.hpp"
 #include "src/support/log.hpp"
+#include "src/support/slot_pool.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::runtime {
@@ -259,36 +260,6 @@ class SimEngine::SimTransport final : public mpi::Transport {
     std::uint64_t trace = 0;   ///< bulk-leg trace record (0 = untraced)
   };
 
-  /// Recycled slots for per-message state: the callbacks a message leaves
-  /// with the event queue and the fabric capture only {this, slot}, which
-  /// fits std::function's and EventFn's inline storage, so a warmed-up pool
-  /// makes a message's journey allocation-free.
-  template <typename T>
-  struct SlotPool {
-    std::vector<T> slots;
-    std::vector<std::uint32_t> free;
-
-    std::uint32_t acquire(T value) {
-      std::uint32_t slot;
-      if (free.empty()) {
-        slots.emplace_back();
-        slot = static_cast<std::uint32_t>(slots.size() - 1);
-      } else {
-        slot = free.back();
-        free.pop_back();
-      }
-      slots[slot] = std::move(value);
-      return slot;
-    }
-    /// Moves the state out and recycles the slot (dropping payload refs).
-    T release(std::uint32_t slot) {
-      T value = std::move(slots[slot]);
-      slots[slot] = {};
-      free.push_back(slot);
-      return value;
-    }
-  };
-
   /// Per-(src, dst) message-path state, reached with one hash lookup per
   /// message: the raw fault-key sequence counter and the pair's cached
   /// routes, one per (src space, dst space) combination (routes_ indices,
@@ -427,7 +398,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
     const std::uint32_t slot = eager_.acquire(
         {std::move(env), std::move(on_sent), src, dst, route.trace});
     engine_.net_.fabric().transfer_tagged(
-        route, eager_.slots[slot].env.size, key,
+        route, eager_[slot].env.size, key,
         [this, slot](const net::TransferFate& fate) {
           finish_eager(slot, fate);
         });
@@ -489,7 +460,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
   /// The RTS reaches the receiver: a metadata-only envelope whose grant
   /// points back at the slot.
   void deliver_rts(std::uint32_t slot) {
-    const mpi::Envelope& env = rdvz_.slots[slot].env;
+    const mpi::Envelope& env = rdvz_[slot].env;
     mpi::Envelope rts;
     rts.src = env.src;
     rts.dst = env.dst;
@@ -508,7 +479,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
 
   /// A receive matched the RTS: CTS back to the sender, then the bulk leg.
   void grant_rendezvous(std::uint32_t slot, mpi::PostedRecv recv) {
-    RdvzPending& p = rdvz_.slots[slot];
+    RdvzPending& p = rdvz_[slot];
     p.recv = std::move(recv);
     const Rank src = p.env.src;
     const Rank dst = p.env.dst;
@@ -535,7 +506,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
   }
 
   void start_bulk(std::uint32_t slot) {
-    RdvzPending& p = rdvz_.slots[slot];
+    RdvzPending& p = rdvz_[slot];
     const Rank src = p.env.src;
     const Rank dst = p.env.dst;
     net::Route& route = routes_[p.route];
@@ -555,7 +526,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
   }
 
   void finish_bulk(std::uint32_t slot, const net::TransferFate& fate) {
-    RdvzPending& p = rdvz_.slots[slot];
+    RdvzPending& p = rdvz_[slot];
     engine_.run_progress(p.env.src, std::move(p.on_sent), 0);
     if (!fate.delivered) {
       const std::uint64_t trace = p.trace;
@@ -582,8 +553,8 @@ class SimEngine::SimTransport final : public mpi::Transport {
   std::unordered_map<std::int64_t, std::uint32_t> pair_index_;
   std::vector<PairState> pairs_;
   std::vector<net::Route> routes_;
-  SlotPool<EagerPending> eager_;
-  SlotPool<RdvzPending> rdvz_;
+  support::SlotPool<EagerPending> eager_;
+  support::SlotPool<RdvzPending> rdvz_;
 };
 
 // ------------------------------------------------------------- SimContext ---

@@ -1,0 +1,51 @@
+// SlotPool: recycled slots for per-message state.
+//
+// A message's state is parked in a slot for the length of an asynchronous
+// leg, and the callbacks handed to the event queue, the fabric or the
+// transport capture only {this, slot}. That fits std::function's and
+// EventFn's inline storage, so no callback is heap-boxed, and a warmed-up
+// pool hands out slots without touching the heap. Slot indices are
+// bookkeeping only: nothing simulated depends on which slot a message got.
+#pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+namespace adapt::support {
+
+template <typename T>
+class SlotPool {
+ public:
+  /// Parks `value` in a free slot (growing the pool only when none is free).
+  std::uint32_t acquire(T value) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slots_.emplace_back();
+      slot = static_cast<std::uint32_t>(slots_.size() - 1);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    slots_[slot] = std::move(value);
+    return slot;
+  }
+
+  /// The parked state. The reference is invalidated by the next acquire().
+  T& operator[](std::uint32_t slot) { return slots_[slot]; }
+
+  /// Moves the state out and recycles the slot, resetting it so it holds no
+  /// references (payload buffers, requests) while it waits for reuse.
+  T release(std::uint32_t slot) {
+    T value = std::move(slots_[slot]);
+    slots_[slot] = {};
+    free_.push_back(slot);
+    return value;
+  }
+
+ private:
+  std::vector<T> slots_;
+  std::vector<std::uint32_t> free_;
+};
+
+}  // namespace adapt::support
