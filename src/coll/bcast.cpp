@@ -1,8 +1,7 @@
 // Broadcast in the three implementation styles the paper analyses (§2).
-#include <memory>
-
-#include "src/coll/detail.hpp"
-#include "src/gpu/device.hpp"
+// Algorithm 3 (Fig. 4), ADAPT's event-driven style, is one round of the
+// segment machine in pipeline.cpp.
+#include "src/coll/pipeline.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::coll {
@@ -104,178 +103,6 @@ sim::Task<> bcast_nonblocking(runtime::Context& ctx, const Edges& e,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Algorithm 3 (Fig. 4): ADAPT event-driven broadcast. No Waitall anywhere;
-// each child's pipeline advances independently on Isend-completion events
-// (child independence) and M posted receives keep segments flowing in any
-// arrival order (segment independence).
-// ---------------------------------------------------------------------------
-struct AdaptBcastState {
-  runtime::Context* ctx = nullptr;
-  Edges edges;
-  mpi::MutView buffer;
-  Segmenter segs{0, 1};
-  CollOpts opts;
-  Tag base_tag = 0;
-
-  std::vector<char> received;    // per segment: arrived (in primary space)
-  std::vector<char> alt_ready;   // per segment: staged into the other space
-  std::vector<int> next_send;    // per child: next segment index to send
-  std::vector<int> inflight;     // per child: outstanding isends (<= N)
-  std::vector<char> child_needs_alt;  // child edge sources the staged space
-  bool flushes = false;          // §4.1 per-segment staging copy required
-  MemSpace stage_dst = MemSpace::kDevice;  // flush direction (src is other)
-  int next_recv_post = 0;        // next segment to post an irecv for
-  mpi::ErrCode error = mpi::ErrCode::kOk;  // first failure wins
-  sim::Countdown done{0};
-
-  mpi::MutView piece(int s) {
-    return buffer.slice(segs.offset(s), segs.length(s));
-  }
-
-  /// A request failed: record the first cause, stop pumping, wake the
-  /// awaiter. Late callbacks from the remaining requests land in the guards
-  /// below and do nothing.
-  void fail(mpi::ErrCode code) {
-    if (error != mpi::ErrCode::kOk) return;
-    error = code;
-    done.force();
-  }
-
-  void post_next_recv(const std::shared_ptr<AdaptBcastState>& self) {
-    if (error != mpi::ErrCode::kOk) return;
-    if (next_recv_post >= segs.count()) return;
-    const int s = next_recv_post++;
-    auto req = ctx->irecv(edges.parent_global, base_tag + s, piece(s));
-    req->set_completion_cb([self, s](mpi::Request& r) {
-      if (r.failed()) return self->fail(r.error());
-      self->on_recv(self, s);
-    });
-  }
-
-  void on_recv(const std::shared_ptr<AdaptBcastState>& self, int s) {
-    if (error != mpi::ErrCode::kOk) return;
-    detail::segment_event(*ctx, "seg_recv", s);
-    received[static_cast<std::size_t>(s)] = 1;
-    done.signal();
-    post_next_recv(self);
-    if (flushes) stage(self, s);
-    for (std::size_t c = 0; c < edges.kids_global.size(); ++c)
-      pump_child(self, c);
-  }
-
-  // Explicit CPU buffer (§4.1): stage the segment into the other memory
-  // space with an async stream copy, overlapped with everything else; child
-  // edges sourcing that space gate on it.
-  void stage(const std::shared_ptr<AdaptBcastState>& self, int s) {
-    gpu::Device* dev = ctx->gpu();
-    const MemSpace src = stage_dst == MemSpace::kDevice ? MemSpace::kHost
-                                                        : MemSpace::kDevice;
-    dev->stream(s % dev->num_streams())
-        .memcpy_async(stage_dst, src, segs.length(s), [self, s] {
-          self->alt_ready[static_cast<std::size_t>(s)] = 1;
-          self->done.signal();
-          for (std::size_t c = 0; c < self->edges.kids_global.size(); ++c) {
-            if (self->child_needs_alt[c]) self->pump_child(self, c);
-          }
-        });
-  }
-
-  bool sendable(std::size_t c, int s) const {
-    if (flushes && child_needs_alt[c])
-      return alt_ready[static_cast<std::size_t>(s)] != 0;
-    return received[static_cast<std::size_t>(s)] != 0;
-  }
-
-  // The Isend_cb loop: keep <= N sends in flight per child, advancing through
-  // segments in order as they become locally available.
-  void pump_child(const std::shared_ptr<AdaptBcastState>& self,
-                  std::size_t c) {
-    while (error == mpi::ErrCode::kOk &&
-           inflight[c] < opts.outstanding_sends &&
-           next_send[c] < segs.count() && sendable(c, next_send[c])) {
-      const int s = next_send[c]++;
-      ++inflight[c];
-      detail::segment_event(*ctx, "seg_send", s);
-      auto req = ctx->isend(edges.kids_global[c], base_tag + s,
-                            piece(s).as_const(),
-                            opts.spaces(ctx->rank(), edges.kids_global[c]));
-      req->set_completion_cb([self, c](mpi::Request& r) {
-        if (r.failed()) return self->fail(r.error());
-        --self->inflight[c];
-        self->done.signal();
-        self->pump_child(self, c);
-      });
-    }
-  }
-};
-
-sim::Task<> bcast_adapt(runtime::Context& ctx, const Edges& e,
-                        mpi::MutView buffer, const Segmenter& segs,
-                        const CollOpts& opts, Tag base_tag) {
-  ADAPT_CHECK(opts.outstanding_sends >= 1);
-  ADAPT_CHECK(opts.outstanding_recvs >= 1);
-  const int S = segs.count();
-  auto st = std::make_shared<AdaptBcastState>();
-  st->ctx = &ctx;
-  st->edges = e;
-  st->buffer = buffer;
-  st->segs = segs;
-  st->opts = opts;
-  st->base_tag = base_tag;
-  st->received.assign(static_cast<std::size_t>(S), e.is_root ? 1 : 0);
-  st->next_send.assign(e.kids_global.size(), 0);
-  st->inflight.assign(e.kids_global.size(), 0);
-
-  // §4.1 host-cache bookkeeping. A non-root rank whose parent edge lands in
-  // HOST memory keeps the cache as its primary space and flushes each segment
-  // down to its GPU; the root's data starts on the GPU, so it pulls each
-  // segment UP into the cache. Child edges sourcing the staged space gate on
-  // the corresponding copy.
-  st->child_needs_alt.assign(e.kids_global.size(), 0);
-  if (opts.gpu_host_cache) {
-    if (e.is_root) {
-      st->flushes = true;
-      st->stage_dst = MemSpace::kHost;
-    } else {
-      const mpi::SendOpts in = opts.spaces(e.parent_global, ctx.rank());
-      st->flushes = in.dst_space == MemSpace::kHost;
-      st->stage_dst = MemSpace::kDevice;
-    }
-  }
-  if (st->flushes) {
-    ADAPT_CHECK(ctx.gpu() != nullptr) << "gpu_host_cache on a non-GPU rank";
-    st->alt_ready.assign(static_cast<std::size_t>(S), 0);
-    for (std::size_t c = 0; c < e.kids_global.size(); ++c) {
-      st->child_needs_alt[c] =
-          opts.spaces(ctx.rank(), e.kids_global[c]).src_space == st->stage_dst;
-    }
-  }
-
-  const int recv_events = e.is_root ? 0 : S;
-  const int send_events = static_cast<int>(e.kids_global.size()) * S;
-  const int flush_events = st->flushes ? S : 0;
-  st->done = sim::Countdown(recv_events + send_events + flush_events);
-
-  if (!e.is_root) {
-    const int prepost = std::min(S, opts.outstanding_recvs);
-    for (int i = 0; i < prepost; ++i) st->post_next_recv(st);
-  } else {
-    if (st->flushes) {
-      for (int s = 0; s < S; ++s) st->stage(st, s);
-    }
-    for (std::size_t c = 0; c < e.kids_global.size(); ++c)
-      st->pump_child(st, c);
-  }
-  co_await st->done;
-  // The callback chain above ran entirely in the progress context; marking
-  // the collective request complete is observed by the application thread.
-  co_await ctx.compute(0);
-  if (st->error != mpi::ErrCode::kOk) {
-    throw mpi::FaultError(st->error, "adapt bcast failed");
-  }
-}
-
 }  // namespace
 
 sim::Task<> bcast_tagged(runtime::Context& ctx, const mpi::Comm& comm,
@@ -283,7 +110,7 @@ sim::Task<> bcast_tagged(runtime::Context& ctx, const mpi::Comm& comm,
                          Style style, const CollOpts& opts, Tag base_tag) {
   ADAPT_CHECK(tree.root == root)
       << "tree rooted at " << tree.root << ", bcast root " << root;
-  const Edges e = detail::resolve(ctx, comm, tree);
+  Edges e = detail::resolve(ctx, comm, tree);
   const Segmenter segs(buffer.size, opts.segment_size);
   detail::CollSpan span(ctx, "bcast", style_name(style), buffer.size);
   switch (style) {
@@ -294,7 +121,9 @@ sim::Task<> bcast_tagged(runtime::Context& ctx, const mpi::Comm& comm,
       co_await bcast_nonblocking(ctx, e, buffer, segs, opts, base_tag);
       co_return;
     case Style::kAdapt:
-      co_await bcast_adapt(ctx, e, buffer, segs, opts, base_tag);
+      co_await detail::AdaptPipeline::run_once(
+          ctx, std::move(e), detail::AdaptPipeline::Stages::kBcast, buffer,
+          {}, {}, opts, base_tag);
       co_return;
   }
   ADAPT_UNREACHABLE("bad style");

@@ -1,10 +1,10 @@
-// Persistent-collective machines: ADAPT's event-driven pipelines, replayed
-// from a cached plan with zero steady-state allocation (see persistent.hpp).
+// Persistent collectives: rounds of ADAPT's segment machine replayed from a
+// cached plan with zero steady-state allocation (see persistent.hpp).
 #include "src/coll/persistent.hpp"
 
 #include <algorithm>
 
-#include "src/coll/detail.hpp"
+#include "src/coll/pipeline.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/support/error.hpp"
 #include "src/tune/tuner.hpp"
@@ -17,21 +17,6 @@ namespace {
 /// failed round k can never match a receive of round k+block (blocks cycle
 /// long after any fault-injected retransmit window closed).
 constexpr int kTagRounds = 4;
-
-constexpr std::uint64_t pack3(std::size_t c, int s, int window) {
-  return (static_cast<std::uint64_t>(c) << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) << 8) |
-         static_cast<std::uint64_t>(static_cast<std::uint8_t>(window));
-}
-constexpr std::size_t unpack_c(std::uint64_t v) {
-  return static_cast<std::size_t>(v >> 40);
-}
-constexpr int unpack_s(std::uint64_t v) {
-  return static_cast<int>((v >> 8) & 0xffffffffu);
-}
-constexpr int unpack_w(std::uint64_t v) {
-  return static_cast<int>(v & 0xffu);
-}
 
 int ceil_log2(int n) {
   int rounds = 0;
@@ -59,25 +44,41 @@ tune::PlanOp plan_op_of(PersistentOp::Kind kind) {
   return tune::PlanOp::kBcast;
 }
 
+detail::AdaptPipeline::Stages stages_of(PersistentOp::Kind kind) {
+  switch (kind) {
+    case PersistentOp::Kind::kReduce:
+      return detail::AdaptPipeline::Stages::kReduce;
+    case PersistentOp::Kind::kAllreduce:
+      return detail::AdaptPipeline::Stages::kReduceBcast;
+    case PersistentOp::Kind::kBcast:
+    case PersistentOp::Kind::kBarrier:
+      break;
+  }
+  return detail::AdaptPipeline::Stages::kBcast;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- init ---
 
+PersistentOp::PersistentOp() = default;
+
 void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
-                               Kind kind, Bytes bytes, Rank root,
-                               const PersistentOpts& opts) {
+                               Kind kind, mpi::MutView buffer,
+                               mpi::ReduceOp rop, mpi::Datatype dtype,
+                               Rank root, const PersistentOpts& opts) {
   ADAPT_CHECK(comm.contains(ctx.rank()))
       << "rank " << ctx.rank() << " not a member of the communicator";
   ADAPT_CHECK(opts.partitions >= 0);
   ADAPT_CHECK(!opts.coll.gpu_host_cache && !opts.coll.gpu_reduce)
       << "persistent collectives are CPU-path only";
-  ADAPT_CHECK(opts.coll.outstanding_sends >= 1);
-  ADAPT_CHECK(opts.coll.outstanding_recvs >= 1);
   ctx_ = &ctx;
   comm_ = comm;
   kind_ = kind;
-  opts_ = opts.coll;
   partitions_ = opts.partitions;
+  me_local_ = comm.local_of(ctx.rank());
+  const Bytes bytes = buffer.size;
+  CollOpts coll = opts.coll;
 
   // -- plan: cache lookup, tuner pin, or explicit tree --------------------
   const bool has_tree = kind != Kind::kBarrier;
@@ -95,7 +96,7 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
         << root;
     tune::CachedPlan plan;
     plan.tree = *opts.tree;
-    plan.segment = opts_.segment_size;
+    plan.segment = coll.segment_size;
     plan.comm = comm.state();
     plan_ = std::make_shared<const tune::CachedPlan>(std::move(plan));
   } else {
@@ -137,81 +138,41 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
         // Untuned default: the paper's topology-aware chain configuration.
         plan.tree = tune::decision_tree(ctx.machine(), comm, root,
                                         tune::Decision{});
-        plan.segment = opts_.segment_size;
+        plan.segment = coll.segment_size;
       }
       plan_ = cache ? cache->insert(key, std::move(plan))
                     : std::make_shared<const tune::CachedPlan>(
                           std::move(plan));
     }
   }
-  if (plan_->segment > 0) opts_.segment_size = plan_->segment;
+  if (plan_->segment > 0) coll.segment_size = plan_->segment;
 
-  // -- resolve this rank's edges ------------------------------------------
-  if (has_tree) {
-    const Rank me = comm.local_of(ctx.rank());
-    const Tree& tree = plan_->tree;
-    ADAPT_CHECK(tree.size() == comm.size());
-    edges_.me_local = me;
-    edges_.is_root = me == tree.root;
-    edges_.parent_global =
-        edges_.is_root ? -1 : comm.global(tree.up(me));
-    edges_.kids_global.clear();
-    edges_.kids_global.reserve(tree.kids(me).size());
-    for (const Rank kid : tree.kids(me))
-      edges_.kids_global.push_back(comm.global(kid));
+  if (kind == Kind::kBarrier) {
+    bar_rounds_ = ceil_log2(comm.size());
+    per_round_tags_ = std::max(bar_rounds_, 1);
+    base_tag_ = ctx.alloc_tags(static_cast<Tag>(per_round_tags_) * kTagRounds);
+    return;
   }
 
-  segs_ = Segmenter(bytes, opts_.segment_size);
-  const int S = segs_.count();
-  bar_rounds_ = kind == Kind::kBarrier ? ceil_log2(comm.size()) : 0;
-
-  // -- tag blocks ----------------------------------------------------------
-  switch (kind) {
-    case Kind::kBcast:
-    case Kind::kReduce: per_round_tags_ = S; break;
-    case Kind::kAllreduce: per_round_tags_ = 2 * S; break;
-    case Kind::kBarrier: per_round_tags_ = std::max(bar_rounds_, 1); break;
-  }
+  // -- this rank's segment machine, every piece of round state pre-sized --
+  detail::Edges edges = detail::resolve(ctx, comm, plan_->tree);
+  const auto nkids = static_cast<int>(edges.kids_global.size());
+  pipe_ = std::make_unique<detail::AdaptPipeline>(
+      ctx, std::move(edges), stages_of(kind), buffer, rop, dtype, coll,
+      /*gated=*/partitions_ > 0, [this] { check_round_done(); });
+  per_round_tags_ = pipe_->tags();
   base_tag_ = ctx.alloc_tags(static_cast<Tag>(per_round_tags_) * kTagRounds);
-
-  // -- pre-size every piece of round state ---------------------------------
-  const std::size_t nkids = edges_.kids_global.size();
   part_ready_.assign(static_cast<std::size_t>(partitions_), 0);
-  local_ready_.assign(static_cast<std::size_t>(S), 1);
-  received_.assign(static_cast<std::size_t>(S), 0);
-  next_send_.assign(nkids, 0);
-  inflight_.assign(nkids, 0);
-  if (kind == Kind::kReduce || kind == Kind::kAllreduce) {
-    contributed_.assign(static_cast<std::size_t>(S), 0);
-    next_recv_.assign(nkids, 0);
-    ready_q_.assign(static_cast<std::size_t>(S), 0);
-    pending_folds_.resize(static_cast<std::size_t>(S));
-    for (auto& q : pending_folds_) {
-      q.clear();
-      q.reserve(nkids);
-    }
-    // Persistent handles own their fold scratch for life — no per-round
-    // Payload churn at all.
-    const std::size_t windows =
-        nkids * static_cast<std::size_t>(opts_.outstanding_recvs);
-    scratch_.clear();
-    scratch_.reserve(windows);
-    for (std::size_t i = 0; i < windows; ++i) {
-      scratch_.push_back(mpi::Payload::scratch(ctx.pool(), opts_.segment_size,
-                                               buffer_.synthetic()));
-    }
-  }
 
   // -- warm the engine pool for the round's eager footprint ----------------
   // In-flight eager copies: N per child edge plus N up plus M unexpected
   // staging slots. One reserve call at init keeps every steady-state
   // acquire a free-list hit.
   if (support::BufferPool* pool = ctx.pool();
-      pool != nullptr && !buffer_.synthetic() && bytes > 0) {
+      pool != nullptr && !buffer.synthetic() && bytes > 0) {
     const int in_flight =
-        static_cast<int>(nkids + 1) * opts_.outstanding_sends +
-        opts_.outstanding_recvs;
-    pool->reserve(std::min(opts_.segment_size, std::max<Bytes>(bytes, 1)),
+        (nkids + 1) * coll.outstanding_sends + coll.outstanding_recvs;
+    pool->reserve(std::min(coll.segment_size, std::max<Bytes>(bytes, 1)),
                   in_flight);
   }
 }
@@ -244,50 +205,26 @@ mpi::ErrCode PersistentOp::start() {
     return comm_.state()->freed ? mpi::ErrCode::kErrCommFreed
                                 : mpi::ErrCode::kErrRevoked;
   }
-  reset_round();
+  std::fill(part_ready_.begin(), part_ready_.end(), char{0});
   in_flight_ = true;
   if (obs::Recorder* rec = ctx_->recorder()) {
     rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidProgress,
                  obs::Cat::kTask, "pstart", rec->now(), rounds_completed_);
   }
-  switch (kind_) {
-    case Kind::kBcast:
-      start_bcast();
-      break;
-    case Kind::kReduce:
-      start_reduce();
-      break;
-    case Kind::kAllreduce:
-      start_reduce();
-      start_bcast();
-      break;
-    case Kind::kBarrier:
-      start_barrier();
-      break;
+  if (pipe_) {
+    pipe_->start(round_base());
+  } else {
+    start_barrier();
   }
   check_round_done();  // trivial rounds (1-rank comms) finish synchronously
   return mpi::ErrCode::kOk;
 }
 
-void PersistentOp::reset_round() {
-  error_ = mpi::ErrCode::kOk;
-  remaining_ = 0;
-  outstanding_ = 0;
-  next_recv_post_ = 0;
-  inflight_up_ = 0;
-  ready_head_ = ready_tail_ = 0;
-  std::fill(part_ready_.begin(), part_ready_.end(), char{0});
-  std::fill(local_ready_.begin(), local_ready_.end(),
-            partitions_ > 0 ? char{0} : char{1});
-  std::fill(next_send_.begin(), next_send_.end(), 0);
-  std::fill(inflight_.begin(), inflight_.end(), 0);
-  std::fill(contributed_.begin(), contributed_.end(), 0);
-  std::fill(next_recv_.begin(), next_recv_.end(), 0);
-  for (auto& q : pending_folds_) q.clear();
-  const bool sender_gated = partitions_ > 0;
-  const char root_ready = bcast_root() && !sender_gated ? 1 : 0;
-  std::fill(received_.begin(), received_.end(),
-            kind_ == Kind::kAllreduce ? char{0} : root_ready);
+std::pair<int, int> PersistentOp::partition_segments(int p) const {
+  const int S = segments();
+  return {static_cast<int>((static_cast<std::int64_t>(p) * S) / partitions_),
+          static_cast<int>((static_cast<std::int64_t>(p + 1) * S) /
+                           partitions_)};
 }
 
 mpi::ErrCode PersistentOp::pready(int p) {
@@ -296,41 +233,8 @@ mpi::ErrCode PersistentOp::pready(int p) {
   if (part_ready_[static_cast<std::size_t>(p)])
     return mpi::ErrCode::kErrPartition;  // duplicate pready
   part_ready_[static_cast<std::size_t>(p)] = 1;
-  if (error_ != mpi::ErrCode::kOk) return mpi::ErrCode::kOk;  // round dying
-  // Partition p covers the contiguous segment range [p*S/P, (p+1)*S/P).
-  const int S = segs_.count();
-  const int first = static_cast<int>(
-      (static_cast<std::int64_t>(p) * S) / partitions_);
-  const int end = static_cast<int>(
-      (static_cast<std::int64_t>(p + 1) * S) / partitions_);
-  for (int s = first; s < end; ++s)
-    local_ready_[static_cast<std::size_t>(s)] = 1;
-  switch (kind_) {
-    case Kind::kBcast:
-      if (edges_.is_root) {
-        for (int s = first; s < end; ++s)
-          received_[static_cast<std::size_t>(s)] = 1;
-        for (std::size_t c = 0; c < edges_.kids_global.size(); ++c)
-          pump_child(c);
-      }
-      break;
-    case Kind::kReduce:
-    case Kind::kAllreduce:
-      for (int s = first; s < end; ++s) {
-        if (edges_.kids_global.empty()) {
-          reduce_segment_ready(s);
-        } else {
-          // Replay folds that arrived before the local data was ready.
-          auto& q = pending_folds_[static_cast<std::size_t>(s)];
-          for (const std::uint64_t packed : q)
-            schedule_fold(unpack_c(packed), s, unpack_w(packed));
-          q.clear();
-        }
-      }
-      break;
-    case Kind::kBarrier:
-      break;  // unreachable: barrier_init rejects partitions
-  }
+  const auto [first, end] = partition_segments(p);
+  pipe_->release(first, end);
   check_round_done();
   return mpi::ErrCode::kOk;
 }
@@ -340,59 +244,35 @@ mpi::ErrCode PersistentOp::parrived(int p, bool* flag) const {
   *flag = false;
   if (partitions_ <= 0 || !in_flight_) return mpi::ErrCode::kErrPartition;
   if (p < 0 || p >= partitions_) return mpi::ErrCode::kErrPartition;
-  if (error_ != mpi::ErrCode::kOk) return mpi::ErrCode::kOk;  // round dying
-  const int S = segs_.count();
-  const int first = static_cast<int>(
-      (static_cast<std::int64_t>(p) * S) / partitions_);
-  const int end = static_cast<int>(
-      (static_cast<std::int64_t>(p + 1) * S) / partitions_);
+  if (pipe_->error() != mpi::ErrCode::kOk) return mpi::ErrCode::kOk;  // dying
+  const auto [first, end] = partition_segments(p);
   bool arrived = true;
-  for (int s = first; s < end && arrived; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    switch (kind_) {
-      case Kind::kBcast:
-      case Kind::kAllreduce:
-        // The bcast stage delivers the final bytes everywhere.
-        arrived = received_[si] != 0;
-        break;
-      case Kind::kReduce:
-        // contributed_ only advances once the local data is folded in, so
-        // reaching the child count implies local_ready_ too.
-        arrived = edges_.kids_global.empty()
-                      ? local_ready_[si] != 0
-                      : contributed_[si] ==
-                            static_cast<int>(edges_.kids_global.size());
-        break;
-      case Kind::kBarrier:
-        arrived = false;  // unreachable: barrier_init rejects partitions
-        break;
-    }
-  }
+  for (int s = first; s < end && arrived; ++s) arrived = pipe_->arrived(s);
   *flag = arrived;
   return mpi::ErrCode::kOk;
 }
 
+int PersistentOp::segments() const { return pipe_ ? pipe_->segments() : 1; }
+
+mpi::ErrCode PersistentOp::last_error() const {
+  return pipe_ ? pipe_->error() : bar_error_;
+}
+
 void PersistentOp::Awaiter::await_resume() const {
-  if (op->error_ != mpi::ErrCode::kOk) {
-    throw mpi::FaultError(op->error_, std::string("persistent ") +
-                                          kind_name(op->kind_) + " failed");
+  if (op->last_error() != mpi::ErrCode::kOk) {
+    throw mpi::FaultError(op->last_error(),
+                          std::string("persistent ") + kind_name(op->kind_) +
+                              " failed");
   }
-}
-
-void PersistentOp::fail(mpi::ErrCode code) {
-  if (error_ != mpi::ErrCode::kOk) return;  // first cause wins
-  error_ = code;
-}
-
-void PersistentOp::cb_exit() {
-  --outstanding_;
-  check_round_done();
 }
 
 void PersistentOp::check_round_done() {
   if (!in_flight_) return;
-  if (outstanding_ != 0) return;
-  if (error_ == mpi::ErrCode::kOk && remaining_ != 0) return;
+  if (pipe_ ? !pipe_->drained()
+            : bar_outstanding_ != 0 ||
+                  (bar_error_ == mpi::ErrCode::kOk && bar_remaining_ != 0)) {
+    return;
+  }
   // Success, or a failed round whose every posted callback has retired —
   // either way nothing references this handle any more.
   in_flight_ = false;
@@ -400,278 +280,75 @@ void PersistentOp::check_round_done() {
   if (obs::Recorder* rec = ctx_->recorder()) {
     rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidProgress,
                  obs::Cat::kTask, "pdone", rec->now(),
-                 static_cast<std::int64_t>(error_));
+                 static_cast<std::int64_t>(last_error()));
   }
   if (waiter_) {
     const std::coroutine_handle<> h = waiter_;
     waiter_ = nullptr;
-    // Resume on the application thread, like the per-call collectives'
-    // trailing compute(0) — the round itself ran on the progress context.
+    // Resume on the application thread, like the per-call collectives —
+    // the round itself ran on the progress context.
     ctx_->defer(0, [h] { h.resume(); });
   }
 }
 
-// ---------------------------------------------------------------- helpers ---
-
-Tag PersistentOp::round_tag(int block_offset, int s) const {
+Tag PersistentOp::round_base() const {
   const int block = rounds_completed_ % kTagRounds;
-  return base_tag_ + static_cast<Tag>(block) * per_round_tags_ +
-         block_offset + s;
-}
-
-mpi::MutView PersistentOp::piece(int s) {
-  return buffer_.slice(segs_.offset(s), segs_.length(s));
-}
-
-mpi::MutView PersistentOp::scratch_view(std::size_t c, int window,
-                                        Bytes len) {
-  return scratch_[c * static_cast<std::size_t>(opts_.outstanding_recvs) +
-                  static_cast<std::size_t>(window)]
-      .view()
-      .slice(0, len);
-}
-
-bool PersistentOp::bcast_root() const {
-  // For allreduce the bcast stage is gated on the reduce stage instead of
-  // starting "received" (handled in reset_round).
-  return edges_.is_root;
-}
-
-// ---------------------------------------------------------------- bcast -----
-
-void PersistentOp::start_bcast() {
-  const int S = segs_.count();
-  const int bcast_recv = edges_.is_root ? 0 : S;
-  const int bcast_send = static_cast<int>(edges_.kids_global.size()) * S;
-  remaining_ += bcast_recv + bcast_send;
-  if (!edges_.is_root) {
-    const int prepost = std::min(S, opts_.outstanding_recvs);
-    for (int i = 0; i < prepost; ++i) post_next_bcast_recv();
-  } else {
-    for (std::size_t c = 0; c < edges_.kids_global.size(); ++c)
-      pump_child(c);
-  }
-}
-
-void PersistentOp::post_next_bcast_recv() {
-  if (error_ != mpi::ErrCode::kOk) return;
-  if (next_recv_post_ >= segs_.count()) return;
-  const int s = next_recv_post_++;
-  const int block_offset = kind_ == Kind::kAllreduce ? segs_.count() : 0;
-  ++outstanding_;
-  auto req = ctx_->irecv(edges_.parent_global, round_tag(block_offset, s),
-                         piece(s));
-  req->set_completion_cb(
-      [this, packed = pack3(0, s, 0)](mpi::Request& r) {
-        if (r.failed()) {
-          fail(r.error());
-        } else {
-          on_bcast_recv(unpack_s(packed));
-        }
-        cb_exit();
-      });
-}
-
-void PersistentOp::on_bcast_recv(int s) {
-  if (error_ != mpi::ErrCode::kOk) return;
-  detail::segment_event(*ctx_, "seg_recv", s);
-  received_[static_cast<std::size_t>(s)] = 1;
-  --remaining_;
-  post_next_bcast_recv();
-  for (std::size_t c = 0; c < edges_.kids_global.size(); ++c) pump_child(c);
-}
-
-void PersistentOp::pump_child(std::size_t c) {
-  const int block_offset = kind_ == Kind::kAllreduce ? segs_.count() : 0;
-  while (error_ == mpi::ErrCode::kOk &&
-         inflight_[c] < opts_.outstanding_sends &&
-         next_send_[c] < segs_.count() &&
-         received_[static_cast<std::size_t>(next_send_[c])] != 0) {
-    const int s = next_send_[c]++;
-    ++inflight_[c];
-    ++outstanding_;
-    detail::segment_event(*ctx_, "seg_send", s);
-    auto req = ctx_->isend(
-        edges_.kids_global[c], round_tag(block_offset, s),
-        piece(s).as_const(),
-        opts_.spaces(ctx_->rank(), edges_.kids_global[c]));
-    req->set_completion_cb(
-        [this, packed = pack3(c, 0, 0)](mpi::Request& r) {
-          if (r.failed()) {
-            fail(r.error());
-          } else {
-            const std::size_t child = unpack_c(packed);
-            --inflight_[child];
-            --remaining_;
-            pump_child(child);
-          }
-          cb_exit();
-        });
-  }
-}
-
-// ---------------------------------------------------------------- reduce ----
-
-void PersistentOp::start_reduce() {
-  const int S = segs_.count();
-  remaining_ += S;
-  if (edges_.kids_global.empty()) {
-    if (partitions_ <= 0) {
-      for (int s = 0; s < S; ++s) reduce_segment_ready(s);
-    }
-    // Partitioned leaf: pready feeds segments in.
-    return;
-  }
-  const int prepost = std::min(S, opts_.outstanding_recvs);
-  for (std::size_t c = 0; c < edges_.kids_global.size(); ++c) {
-    for (int window = 0; window < prepost; ++window)
-      post_reduce_recv(c, window);
-  }
-}
-
-void PersistentOp::post_reduce_recv(std::size_t c, int window) {
-  if (error_ != mpi::ErrCode::kOk) return;
-  if (next_recv_[c] >= segs_.count()) return;
-  const int s = next_recv_[c]++;
-  ++outstanding_;
-  auto req = ctx_->irecv(edges_.kids_global[c], round_tag(0, s),
-                         scratch_view(c, window, segs_.length(s)));
-  req->set_completion_cb(
-      [this, packed = pack3(c, s, window)](mpi::Request& r) {
-        if (r.failed()) {
-          fail(r.error());
-        } else {
-          on_reduce_recv(unpack_c(packed), unpack_s(packed),
-                         unpack_w(packed));
-        }
-        cb_exit();
-      });
-}
-
-void PersistentOp::on_reduce_recv(std::size_t c, int s, int window) {
-  if (error_ != mpi::ErrCode::kOk) return;
-  detail::segment_event(*ctx_, "seg_recv", s);
-  schedule_fold(c, s, window);
-}
-
-void PersistentOp::schedule_fold(std::size_t c, int s, int window) {
-  ++outstanding_;
-  ctx_->defer_progress(
-      detail::reduce_cost(*ctx_, opts_, segs_.length(s)),
-      [this, packed = pack3(c, s, window)] {
-        run_fold(unpack_c(packed), unpack_s(packed), unpack_w(packed));
-        cb_exit();
-      });
-}
-
-void PersistentOp::run_fold(std::size_t c, int s, int window) {
-  if (error_ != mpi::ErrCode::kOk) return;
-  if (!local_ready_[static_cast<std::size_t>(s)]) {
-    // Child data beat this rank's own contribution (partitioned op):
-    // park the fold until pready(partition of s) replays it.
-    pending_folds_[static_cast<std::size_t>(s)].push_back(
-        pack3(c, s, window));
-    return;
-  }
-  const Bytes len = segs_.length(s);
-  detail::apply_if_real(piece(s), scratch_view(c, window, len).as_const(),
-                        rop_, dtype_, len);
-  post_reduce_recv(c, window);
-  if (++contributed_[static_cast<std::size_t>(s)] ==
-      static_cast<int>(edges_.kids_global.size())) {
-    reduce_segment_ready(s);
-  }
-}
-
-void PersistentOp::reduce_segment_ready(int s) {
-  detail::segment_event(*ctx_, "seg_ready", s);
-  if (edges_.is_root) {
-    --remaining_;
-    if (kind_ == Kind::kAllreduce) {
-      // Chain into the bcast stage: the fully-reduced segment is now this
-      // root's broadcast payload.
-      received_[static_cast<std::size_t>(s)] = 1;
-      for (std::size_t c = 0; c < edges_.kids_global.size(); ++c)
-        pump_child(c);
-    }
-    return;
-  }
-  ready_q_[static_cast<std::size_t>(ready_tail_++)] = s;
-  pump_parent();
-}
-
-void PersistentOp::pump_parent() {
-  while (error_ == mpi::ErrCode::kOk &&
-         inflight_up_ < opts_.outstanding_sends &&
-         ready_head_ < ready_tail_) {
-    const int s = ready_q_[static_cast<std::size_t>(ready_head_++)];
-    ++inflight_up_;
-    ++outstanding_;
-    detail::segment_event(*ctx_, "seg_send", s);
-    auto req = ctx_->isend(edges_.parent_global, round_tag(0, s),
-                           piece(s).as_const(),
-                           opts_.spaces(ctx_->rank(), edges_.parent_global));
-    req->set_completion_cb([this](mpi::Request& r) {
-      if (r.failed()) {
-        fail(r.error());
-      } else {
-        --inflight_up_;
-        --remaining_;
-        pump_parent();
-      }
-      cb_exit();
-    });
-  }
+  return base_tag_ + static_cast<Tag>(block) * per_round_tags_;
 }
 
 // ---------------------------------------------------------------- barrier ---
 
+void PersistentOp::barrier_cb_exit() {
+  --bar_outstanding_;
+  check_round_done();
+}
+
 void PersistentOp::start_barrier() {
+  bar_error_ = mpi::ErrCode::kOk;
+  bar_remaining_ = 0;
+  bar_outstanding_ = 0;
   const int n = comm_.size();
   if (n == 1) return;  // nothing to synchronise
-  remaining_ += 2 * bar_rounds_;
-  const Rank me = edges_.me_local;
+  bar_remaining_ = 2 * bar_rounds_;
   // Pre-post every round's receive (tags distinguish rounds), send round 0;
   // the recv of round k releases the send of round k+1 — the dissemination
   // dependency chain, replayed as callbacks.
   for (int k = 0; k < bar_rounds_; ++k) {
     const int span = 1 << k;
-    const Rank from = comm_.global((me - span + n) % n);
-    ++outstanding_;
-    auto req = ctx_->irecv(from, round_tag(0, k), mpi::MutView{});
-    req->set_completion_cb(
-        [this, packed = pack3(0, k, 0)](mpi::Request& r) {
-          if (r.failed()) {
-            fail(r.error());
-          } else {
-            on_barrier_recv(unpack_s(packed));
-          }
-          cb_exit();
-        });
+    const Rank from = comm_.global((me_local_ - span + n) % n);
+    ++bar_outstanding_;
+    auto req = ctx_->irecv(from, round_base() + k, mpi::MutView{});
+    req->set_completion_cb([this, k](mpi::Request& r) {
+      if (r.failed()) {
+        if (bar_error_ == mpi::ErrCode::kOk) bar_error_ = r.error();
+      } else {
+        on_barrier_recv(k);
+      }
+      barrier_cb_exit();
+    });
   }
   on_barrier_recv(-1);  // "round -1 received": releases the round-0 send
 }
 
 void PersistentOp::on_barrier_recv(int round) {
   if (round >= 0) {
-    if (error_ != mpi::ErrCode::kOk) return;
-    --remaining_;
+    if (bar_error_ != mpi::ErrCode::kOk) return;
+    --bar_remaining_;
   }
   const int next = round + 1;
-  if (next >= bar_rounds_ || error_ != mpi::ErrCode::kOk) return;
+  if (next >= bar_rounds_ || bar_error_ != mpi::ErrCode::kOk) return;
   const int n = comm_.size();
-  const Rank me = edges_.me_local;
   const int span = 1 << next;
-  const Rank to = comm_.global((me + span) % n);
-  ++outstanding_;
-  auto req = ctx_->isend(to, round_tag(0, next), mpi::ConstView{});
+  const Rank to = comm_.global((me_local_ + span) % n);
+  ++bar_outstanding_;
+  auto req = ctx_->isend(to, round_base() + next, mpi::ConstView{});
   req->set_completion_cb([this](mpi::Request& r) {
     if (r.failed()) {
-      fail(r.error());
+      if (bar_error_ == mpi::ErrCode::kOk) bar_error_ = r.error();
     } else {
-      --remaining_;
+      --bar_remaining_;
     }
-    cb_exit();
+    barrier_cb_exit();
   });
 }
 
@@ -681,8 +358,7 @@ PersistentOpPtr bcast_init(runtime::Context& ctx, const mpi::Comm& comm,
                            mpi::MutView buffer, Rank root,
                            const PersistentOpts& opts) {
   PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = buffer;
-  op->init_common(ctx, comm, PersistentOp::Kind::kBcast, buffer.size, root,
+  op->init_common(ctx, comm, PersistentOp::Kind::kBcast, buffer, {}, {}, root,
                   opts);
   return op;
 }
@@ -692,11 +368,8 @@ PersistentOpPtr reduce_init(runtime::Context& ctx, const mpi::Comm& comm,
                             mpi::Datatype dtype, Rank root,
                             const PersistentOpts& opts) {
   PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = accum;
-  op->rop_ = rop;
-  op->dtype_ = dtype;
-  op->init_common(ctx, comm, PersistentOp::Kind::kReduce, accum.size, root,
-                  opts);
+  op->init_common(ctx, comm, PersistentOp::Kind::kReduce, accum, rop, dtype,
+                  root, opts);
   return op;
 }
 
@@ -705,11 +378,8 @@ PersistentOpPtr allreduce_init(runtime::Context& ctx, const mpi::Comm& comm,
                                mpi::Datatype dtype,
                                const PersistentOpts& opts) {
   PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = accum;
-  op->rop_ = rop;
-  op->dtype_ = dtype;
-  op->init_common(ctx, comm, PersistentOp::Kind::kAllreduce, accum.size,
-                  /*root=*/0, opts);
+  op->init_common(ctx, comm, PersistentOp::Kind::kAllreduce, accum, rop,
+                  dtype, /*root=*/0, opts);
   return op;
 }
 
@@ -718,9 +388,8 @@ PersistentOpPtr barrier_init(runtime::Context& ctx, const mpi::Comm& comm,
   ADAPT_CHECK(opts.partitions == 0) << "barrier has no data to partition";
   ADAPT_CHECK(opts.tree == nullptr) << "barrier takes no tree";
   PersistentOpPtr op(new PersistentOp());
-  op->init_common(ctx, comm, PersistentOp::Kind::kBarrier, 0, /*root=*/0,
-                  opts);
-  op->edges_.me_local = comm.local_of(ctx.rank());
+  op->init_common(ctx, comm, PersistentOp::Kind::kBarrier, mpi::MutView{}, {},
+                  {}, /*root=*/0, opts);
   return op;
 }
 

@@ -1,17 +1,21 @@
-// Persistent & partitioned collectives (PR 6; MPI-4 init/start semantics,
-// MPI Advance-style schedule caching on top of ADAPT's event machines).
+// Persistent & partitioned collectives (MPI-4 init/start semantics, MPI
+// Advance-style schedule caching on top of ADAPT's segment machine).
 //
 // A PersistentOp is a per-rank handle created once by bcast_init /
 // reduce_init / allreduce_init / barrier_init. Init does all the planning a
-// per-call collective repeats every invocation: resolve the topology tree
-// and this rank's edges, pin the tuner decision (recorded in the engine's
-// DecisionTable AND the engine-wide tune::PlanCache, keyed by (op, comm
-// fingerprint, size bucket, root)), size the segment pipeline, pre-allocate
-// every piece of round state (scratch payloads, pipeline counters, pending
-// queues) and warm the engine's BufferPool for the round's worst-case eager
-// footprint. start()/wait() then replay the schedule allocation-free: every
-// callback the round posts captures {this, packed-ints} — small and
-// trivially copyable, so std::function keeps it in inline storage.
+// per-call collective repeats every invocation: pin the tree and segment
+// size (tuner decision recorded in the engine's DecisionTable AND the
+// engine-wide tune::PlanCache, keyed by (op, comm fingerprint, size bucket,
+// root)), resolve this rank's edges, build its ADAPT segment machine
+// (detail::AdaptPipeline, pipeline.hpp: the same machine one-shot
+// Style::kAdapt bcast/reduce run once per call) with every piece of round
+// state pre-sized, and warm the engine's BufferPool for the round's
+// worst-case eager footprint. start()/wait() then replay rounds on that
+// machine allocation-free: every callback a round posts captures
+// {this, packed-ints} — small and trivially copyable, so std::function
+// keeps it in inline storage. Allreduce is one machine running its reduce
+// half chained into its bcast half over one tree; the barrier is a
+// dissemination schedule of its own.
 //
 // Lifecycle (MPI-4 shaped, error codes instead of UB):
 //   * start() on a handle whose previous round has not been waited returns
@@ -20,8 +24,10 @@
 //     is never replayed).
 //   * wait() is an awaitable; it resumes once the round fully drains (every
 //     posted callback retired, success or failure) and throws FaultError on
-//     a failed round — the same uniform-error contract as the per-call
-//     collectives under chaos.
+//     a failed round. The uniform error contract is the per-call
+//     collectives', but not their wake rule: a one-shot call throws at the
+//     first failure and leaves its machine to drain on its own, while a
+//     persistent round must drain before its handle can start again.
 //   * Overlapping start()s of *independent* handles pipeline: each handle
 //     owns a private block of kTagRounds x per-round tags used round-robin,
 //     so concurrent rounds can never cross-match.
@@ -36,12 +42,17 @@
 
 #include <coroutine>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/coll/coll.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::coll {
+
+namespace detail {
+class AdaptPipeline;
+}  // namespace detail
 
 struct PersistentOpts {
   CollOpts coll;       ///< pipeline knobs; segment may be overridden by plan
@@ -90,7 +101,7 @@ class PersistentOp {
 
   bool in_flight() const { return in_flight_; }
   Kind kind() const { return kind_; }
-  int segments() const { return segs_.count(); }
+  int segments() const;
   int partitions() const { return partitions_; }
   /// Completed start/wait cycles (successful or failed).
   int rounds_completed() const { return rounds_completed_; }
@@ -98,7 +109,7 @@ class PersistentOp {
   /// unless an explicit tree was supplied).
   const tune::CachedPlan& plan() const { return *plan_; }
   /// Error code the active/last round finished with (kOk while healthy).
-  mpi::ErrCode last_error() const { return error_; }
+  mpi::ErrCode last_error() const;
 
  private:
   friend std::unique_ptr<PersistentOp> bcast_init(runtime::Context&,
@@ -120,85 +131,44 @@ class PersistentOp {
                                                     const mpi::Comm&,
                                                     const PersistentOpts&);
 
-  PersistentOp() = default;
-
-  struct Edges {
-    Rank me_local = -1;
-    Rank parent_global = -1;
-    std::vector<Rank> kids_global;
-    bool is_root = false;
-  };
+  PersistentOp();
 
   void init_common(runtime::Context& ctx, const mpi::Comm& comm, Kind kind,
-                   Bytes bytes, Rank root, const PersistentOpts& opts);
-  void reset_round();
-  Tag round_tag(int block_offset, int s) const;
-  mpi::MutView piece(int s);
-  mpi::MutView scratch_view(std::size_t c, int window, Bytes len);
+                   mpi::MutView buffer, mpi::ReduceOp rop, mpi::Datatype dtype,
+                   Rank root, const PersistentOpts& opts);
+  Tag round_base() const;
+  /// Partition p's segment range [first, end).
+  std::pair<int, int> partition_segments(int p) const;
 
-  void fail(mpi::ErrCode code);
-  void cb_exit();            ///< retire one posted callback, maybe finish
   void check_round_done();
-
-  // Broadcast machine (also the second stage of allreduce).
-  void start_bcast();
-  void post_next_bcast_recv();
-  void on_bcast_recv(int s);
-  bool bcast_root() const;
-  void pump_child(std::size_t c);
-
-  // Reduce machine (also the first stage of allreduce).
-  void start_reduce();
-  void post_reduce_recv(std::size_t c, int window);
-  void on_reduce_recv(std::size_t c, int s, int window);
-  void schedule_fold(std::size_t c, int s, int window);
-  void run_fold(std::size_t c, int s, int window);
-  void reduce_segment_ready(int s);
-  void pump_parent();
 
   // Barrier machine.
   void start_barrier();
   void on_barrier_recv(int round);
+  void barrier_cb_exit();  ///< retire one posted barrier callback
 
   // -- plan (immutable after init) ----------------------------------------
   runtime::Context* ctx_ = nullptr;
   mpi::Comm comm_ = mpi::Comm::world(1);  ///< keeps CommState alive
   std::shared_ptr<const tune::CachedPlan> plan_;
-  Edges edges_;
-  Segmenter segs_{0, 1};
-  CollOpts opts_;
   Kind kind_ = Kind::kBcast;
-  mpi::MutView buffer_;  ///< bcast buffer / reduce+allreduce accumulator
-  mpi::ReduceOp rop_{};
-  mpi::Datatype dtype_{};
   Tag base_tag_ = 0;
   int per_round_tags_ = 0;
   int partitions_ = 0;
+  Rank me_local_ = -1;
   int bar_rounds_ = 0;  ///< barrier: dissemination round count
-  std::vector<mpi::Payload> scratch_;  ///< reduce: per (child, window)
+  /// bcast/reduce/allreduce: this rank's segment machine.
+  std::unique_ptr<detail::AdaptPipeline> pipe_;
 
   // -- round state (reset by start, no allocation) -------------------------
   bool in_flight_ = false;
-  mpi::ErrCode error_ = mpi::ErrCode::kOk;
-  int remaining_ = 0;    ///< success signals still expected this round
-  int outstanding_ = 0;  ///< posted callbacks not yet retired
   int rounds_completed_ = 0;
   std::coroutine_handle<> waiter_;
-  std::vector<char> part_ready_;   // per partition: pready seen
-  std::vector<char> local_ready_;  // per segment: local data available
-  // bcast
-  std::vector<char> received_;
-  std::vector<int> next_send_;  // per child
-  std::vector<int> inflight_;   // per child
-  int next_recv_post_ = 0;
-  // reduce
-  std::vector<int> contributed_;  // per segment
-  std::vector<int> next_recv_;    // per child
-  std::vector<std::vector<std::uint64_t>> pending_folds_;  // per segment
-  std::vector<int> ready_q_;  // ring of segments ready to send up
-  int ready_head_ = 0;
-  int ready_tail_ = 0;
-  int inflight_up_ = 0;
+  std::vector<char> part_ready_;  // per partition: pready seen
+  // barrier
+  mpi::ErrCode bar_error_ = mpi::ErrCode::kOk;  ///< first cause wins
+  int bar_remaining_ = 0;    ///< success signals still expected
+  int bar_outstanding_ = 0;  ///< posted callbacks not yet retired
 };
 
 using PersistentOpPtr = std::unique_ptr<PersistentOp>;

@@ -1,10 +1,11 @@
 // Reduce in the three implementation styles (§2.2.3 applied to all-to-one),
 // with segment-wise accumulation on the CPU (γ per byte, occupying the rank)
 // or offloaded to the rank's GPU (§4.2, overlapping with communication).
-#include <deque>
+// ADAPT's event-driven style is one round of the segment machine in
+// pipeline.cpp.
 #include <memory>
 
-#include "src/coll/detail.hpp"
+#include "src/coll/pipeline.hpp"
 #include "src/gpu/device.hpp"
 #include "src/support/error.hpp"
 
@@ -115,170 +116,6 @@ sim::Task<> reduce_nonblocking(runtime::Context& ctx, const Edges& e,
   if (pending_send) co_await mpi::wait(pending_send);
 }
 
-// ---------------------------------------------------------------------------
-// ADAPT event-driven reduce: per-child receive pipelines of depth M, deferred
-// accumulations, and a segment is forwarded up the moment every child has
-// contributed to it — independent of every other segment and child.
-// ---------------------------------------------------------------------------
-struct AdaptReduceState {
-  runtime::Context* ctx = nullptr;
-  Edges edges;
-  mpi::MutView accum;
-  mpi::ReduceOp op{};
-  mpi::Datatype dtype{};
-  Segmenter segs{0, 1};
-  CollOpts opts;
-  Tag base_tag = 0;
-
-  std::vector<int> contributed;          // per segment: children folded in
-  std::vector<int> next_recv;            // per child: next segment to post
-  std::vector<mpi::Payload> scratch;     // per (child, window) buffers
-  std::deque<int> ready;                 // segments ready to send up
-  int inflight_up = 0;
-  mpi::ErrCode error = mpi::ErrCode::kOk;  // first failure wins
-  sim::Countdown done{0};
-
-  std::size_t nkids() const { return edges.kids_global.size(); }
-  /// Scratch buffers are identified by an explicit per-child window: a window
-  /// is reposted for the next segment only after its fold ran, so a slot is
-  /// never overwritten while the accumulation still reads it (folds may
-  /// complete out of segment order).
-  mpi::MutView scratch_view(std::size_t c, int window, Bytes len) {
-    return scratch[c * static_cast<std::size_t>(opts.outstanding_recvs) +
-                   static_cast<std::size_t>(window)]
-        .view()
-        .slice(0, len);
-  }
-  mpi::MutView piece(int s) {
-    return accum.slice(segs.offset(s), segs.length(s));
-  }
-
-  /// A request failed: record the first cause, stop pumping, wake the
-  /// awaiter (see AdaptBcastState::fail).
-  void fail(mpi::ErrCode code) {
-    if (error != mpi::ErrCode::kOk) return;
-    error = code;
-    done.force();
-  }
-
-  void post_recv(const std::shared_ptr<AdaptReduceState>& self, std::size_t c,
-                 int window) {
-    if (error != mpi::ErrCode::kOk) return;
-    if (next_recv[c] >= segs.count()) return;
-    const int s = next_recv[c]++;
-    auto req = ctx->irecv(edges.kids_global[c], base_tag + s,
-                          scratch_view(c, window, segs.length(s)));
-    req->set_completion_cb([self, c, s, window](mpi::Request& r) {
-      if (r.failed()) return self->fail(r.error());
-      self->on_recv(self, c, s, window);
-    });
-  }
-
-  void on_recv(const std::shared_ptr<AdaptReduceState>& self, std::size_t c,
-               int s, int window) {
-    if (error != mpi::ErrCode::kOk) return;
-    detail::segment_event(*ctx, "seg_recv", s);
-    const Bytes len = segs.length(s);
-    auto fold = [self, c, s, window, len] {
-      if (self->error != mpi::ErrCode::kOk) return;
-      detail::apply_if_real(self->piece(s),
-                            self->scratch_view(c, window, len).as_const(),
-                            self->op, self->dtype, len);
-      self->post_recv(self, c, window);
-      if (++self->contributed[static_cast<std::size_t>(s)] ==
-          static_cast<int>(self->nkids())) {
-        self->segment_ready(self, s);
-      }
-    };
-    if (opts.gpu_reduce) {
-      gpu::Device* dev = ctx->gpu();
-      ADAPT_CHECK(dev != nullptr) << "gpu_reduce on a rank without a GPU";
-      // Round-robin streams so independent segments overlap on the device.
-      dev->stream(s % dev->num_streams())
-          .launch(dev->reduce_cost(len), std::move(fold));
-    } else {
-      // ADAPT folds run inside the event callbacks (progress context).
-      ctx->defer_progress(detail::reduce_cost(*ctx, opts, len),
-                          std::move(fold));
-    }
-  }
-
-  void segment_ready(const std::shared_ptr<AdaptReduceState>& self, int s) {
-    detail::segment_event(*ctx, "seg_ready", s);
-    if (edges.is_root) {
-      done.signal();
-      return;
-    }
-    ready.push_back(s);
-    pump_parent(self);
-  }
-
-  void pump_parent(const std::shared_ptr<AdaptReduceState>& self) {
-    while (error == mpi::ErrCode::kOk &&
-           inflight_up < opts.outstanding_sends && !ready.empty()) {
-      const int s = ready.front();
-      ready.pop_front();
-      ++inflight_up;
-      detail::segment_event(*ctx, "seg_send", s);
-      auto req = ctx->isend(edges.parent_global, base_tag + s,
-                            piece(s).as_const(),
-                            opts.spaces(ctx->rank(), edges.parent_global));
-      req->set_completion_cb([self](mpi::Request& r) {
-        if (r.failed()) return self->fail(r.error());
-        --self->inflight_up;
-        self->done.signal();
-        self->pump_parent(self);
-      });
-    }
-  }
-};
-
-sim::Task<> reduce_adapt(runtime::Context& ctx, const Edges& e,
-                         mpi::MutView accum, mpi::ReduceOp op,
-                         mpi::Datatype dtype, const Segmenter& segs,
-                         const CollOpts& opts, Tag base_tag) {
-  ADAPT_CHECK(opts.outstanding_sends >= 1);
-  ADAPT_CHECK(opts.outstanding_recvs >= 1);
-  const int S = segs.count();
-  auto st = std::make_shared<AdaptReduceState>();
-  st->ctx = &ctx;
-  st->edges = e;
-  st->accum = accum;
-  st->op = op;
-  st->dtype = dtype;
-  st->segs = segs;
-  st->opts = opts;
-  st->base_tag = base_tag;
-  st->contributed.assign(static_cast<std::size_t>(S), 0);
-  st->next_recv.assign(st->nkids(), 0);
-  const std::size_t windows =
-      st->nkids() * static_cast<std::size_t>(opts.outstanding_recvs);
-  st->scratch.reserve(windows);
-  for (std::size_t i = 0; i < windows; ++i)
-    st->scratch.push_back(make_scratch(ctx, accum, opts.segment_size));
-
-  // Root finishes when all segments are fully reduced; everyone else when all
-  // segments have been sent up.
-  st->done = sim::Countdown(S);
-
-  if (st->nkids() == 0) {
-    // Leaf: every segment is ready immediately; the N-outstanding pipeline to
-    // the parent takes over.
-    for (int s = 0; s < S; ++s) st->segment_ready(st, s);
-  } else {
-    for (std::size_t c = 0; c < st->nkids(); ++c) {
-      const int prepost = std::min(S, opts.outstanding_recvs);
-      for (int window = 0; window < prepost; ++window)
-        st->post_recv(st, c, window);
-    }
-  }
-  co_await st->done;
-  // Land back on the application thread (see bcast_adapt).
-  co_await ctx.compute(0);
-  if (st->error != mpi::ErrCode::kOk)
-    throw mpi::FaultError(st->error, "adapt reduce failed");
-}
-
 }  // namespace
 
 sim::Task<> reduce_tagged(runtime::Context& ctx, const mpi::Comm& comm,
@@ -287,7 +124,7 @@ sim::Task<> reduce_tagged(runtime::Context& ctx, const mpi::Comm& comm,
                           Style style, const CollOpts& opts, Tag base_tag) {
   ADAPT_CHECK(tree.root == root)
       << "tree rooted at " << tree.root << ", reduce root " << root;
-  const Edges e = detail::resolve(ctx, comm, tree);
+  Edges e = detail::resolve(ctx, comm, tree);
   const Segmenter segs(accum.size, opts.segment_size);
   detail::CollSpan span(ctx, "reduce", style_name(style), accum.size);
   switch (style) {
@@ -299,7 +136,9 @@ sim::Task<> reduce_tagged(runtime::Context& ctx, const mpi::Comm& comm,
                                   base_tag);
       co_return;
     case Style::kAdapt:
-      co_await reduce_adapt(ctx, e, accum, op, dtype, segs, opts, base_tag);
+      co_await detail::AdaptPipeline::run_once(
+          ctx, std::move(e), detail::AdaptPipeline::Stages::kReduce, accum,
+          op, dtype, opts, base_tag);
       co_return;
   }
   ADAPT_UNREACHABLE("bad style");

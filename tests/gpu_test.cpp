@@ -176,40 +176,57 @@ INSTANTIATE_TEST_SUITE_P(AllGpuPersonalities, GpuLibraryCorrectness,
                            return s;
                          });
 
+/// Slowest rank's simulated time for one synthetic `msg`-byte bcast (or
+/// reduce) from root 0 under personality `name` on `m`.
+TimeNs gpu_coll_time(const std::string& name, const topo::Machine& m,
+                     Bytes msg, bool reduce) {
+  const mpi::Comm world = mpi::Comm::world(m.nranks());
+  auto lib = make_gpu_library(name, m);
+  runtime::SimEngineOptions options;
+  options.gpu = lib->gpu_config();
+  SimEngine engine(m, options);
+  TimeNs worst = 0;
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    const TimeNs t0 = ctx.now();
+    mpi::MutView buffer{nullptr, msg};
+    if (reduce) {
+      co_await lib->reduce(ctx, world, buffer, mpi::ReduceOp::kSum,
+                           mpi::Datatype::kFloat, 0);
+    } else {
+      co_await lib->bcast(ctx, world, buffer, 0);
+    }
+    worst = std::max(worst, ctx.now() - t0);
+  };
+  engine.run(program);
+  return worst;
+}
+
 TEST(GpuColl, AdaptBeatsNaiveBaselines) {
   // The §4 optimisations must show: adapt-gpu faster than both baselines for
   // a large broadcast AND reduce on 2 nodes.
   topo::Machine m = gpu_machine(2);
-  const mpi::Comm world = mpi::Comm::world(m.nranks());
   const Bytes msg = mib(16);
   std::map<std::string, double> bcast_ms, reduce_ms;
   for (const std::string& name : gpu_libraries()) {
-    auto lib = make_gpu_library(name, m);
-    for (int which = 0; which < 2; ++which) {
-      runtime::SimEngineOptions options;
-      options.gpu = lib->gpu_config();
-      SimEngine engine(m, options);
-      TimeNs worst = 0;
-      auto program = [&](Context& ctx) -> sim::Task<> {
-        const TimeNs t0 = ctx.now();
-        mpi::MutView buffer{nullptr, msg};
-        if (which == 0) {
-          co_await lib->bcast(ctx, world, buffer, 0);
-        } else {
-          co_await lib->reduce(ctx, world, buffer, mpi::ReduceOp::kSum,
-                               mpi::Datatype::kFloat, 0);
-        }
-        worst = std::max(worst, ctx.now() - t0);
-      };
-      engine.run(program);
-      (which == 0 ? bcast_ms : reduce_ms)[name] = to_ms(worst);
-    }
+    bcast_ms[name] = to_ms(gpu_coll_time(name, m, msg, /*reduce=*/false));
+    reduce_ms[name] = to_ms(gpu_coll_time(name, m, msg, /*reduce=*/true));
   }
   EXPECT_LT(bcast_ms["ompi-adapt-gpu"], bcast_ms["mvapich-gpu"]);
   EXPECT_LT(bcast_ms["ompi-adapt-gpu"], bcast_ms["ompi-default-gpu"]);
   // §4.2's offload is worth several x on reduce.
   EXPECT_LT(reduce_ms["ompi-adapt-gpu"] * 2, reduce_ms["mvapich-gpu"]);
   EXPECT_LT(reduce_ms["ompi-adapt-gpu"] * 2, reduce_ms["ompi-default-gpu"]);
+}
+
+TEST(GpuColl, AdaptFinishTimesPinned) {
+  // Exact simulated times of the two ADAPT GPU paths at 16 MiB: the §4.1
+  // host-cache staging copies (bcast) and the §4.2 stream folds (reduce).
+  // Any change to how the segment machine drives them moves these.
+  topo::Machine m = gpu_machine(2);
+  EXPECT_EQ(gpu_coll_time("ompi-adapt-gpu", m, mib(16), /*reduce=*/false),
+            TimeNs{4119686});
+  EXPECT_EQ(gpu_coll_time("ompi-adapt-gpu", m, mib(16), /*reduce=*/true),
+            TimeNs{3835168});
 }
 
 TEST(GpuColl, RejectsCpuOnlyMachine) {

@@ -10,13 +10,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/coll/persistent.hpp"
+#include "src/coll/topo_tree.hpp"
 #include "src/mpi/comm.hpp"
 #include "src/mpi/comm_ft.hpp"
 #include "src/mpi/errors.hpp"
@@ -700,6 +703,207 @@ TEST(AllocationFree, HundredStartsAllocateNothingAfterWarmup) {
   ASSERT_NO_THROW(engine.run(program));
   EXPECT_EQ(after - before, 0u)
       << "persistent start/wait rounds touched the heap in steady state";
+}
+
+// ------------------------------------------------------- one-shot parity
+//
+// One-shot Style::kAdapt bcast/reduce and one persistent round over the same
+// explicit tree and CollOpts drive the same segment machine, so they must
+// produce the same simulation: per-rank finish times, the recorder's
+// transfer list, and every rank's seg_* instants, event for event.
+
+struct ParityRun {
+  std::vector<TimeNs> finish;                 // per rank
+  std::vector<std::string> transfers;         // chronological
+  std::vector<std::vector<std::string>> seg;  // per rank, chronological
+};
+
+ParityRun run_parity(bool reduce, bool persistent, Bytes bytes,
+                     Bytes segment, bool perturbed) {
+  constexpr int kParityRanks = 64;
+  topo::Machine machine(topo::cori(2), kParityRanks);
+  const mpi::Comm world = mpi::Comm::world(kParityRanks);
+  const Tree tree = build_topo_tree(machine, world, 0);
+  runtime::SimEngineOptions options;
+  if (perturbed) {
+    options.perturb =
+        sim::PerturbConfig{11, /*shuffle_ties=*/true, microseconds(5)};
+  }
+  options.recorder = std::make_shared<obs::Recorder>();
+  SimEngine engine(machine, options);
+  std::vector<std::vector<std::byte>> bufs(
+      kParityRanks, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
+  for (int r = 0; r < kParityRanks; ++r) {
+    fill(bufs[static_cast<std::size_t>(r)], r, 0);
+  }
+  const CollOpts opts{.segment_size = segment};
+
+  ParityRun run;
+  run.finish.assign(kParityRanks, -1);
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    const mpi::MutView view{bufs[me].data(), bytes};
+    if (persistent) {
+      PersistentOpts popts;
+      popts.coll = opts;
+      popts.tree = &tree;
+      auto op = reduce ? reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                                     mpi::Datatype::kInt32, 0, popts)
+                       : bcast_init(ctx, world, view, 0, popts);
+      EXPECT_EQ(op->start(), ErrCode::kOk);
+      co_await op->wait();
+    } else if (reduce) {
+      co_await coll::reduce(ctx, world, view, mpi::ReduceOp::kSum,
+                            mpi::Datatype::kInt32, 0, tree, Style::kAdapt,
+                            opts);
+    } else {
+      co_await coll::bcast(ctx, world, view, 0, tree, Style::kAdapt, opts);
+    }
+    run.finish[me] = ctx.now();
+  };
+  engine.run(program);
+
+  for (const auto& t : options.recorder->transfers()) {
+    run.transfers.push_back(
+        std::to_string(t.src) + ">" + std::to_string(t.dst) + ":" +
+        std::to_string(t.bytes) + "/" + std::to_string(t.kind) + "@" +
+        std::to_string(t.t_post) + "," + std::to_string(t.t_active) + "," +
+        std::to_string(t.t_end) + (t.delivered ? "" : "!"));
+  }
+  run.seg.resize(kParityRanks);
+  for (const auto& i : options.recorder->instants()) {
+    if (i.name.rfind("seg_", 0) != 0) continue;
+    for (Rank r = 0; r < kParityRanks; ++r) {
+      if (obs::rank_pid(r) != i.pid) continue;
+      run.seg[static_cast<std::size_t>(r)].push_back(
+          i.name + "#" + std::to_string(i.arg) + "@" + std::to_string(i.t));
+    }
+  }
+  return run;
+}
+
+/// Index of the first differing element (or the shorter length).
+std::size_t first_diff(const std::vector<std::string>& a,
+                       const std::vector<std::string>& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return i;
+}
+
+struct ParityCase {
+  bool reduce;
+  Bytes bytes;
+  Bytes segment;
+  bool perturbed;
+};
+
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << (c.reduce ? "reduce " : "bcast ") << c.bytes << "/" << c.segment
+      << (c.perturbed ? " perturbed" : " stable");
+}
+
+class OneShotParity : public testing::TestWithParam<ParityCase> {};
+
+TEST_P(OneShotParity, PersistentRoundReplaysTheOneShotSimulation) {
+  const ParityCase c = GetParam();
+  const ParityRun once =
+      run_parity(c.reduce, /*persistent=*/false, c.bytes, c.segment,
+                 c.perturbed);
+  const ParityRun round =
+      run_parity(c.reduce, /*persistent=*/true, c.bytes, c.segment,
+                 c.perturbed);
+  EXPECT_EQ(once.finish, round.finish);
+  ASSERT_FALSE(once.transfers.empty());
+  const std::size_t t = first_diff(once.transfers, round.transfers);
+  EXPECT_TRUE(t == once.transfers.size() && t == round.transfers.size())
+      << "transfer " << t << " of " << once.transfers.size() << " / "
+      << round.transfers.size() << " differs";
+  for (std::size_t r = 0; r < once.seg.size(); ++r) {
+    ASSERT_FALSE(once.seg[r].empty()) << "rank " << r;
+    const std::size_t i = first_diff(once.seg[r], round.seg[r]);
+    EXPECT_TRUE(i == once.seg[r].size() && i == round.seg[r].size())
+        << "rank " << r << " seg instant " << i << " differs: "
+        << (i < once.seg[r].size() ? once.seg[r][i] : "<end>") << " vs "
+        << (i < round.seg[r].size() ? round.seg[r][i] : "<end>");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BcastReduce, OneShotParity,
+    testing::Values(ParityCase{false, kib(256), kib(32), false},
+                    ParityCase{false, kib(256), kib(32), true},
+                    ParityCase{false, kib(64), kib(128), false},
+                    ParityCase{false, kib(64), kib(128), true},
+                    ParityCase{true, kib(256), kib(32), false},
+                    ParityCase{true, kib(256), kib(32), true},
+                    ParityCase{true, kib(64), kib(128), false},
+                    ParityCase{true, kib(64), kib(128), true}),
+    [](const testing::TestParamInfo<ParityCase>& param_info) {
+      const ParityCase& c = param_info.param;
+      return std::string(c.reduce ? "Reduce" : "Bcast") +
+             std::to_string(c.bytes / 1024) + "KiB" +
+             (c.bytes > c.segment ? "Pipelined" : "OneSegment") +
+             (c.perturbed ? "Perturbed" : "Stable");
+    });
+
+// ------------------------------------------------------ wide receive window
+
+// M = 300 posted receives per child: every window index must survive the
+// packing into the callbacks' captured state, one-shot and persistent alike.
+TEST(WideReceiveWindow, ThreeHundredWindowsReduceExactly) {
+  constexpr int kWideRanks = 4;
+  constexpr int kSegments = 320;
+  constexpr Bytes kSegment = 16;
+  constexpr std::size_t kElems = kSegments * kSegment / sizeof(std::int32_t);
+  topo::Machine machine(topo::cori(1), kWideRanks);
+  const mpi::Comm world = mpi::Comm::world(kWideRanks);
+  const Tree tree = flat_tree(kWideRanks, 0);
+  const CollOpts opts{.segment_size = kSegment, .outstanding_recvs = 300};
+
+  std::vector<std::int32_t> expected(kElems, 0);
+  for (int r = 0; r < kWideRanks; ++r) {
+    for (std::size_t i = 0; i < kElems; ++i) {
+      expected[i] += static_cast<std::int32_t>(r * 100000 + i);
+    }
+  }
+  for (const bool persistent : {false, true}) {
+    SimEngine engine(machine);
+    std::vector<std::vector<std::int32_t>> accum(
+        kWideRanks, std::vector<std::int32_t>(kElems));
+    for (int r = 0; r < kWideRanks; ++r) {
+      for (std::size_t i = 0; i < kElems; ++i) {
+        accum[static_cast<std::size_t>(r)][i] =
+            static_cast<std::int32_t>(r * 100000 + i);
+      }
+    }
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      const mpi::MutView view{
+          reinterpret_cast<std::byte*>(
+              accum[static_cast<std::size_t>(ctx.rank())].data()),
+          static_cast<Bytes>(kElems * sizeof(std::int32_t))};
+      if (persistent) {
+        PersistentOpts popts;
+        popts.coll = opts;
+        popts.tree = &tree;
+        auto op = reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                              mpi::Datatype::kInt32, 0, popts);
+        EXPECT_EQ(op->segments(), kSegments);
+        EXPECT_EQ(op->start(), ErrCode::kOk);
+        co_await op->wait();
+      } else {
+        co_await coll::reduce(ctx, world, view, mpi::ReduceOp::kSum,
+                              mpi::Datatype::kInt32, 0, tree, Style::kAdapt,
+                              opts);
+      }
+    };
+    ASSERT_NO_THROW(engine.run(program));
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < kElems; ++i) {
+      if (accum[0][i] != expected[i]) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u) << (persistent ? "persistent" : "one-shot")
+                         << " reduce: root elements wrong of " << kElems;
+  }
 }
 
 }  // namespace
