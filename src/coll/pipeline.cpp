@@ -208,19 +208,6 @@ void AdaptPipeline::detach() {
   }
 }
 
-struct AdaptPipeline::Wake {
-  AdaptPipeline* m;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    if (m->caller_done()) {
-      m->ctx_->defer(0, [h] { h.resume(); });
-    } else {
-      m->waiter_ = h;
-    }
-  }
-  void await_resume() const noexcept {}
-};
-
 sim::Task<> AdaptPipeline::run_once(runtime::Context& ctx, Edges edges,
                                     Stages stages, mpi::MutView buffer,
                                     mpi::ReduceOp op, mpi::Datatype dtype,
@@ -234,7 +221,13 @@ sim::Task<> AdaptPipeline::run_once(runtime::Context& ctx, Edges edges,
   m->start(base_tag);
   // The callback chains ran in the progress context; the collective's
   // completion is observed on the application thread.
-  co_await Wake{m.get()};
+  co_await sim::Suspend([p = m.get()](std::coroutine_handle<> h) {
+    if (p->caller_done()) {
+      p->ctx_->defer(0, [h] { h.resume(); });
+    } else {
+      p->waiter_ = h;
+    }
+  });
   if (m->error_ != mpi::ErrCode::kOk) {
     throw mpi::FaultError(m->error_, stages == Stages::kBcast
                                          ? "adapt bcast failed"

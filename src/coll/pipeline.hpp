@@ -79,8 +79,6 @@ class AdaptPipeline {
   mpi::ErrCode error() const { return error_; }
 
  private:
-  struct Wake;
-
   std::size_t kids() const { return edges_.kids_global.size(); }
   /// A one-shot caller wakes at the first failure, else once drained.
   bool caller_done() const {
