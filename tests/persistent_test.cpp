@@ -1,10 +1,11 @@
-// Persistent-collective lifecycle tests (PR 6): the MPI-4 shaped error
-// contract (double start, start after comm free, pready misuse), plan-cache
-// sharing and fingerprint-guarded invalidation, overlapping starts of
-// independent handles, per-start schedule identity, and the steady-state
-// allocation-freedom the cached schedule exists to deliver (100 starts,
-// zero heap traffic after warm-up, proven by a counting global operator
-// new).
+// Persistent-collective lifecycle tests: the MPI-4 shaped error contract
+// (double start, start after comm free, pready misuse), plan-cache sharing
+// and fingerprint-guarded invalidation, overlapping starts of independent
+// handles, per-start schedule identity, the steady-state allocation-freedom
+// the cached schedule exists to deliver (100 starts, zero heap traffic
+// after warm-up, proven by a counting global operator new), and the
+// segment machine's two callers: a persistent round replays the one-shot
+// simulation exactly, and both reduce exactly with 300 posted receives.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
