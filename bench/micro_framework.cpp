@@ -144,6 +144,7 @@ BENCHMARK(BM_BufferPoolSteadyState);
 
 void BM_FabricContendedFlows(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
+  std::uint64_t scheduled = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     net::Fabric fabric(sim);
@@ -153,8 +154,14 @@ void BM_FabricContendedFlows(benchmark::State& state) {
     }
     sim.run();
     benchmark::DoNotOptimize(fabric.flows_completed());
+    scheduled = sim.events_scheduled();
   }
   state.SetItemsProcessed(state.iterations() * flows);
+  // Machine-independent churn gauge (scripts/check_perf.py caps it at 2.0):
+  // one activation and one completion per flow when every rate change of an
+  // instant is coalesced into a single rebalance.
+  state.counters["scheduled_per_flow"] =
+      static_cast<double>(scheduled) / static_cast<double>(flows);
 }
 BENCHMARK(BM_FabricContendedFlows)->Arg(16)->Arg(256);
 

@@ -6,7 +6,11 @@ Two checks, in decreasing order of signal:
 
 1. Allocation counters are machine-independent: every benchmark reporting an
    `allocs_per_item` counter must stay at (effectively) zero. A steady-state
-   allocation is a code regression no amount of CI noise can excuse.
+   allocation is a code regression no amount of CI noise can excuse. The
+   same holds for event churn: every benchmark reporting a
+   `scheduled_per_flow` counter (events scheduled per fabric flow) must stay
+   at or below --max-scheduled-per-flow (2.0: one activation and one
+   completion per flow once each instant's rate updates are coalesced).
 
 2. Throughput ratios are machine-DEPENDENT: the committed baseline was
    recorded on one box, CI runs on another. The gate therefore only fails
@@ -247,6 +251,9 @@ def main():
     ap.add_argument("--max-allocs", type=float, default=None,
                     help="allocation-counter ceiling (default 0.001 for "
                          "micro mode, 0.1 for steady mode)")
+    ap.add_argument("--max-scheduled-per-flow", type=float, default=2.0,
+                    help="micro mode: ceiling for every reported "
+                         "scheduled_per_flow counter")
     ap.add_argument("--adapt-trace",
                     help="path to the adapt-trace binary; with "
                          "--trace-baseline/--trace-run, a failing gate "
@@ -284,6 +291,18 @@ def main():
         else:
             if allocs is not None:
                 print(f"{name}: allocs_per_item={allocs:.6f} ok")
+
+    for name, b in sorted(fresh.items()):
+        churn = b.get("scheduled_per_flow")
+        if churn is None:
+            continue
+        if churn > args.max_scheduled_per_flow:
+            failures.append(
+                f"{name}: scheduled_per_flow={churn:.2f} "
+                f"(limit {args.max_scheduled_per_flow}) — fabric rate updates "
+                f"reschedule flows more than once per instant")
+        else:
+            print(f"{name}: scheduled_per_flow={churn:.2f} ok")
 
     # Disabled-path guards: each "...Disabled" variant runs in the same
     # process on the same machine as its reference benchmark, so the ratio

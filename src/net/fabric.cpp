@@ -65,9 +65,16 @@ void Fabric::transfer(const Route& route, Bytes bytes,
   for (LinkId l : route.links)
     ADAPT_CHECK(l >= 0 && l < static_cast<LinkId>(capacity_.size()));
 
-  // Fast paths that never enter bandwidth sharing.
-  if (bytes == 0 || route.links.empty() ||
-      policy_ == SharingPolicy::kUncontended) {
+  // Fast paths that never enter bandwidth sharing. A zero-byte message
+  // takes one only while its pair's transmit queue is idle: behind a busy
+  // queue it waits like any other message (below), or it would overtake the
+  // messages posted before it.
+  const bool shared =
+      !route.links.empty() && policy_ == SharingPolicy::kFairShare;
+  const bool zero_unqueued =
+      bytes == 0 &&
+      (route.serial_key < 0 || !serial_queue(route.serial_key).busy);
+  if (!shared || zero_unqueued) {
     const TimeNs stream =
         bytes > 0 ? duration_of(static_cast<double>(bytes), route.per_flow_cap)
                   : 0;
@@ -157,7 +164,7 @@ void Fabric::activate(int flow_index) {
               link_flows_[static_cast<std::size_t>(l)].size()));
     }
   }
-  rebalance_component(f.links);
+  mark_dirty(f.links);
 }
 
 void Fabric::finish(int flow_index) {
@@ -216,30 +223,52 @@ void Fabric::finish(int flow_index) {
     }
   }
 
-  rebalance_component(links);
+  mark_dirty(links);
   cb();
 }
 
-// Collects the connected component of flows reachable from `seed_links`
-// through shared links. Rates in max-min fair sharing can only change within
-// this component, so everything else is left untouched — the key to keeping
-// per-event cost proportional to local congestion, not cluster size.
-void Fabric::collect_component(const std::vector<LinkId>& seed_links,
-                               std::vector<int>& flows_out,
-                               std::vector<LinkId>& links_out) {
+void Fabric::mark_dirty(const std::vector<LinkId>& links) {
+  dirty_links_.insert(dirty_links_.end(), links.begin(), links.end());
+  if (!flush_requested_) {
+    flush_requested_ = true;
+    sim_.at_instant_end([this] { flush(); });
+  }
+}
+
+// Runs once per virtual instant that activated or finished a flow. A rate
+// held for zero nanoseconds moves zero bytes, so only the flow set at the
+// end of the instant matters: one progressive filling per touched component
+// replaces one per event, and each flow's completion is rescheduled at most
+// once per instant.
+void Fabric::flush() {
+  flush_requested_ = false;
+  // One visit epoch for the whole flush: a dirty link already reached by an
+  // earlier seed belongs to a component that has just been rebalanced.
   ++visit_epoch_;
   link_seen_.resize(capacity_.size(), 0);
+  link_dirty_.resize(capacity_.size(), 0);
   flow_seen_.resize(flows_.size(), 0);
+  for (LinkId l : dirty_links_)
+    link_dirty_[static_cast<std::size_t>(l)] = visit_epoch_;
+  for (LinkId l : dirty_links_) {
+    if (link_seen_[static_cast<std::size_t>(l)] != visit_epoch_)
+      rebalance_component(l);
+  }
+  dirty_links_.clear();
+}
 
+// Collects the connected component of flows reachable from `seed` through
+// shared links, marking what it visits with the flush's epoch. Rates in
+// max-min fair sharing can only change within this component, so everything
+// else is left untouched — the key to keeping per-instant cost proportional
+// to local congestion, not cluster size.
+void Fabric::collect_component(LinkId seed, std::vector<int>& flows_out,
+                               std::vector<LinkId>& links_out) {
   std::vector<LinkId>& link_queue = bfs_queue_;  // member scratch: no alloc
   link_queue.clear();
-  for (LinkId l : seed_links) {
-    if (link_seen_[static_cast<std::size_t>(l)] != visit_epoch_) {
-      link_seen_[static_cast<std::size_t>(l)] = visit_epoch_;
-      link_queue.push_back(l);
-      links_out.push_back(l);
-    }
-  }
+  link_seen_[static_cast<std::size_t>(seed)] = visit_epoch_;
+  link_queue.push_back(seed);
+  links_out.push_back(seed);
   for (std::size_t qi = 0; qi < link_queue.size(); ++qi) {
     const LinkId l = link_queue[qi];
     for (int fi : link_flows_[static_cast<std::size_t>(l)]) {
@@ -257,10 +286,10 @@ void Fabric::collect_component(const std::vector<LinkId>& seed_links,
   }
 }
 
-void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
+void Fabric::rebalance_component(LinkId seed) {
   scratch_flows_.clear();
   scratch_links_.clear();
-  collect_component(seed_links, scratch_flows_, scratch_links_);
+  collect_component(seed, scratch_flows_, scratch_links_);
   if (scratch_flows_.empty()) return;
 
   const std::vector<int>& flows = scratch_flows_;
@@ -279,6 +308,7 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
   }
 
   rates_.assign(n, -1.0);
+  neck_dirty_.assign(n, 0);
   std::size_t nfixed = 0;
   while (nfixed < n) {
     double link_share = kInf;
@@ -303,6 +333,7 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
       if (rates_[i] >= 0.0) continue;
       const Flow& f = flows_[static_cast<std::size_t>(flows[i])];
       bool binds;
+      bool neck_dirty = false;  // binds on a link that is dirty this instant
       if (cap_binds) {
         binds = f.cap <= threshold;
       } else {
@@ -311,11 +342,15 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
           const auto lu = static_cast<std::size_t>(l);
           if (residual_[lu] / unfixed_on_[lu] <= threshold) {
             binds = true;
-            break;
+            if (link_dirty_[lu] == visit_epoch_) {
+              neck_dirty = true;
+              break;
+            }
           }
         }
       }
       if (!binds) continue;
+      neck_dirty_[i] = neck_dirty;
       rates_[i] = level;
       ++nfixed;
       fixed_any = true;
@@ -328,7 +363,12 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
     ADAPT_CHECK(fixed_any) << "progressive filling made no progress";
   }
 
-  // Settle and reschedule only the flows whose rate actually changed.
+  // Settle and reschedule the flows whose rate changed, plus every flow
+  // bottlenecked on a link whose flow set changed this instant even when its
+  // final rate is the old one (a segment finishing and the next starting on
+  // the same link moves the share down and back up). Settling re-rounds the
+  // completion up to a whole nanosecond, and a per-event rebalance settled
+  // exactly these flows, so existing simulated times stay unchanged.
   const TimeNs now = sim_.now();
   for (std::size_t i = 0; i < n; ++i) {
     const int fi = flows[i];
@@ -336,7 +376,7 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
     const double new_rate = rates_[i];
     const bool changed =
         std::abs(new_rate - f.rate) > kRateEps * std::max(1.0, f.rate);
-    if (!changed && f.completion.valid()) continue;
+    if (!changed && f.completion.valid() && !neck_dirty_[i]) continue;
 
     f.remaining =
         std::max(0.0, f.remaining - f.rate * static_cast<double>(

@@ -3,8 +3,11 @@
 // Every in-flight message is a *flow* across a set of shared *links*. Link
 // bandwidth is divided among its flows by max–min fairness (each flow further
 // bounded by a per-flow cap — the single-stream bandwidth of its lane), and
-// rates are recomputed whenever a flow starts or finishes. Per-message latency
-// (Hockney α) elapses before the flow enters the bandwidth-sharing phase.
+// rates are recomputed once per virtual instant in which flows started or
+// finished: a rate that lasts zero nanoseconds moves zero bytes, so the pass
+// runs at the end of the instant (sim::Simulator::at_instant_end), over each
+// touched connected component once. Per-message latency (Hockney α) elapses
+// before the flow enters the bandwidth-sharing phase.
 //
 // This model is the minimal one that preserves the paper's performance
 // arguments: flows on *different* lanes (intra-socket / QPI / NIC / PCIe)
@@ -122,12 +125,18 @@ class Fabric {
 
   void activate(int flow_index);
   void finish(int flow_index);
+  /// Records links whose flow set changed and requests flush() at the end
+  /// of the current instant (once per instant).
+  void mark_dirty(const std::vector<LinkId>& links);
+  /// End-of-instant pass: rebalances each component touched this instant
+  /// exactly once.
+  void flush();
   /// Recomputes max-min rates within the connected component of flows
-  /// reachable from `seed_links` (rates outside it cannot change), settling
-  /// and rescheduling only flows whose rate moved.
-  void rebalance_component(const std::vector<LinkId>& seed_links);
-  void collect_component(const std::vector<LinkId>& seed_links,
-                         std::vector<int>& flows_out,
+  /// reachable from `seed` (rates outside it cannot change), settling and
+  /// rescheduling only flows whose rate moved or whose bottleneck link is
+  /// dirty. Pre: flush() opened the visit epoch and marked the dirty links.
+  void rebalance_component(LinkId seed);
+  void collect_component(LinkId seed, std::vector<int>& flows_out,
                          std::vector<LinkId>& links_out);
   int allocate_slot();
 
@@ -143,7 +152,14 @@ class Fabric {
   std::uint64_t completed_ = 0;
   std::uint64_t peak_active_ = 0;
 
-  // Scratch state reused across rebalances (epoch-marked visit flags).
+  // Links whose flow set changed during the current instant (duplicates
+  // allowed), drained by flush().
+  std::vector<LinkId> dirty_links_;
+  bool flush_requested_ = false;
+  std::vector<std::uint64_t> link_dirty_;  // == visit_epoch_: dirty this flush
+
+  // Scratch state reused across rebalances (epoch-marked visit flags; one
+  // epoch per flush).
   std::uint64_t visit_epoch_ = 0;
   std::vector<std::uint64_t> link_seen_;
   std::vector<std::uint64_t> flow_seen_;
@@ -154,6 +170,7 @@ class Fabric {
   std::vector<double> residual_;
   std::vector<int> unfixed_on_;
   std::vector<double> rates_;
+  std::vector<char> neck_dirty_;  // per component flow: bottleneck is dirty
 
   // Per-serial-key FIFO state, indexed by the key: a key is "busy" while one
   // of its flows is queued for activation or active; waiters chain through

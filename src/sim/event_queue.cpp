@@ -250,18 +250,27 @@ TimeNs EventQueue::next_time() const {
   return cohort_.front().time;
 }
 
-TimeNs EventQueue::peek_min_time() const {
-  ADAPT_CHECK(!empty()) << "peek_min_time on empty event queue";
+bool EventQueue::sweep_cohort_top() const {
   // Collect dead cohort-top entries as settle() would, but never refill():
   // refill is what commits the cursor.
   while (!cohort_.empty()) {
     const Entry& top = cohort_.front();
-    if (!slab_->record(top.slot).cancelled) return top.time;
+    if (!slab_->record(top.slot).cancelled) return true;
     release_slot(top.slot);
     --slab_->cancelled_in_heap;
     --count_;
     pop_top();
   }
+  return false;
+}
+
+bool EventQueue::has_live_at(TimeNs t) const {
+  return sweep_cohort_top() && cohort_.front().time == t;
+}
+
+TimeNs EventQueue::peek_min_time() const {
+  ADAPT_CHECK(!empty()) << "peek_min_time on empty event queue";
+  if (sweep_cohort_top()) return cohort_.front().time;
   // Cohort drained: the minimum lives in the lowest non-empty bucket (every
   // entry in a higher bucket differs from last_ in a higher bit, hence fires
   // later). Sweep cancelled entries out of the buckets scanned so they can

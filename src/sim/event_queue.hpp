@@ -196,6 +196,13 @@ class EventQueue {
   /// dead entry cannot pin a stale minimum. Precondition: !empty().
   TimeNs peek_min_time() const;
 
+  /// True when a live event at exactly time `t` is still pending. Like
+  /// peek_min_time() it never refills, so the cursor stays put and pushes at
+  /// or after it remain legal; only the current-time cohort is inspected
+  /// (anything at `t` is there when `t` is the cursor time). The simulator
+  /// asks this to decide when an instant is over.
+  bool has_live_at(TimeNs t) const;
+
   /// Pops the earliest live event and returns (time, callback).
   /// Precondition: !empty().
   std::pair<TimeNs, EventFn> pop();
@@ -247,6 +254,9 @@ class EventQueue {
   /// Drops cancelled entries off the cohort top (refilling as needed) until
   /// a live entry surfaces. Pre: !empty().
   void settle() const;
+  /// Drops cancelled entries off the cohort top without refilling; returns
+  /// false when the cohort drains.
+  bool sweep_cohort_top() const;
   /// Removes every cancelled entry from every level in one O(n) pass.
   void compact();
 

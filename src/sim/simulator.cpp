@@ -15,8 +15,24 @@ EventHandle Simulator::after(TimeNs delay, EventFn fn) {
   return queue_.push(now_ + delay, std::move(fn));
 }
 
+void Simulator::at_instant_end(EventFn fn) {
+  ADAPT_CHECK(!instant_end_) << "the end-of-instant slot is already taken";
+  instant_end_ = std::move(fn);
+}
+
+bool Simulator::end_instant_if_due() {
+  // has_live_at never refills, so the queue cursor is still now_ and the
+  // callback may schedule at any delay >= 0.
+  if (!instant_end_ || queue_.has_live_at(now_)) return false;
+  EventFn fn = std::move(instant_end_);  // empties the slot for re-requests
+  fn();
+  return true;
+}
+
 TimeNs Simulator::run(TimeNs until) {
-  while (!queue_.empty() && queue_.next_time() <= until) {
+  for (;;) {
+    if (end_instant_if_due()) continue;
+    if (queue_.empty() || queue_.next_time() > until) break;
     auto [t, fn] = queue_.pop();
     now_ = t;
     ++processed_;
@@ -26,6 +42,7 @@ TimeNs Simulator::run(TimeNs until) {
 }
 
 bool Simulator::step() {
+  end_instant_if_due();
   if (queue_.empty()) return false;
   auto [t, fn] = queue_.pop();
   now_ = t;

@@ -259,6 +259,45 @@ TEST(P2P, WaitAnyReturnsACompletedIndex) {
   EXPECT_EQ(winner, 1u);
 }
 
+// MPI's non-overtaking rule: messages between one pair with the same tag
+// match receives in the order they were sent, whatever their sizes. A
+// trailing zero-byte message must wait behind the larger ones still queued
+// on the pair's transmit queue instead of completing after alpha alone.
+std::vector<Bytes> arrival_sizes_of_trailing_empty_message(Rank target) {
+  topo::Machine m(topo::cori(2), 64);
+  SimEngine engine(m);
+  std::vector<Bytes> sizes;
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    if (ctx.rank() == 0) {
+      std::vector<RequestPtr> reqs;
+      for (int i = 0; i < 3; ++i) {
+        reqs.push_back(ctx.isend(target, 5, ConstView{nullptr, kib(32)}));
+      }
+      reqs.push_back(ctx.isend(target, 5, ConstView{nullptr, 0}));
+      co_await wait_all(reqs);
+    } else if (ctx.rank() == target) {
+      std::vector<RequestPtr> reqs;
+      for (int i = 0; i < 4; ++i) {
+        reqs.push_back(ctx.irecv(0, 5, MutView{nullptr, kib(32)}));
+      }
+      co_await wait_all(reqs);
+      for (const RequestPtr& r : reqs) sizes.push_back(r->actual_size());
+    }
+  };
+  engine.run(program);
+  return sizes;
+}
+
+TEST(P2P, ZeroByteMessageDoesNotOvertakeInterNode) {
+  EXPECT_EQ(arrival_sizes_of_trailing_empty_message(32),
+            (std::vector<Bytes>{kib(32), kib(32), kib(32), 0}));
+}
+
+TEST(P2P, ZeroByteMessageDoesNotOvertakeIntraNode) {
+  EXPECT_EQ(arrival_sizes_of_trailing_empty_message(1),
+            (std::vector<Bytes>{kib(32), kib(32), kib(32), 0}));
+}
+
 TEST(P2P, CompletionCallbackFires) {
   topo::Machine m(topo::cori(1), 2);
   SimEngine engine(m);

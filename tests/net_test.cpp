@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
+
 #include "src/net/fabric.hpp"
 #include "src/net/routes.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
+#include "tests/per_event_fabric.hpp"
 
 namespace adapt::net {
 namespace {
@@ -144,6 +151,140 @@ TEST(Fabric, ManyFlowsConserveCapacity) {
   EXPECT_EQ(completed, kFlows);
   // 16 kB over a 4 B/ns link: exactly 4000 ns if capacity is conserved.
   EXPECT_EQ(last, 4000);
+}
+
+TEST(Fabric, SameInstantBurstRebalancesOnce) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  const LinkId l = fabric.add_link(4.0);
+  const int kFlows = 64;
+  std::vector<TimeNs> done;
+  for (int i = 0; i < kFlows; ++i) {
+    fabric.transfer(Route{{l}, 10.0, 0}, 1000,
+                    [&] { done.push_back(sim.now()); });
+  }
+  sim.run();
+  // One activation and one completion per flow: the 64 activations share
+  // an instant, so a single pass gives every flow its final 1/64 share and
+  // no completion is ever cancelled and re-pushed.
+  EXPECT_EQ(sim.events_scheduled(), 2u * kFlows);
+  ASSERT_EQ(done.size(), static_cast<std::size_t>(kFlows));
+  // 1000 B at 4/64 B/ns each.
+  for (TimeNs t : done) EXPECT_EQ(t, 16000);
+}
+
+TEST(Fabric, ZeroByteMessageWaitsBehindBusyPairQueue) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  const LinkId l = fabric.add_link(1.0);
+  std::vector<int> order;
+  const Route route{{l}, 1.0, 100, /*serial_key=*/0};
+  fabric.transfer(route, 1000, [&] { order.push_back(1); });
+  fabric.transfer(route, 0, [&] { order.push_back(0); });
+  TimeNs empty_done = -1;
+  fabric.transfer(Route{{l}, 1.0, 100, /*serial_key=*/1}, 0,
+                  [&] { empty_done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(empty_done, 100);  // idle pair queue: alpha alone
+}
+
+// Differential test: the per-instant fabric against the per-event reference
+// (tests/per_event_fabric.hpp) on random scenarios built to make many
+// activations and finishes coincide: few distinct alphas and start times,
+// shared links, caps from a small set, zero-byte and serialised messages.
+// A flow may finish at most 1 ns apart from the reference: the reference
+// re-rounds ceil(remaining / rate) at every intermediate reschedule, and its
+// kRateEps skip compares against the intermediate rate rather than the
+// rate the flow held before the instant.
+struct ScenarioFlow {
+  TimeNs start;
+  Route route;
+  Bytes bytes;
+};
+
+std::vector<ScenarioFlow> random_scenario(std::uint64_t seed,
+                                          std::vector<double>& capacities) {
+  Rng rng(seed);
+  static constexpr double kCapacities[] = {0.5, 1.0, 2.0, 3.0, 8.0};
+  static constexpr double kCaps[] = {0.25, 0.5, 1.0, 2.5, 16.0};
+  static constexpr TimeNs kAlphas[] = {0, 0, 50, 100, 400};
+  static constexpr TimeNs kStarts[] = {0, 0, 100, 250, 1000, 4000};
+  static constexpr Bytes kSizes[] = {0, 1, 100, 1000, 4096, 10000, 65536};
+  const int nlinks = 2 + static_cast<int>(rng.next_below(5));
+  capacities.clear();
+  for (int i = 0; i < nlinks; ++i) {
+    capacities.push_back(kCapacities[rng.next_below(std::size(kCapacities))]);
+  }
+  const int nflows = 20 + static_cast<int>(rng.next_below(181));
+  std::vector<ScenarioFlow> flows;
+  for (int i = 0; i < nflows; ++i) {
+    ScenarioFlow f;
+    f.start = kStarts[rng.next_below(std::size(kStarts))];
+    for (LinkId l = 0; l < nlinks; ++l) {
+      if (rng.next_below(3) == 0) f.route.links.push_back(l);
+    }
+    if (f.route.links.empty()) {
+      f.route.links.push_back(static_cast<LinkId>(rng.next_below(
+          static_cast<std::uint64_t>(nlinks))));
+    }
+    f.route.per_flow_cap = kCaps[rng.next_below(std::size(kCaps))];
+    f.route.alpha = kAlphas[rng.next_below(std::size(kAlphas))];
+    if (rng.next_below(4) == 0) {
+      f.route.serial_key = static_cast<std::int64_t>(rng.next_below(3));
+    }
+    f.bytes = kSizes[rng.next_below(std::size(kSizes))];
+    flows.push_back(std::move(f));
+  }
+  return flows;
+}
+
+template <typename F>
+std::vector<TimeNs> finish_times(const std::vector<double>& capacities,
+                                 const std::vector<ScenarioFlow>& flows) {
+  sim::Simulator sim;
+  F fabric(sim);
+  for (double c : capacities) fabric.add_link(c);
+  std::vector<TimeNs> done(flows.size(), -1);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    sim.at(flows[i].start, [&, i] {
+      fabric.transfer(flows[i].route, flows[i].bytes,
+                      [&, i] { done[i] = sim.now(); });
+    });
+  }
+  sim.run();
+  return done;
+}
+
+TEST(Fabric, PerInstantMatchesPerEventReference) {
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr int kScenarios = 500;
+  std::uint64_t flows_total = 0;
+  std::uint64_t exact = 0;
+  std::vector<double> capacities;
+  for (int s = 0; s < kScenarios; ++s) {
+    const std::vector<ScenarioFlow> flows =
+        random_scenario(static_cast<std::uint64_t>(s) + 1, capacities);
+    const std::vector<TimeNs> got = finish_times<Fabric>(capacities, flows);
+    const std::vector<TimeNs> want =
+        finish_times<testing::PerEventFabric>(capacities, flows);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      ASSERT_GE(got[i], 0) << "scenario " << s << " flow " << i;
+      EXPECT_LE(std::abs(got[i] - want[i]), 1)
+          << "scenario " << s << " flow " << i << ": " << got[i] << " vs "
+          << want[i];
+      exact += got[i] == want[i] ? 1 : 0;
+    }
+    flows_total += flows.size();
+  }
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  std::printf("%d scenarios, %llu flows, %.4f%% exact matches, %.2f s\n",
+              kScenarios, static_cast<unsigned long long>(flows_total),
+              100.0 * static_cast<double>(exact) /
+                  static_cast<double>(flows_total),
+              secs);
 }
 
 TEST(Fabric, RejectsBadRoutes) {

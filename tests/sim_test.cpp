@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <vector>
@@ -58,6 +59,23 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_EQ(q.next_time(), 7);
 }
 
+TEST(EventQueue, HasLiveAtLeavesTheCursor) {
+  EventQueue q;
+  auto a = q.push(10, [] {});
+  q.push(10, [] {});
+  q.push(40, [] {});
+  a.cancel();
+  EXPECT_EQ(q.pop().first, 10);
+  EXPECT_FALSE(q.has_live_at(10));
+  EXPECT_FALSE(q.has_live_at(40));
+  // The query did not move the cursor to 40: an earlier push stays legal.
+  q.push(15, [] {});
+  EXPECT_EQ(q.pop().first, 15);
+  EXPECT_FALSE(q.has_live_at(15));
+  q.push(15, [] {});
+  EXPECT_TRUE(q.has_live_at(15));
+}
+
 TEST(Simulator, AdvancesTime) {
   Simulator s;
   TimeNs seen = -1;
@@ -108,6 +126,84 @@ TEST(Simulator, StepExecutesOne) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.step());
   EXPECT_FALSE(s.step());
+}
+
+TEST(Simulator, InstantEndRunsOnceTheInstantDrains) {
+  Simulator s;
+  std::vector<int> log;
+  s.after(10, [&] {
+    log.push_back(1);
+    s.at_instant_end([&] { log.push_back(-static_cast<int>(s.now())); });
+  });
+  s.after(10, [&] { log.push_back(2); });
+  s.after(20, [&] { log.push_back(3); });
+  s.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, -10, 3}));
+  // Not an event: no sequence number, not counted as processed.
+  EXPECT_EQ(s.events_scheduled(), 3u);
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
+TEST(Simulator, InstantEndMayExtendTheInstant) {
+  Simulator s;
+  std::vector<int> log;
+  int passes = 0;
+  std::function<void()> request = [&] {
+    s.at_instant_end([&] {
+      ++passes;
+      log.push_back(100 + passes);
+      // Work scheduled at now() belongs to the same instant, and may ask
+      // for another pass.
+      if (passes == 1) {
+        s.after(0, [&] {
+          log.push_back(2);
+          request();
+        });
+      }
+    });
+  };
+  s.after(5, [&] {
+    log.push_back(1);
+    request();
+  });
+  s.after(6, [&] { log.push_back(3); });
+  s.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 101, 2, 102, 3}));
+}
+
+TEST(Simulator, InstantEndSlotIsSingle) {
+  Simulator s;
+  s.after(1, [&] {
+    s.at_instant_end([] {});
+    EXPECT_THROW(s.at_instant_end([] {}), Error);
+  });
+  s.run();
+}
+
+TEST(Simulator, InstantEndTakesNoJitter) {
+  Simulator s;
+  s.set_perturbation(PerturbConfig{3, true, 1000});
+  TimeNs requested = -1, ran = -1;
+  s.after(10, [&] {
+    requested = s.now();
+    s.at_instant_end([&] { ran = s.now(); });
+    s.after(0, [] {});  // jittered: may fire later, never earlier
+  });
+  s.run();
+  EXPECT_GE(requested, 10);
+  EXPECT_EQ(ran, requested);
+}
+
+TEST(Simulator, StepRunsPendingInstantEnd) {
+  Simulator s;
+  bool ran = false;
+  s.after(1, [&] { s.at_instant_end([&] { ran = true; }); });
+  EXPECT_TRUE(s.step());
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(s.idle());
+  EXPECT_FALSE(s.step());
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(s.idle());
 }
 
 // ---------------------------------------------------------------- Tasks ---
