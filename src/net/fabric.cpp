@@ -228,11 +228,10 @@ void Fabric::finish(int flow_index) {
 }
 
 void Fabric::mark_dirty(const std::vector<LinkId>& links) {
+  // A flow always crosses at least one link, so an empty list means no
+  // flush is pending for this instant yet.
+  if (dirty_links_.empty()) sim_.at_instant_end([this] { flush(); });
   dirty_links_.insert(dirty_links_.end(), links.begin(), links.end());
-  if (!flush_requested_) {
-    flush_requested_ = true;
-    sim_.at_instant_end([this] { flush(); });
-  }
 }
 
 // Runs once per virtual instant that activated or finished a flow. A rate
@@ -241,7 +240,6 @@ void Fabric::mark_dirty(const std::vector<LinkId>& links) {
 // replaces one per event, and each flow's completion is rescheduled at most
 // once per instant.
 void Fabric::flush() {
-  flush_requested_ = false;
   // One visit epoch for the whole flush: a dirty link already reached by an
   // earlier seed belongs to a component that has just been rebalanced.
   ++visit_epoch_;

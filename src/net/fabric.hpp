@@ -153,9 +153,8 @@ class Fabric {
   std::uint64_t peak_active_ = 0;
 
   // Links whose flow set changed during the current instant (duplicates
-  // allowed), drained by flush().
+  // allowed), drained by flush(); non-empty exactly while a flush is pending.
   std::vector<LinkId> dirty_links_;
-  bool flush_requested_ = false;
   std::vector<std::uint64_t> link_dirty_;  // == visit_epoch_: dirty this flush
 
   // Scratch state reused across rebalances (epoch-marked visit flags; one
