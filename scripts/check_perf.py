@@ -9,7 +9,7 @@ Two checks, in decreasing order of signal:
    allocation is a code regression no amount of CI noise can excuse. The
    same holds for event churn: every benchmark reporting a
    `scheduled_per_flow` counter (events scheduled per fabric flow) must stay
-   at or below --max-scheduled-per-flow (2.0: one activation and one
+   at or below MAX_SCHEDULED_PER_FLOW (2.0: one activation and one
    completion per flow once each instant's rate updates are coalesced).
 
 2. Throughput ratios are machine-DEPENDENT: the committed baseline was
@@ -63,6 +63,11 @@ DISABLED_PAIRS = [
     # genuinely-disabled paths get, or always-on tracing stops being free.
     ("BM_SimulatedBcastFlightRecorder", "BM_SimulatedBcast"),
 ]
+
+# Ceiling for every reported scheduled_per_flow counter: one activation and
+# one completion per flow. A fixed constant, not a flag: the counter is
+# machine-independent, so no runner needs a looser value.
+MAX_SCHEDULED_PER_FLOW = 2.0
 
 
 def load_benchmarks(path):
@@ -251,9 +256,6 @@ def main():
     ap.add_argument("--max-allocs", type=float, default=None,
                     help="allocation-counter ceiling (default 0.001 for "
                          "micro mode, 0.1 for steady mode)")
-    ap.add_argument("--max-scheduled-per-flow", type=float, default=2.0,
-                    help="micro mode: ceiling for every reported "
-                         "scheduled_per_flow counter")
     ap.add_argument("--adapt-trace",
                     help="path to the adapt-trace binary; with "
                          "--trace-baseline/--trace-run, a failing gate "
@@ -296,10 +298,10 @@ def main():
         churn = b.get("scheduled_per_flow")
         if churn is None:
             continue
-        if churn > args.max_scheduled_per_flow:
+        if churn > MAX_SCHEDULED_PER_FLOW:
             failures.append(
                 f"{name}: scheduled_per_flow={churn:.2f} "
-                f"(limit {args.max_scheduled_per_flow}) — fabric rate updates "
+                f"(limit {MAX_SCHEDULED_PER_FLOW}) — fabric rate updates "
                 f"reschedule flows more than once per instant")
         else:
             print(f"{name}: scheduled_per_flow={churn:.2f} ok")
