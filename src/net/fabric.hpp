@@ -57,7 +57,10 @@ class Fabric {
   LinkId add_link(double capacity_bytes_per_ns);
 
   /// Starts a message; `on_complete` runs (once) at the virtual time the last
-  /// byte arrives. Zero-byte messages complete after alpha alone. The
+  /// byte arrives. A zero-byte message completes after alpha alone when it
+  /// shares no link (kUncontended, or an empty route) or its pair's transmit
+  /// queue is idle; behind a busy queue it waits for the messages posted
+  /// before it, like any other. The
   /// callback type matches the event queue's: captures up to EventFn's
   /// capacity (including a boxed std::function) stay inline, so posting a
   /// transfer never heap-allocates — the invariant the persistent-collective
