@@ -366,7 +366,9 @@ void Fabric::rebalance_component(LinkId seed) {
   // final rate is the old one (a segment finishing and the next starting on
   // the same link moves the share down and back up). Settling re-rounds the
   // completion up to a whole nanosecond, and a per-event rebalance settled
-  // exactly these flows, so existing simulated times stay unchanged.
+  // exactly these flows, so existing simulated times stay unchanged. A
+  // re-settled flow whose rate did not move usually rounds to the completion
+  // it already has; that event is kept instead of cancelled and re-pushed.
   const TimeNs now = sim_.now();
   for (std::size_t i = 0; i < n; ++i) {
     const int fi = flows[i];
@@ -376,15 +378,18 @@ void Fabric::rebalance_component(LinkId seed) {
         std::abs(new_rate - f.rate) > kRateEps * std::max(1.0, f.rate);
     if (!changed && f.completion.valid() && !neck_dirty_[i]) continue;
 
+    const TimeNs due_before = changed ? 0 : f.settled_at + duration_of(
+                                                               f.remaining, f.rate);
     f.remaining =
         std::max(0.0, f.remaining - f.rate * static_cast<double>(
                                                  now - f.settled_at));
     f.settled_at = now;
     f.rate = new_rate;
-    f.completion.cancel();
     ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
-    f.completion =
-        sim_.after(duration_of(f.remaining, f.rate), [this, fi] { finish(fi); });
+    const TimeNs due = now + duration_of(f.remaining, f.rate);
+    if (!changed && due == due_before) continue;
+    f.completion.cancel();
+    f.completion = sim_.at(due, [this, fi] { finish(fi); });
   }
 }
 

@@ -135,9 +135,10 @@ class Fabric {
   /// exactly once.
   void flush();
   /// Recomputes max-min rates within the connected component of flows
-  /// reachable from `seed` (rates outside it cannot change), settling and
-  /// rescheduling only flows whose rate moved or whose bottleneck link is
-  /// dirty. Pre: flush() opened the visit epoch and marked the dirty links.
+  /// reachable from `seed` (rates outside it cannot change), settling only
+  /// flows whose rate moved or whose bottleneck link is dirty, and
+  /// rescheduling those whose completion time moved. Pre: flush() opened
+  /// the visit epoch and marked the dirty links.
   void rebalance_component(LinkId seed);
   void collect_component(LinkId seed, std::vector<int>& flows_out,
                          std::vector<LinkId>& links_out);

@@ -173,6 +173,26 @@ TEST(Fabric, SameInstantBurstRebalancesOnce) {
   for (TimeNs t : done) EXPECT_EQ(t, 16000);
 }
 
+TEST(Fabric, HandoffAtOneInstantKeepsUnchangedCompletion) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  const LinkId l = fabric.add_link(1.0);
+  TimeNs a_done = -1, b_done = -1, c_done = -1;
+  fabric.transfer(Route{{l}, 1.0, 0}, 1000, [&] { a_done = sim.now(); });
+  fabric.transfer(Route{{l}, 1.0, 0}, 100, [&] { b_done = sim.now(); });
+  // C activates exactly when B finishes (100 B at 0.5 B/ns), so A's share
+  // stays 0.5 across the instant and its completion at 2000 still holds.
+  fabric.transfer(Route{{l}, 1.0, 200}, 300, [&] { c_done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(b_done, 200);
+  EXPECT_EQ(c_done, 800);   // 300 B at 0.5 B/ns from 200
+  EXPECT_EQ(a_done, 1400);  // 600 B left at 800, then alone at 1 B/ns
+  // Three activations and four completion pushes: A's at 0 and again at
+  // 800, when its rate moves; none at 200, where A is re-settled but keeps
+  // its completion time.
+  EXPECT_EQ(sim.events_scheduled(), 7u);
+}
+
 TEST(Fabric, ZeroByteMessageWaitsBehindBusyPairQueue) {
   sim::Simulator sim;
   Fabric fabric(sim);
