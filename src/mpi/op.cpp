@@ -23,18 +23,33 @@ const char* op_name(ReduceOp op) {
 
 namespace {
 
+/// Integer sum and product wrap like two's-complement hardware. Signed
+/// overflow is undefined, so they are computed in the unsigned type of the
+/// same width and converted back (modular since C++20): the same bits.
+template <typename T, bool = std::is_integral_v<T>>
+struct WrapType {
+  using type = T;
+};
+template <typename T>
+struct WrapType<T, true> {
+  using type = std::make_unsigned_t<T>;
+};
+
 template <typename T>
 void fold(ReduceOp op, std::byte* dst_raw, const std::byte* src_raw,
           Bytes bytes) {
   const std::size_t n = static_cast<std::size_t>(bytes) / sizeof(T);
   T* dst = reinterpret_cast<T*>(dst_raw);
   const T* src = reinterpret_cast<const T*>(src_raw);
+  using W = typename WrapType<T>::type;
   switch (op) {
     case ReduceOp::kSum:
-      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<T>(dst[i] + src[i]);
+      for (std::size_t i = 0; i < n; ++i)
+        dst[i] = static_cast<T>(static_cast<W>(dst[i]) + static_cast<W>(src[i]));
       return;
     case ReduceOp::kProd:
-      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<T>(dst[i] * src[i]);
+      for (std::size_t i = 0; i < n; ++i)
+        dst[i] = static_cast<T>(static_cast<W>(dst[i]) * static_cast<W>(src[i]));
       return;
     case ReduceOp::kMax:
       for (std::size_t i = 0; i < n; ++i) dst[i] = std::max(dst[i], src[i]);
