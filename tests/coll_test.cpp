@@ -75,6 +75,7 @@ TEST_P(BcastCorrectness, DeliversRootBytesEverywhere) {
   };
   engine.run(program);
 
+  if (c.bytes == 0) return;  // memcmp on the null data() of empty buffers is UB
   for (int r = 0; r < c.nranks; ++r) {
     ASSERT_EQ(std::memcmp(bufs[static_cast<std::size_t>(r)].data(),
                           bufs[static_cast<std::size_t>(root)].data(),
