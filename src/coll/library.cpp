@@ -48,14 +48,15 @@ struct Plan {
 
 using PlanFn = std::function<Plan(Bytes message)>;
 
-/// Caches built trees; keyed so sub-communicators of equal size but different
-/// membership don't collide.
+/// Caches built trees. A topology tree depends on the communicator's full
+/// membership, so the key carries its fingerprint: sub-communicators of equal
+/// size and first member but different members don't collide.
 class TreeCache {
  public:
   explicit TreeCache(const topo::Machine& machine) : machine_(machine) {}
 
   const Tree& get(const mpi::Comm& comm, Rank root, const TreeChoice& c) {
-    const Key key{comm.size(), comm.global(0), root, c.topo,
+    const Key key{comm.fingerprint(), root, c.topo,
                   static_cast<int>(c.kind), c.radix,
                   static_cast<int>(c.topo_spec.core_level)};
     std::lock_guard<std::mutex> lock(mutex_);
@@ -69,7 +70,7 @@ class TreeCache {
   }
 
  private:
-  using Key = std::tuple<int, Rank, Rank, bool, int, int, int>;
+  using Key = std::tuple<std::uint64_t, Rank, bool, int, int, int>;
   const topo::Machine& machine_;
   std::mutex mutex_;
   std::map<Key, Tree> cache_;

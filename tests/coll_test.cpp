@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/coll/coll.hpp"
+#include "src/coll/library.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/mpi/comm.hpp"
 #include "src/runtime/sim_engine.hpp"
@@ -191,6 +192,31 @@ TEST(Bcast, SubCommunicator) {
     EXPECT_EQ(bufs[static_cast<std::size_t>(r)][100], std::byte(0x5C));
   }
   EXPECT_EQ(bufs[4][100], std::byte(0));  // non-member untouched
+}
+
+// A library caches the topology trees it builds. Two communicators of the
+// same size and first member but different membership need different trees:
+// B spans four nodes, A one. Running A first must not hand B A's tree.
+TEST(Library, TreeCacheKeysOnFullMembership) {
+  const topo::Machine m(topo::cori(4), 128);
+  const mpi::Comm a({0, 1, 2, 3, 4, 5, 6, 7});
+  const mpi::Comm b({0, 32, 64, 96, 1, 33, 65, 97});
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.global(0), b.global(0));
+  const auto bcast_on = [&](MpiLibrary& lib, const mpi::Comm& comm) {
+    SimEngine engine(m);
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      if (!comm.contains(ctx.rank())) co_return;
+      co_await lib.bcast(ctx, comm, mpi::MutView{nullptr, mib(1)}, 0);
+    };
+    return engine.run(program).total_time;
+  };
+
+  const auto fresh = make_library("ompi-adapt", m);
+  const TimeNs b_fresh = bcast_on(*fresh, b);
+  const auto shared = make_library("ompi-adapt", m);
+  bcast_on(*shared, a);
+  EXPECT_EQ(bcast_on(*shared, b), b_fresh);
 }
 
 TEST(Reduce, NonCommutativeSafetyViaMax) {
