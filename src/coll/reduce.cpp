@@ -100,7 +100,7 @@ sim::Task<> reduce_nonblocking(runtime::Context& ctx, const Edges& e,
   for (int s = 0; s < S; ++s) {
     const Bytes len = segs.length(s);
     mpi::MutView piece = accum.slice(segs.offset(s), len);
-    co_await mpi::wait_all(recvs[static_cast<std::size_t>(s)]);
+    co_await mpi::wait_all(std::move(recvs[static_cast<std::size_t>(s)]));
     for (std::size_t c = 0; c < nkids; ++c) {
       co_await accumulate(ctx, opts, piece,
                           scratch_view(c, s, len).as_const(), op, dtype, len);

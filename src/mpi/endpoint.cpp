@@ -25,12 +25,6 @@ ErrCode validate(Rank peer, bool wildcard_ok, Rank self, int nranks,
 
 }  // namespace
 
-RequestPtr Endpoint::make_request(Request::Kind kind, Rank peer, Tag tag,
-                                  Bytes size) {
-  return std::allocate_shared<Request>(
-      support::ArenaAllocator<Request>(arena_), kind, peer, tag, size, &exec_);
-}
-
 RequestPtr Endpoint::failed_request(Request::Kind kind, Rank peer, Tag tag,
                                     ErrCode code) {
   auto req = make_request(kind, peer, tag, 0);
@@ -52,32 +46,13 @@ void Endpoint::run_finalize_slot(std::uint32_t slot) {
   finalize_recv(pf.recv, pf.env);
 }
 
-void Endpoint::track(const RequestPtr& request) {
-  if (pending_.size() >= 64 && pending_.size() % 64 == 0) {
-    std::erase_if(pending_, [](const std::weak_ptr<Request>& weak) {
-      auto req = weak.lock();
-      return !req || req->complete();
-    });
-  }
-  pending_.push_back(request);
-}
-
 void Endpoint::poison(ErrCode code) {
   ADAPT_CHECK(code != ErrCode::kOk);
   if (poisoned()) return;  // first cause wins
   poisoned_ = code;
-  auto pending = std::move(pending_);
-  pending_.clear();
-  for (auto& weak : pending) {
-    if (auto req = weak.lock(); req && !req->complete()) req->mark_failed(code);
-  }
-}
-
-bool Endpoint::has_pending() const {
-  for (const auto& weak : pending_) {
-    if (auto req = weak.lock(); req && !req->complete()) return true;
-  }
-  return false;
+  // Completion unlinks each request, so this walks the list head by head in
+  // issue order. Requests issued from here on fail at birth.
+  while (RequestPtr req = requests_->oldest_pending()) req->mark_failed(code);
 }
 
 RequestPtr Endpoint::isend(Rank dst, Tag tag, ConstView data, SendOpts opts) {
@@ -96,7 +71,6 @@ RequestPtr Endpoint::isend(Rank dst, Tag tag, ConstView data, SendOpts opts) {
     rc.send_bytes += data.size;
   }
   exec_.charge(costs_.cpu_overhead);
-  track(req);
 
   Envelope env;
   env.src = rank_;
@@ -133,7 +107,6 @@ RequestPtr Endpoint::irecv(Rank src, Tag tag, MutView buffer, Datatype dtype) {
   }
   auto req = make_request(Request::Kind::kRecv, src, tag, buffer.size);
   exec_.charge(costs_.cpu_overhead);
-  track(req);
 
   PostedRecv posted{req, buffer, src, tag};
   if (auto env = matcher_.post(posted)) {

@@ -22,7 +22,6 @@
 #include "src/mpi/match.hpp"
 #include "src/mpi/payload.hpp"
 #include "src/mpi/request.hpp"
-#include "src/support/arena.hpp"
 #include "src/support/slot_pool.hpp"
 #include "src/support/units.hpp"
 
@@ -134,7 +133,7 @@ class Endpoint {
   void clear_poison() { poisoned_ = ErrCode::kOk; }
 
   /// True while any issued request is incomplete (failure-detector probe).
-  bool has_pending() const;
+  bool has_pending() const { return requests_->has_pending(); }
 
   const Matcher& matcher() const { return matcher_; }
   std::uint64_t sends_started() const { return sends_; }
@@ -152,11 +151,11 @@ class Endpoint {
   /// Immediately-failed request for invalid arguments or a poisoned endpoint.
   RequestPtr failed_request(Request::Kind kind, Rank peer, Tag tag,
                             ErrCode code);
-  void track(const RequestPtr& request);
 
-  /// Arena-backed request construction: a free-list hit in steady state
-  /// (std::make_shared was the last per-P2P heap allocation on the hot path).
-  RequestPtr make_request(Request::Kind kind, Rank peer, Tag tag, Bytes size);
+  /// A pooled request owned by this rank (a free-list hit in steady state).
+  RequestPtr make_request(Request::Kind kind, Rank peer, Tag tag, Bytes size) {
+    return requests_->acquire(kind, peer, tag, size, &exec_);
+  }
 
   // Completion legs of parked sends and finalisations (see the slot pools
   // below): the callbacks handed to the transport / executor capture only
@@ -173,13 +172,12 @@ class Endpoint {
   obs::Recorder* rec_ = nullptr;
   support::BufferPool* pool_ = nullptr;
   ErrCode poisoned_ = ErrCode::kOk;
-  /// Weak so completed requests die with their owners; compacted on growth.
-  std::vector<std::weak_ptr<Request>> pending_;
   std::uint64_t sends_ = 0;
   std::uint64_t recvs_done_ = 0;
 
-  std::shared_ptr<support::BlockArena> arena_ =
-      std::make_shared<support::BlockArena>();
+  /// This rank's requests, incomplete ones listed in issue order. Orphaned,
+  /// not deleted, at destruction: handles may outlive the endpoint.
+  std::unique_ptr<RequestPool, RequestPool::Owner> requests_{new RequestPool};
   /// In-flight sends: the slot owns the request until the transport reports
   /// the outcome (exactly one of on_sent/on_failed fires per submit).
   support::SlotPool<RequestPtr> send_slots_;

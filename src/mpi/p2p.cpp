@@ -1,8 +1,46 @@
 #include "src/mpi/p2p.hpp"
 
-#include <memory>
-
 namespace adapt::mpi {
+
+namespace {
+
+/// wait_any's awaiter: one waiter parked on every incomplete request. The
+/// first completion detaches it from the others before posting the resume,
+/// so later completions touch nothing of this frame.
+class WaitAny : RequestWaiter {
+ public:
+  explicit WaitAny(const std::vector<RequestPtr>& requests)
+      : requests_(requests) {}
+  WaitAny(const WaitAny&) = delete;
+  WaitAny& operator=(const WaitAny&) = delete;
+  ~WaitAny() { detach(); }
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    handle_ = h;
+    wake = [](RequestWaiter& self, Request& request) {
+      auto& any = static_cast<WaitAny&>(self);
+      any.detach();
+      detail::wake_on_main(request, any.handle_);
+    };
+    for (const RequestPtr& request : requests_) {
+      if (request) request->park(*this);
+    }
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  void detach() {
+    for (const RequestPtr& request : requests_) {
+      if (request) request->unpark(*this);
+    }
+  }
+
+  const std::vector<RequestPtr>& requests_;
+  std::coroutine_handle<> handle_;
+};
+
+}  // namespace
 
 sim::Task<std::size_t> wait_any(std::vector<RequestPtr> requests) {
   ADAPT_CHECK(!requests.empty());
@@ -13,19 +51,7 @@ sim::Task<std::size_t> wait_any(std::vector<RequestPtr> requests) {
   };
   if (const std::size_t i = first_done(); i < requests.size()) co_return i;
 
-  // One-shot wake: the first completion schedules the resume on the main
-  // thread; later completions find the trigger fired and do nothing.
-  auto any = std::make_shared<sim::Trigger>();
-  co_await sim::Suspend([&](std::coroutine_handle<> h) {
-    for (auto& request : requests) {
-      if (!request) continue;
-      request->done().subscribe([any, request, h] {
-        if (any->fired()) return;
-        any->fire();
-        detail::wake_on_main(request, h);
-      });
-    }
-  });
+  co_await WaitAny(requests);
   const std::size_t i = first_done();
   ADAPT_CHECK(i < requests.size()) << "wait_any woke with nothing complete";
   detail::throw_if_failed(requests[i]);

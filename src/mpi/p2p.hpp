@@ -7,9 +7,16 @@
 // executor — which is where injected noise can delay them. This is the
 // asymmetry of Fig. 7: ADAPT's callback chains never cross this boundary,
 // the Wait/Waitall baselines cross it once per synchronisation point.
+//
+// Waiting allocates nothing: each wait parks a RequestWaiter that lives on
+// its own coroutine frame in the request's single waiter slot (request.hpp),
+// and the resume posted through the owner's executor captures only the
+// coroutine handle. wait_any parks one shared waiter on every request; the
+// first completion detaches it from the rest before posting the resume.
 #pragma once
 
-#include <memory>
+#include <coroutine>
+#include <string>
 #include <vector>
 
 #include "src/mpi/endpoint.hpp"
@@ -22,17 +29,13 @@ namespace detail {
 
 /// Resumes `h` on the request owner's main thread (directly when the request
 /// carries no executor, e.g. in unit tests of the matching layer).
-inline void wake_on_main(const RequestPtr& request, std::coroutine_handle<> h) {
-  if (RankExecutor* exec = request->owner_exec()) {
+inline void wake_on_main(const Request& request, std::coroutine_handle<> h) {
+  if (RankExecutor* exec = request.owner_exec()) {
     exec->post([h] { h.resume(); }, 0);
   } else {
     h.resume();
   }
 }
-
-}  // namespace detail
-
-namespace detail {
 
 /// Converts a failed request into an exception at the wait boundary — the
 /// error-propagation contract: callbacks observe req.failed() themselves,
@@ -46,18 +49,38 @@ inline void throw_if_failed(const RequestPtr& request) {
                        std::to_string(request->peer()) + " failed");
 }
 
+/// wait()'s awaiter: the request's waiter slot points at it while the
+/// coroutine is suspended, so it lives on the awaiting frame. A frame
+/// destroyed mid-wait unparks it.
+class WaitOne : RequestWaiter {
+ public:
+  explicit WaitOne(Request& request) : request_(request) {}
+  WaitOne(const WaitOne&) = delete;
+  WaitOne& operator=(const WaitOne&) = delete;
+  ~WaitOne() { request_.unpark(*this); }
+
+  bool await_ready() const noexcept { return request_.complete(); }
+  void await_suspend(std::coroutine_handle<> h) {
+    handle_ = h;
+    wake = [](RequestWaiter& self, Request& request) {
+      wake_on_main(request, static_cast<WaitOne&>(self).handle_);
+    };
+    request_.park(*this);
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Request& request_;
+  std::coroutine_handle<> handle_;
+};
+
 }  // namespace detail
 
 /// MPI_Wait: suspends until the request completes; throws FaultError if it
 /// completed with an error.
 inline sim::Task<> wait(RequestPtr request) {
   ADAPT_CHECK(request != nullptr);
-  if (!request->complete()) {
-    co_await sim::Suspend([&request](std::coroutine_handle<> h) {
-      request->done().subscribe(
-          [request, h] { detail::wake_on_main(request, h); });
-    });
-  }
+  co_await detail::WaitOne(*request);
   detail::throw_if_failed(request);
 }
 

@@ -9,30 +9,75 @@
 //  * `wait()`-style coroutine awaiting (src/mpi/p2p.hpp) — the MPI_Wait /
 //    MPI_Waitall semantics the blocking and nonblocking baselines use, built
 //    on top of the same completion event.
+//
+// Lifecycle. A request lives in a slot of its endpoint's RequestPool and is
+// held through RequestPtr, an intrusively counted handle. The count is a
+// plain integer: a request is only ever touched on its owner rank's
+// execution context. Holders read a request's status after it completed
+// (throw_if_failed, actual_size()) and nothing frees a request explicitly,
+// so its slot returns to the pool's free list exactly when the last handle
+// lets go. The pool also keeps its incomplete requests on an intrusive FIFO
+// list in issue order: completion unlinks a request, poison() fails the list
+// head by head. An endpoint that dies while handles are still alive orphans
+// its pool, which frees itself when the last request comes back.
+//
+// Waiting costs no allocation either: a request has one waiter slot, and the
+// waiter (a function pointer plus the awaiting coroutine's state) lives on
+// the awaiting frame. Completion runs the callback first, then the waiter.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
+#include <utility>
 
 #include "src/mpi/errors.hpp"
-#include "src/sim/task.hpp"
+#include "src/support/error.hpp"
 #include "src/support/units.hpp"
 
 namespace adapt::mpi {
 
 class Request;
+class RequestPool;
 class RankExecutor;  // endpoint.hpp
-using RequestPtr = std::shared_ptr<Request>;
 using RequestCallback = std::function<void(Request&)>;
 
-class Request {
+/// A request's waiter slot: `wake` runs once, after the completion callback,
+/// with the waiter's own address (the enclosing awaiter recovers its state
+/// from it). Waiters live on the awaiting coroutine's frame (p2p.hpp).
+struct RequestWaiter {
+  void (*wake)(RequestWaiter& self, Request& request) = nullptr;
+};
+
+namespace detail {
+
+/// Intrusive circular list hook; a self-linked hook is on no list.
+struct RequestLink {
+  RequestLink* prev = this;
+  RequestLink* next = this;
+
+  bool linked() const { return next != this; }
+  void unlink() {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = this;
+  }
+  void link_before(RequestLink& pos) {
+    prev = pos.prev;
+    next = &pos;
+    pos.prev->next = this;
+    pos.prev = this;
+  }
+};
+
+}  // namespace detail
+
+class Request : private detail::RequestLink {
  public:
   enum class Kind { kSend, kRecv };
 
-  Request(Kind kind, Rank peer, Tag tag, Bytes size,
-          RankExecutor* owner_exec = nullptr)
-      : kind_(kind), peer_(peer), tag_(tag), size_(size),
-        owner_exec_(owner_exec) {}
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
 
   /// Executor of the owning rank's main thread; wait() wakes coroutines
   /// through it (completion callbacks fire in the progress context instead).
@@ -65,8 +110,18 @@ class Request {
     }
   }
 
-  /// Awaitable completion event (used by wait/wait_all).
-  sim::Trigger& done() { return done_; }
+  /// Parks `waiter` until completion (p2p.hpp). One waiter at a time; the
+  /// request must still be incomplete.
+  void park(RequestWaiter& waiter) {
+    ADAPT_CHECK(!complete_) << "parking on a completed request";
+    ADAPT_CHECK(waiter_ == nullptr || waiter_ == &waiter)
+        << "request already has a waiter";
+    waiter_ = &waiter;
+  }
+  /// Removes `waiter` if it is the one parked (no-op otherwise).
+  void unpark(RequestWaiter& waiter) {
+    if (waiter_ == &waiter) waiter_ = nullptr;
+  }
 
   /// Runtime-internal: marks completion, fires the callback, wakes waiters.
   /// A no-op on a request that already failed (e.g. a transport completion
@@ -100,14 +155,27 @@ class Request {
   }
 
  private:
+  friend class RequestPtr;
+  friend class RequestPool;
+
+  Request(Kind kind, Rank peer, Tag tag, Bytes size, RankExecutor* owner_exec)
+      : kind_(kind), peer_(peer), tag_(tag), size_(size),
+        owner_exec_(owner_exec) {}
+
   void notify() {
+    unlink();  // off the pool's incomplete list
     if (on_complete_) {
       auto cb = std::move(on_complete_);
       on_complete_ = nullptr;
       cb(*this);
     }
-    done_.fire();
+    if (RequestWaiter* waiter = std::exchange(waiter_, nullptr)) {
+      waiter->wake(*waiter, *this);
+    }
   }
+
+  /// Called by the last handle: back to the pool, or freed if standalone.
+  static void release(Request* request);
 
   Kind kind_;
   Rank peer_;
@@ -119,8 +187,101 @@ class Request {
   Rank actual_src_ = kAnyRank;
   Tag actual_tag_ = kAnyTag;
   Bytes actual_size_ = 0;
+  std::uint32_t refs_ = 0;
+  RequestPool* pool_ = nullptr;  ///< null: standalone (RequestPtr::make)
+  RequestWaiter* waiter_ = nullptr;
   RequestCallback on_complete_;
-  sim::Trigger done_;
+};
+
+/// Counted handle to a Request. Copying bumps a plain integer; the last
+/// handle returns the request to its pool (see the lifecycle note above).
+class RequestPtr {
+ public:
+  RequestPtr() = default;
+  RequestPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  RequestPtr(const RequestPtr& other) : p_(other.p_) { retain(); }
+  RequestPtr(RequestPtr&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+  RequestPtr& operator=(const RequestPtr& other) {
+    RequestPtr(other).swap(*this);
+    return *this;
+  }
+  RequestPtr& operator=(RequestPtr&& other) noexcept {
+    RequestPtr(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~RequestPtr() {
+    if (p_ != nullptr && --p_->refs_ == 0) Request::release(p_);
+  }
+
+  /// A standalone request outside any endpoint pool (unit tests of the
+  /// matching layer); freed when its last handle goes.
+  static RequestPtr make(Request::Kind kind, Rank peer, Tag tag, Bytes size,
+                         RankExecutor* owner_exec = nullptr) {
+    return RequestPtr(new Request(kind, peer, tag, size, owner_exec));
+  }
+
+  Request* get() const { return p_; }
+  Request* operator->() const { return p_; }
+  Request& operator*() const { return *p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+  friend bool operator==(const RequestPtr& a, const RequestPtr& b) {
+    return a.p_ == b.p_;
+  }
+  friend bool operator==(const RequestPtr& a, std::nullptr_t) {
+    return a.p_ == nullptr;
+  }
+
+  void swap(RequestPtr& other) noexcept { std::swap(p_, other.p_); }
+
+ private:
+  friend class RequestPool;
+  /// Adopts `request` as one more holder.
+  explicit RequestPtr(Request* request) : p_(request) { retain(); }
+  void retain() {
+    if (p_ != nullptr) ++p_->refs_;
+  }
+
+  Request* p_ = nullptr;
+};
+
+/// An endpoint's request slots: a free list of recycled requests and the
+/// FIFO list of incomplete ones in issue order. Owned by one Endpoint
+/// through `Owner`, which orphans rather than deletes it while handles are
+/// alive.
+class RequestPool {
+ public:
+  RequestPool() = default;
+  RequestPool(const RequestPool&) = delete;
+  RequestPool& operator=(const RequestPool&) = delete;
+
+  /// A fresh incomplete request, appended to the incomplete list.
+  RequestPtr acquire(Request::Kind kind, Rank peer, Tag tag, Bytes size,
+                     RankExecutor* owner_exec);
+
+  /// True while any issued request is incomplete.
+  bool has_pending() const { return pending_.linked(); }
+  /// The oldest incomplete request, or null.
+  RequestPtr oldest_pending() {
+    return has_pending() ? RequestPtr(static_cast<Request*>(pending_.next))
+                         : RequestPtr();
+  }
+
+  /// unique_ptr deleter for the owning endpoint.
+  struct Owner {
+    void operator()(RequestPool* pool) const { pool->orphan(); }
+  };
+
+ private:
+  friend class Request;
+  ~RequestPool();
+
+  void recycle(Request* request);
+  void orphan();
+
+  detail::RequestLink pending_;     ///< sentinel of the incomplete list
+  Request* free_ = nullptr;         ///< recycled requests, chained via `next`
+  std::size_t live_ = 0;            ///< requests with handles outstanding
+  bool orphaned_ = false;
 };
 
 }  // namespace adapt::mpi

@@ -199,22 +199,9 @@ class Trigger {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    auto subscribers = std::move(subscribers_);
-    subscribers_.clear();
-    for (auto& fn : subscribers) fn();
     auto waiters = std::move(waiters_);
     waiters_.clear();
     for (auto h : waiters) h.resume();
-  }
-
-  /// Plain-callback subscription; runs at fire time (immediately if already
-  /// fired). Used by wait_any-style multiplexing.
-  void subscribe(std::function<void()> fn) {
-    if (fired_) {
-      fn();
-    } else {
-      subscribers_.push_back(std::move(fn));
-    }
   }
 
   auto operator co_await() noexcept {
@@ -232,7 +219,6 @@ class Trigger {
  private:
   bool fired_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<std::function<void()>> subscribers_;
 };
 
 /// Countdown latch: fires once `signal()` has been called `count` times.

@@ -10,8 +10,8 @@
 //    queue, the buffer pool, and the matcher allocate NOTHING in steady
 //    state (after their slabs/free-lists/buckets have warmed up), also when
 //    every round takes fresh tags, and that SimEngine's per-message state
-//    (matcher buckets, rendezvous slots) stays bounded across one-shot
-//    collectives.
+//    (matcher buckets, rendezvous slots, pooled requests) stays bounded
+//    across one-shot and baseline collectives.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -304,8 +304,8 @@ TEST(EventQueue, StaleHandleCannotCancelRecycledSlot) {
 
 mpi::PostedRecv make_recv(Rank src, Tag tag) {
   mpi::PostedRecv recv;
-  recv.request = std::make_shared<mpi::Request>(mpi::Request::Kind::kRecv,
-                                                src, tag, 0);
+  recv.request =
+      mpi::RequestPtr::make(mpi::Request::Kind::kRecv, src, tag, 0);
   recv.src = src;
   recv.tag = tag;
   return recv;
@@ -667,14 +667,64 @@ TEST(SimEngineMessageState, OneShotRendezvousBcastsStayBounded) {
   const std::uint64_t messages = sends() - sends_before;
   ASSERT_EQ(messages, static_cast<std::uint64_t>((kRanks - 1) * 4 *
                                                  (kRounds - kWarm)));
-  // About 5, none of them in the transport or the matcher: two Request
-  // control blocks (send and receive), their completion notifications, and
-  // the engine run's and the collective's own set-up spread over the
-  // round's 28 messages.
+  // About 1.75, none of them in the transport, the matcher or the request
+  // lifecycle (pooled requests, frame-resident waits): what remains is the
+  // engine run's and the one-shot collective's per-call set-up (ROADMAP
+  // item 3), spread over the round's 28 messages.
   const double per_message =
       static_cast<double>(allocs) / static_cast<double>(messages);
-  EXPECT_LE(per_message, 6.0) << allocs << " allocations over " << messages
+  EXPECT_LE(per_message, 2.0) << allocs << " allocations over " << messages
                               << " rendezvous messages";
+}
+
+// The baselines' path (paper Algs. 1-2): bcast + reduce on blocking or
+// nonblocking P2P, one Wait/Waitall per message or segment. Once the engine
+// is warm, requests come from the endpoint pools and every wait parks on its
+// own frame; blocking P2P allocates (almost) nothing per message, and
+// nonblocking pays only for its request vectors.
+double baseline_allocs_per_message(coll::Style style) {
+  constexpr int kRanks = 8;
+  constexpr Bytes kBytes = mib(4);  // the Fig. 10 message
+  constexpr Bytes kSegment = kib(8);
+  constexpr int kRounds = 8;
+  constexpr int kWarm = 2;
+  topo::Machine machine(topo::cori(1), kRanks);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const coll::Tree tree = coll::binomial_tree(kRanks, 0);
+  const coll::CollOpts opts{.segment_size = kSegment};
+  auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    co_await coll::bcast(ctx, world, mpi::MutView{nullptr, kBytes}, 0, tree,
+                         style, opts);
+    co_await coll::reduce(ctx, world, mpi::MutView{nullptr, kBytes},
+                          mpi::ReduceOp::kSum, mpi::Datatype::kInt32, 0, tree,
+                          style, opts);
+  };
+  runtime::SimEngine engine(machine);
+  for (int round = 0; round < kWarm; ++round) engine.run(program);
+  const auto sends = [&] {
+    std::uint64_t total = 0;
+    for (Rank r = 0; r < kRanks; ++r) {
+      total += engine.endpoint(r).sends_started();
+    }
+    return total;
+  };
+  const std::uint64_t sends_before = sends();
+  const std::uint64_t before = g_alloc_count.load();
+  for (int round = kWarm; round < kRounds; ++round) engine.run(program);
+  const std::uint64_t allocs = g_alloc_count.load() - before;
+  const std::uint64_t messages = sends() - sends_before;
+  EXPECT_EQ(messages, static_cast<std::uint64_t>(2 * (kRanks - 1) *
+                                                 (kBytes / kSegment) *
+                                                 (kRounds - kWarm)));
+  return static_cast<double>(allocs) / static_cast<double>(messages);
+}
+
+TEST(SimEngineMessageState, BlockingBaselineAllocatesNothingPerMessage) {
+  EXPECT_LE(baseline_allocs_per_message(coll::Style::kBlocking), 0.1);
+}
+
+TEST(SimEngineMessageState, NonblockingBaselineStaysUnderOnePerMessage) {
+  EXPECT_LE(baseline_allocs_per_message(coll::Style::kNonblocking), 1.0);
 }
 
 // -------------------------------------------------------------- parallel_for

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/mpi/comm.hpp"
 #include "src/mpi/match.hpp"
@@ -78,7 +80,7 @@ Envelope make_env(Rank src, Tag tag, Bytes size = 0) {
 }
 
 PostedRecv make_recv(Rank src, Tag tag) {
-  return PostedRecv{std::make_shared<Request>(Request::Kind::kRecv, src, tag, 64),
+  return PostedRecv{RequestPtr::make(Request::Kind::kRecv, src, tag, 64),
                     MutView{}, src, tag};
 }
 
@@ -495,6 +497,126 @@ TEST(Poison, FailsPendingAndFutureRequests) {
     co_return;
   };
   engine.run(program);
+}
+
+// ------------------------------------------------------ request lifecycle ---
+
+// Requests live in their endpoint's pool; a handle that outlives the engine
+// keeps its request readable, and the orphaned pool frees itself when the
+// last handle goes (ASan: no use-after-free, no leak).
+TEST(RequestLifecycle, HandleOutlivesEngine) {
+  RequestPtr sent;
+  RequestPtr received;
+  RequestPtr stranded;
+  {
+    topo::Machine m(topo::cori(1), 2);
+    SimEngine engine(m);
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      if (ctx.rank() == 0) {
+        sent = ctx.isend(1, 4, ConstView{nullptr, 96});
+        stranded = ctx.irecv(1, 5, MutView{nullptr, 8});  // never matched
+        co_await wait(sent);
+      } else {
+        received = ctx.irecv(0, 4, MutView{nullptr, 128});
+        co_await wait(received);
+      }
+    };
+    engine.run(program);
+  }
+  EXPECT_TRUE(sent->complete());
+  EXPECT_EQ(sent->error(), ErrCode::kOk);
+  EXPECT_TRUE(received->complete());
+  EXPECT_EQ(received->actual_size(), 96);
+  EXPECT_FALSE(stranded->complete());
+  EXPECT_EQ(stranded->error(), ErrCode::kOk);
+  const RequestPtr copy = stranded;
+  stranded = nullptr;
+  EXPECT_FALSE(copy->complete());
+}
+
+TEST(RequestLifecycle, PoisonFailsPendingInIssueOrder) {
+  topo::Machine m(topo::cori(1), 4);
+  SimEngine engine(m);
+  std::vector<int> order;
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    if (ctx.rank() != 0) co_return;
+    std::vector<RequestPtr> reqs;
+    reqs.push_back(ctx.irecv(2, 1, MutView{nullptr, 8}));
+    reqs.push_back(ctx.isend(1, 1, ConstView{nullptr, 8}));
+    reqs.push_back(ctx.irecv(kAnyRank, 2, MutView{nullptr, 8}));
+    reqs.push_back(ctx.irecv(3, 3, MutView{nullptr, 8}));
+    for (int i = 0; i < 4; ++i) {
+      reqs[static_cast<std::size_t>(i)]->set_completion_cb(
+          [&order, i](Request& req) {
+            EXPECT_EQ(req.error(), ErrCode::kErrProcFailed);
+            order.push_back(i);
+          });
+    }
+    EXPECT_TRUE(ctx.endpoint().has_pending());
+    ctx.endpoint().poison(ErrCode::kErrProcFailed);
+    EXPECT_FALSE(ctx.endpoint().has_pending());
+    for (const RequestPtr& req : reqs) EXPECT_TRUE(req->failed());
+  };
+  engine.run(program);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// wait_any parks one waiter on every request. After it returns, the others
+// must no longer point at its (gone) frame: completing them is harmless, and
+// a later wait can park on them again.
+TEST(RequestLifecycle, WaitAnyDetachesFromTheRest) {
+  topo::Machine m(topo::cori(1), 4);
+  SimEngine engine(m);
+  std::size_t first = 99;
+  std::vector<Bytes> sizes;
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    if (ctx.rank() == 0) {
+      std::vector<RequestPtr> reqs;
+      for (Rank r = 1; r < 4; ++r) {
+        reqs.push_back(ctx.irecv(r, 7, MutView{nullptr, 64}));
+      }
+      first = co_await wait_any(reqs);
+      co_await wait(reqs[2]);
+      co_await wait(reqs[0]);
+      for (const RequestPtr& req : reqs) sizes.push_back(req->actual_size());
+    } else {
+      // Rank 2 sends first, then 3, then 1.
+      const TimeNs delay[] = {0, microseconds(30), 0, microseconds(10)};
+      co_await ctx.sleep_for(delay[ctx.rank()]);
+      co_await ctx.send(0, 7, ConstView{nullptr, 16 * ctx.rank()});
+    }
+  };
+  engine.run(program);
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(sizes, (std::vector<Bytes>{16, 32, 48}));
+}
+
+TEST(RequestLifecycle, CallbackRunsBeforeWaiter) {
+  const RequestPtr req = RequestPtr::make(Request::Kind::kRecv, 1, 2, 8);
+  std::vector<std::string> order;
+  req->set_completion_cb([&order](Request&) { order.push_back("callback"); });
+  bool done = false;
+  auto waiter = [&]() -> sim::Task<> {
+    co_await wait(req);
+    order.push_back("waiter");
+  };
+  sim::run_detached(waiter(), [&done](std::exception_ptr) { done = true; });
+  EXPECT_FALSE(done);
+  req->mark_complete();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(order, (std::vector<std::string>{"callback", "waiter"}));
+}
+
+TEST(RequestLifecycle, HandlesCountHolders) {
+  RequestPtr a = RequestPtr::make(Request::Kind::kSend, 3, 1, 8);
+  RequestPtr b = a;
+  EXPECT_EQ(a, b);
+  RequestPtr c = std::move(a);
+  EXPECT_TRUE(a == nullptr);
+  EXPECT_EQ(b.get(), c.get());
+  b = nullptr;
+  c->mark_failed(ErrCode::kErrRank);
+  EXPECT_EQ((*c).error(), ErrCode::kErrRank);
 }
 
 }  // namespace

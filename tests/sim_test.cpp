@@ -295,18 +295,6 @@ TEST(Trigger, AwaitAfterFireDoesNotSuspend) {
   EXPECT_EQ(woke, 1);
 }
 
-TEST(Trigger, SubscribeBeforeAndAfterFire) {
-  Trigger t;
-  int calls = 0;
-  t.subscribe([&] { ++calls; });
-  t.fire();
-  EXPECT_EQ(calls, 1);
-  t.subscribe([&] { ++calls; });
-  EXPECT_EQ(calls, 2);
-  t.fire();  // idempotent
-  EXPECT_EQ(calls, 2);
-}
-
 TEST(Countdown, FiresAtZero) {
   Countdown c(3);
   int woke = 0;
