@@ -2,57 +2,11 @@
 
 namespace adapt::mpi {
 
-namespace {
-
-/// wait_any's awaiter: one waiter parked on every incomplete request. The
-/// first completion detaches it from the others before posting the resume,
-/// so later completions touch nothing of this frame.
-class WaitAny : RequestWaiter {
- public:
-  explicit WaitAny(const std::vector<RequestPtr>& requests)
-      : requests_(requests) {}
-  WaitAny(const WaitAny&) = delete;
-  WaitAny& operator=(const WaitAny&) = delete;
-  ~WaitAny() { detach(); }
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    handle_ = h;
-    wake = [](RequestWaiter& self, Request& request) {
-      auto& any = static_cast<WaitAny&>(self);
-      any.detach();
-      detail::wake_on_main(request, any.handle_);
-    };
-    for (const RequestPtr& request : requests_) {
-      if (request) request->park(*this);
-    }
-  }
-  void await_resume() const noexcept {}
-
- private:
-  void detach() {
-    for (const RequestPtr& request : requests_) {
-      if (request) request->unpark(*this);
-    }
-  }
-
-  const std::vector<RequestPtr>& requests_;
-  std::coroutine_handle<> handle_;
-};
-
-}  // namespace
-
 sim::Task<std::size_t> wait_any(std::vector<RequestPtr> requests) {
   ADAPT_CHECK(!requests.empty());
-  auto first_done = [&]() -> std::size_t {
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      if (requests[i] && requests[i]->complete()) return i;
-    return requests.size();
-  };
-  if (const std::size_t i = first_done(); i < requests.size()) co_return i;
-
-  co_await WaitAny(requests);
-  const std::size_t i = first_done();
+  co_await detail::AwaitAny(requests);
+  std::size_t i = 0;
+  while (i < requests.size() && !(requests[i] && requests[i]->complete())) ++i;
   ADAPT_CHECK(i < requests.size()) << "wait_any woke with nothing complete";
   detail::throw_if_failed(requests[i]);
   co_return i;

@@ -11,11 +11,12 @@
 // Waiting allocates nothing: each wait parks a RequestWaiter that lives on
 // its own coroutine frame in the request's single waiter slot (request.hpp),
 // and the resume posted through the owner's executor captures only the
-// coroutine handle. wait_any parks one shared waiter on every request; the
-// first completion detaches it from the rest before posting the resume.
+// coroutine handle.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,28 +50,44 @@ inline void throw_if_failed(const RequestPtr& request) {
                        std::to_string(request->peer()) + " failed");
 }
 
-/// wait()'s awaiter: the request's waiter slot points at it while the
-/// coroutine is suspended, so it lives on the awaiting frame. A frame
-/// destroyed mid-wait unparks it.
-class WaitOne : RequestWaiter {
+/// The awaiter of wait() and wait_any(): one waiter, living on the awaiting
+/// frame, parked in the waiter slot of every request. The first completion
+/// detaches it from the others before posting the resume, so later
+/// completions touch nothing of this frame; a frame destroyed mid-wait
+/// detaches it too.
+class AwaitAny : RequestWaiter {
  public:
-  explicit WaitOne(Request& request) : request_(request) {}
-  WaitOne(const WaitOne&) = delete;
-  WaitOne& operator=(const WaitOne&) = delete;
-  ~WaitOne() { request_.unpark(*this); }
+  explicit AwaitAny(std::span<const RequestPtr> requests)
+      : requests_(requests) {}
+  AwaitAny(const AwaitAny&) = delete;
+  AwaitAny& operator=(const AwaitAny&) = delete;
+  ~AwaitAny() { detach(); }
 
-  bool await_ready() const noexcept { return request_.complete(); }
+  bool await_ready() const noexcept {
+    return std::any_of(requests_.begin(), requests_.end(),
+                       [](const RequestPtr& r) { return r && r->complete(); });
+  }
   void await_suspend(std::coroutine_handle<> h) {
     handle_ = h;
     wake = [](RequestWaiter& self, Request& request) {
-      wake_on_main(request, static_cast<WaitOne&>(self).handle_);
+      auto& any = static_cast<AwaitAny&>(self);
+      any.detach();
+      wake_on_main(request, any.handle_);
     };
-    request_.park(*this);
+    for (const RequestPtr& request : requests_) {
+      if (request) request->park(*this);
+    }
   }
   void await_resume() const noexcept {}
 
  private:
-  Request& request_;
+  void detach() {
+    for (const RequestPtr& request : requests_) {
+      if (request) request->unpark(*this);
+    }
+  }
+
+  std::span<const RequestPtr> requests_;
   std::coroutine_handle<> handle_;
 };
 
@@ -80,7 +97,7 @@ class WaitOne : RequestWaiter {
 /// completed with an error.
 inline sim::Task<> wait(RequestPtr request) {
   ADAPT_CHECK(request != nullptr);
-  co_await detail::WaitOne(*request);
+  co_await detail::AwaitAny(std::span<const RequestPtr>(&request, 1));
   detail::throw_if_failed(request);
 }
 

@@ -200,7 +200,8 @@ class RequestPtr {
   RequestPtr() = default;
   RequestPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
   RequestPtr(const RequestPtr& other) : p_(other.p_) { retain(); }
-  RequestPtr(RequestPtr&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+  RequestPtr(RequestPtr&& other) noexcept
+      : p_(std::exchange(other.p_, nullptr)) {}
   RequestPtr& operator=(const RequestPtr& other) {
     RequestPtr(other).swap(*this);
     return *this;
@@ -224,9 +225,6 @@ class RequestPtr {
   Request* operator->() const { return p_; }
   Request& operator*() const { return *p_; }
   explicit operator bool() const { return p_ != nullptr; }
-  friend bool operator==(const RequestPtr& a, const RequestPtr& b) {
-    return a.p_ == b.p_;
-  }
   friend bool operator==(const RequestPtr& a, std::nullptr_t) {
     return a.p_ == nullptr;
   }

@@ -610,7 +610,7 @@ TEST(RequestLifecycle, CallbackRunsBeforeWaiter) {
 TEST(RequestLifecycle, HandlesCountHolders) {
   RequestPtr a = RequestPtr::make(Request::Kind::kSend, 3, 1, 8);
   RequestPtr b = a;
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.get(), b.get());
   RequestPtr c = std::move(a);
   EXPECT_TRUE(a == nullptr);
   EXPECT_EQ(b.get(), c.get());
