@@ -65,27 +65,30 @@ void Fabric::transfer(const Route& route, Bytes bytes,
   for (LinkId l : route.links)
     ADAPT_CHECK(l >= 0 && l < static_cast<LinkId>(capacity_.size()));
 
-  // Fast paths that never enter bandwidth sharing. A zero-byte message
-  // takes one only while its pair's transmit queue is idle: behind a busy
-  // queue it waits like any other message (below), or it would overtake the
-  // messages posted before it.
+  // Paths that never enter bandwidth sharing. Under kUncontended a keyed
+  // message still queues behind its pair, in closed form. Under kFairShare a
+  // zero-byte message skips sharing only while its pair's transmit queue is
+  // idle: behind a busy queue it waits like any other message (below), or it
+  // would overtake the messages posted before it.
   const bool shared =
       !route.links.empty() && policy_ == SharingPolicy::kFairShare;
   const bool zero_unqueued =
       bytes == 0 &&
       (route.serial_key < 0 || !serial_queue(route.serial_key).busy);
   if (!shared || zero_unqueued) {
-    const TimeNs stream =
-        bytes > 0 ? duration_of(static_cast<double>(bytes), route.per_flow_cap)
-                  : 0;
+    const TimeNs stream = stream_time(bytes, route.per_flow_cap);
+    const TimeNs arrive =
+        policy_ == SharingPolicy::kUncontended && route.serial_key >= 0
+            ? serial_queue(route.serial_key)
+                  .clock.arrive(sim_.now(), route.alpha, stream)
+            : sim_.now() + route.alpha + stream;
     if (recorder_ && route.trace) {
-      recorder_->transfer_active(route.trace, sim_.now() + route.alpha,
-                                 stream);
-      recorder_->transfer_end(route.trace, sim_.now() + route.alpha + stream);
+      recorder_->transfer_active(route.trace, arrive - stream, stream);
+      recorder_->transfer_end(route.trace, arrive);
       for (LinkId l : route.links)
         recorder_->metrics().link_bytes(l) += bytes;
     }
-    sim_.after(route.alpha + stream, std::move(on_complete));
+    sim_.at(arrive, std::move(on_complete));
     return;
   }
 
@@ -140,7 +143,7 @@ void Fabric::start_flow(const Route& route, Bytes bytes,
   f.serial_key = route.serial_key;
   f.trace = route.trace;
   f.bytes_total = bytes;
-  f.ideal = duration_of(static_cast<double>(bytes), route.per_flow_cap);
+  f.ideal = stream_time(bytes, route.per_flow_cap);
   f.on_complete = std::move(on_complete);
   f.active = false;
   sim_.after(alpha_remaining, [this, slot] { activate(slot); });

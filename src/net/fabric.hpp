@@ -15,6 +15,8 @@
 // is exactly the distinction §3.2.2 and §4.1 reason about.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,9 +28,36 @@
 
 namespace adapt::net {
 
-/// Sharing discipline; kUncontended ignores link capacities entirely (pure
-/// Hockney, for the contention ablation).
+/// Sharing discipline. kFairShare divides each shared link max-min fairly
+/// among its flows. kUncontended gives links unbounded capacity (pure
+/// Hockney, for the contention ablation and the sharded engine's reference):
+/// a message then pays only its route's alpha and single-stream rate, but it
+/// still waits for its pair's transmit queue, priced in closed form by a
+/// PairClock. Both policies keep MPI's non-overtaking order between a pair.
 enum class SharingPolicy { kFairShare, kUncontended };
+
+/// Streaming time of `bytes` at a route's single-stream rate, rounded up to a
+/// whole nanosecond (the fabric's rounding, so every engine agrees).
+inline TimeNs stream_time(Bytes bytes, double per_flow_cap) {
+  return static_cast<TimeNs>(
+      std::ceil(static_cast<double>(bytes) / per_flow_cap));
+}
+
+/// One (src, dst) pair's serial transmit queue in closed form: a message
+/// starts streaming once its startup latency has elapsed and the pair's
+/// previous message has fully arrived,
+///   arrive = max(now + alpha, free_at) + stream_time(bytes),
+/// and the pair is busy until it arrives. The fluid fabric's kUncontended
+/// transfers and the sharded engine's transport both price messages with it.
+struct PairClock {
+  TimeNs free_at = 0;
+
+  /// Prices one message posted at `now`; returns its arrival time.
+  TimeNs arrive(TimeNs now, TimeNs alpha, TimeNs stream) {
+    free_at = std::max(now + alpha, free_at) + stream;
+    return free_at;
+  }
+};
 
 /// Route + cost parameters of one message.
 struct Route {
@@ -57,11 +86,11 @@ class Fabric {
   LinkId add_link(double capacity_bytes_per_ns);
 
   /// Starts a message; `on_complete` runs (once) at the virtual time the last
-  /// byte arrives. A zero-byte message completes after alpha alone when it
-  /// shares no link (kUncontended, or an empty route) or its pair's transmit
-  /// queue is idle; behind a busy queue it waits for the messages posted
-  /// before it, like any other. The
-  /// callback type matches the event queue's: captures up to EventFn's
+  /// byte arrives. Under kUncontended a message with a serial key takes its
+  /// arrival from the pair's PairClock. Under kFairShare a zero-byte message
+  /// completes after alpha alone when its route is empty or its pair's
+  /// transmit queue is idle; behind a busy queue it waits for the messages
+  /// posted before it, like any other. The callback type matches the event queue's: captures up to EventFn's
   /// capacity (including a boxed std::function) stay inline, so posting a
   /// transfer never heap-allocates — the invariant the persistent-collective
   /// steady state is built on.
@@ -175,15 +204,17 @@ class Fabric {
   std::vector<double> rates_;
   std::vector<char> neck_dirty_;  // per component flow: bottleneck is dirty
 
-  // Per-serial-key FIFO state, indexed by the key: a key is "busy" while one
-  // of its flows is queued for activation or active; waiters chain through
-  // pending_pool_ slots. The table grows to the largest key seen (bounded by
+  // Per-serial-key FIFO state, indexed by the key. Under kFairShare a key is
+  // "busy" while one of its flows is queued for activation or active;
+  // waiters chain through pending_pool_ slots. Under kUncontended only the
+  // clock is used. The table grows to the largest key seen (bounded by
   // the number of communicating pairs) and never shrinks, so steady-state
   // queueing never touches the heap.
   struct SerialQueue {
     bool busy = false;
     int head = -1;
     int tail = -1;
+    PairClock clock;  ///< kUncontended: the queue in closed form
   };
   SerialQueue& serial_queue(std::int64_t key);
   std::vector<SerialQueue> serial_;

@@ -249,7 +249,7 @@ void RecoveryService::complete(Rank self, AgreeState& st,
   if (st.waiter) {
     auto h = st.waiter;
     st.waiter = {};
-    engine_.run_on(self, [h] { h.resume(); }, 0);
+    engine_.context(self).defer(0, [h] { h.resume(); });
   }
 }
 

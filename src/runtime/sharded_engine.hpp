@@ -21,28 +21,37 @@
 // including 1 — the single-shard fast path goes through the same keys and
 // the same merge.
 //
-// Cost model: point-to-point transfers follow Hockney alpha/beta of the
-// route with per-source serial transmit (segments from one sender leave
-// back to back), and the eager/rendezvous protocol split of the SimEngine.
-// The fluid max-min fair-sharing fabric is deliberately not modelled —
-// cross-shard bandwidth sharing would need global state on the hot path.
-// Fault injection, schedule perturbation, reliability, recovery, GPUs and
-// the tuner are likewise out of scope here and gated off; use the SimEngine
-// for those studies. This engine's job is scale: compact per-rank state and
-// intra-run parallelism toward million-rank simulations.
+// Cost model: the SimEngine's under SharingPolicy::kUncontended. Every
+// message is priced by its (src, dst) pair's net::PairClock — Hockney
+// alpha/beta of the route, behind the pair's previous message — so the
+// inter-node and intra-node sends of one rank overlap, and one pair's
+// messages never overtake each other. The clock lives on the source rank's
+// shard. Ranks run on the RankCore the SimEngine uses (CPU and progress
+// clocks, noise, the eager/rendezvous protocol split of the endpoints), so
+// both engines give identical finish times for the same schedule, up to the
+// order of same-instant events (DESIGN.md §14.5). The fluid max-min
+// fair-sharing fabric is deliberately not modelled — cross-shard bandwidth
+// sharing would need global state on the hot path. Fault injection,
+// schedule perturbation, reliability, recovery, GPUs and the tuner are
+// likewise out of scope here and gated off; use the SimEngine for those
+// studies. This engine's job is scale: compact per-rank state and intra-run
+// parallelism toward million-rank simulations.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/mpi/endpoint.hpp"
+#include "src/net/fabric.hpp"
 #include "src/noise/noise.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/context.hpp"
+#include "src/runtime/rank_core.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/support/frame_arena.hpp"
@@ -68,7 +77,7 @@ struct ShardedEngineOptions {
   const topo::ProcTopology* topology = nullptr;
 };
 
-class ShardedEngine final : public Engine {
+class ShardedEngine final : public Engine, private RankHost {
  public:
   ShardedEngine(const topo::Machine& machine,
                 ShardedEngineOptions options = {});
@@ -83,8 +92,8 @@ class ShardedEngine final : public Engine {
   const topo::ProcTopology& topology() const { return *topo_; }
   const topo::Machine& machine() const { return machine_; }
   support::BufferPool& pool() { return pool_; }
-  mpi::Endpoint& endpoint(Rank r);
-  Context& context(Rank r);
+  mpi::Endpoint& endpoint(Rank r) { return core_.endpoint(r); }
+  Context& context(Rank r) { return core_.context(r); }
 
   /// The deterministic rank-state gauge: cumulative coroutine-frame bytes +
   /// matcher footprint + cumulative pool acquisitions. Identical for any
@@ -97,8 +106,6 @@ class ShardedEngine final : public Engine {
   std::uint64_t rank_state_peak_bytes() const;
 
  private:
-  class ShardContext;
-  class ShardExecutor;
   class ShardTransport;
 
   /// One cross-shard message: an event to be pushed on the destination
@@ -122,8 +129,9 @@ class ShardedEngine final : public Engine {
     /// drained by dst at the start of the next round (the off epoch), so
     /// producer and consumer never touch the same vector.
     std::vector<std::array<std::vector<Msg>, 2>> outbox;
-    int finished = 0;  ///< rank programs completed on this shard
-    std::vector<std::pair<Rank, std::exception_ptr>> failures;
+    /// Transmit queues of the pairs whose source rank lives here, keyed by
+    /// pair_key(src, dst): created on a pair's first message.
+    std::unordered_map<std::uint64_t, net::PairClock> pairs;
     std::exception_ptr fatal;
   };
 
@@ -137,12 +145,22 @@ class ShardedEngine final : public Engine {
   /// shard `from` (same shard: direct push; different: mailbox append).
   void post_at(int from, int to, TimeNs t, std::uint64_t tie, sim::EventFn fn);
 
-  // Executor services (mirror SimEngine's, per owning shard's clock).
-  void run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost);
-  void run_progress(Rank r, std::function<void()> fn, TimeNs cpu_cost);
-  void charge(Rank r, TimeNs cpu_cost);
+  // RankHost: each rank runs on its shard's clock, queue and recorder.
+  TimeNs now_of(Rank r) const override {
+    return shards_[static_cast<std::size_t>(shard_of(r))]->now;
+  }
+  void schedule(Rank r, TimeNs t, sim::EventFn fn) override {
+    shard_for(r).queue.push_keyed(t, next_key(r), std::move(fn));
+  }
+  obs::Recorder* recorder_of(Rank r) const override {
+    return shards_[static_cast<std::size_t>(shard_of(r))]->rec.get();
+  }
 
   // Transport legs (see sharded_engine.cpp).
+  /// Puts `bytes` from src to dst on the wire at src's shard's now, behind
+  /// the pair's earlier messages; returns the arrival time.
+  TimeNs transmit(Rank src, Rank dst, const topo::RouteCost& rc, Bytes bytes,
+                  int kind);
   void rendezvous_grant(topo::RouteCost rc, mpi::Envelope env,
                         std::function<void()> on_sent, mpi::PostedRecv recv);
   void rendezvous_bulk(topo::RouteCost rc, mpi::Envelope env,
@@ -155,7 +173,6 @@ class ShardedEngine final : public Engine {
   TimeNs pending_min(const Shard& sh) const;
   std::uint64_t total_scheduled() const;
   std::uint64_t frame_bytes() const;
-  std::uint64_t matcher_bytes() const;
 
   const topo::Machine& machine_;
   ShardedEngineOptions options_;
@@ -166,19 +183,13 @@ class ShardedEngine final : public Engine {
   const topo::ProcTopology* topo_;  ///< options_.topology or &machine_topo_
   topo::ShardMap map_;
   TimeNs lookahead_ = 0;  ///< min cross-shard route alpha
-  std::shared_ptr<noise::NoiseModel> noise_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<support::ShardPool> workers_;  ///< null when shards() == 1
   std::unique_ptr<ShardTransport> transport_;
-  std::vector<std::unique_ptr<ShardExecutor>> executors_;
-  std::vector<std::unique_ptr<mpi::Endpoint>> endpoints_;
-  std::vector<std::unique_ptr<ShardContext>> contexts_;
-  // Per-rank scalar state, globally indexed: each entry is only ever touched
-  // by the owning rank's shard.
-  std::vector<TimeNs> busy_until_;           // main thread, noise applies
-  std::vector<TimeNs> progress_busy_until_;  // progress context
-  std::vector<TimeNs> tx_free_;              // per-source serial transmit
-  std::vector<std::uint64_t> rank_seq_;      // per-producer event sequence
+  RankCore core_;
+  /// Per-producer event sequence, globally indexed: each entry is only ever
+  /// touched by the owning rank's shard.
+  std::vector<std::uint64_t> rank_seq_;
   std::uint64_t epoch_ = 0;  ///< round counter; selects the mailbox epoch
 };
 

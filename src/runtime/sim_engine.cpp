@@ -14,27 +14,6 @@
 
 namespace adapt::runtime {
 
-// ------------------------------------------------------- SimRankExecutor ---
-
-class SimEngine::SimRankExecutor final : public mpi::RankExecutor {
- public:
-  SimRankExecutor(SimEngine& engine, Rank rank)
-      : engine_(engine), rank_(rank) {}
-
-  TimeNs now() const override { return engine_.sim_.now(); }
-  void post(std::function<void()> fn, TimeNs cpu_cost) override {
-    engine_.run_on(rank_, std::move(fn), cpu_cost);
-  }
-  void post_progress(std::function<void()> fn, TimeNs cpu_cost) override {
-    engine_.run_progress(rank_, std::move(fn), cpu_cost);
-  }
-  void charge(TimeNs cpu_cost) override { engine_.charge(rank_, cpu_cost); }
-
- private:
-  SimEngine& engine_;
-  Rank rank_;
-};
-
 // ---------------------------------------------------------- SimTransport ---
 
 namespace {
@@ -186,7 +165,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
         channel(self).submit(
             from, std::move(bulk),
             [this, self, on_sent = std::move(pending.on_sent)] {
-              engine_.run_progress(self, on_sent, 0);
+              engine_.core_.run_progress(self, on_sent, 0);
             },
             [this, self, on_failed = std::move(pending.on_failed)](
                 mpi::ErrCode code) { fail_op(self, code, on_failed); });
@@ -199,7 +178,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
         const mpi::PostedRecv recv = it->second;
         rdvz_recv_.erase(it);
         const mpi::Envelope env = frame.env;  // shares the payload pointer
-        engine_.run_progress(
+        engine_.core_.run_progress(
             self, [this, self, recv, env] { endpoint(self).finalize_recv(recv, env); },
             engine_.machine_.spec().cpu_overhead);
         break;
@@ -270,9 +249,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
     std::array<std::int32_t, 4> routes{-1, -1, -1, -1};
   };
 
-  mpi::Endpoint& endpoint(Rank r) {
-    return *engine_.endpoints_[static_cast<std::size_t>(r)];
-  }
+  mpi::Endpoint& endpoint(Rank r) { return engine_.core_.endpoint(r); }
   mpi::ReliableChannel& channel(Rank r) {
     return *engine_.channels_[static_cast<std::size_t>(r)];
   }
@@ -350,7 +327,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
       channel(src).submit(
           dst, std::move(frame),
           [this, src, on_sent = std::move(on_sent)] {
-            engine_.run_progress(src, on_sent, 0);
+            engine_.core_.run_progress(src, on_sent, 0);
           },
           [this, src, on_failed = std::move(on_failed)](mpi::ErrCode code) {
             fail_op(src, code, on_failed);
@@ -406,7 +383,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
 
   void finish_eager(std::uint32_t slot, const net::TransferFate& fate) {
     EagerPending p = eager_.release(slot);
-    engine_.run_progress(p.src, std::move(p.on_sent), 0);
+    engine_.core_.run_progress(p.src, std::move(p.on_sent), 0);
     if (!fate.delivered) {
       if (p.trace) engine_.obs_->transfer_undelivered(p.trace);
       return;
@@ -527,7 +504,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
 
   void finish_bulk(std::uint32_t slot, const net::TransferFate& fate) {
     RdvzPending& p = rdvz_[slot];
-    engine_.run_progress(p.env.src, std::move(p.on_sent), 0);
+    engine_.core_.run_progress(p.env.src, std::move(p.on_sent), 0);
     if (!fate.delivered) {
       const std::uint64_t trace = p.trace;
       rdvz_.release(slot);
@@ -535,7 +512,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
       return;
     }
     if (fate.corrupted) corrupt_in_place(p.env, fate.salt);
-    engine_.run_progress(
+    engine_.core_.run_progress(
         p.env.dst, [this, slot] { finalize_rendezvous(slot); },
         engine_.machine_.spec().cpu_overhead);
   }
@@ -557,75 +534,17 @@ class SimEngine::SimTransport final : public mpi::Transport {
   support::SlotPool<RdvzPending> rdvz_;
 };
 
-// ------------------------------------------------------------- SimContext ---
-
-class SimEngine::SimContext final : public Context {
- public:
-  SimContext(SimEngine& engine, Rank rank) : engine_(engine), rank_(rank) {}
-
-  Rank rank() const override { return rank_; }
-  int nranks() const override { return engine_.machine_.nranks(); }
-  TimeNs now() const override { return engine_.sim_.now(); }
-  mpi::Endpoint& endpoint() override {
-    return *engine_.endpoints_[static_cast<std::size_t>(rank_)];
-  }
-  const topo::Machine& machine() const override { return engine_.machine_; }
-
-  sim::Task<> compute(TimeNs cost) override {
-    ADAPT_CHECK(cost >= 0);
-    co_await sim::Suspend([this, cost](std::coroutine_handle<> h) {
-      engine_.run_on(rank_, [h] { h.resume(); }, cost);
-    });
-  }
-
-  void defer(TimeNs cpu_cost, std::function<void()> fn) override {
-    engine_.run_on(rank_, std::move(fn), cpu_cost);
-  }
-
-  void defer_progress(TimeNs cpu_cost, std::function<void()> fn) override {
-    engine_.run_progress(rank_, std::move(fn), cpu_cost);
-  }
-
-  sim::Task<> sleep_for(TimeNs duration) override {
-    ADAPT_CHECK(duration >= 0);
-    co_await sim::Suspend([this, duration](std::coroutine_handle<> h) {
-      engine_.sim_.after(duration, [h] { h.resume(); });
-    });
-  }
-
-  gpu::Device* gpu() override {
-    return engine_.gpu_ ? engine_.gpu_->device_for(rank_) : nullptr;
-  }
-
-  obs::Recorder* recorder() override { return engine_.obs_; }
-  support::BufferPool* pool() override { return &engine_.pool_; }
-  tune::Tuner* tuner() override { return engine_.options_.tuning.get(); }
-  tune::PlanCache* plan_cache() override { return engine_.plan_cache_.get(); }
-  Recovery* recovery() override {
-    return engine_.recovery_ ? &engine_.recovery_->rank_facade(rank_)
-                             : nullptr;
-  }
-
- private:
-  SimEngine& engine_;
-  Rank rank_;
-};
-
 // -------------------------------------------------------------- SimEngine ---
 
 SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
     : machine_(machine),
       options_(options),
       net_(sim_, machine, options.sharing, options.gpu),
-      noise_(options.noise ? options.noise
-                           : std::make_shared<noise::NoNoise>()) {
+      transport_(std::make_unique<SimTransport>(*this)),
+      core_(*this, machine, *transport_, pool_, options.noise) {
   if (options_.perturb) sim_.set_perturbation(options_.perturb);
-  log_ctx_ = log_level() != LogLevel::kOff;
   const int n = machine_.nranks();
-  transport_ = std::make_unique<SimTransport>(*this);
   plan_cache_ = std::make_unique<tune::PlanCache>();
-  busy_until_.assign(static_cast<std::size_t>(n), 0);
-  progress_busy_until_.assign(static_cast<std::size_t>(n), 0);
 
   if (options_.faults.enabled()) {
     injector_ = std::make_unique<net::FaultInjector>(options_.faults);
@@ -662,20 +581,6 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
     recovery_ = std::make_unique<RecoveryService>(*this, *options_.recovery);
   }
   abort_flooded_.assign(static_cast<std::size_t>(n), 0);
-
-  const mpi::EndpointCosts costs{machine_.spec().cpu_overhead,
-                                 machine_.spec().unexpected_overhead,
-                                 machine_.spec().memcpy_beta};
-  executors_.reserve(static_cast<std::size_t>(n));
-  endpoints_.reserve(static_cast<std::size_t>(n));
-  contexts_.reserve(static_cast<std::size_t>(n));
-  for (Rank r = 0; r < n; ++r) {
-    executors_.push_back(std::make_unique<SimRankExecutor>(*this, r));
-    endpoints_.push_back(std::make_unique<mpi::Endpoint>(
-        r, n, *executors_.back(), *transport_, costs));
-    endpoints_.back()->set_pool(&pool_);
-    contexts_.push_back(std::make_unique<SimContext>(*this, r));
-  }
   if (machine_.spec().gpus_per_socket > 0) {
     gpu_ = std::make_unique<gpu::GpuRuntime>(sim_, net_, machine_);
   }
@@ -689,7 +594,7 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
     sim_.set_queue_stats(&obs_->queue_stats());
     net_.fabric().set_recorder(obs_);
     for (auto& ch : channels_) ch->set_recorder(obs_);
-    for (auto& ep : endpoints_) ep->set_recorder(obs_);
+    for (Rank r = 0; r < n; ++r) core_.endpoint(r).set_recorder(obs_);
     plan_cache_->set_recorder(obs_);
     if (options_.tuning) {
       // Pre-register the decision-engine counters so exports always carry
@@ -709,14 +614,16 @@ TimeNs SimEngine::death_time(Rank r) const {
   return -1;
 }
 
-Context& SimEngine::context(Rank r) {
-  ADAPT_CHECK(r >= 0 && r < machine_.nranks());
-  return *contexts_[static_cast<std::size_t>(r)];
+Context& SimEngine::context(Rank r) { return core_.context(r); }
+
+mpi::Endpoint& SimEngine::endpoint(Rank r) { return core_.endpoint(r); }
+
+gpu::Device* SimEngine::gpu_of(Rank r) {
+  return gpu_ ? gpu_->device_for(r) : nullptr;
 }
 
-mpi::Endpoint& SimEngine::endpoint(Rank r) {
-  ADAPT_CHECK(r >= 0 && r < machine_.nranks());
-  return *endpoints_[static_cast<std::size_t>(r)];
+Recovery* SimEngine::recovery_of(Rank r) {
+  return recovery_ ? &recovery_->rank_facade(r) : nullptr;
 }
 
 mpi::ReliableChannel* SimEngine::channel(Rank r) {
@@ -760,108 +667,14 @@ void SimEngine::initiate_abort(Rank origin, mpi::ErrCode code) {
   poison_rank(origin, code);
 }
 
-std::int64_t SimEngine::log_now(const void* arg) {
-  return static_cast<const SimEngine*>(arg)->sim_.now();
-}
-
-void SimEngine::run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost) {
-  ADAPT_CHECK(cpu_cost >= 0);
-  auto& busy = busy_until_[static_cast<std::size_t>(r)];
-  const TimeNs ready = std::max(sim_.now(), busy);
-  const TimeNs start = noise_->next_free(r, ready);
-  busy = start + cpu_cost;
-  if (obs_) obs_->cpu_task(r, /*progress=*/false, sim_.now(), ready, start,
-                           busy);
-  if (log_ctx_) {
-    sim_.at(busy, [this, r, fn = std::move(fn)] {
-      ScopedLogContext lc(r, &SimEngine::log_now, this);
-      fn();
-    });
-    return;
-  }
-  sim_.at(busy, std::move(fn));
-}
-
-void SimEngine::run_progress(Rank r, std::function<void()> fn,
-                             TimeNs cpu_cost) {
-  ADAPT_CHECK(cpu_cost >= 0);
-  auto& busy = progress_busy_until_[static_cast<std::size_t>(r)];
-  const TimeNs ready = std::max(sim_.now(), busy);
-  busy = ready + cpu_cost;
-  if (obs_) obs_->cpu_task(r, /*progress=*/true, sim_.now(), ready, ready,
-                           busy);
-  if (log_ctx_) {
-    sim_.at(busy, [this, r, fn = std::move(fn)] {
-      ScopedLogContext lc(r, &SimEngine::log_now, this);
-      fn();
-    });
-    return;
-  }
-  sim_.at(busy, std::move(fn));
-}
-
-void SimEngine::charge(Rank r, TimeNs cpu_cost) {
-  ADAPT_CHECK(cpu_cost >= 0);
-  auto& busy = busy_until_[static_cast<std::size_t>(r)];
-  const TimeNs ready = std::max(sim_.now(), busy);
-  busy = ready + cpu_cost;
-  if (obs_) obs_->cpu_task(r, /*progress=*/false, sim_.now(), ready, ready,
-                           busy);
-}
-
 RunResult SimEngine::run(const RankProgram& program) {
-  const int n = machine_.nranks();
-  RunResult result;
-  result.rank_finish.assign(static_cast<std::size_t>(n), -1);
-  int remaining = n;
-  std::exception_ptr failure;
-
-  for (Rank r = 0; r < n; ++r) {
-    run_on(
-        r,
-        [this, r, &program, &result, &remaining, &failure] {
-          sim::run_detached(
-              program(*contexts_[static_cast<std::size_t>(r)]),
-              [this, r, &result, &remaining, &failure](std::exception_ptr ep) {
-                result.rank_finish[static_cast<std::size_t>(r)] = sim_.now();
-                --remaining;
-                if (ep && !failure) failure = ep;
-              });
-        },
-        0);
-  }
-
+  core_.launch(program);
   {
     support::FrameArena::Scope frames(&frame_arena_);
     sim_.run();
   }
-
-  if (obs_) {
-    // Rank-state gauge (assigned, not accumulated — frame/pool totals are
-    // cumulative across runs already). Deterministic: cumulative allocation
-    // totals plus matcher footprint, never live peaks.
-    obs::MetricsRegistry& m = obs_->metrics();
-    std::uint64_t matcher = 0;
-    for (auto& ep : endpoints_) {
-      matcher += static_cast<std::uint64_t>(ep->matcher().footprint_bytes());
-    }
-    m.counter("sim.frame_bytes") =
-        static_cast<std::int64_t>(frame_arena_.total_bytes());
-    m.counter("sim.matcher_bytes") = static_cast<std::int64_t>(matcher);
-    m.counter("sim.pool_bytes") =
-        static_cast<std::int64_t>(pool_.acquired_bytes());
-    m.counter("sim.rank_state_bytes") = static_cast<std::int64_t>(
-        frame_arena_.total_bytes() + matcher + pool_.acquired_bytes());
-  }
-
-  if (failure) std::rethrow_exception(failure);
-  ADAPT_CHECK(remaining == 0)
-      << remaining << " of " << n
-      << " ranks never finished: deadlock (blocked on a message that is "
-         "never sent)";
-  result.total_time =
-      *std::max_element(result.rank_finish.begin(), result.rank_finish.end());
-  return result;
+  if (obs_) core_.record_state(obs_->metrics(), frame_arena_.total_bytes());
+  return core_.finish();
 }
 
 }  // namespace adapt::runtime

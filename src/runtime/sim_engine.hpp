@@ -1,6 +1,7 @@
 // Discrete-event execution engine: every rank is a coroutine scheduled on one
 // virtual clock; messages move through the contention-aware ClusterNet;
-// rank CPUs are serialised resources that noise can occupy.
+// rank CPUs are serialised resources that noise can occupy (the RankCore it
+// shares with the ShardedEngine).
 //
 // This is the engine all paper-scale experiments run on.
 #pragma once
@@ -17,6 +18,7 @@
 #include "src/noise/noise.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/context.hpp"
+#include "src/runtime/rank_core.hpp"
 #include "src/runtime/recovery.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/buffer_pool.hpp"
@@ -71,7 +73,7 @@ struct SimEngineOptions {
   std::shared_ptr<tune::Tuner> tuning;
 };
 
-class SimEngine final : public Engine {
+class SimEngine final : public Engine, private RankHost {
  public:
   SimEngine(const topo::Machine& machine, SimEngineOptions options = {});
   ~SimEngine() override;
@@ -112,21 +114,19 @@ class SimEngine final : public Engine {
   /// Fails every pending and future request on rank r (see Endpoint::poison).
   void poison_rank(Rank r, mpi::ErrCode code);
 
-  /// Main-thread scheduling: runs `fn` once rank r's application thread is
-  /// free (noise applies), after occupying it for `cpu_cost`.
-  void run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost);
-  /// Progress-context scheduling: the communication engine's timeline, which
-  /// noise never touches (async progress thread + NIC offload).
-  void run_progress(Rank r, std::function<void()> fn, TimeNs cpu_cost);
-  /// Synchronously extends rank r's main-thread busy window.
-  void charge(Rank r, TimeNs cpu_cost);
-
  private:
-  class SimContext;
-  class SimRankExecutor;
   class SimTransport;
 
-  static std::int64_t log_now(const void* arg);
+  // RankHost: one virtual clock and one recorder for every rank.
+  TimeNs now_of(Rank) const override { return sim_.now(); }
+  void schedule(Rank, TimeNs t, sim::EventFn fn) override {
+    sim_.at(t, std::move(fn));
+  }
+  obs::Recorder* recorder_of(Rank) const override { return obs_; }
+  gpu::Device* gpu_of(Rank r) override;
+  Recovery* recovery_of(Rank r) override;
+  tune::Tuner* tuner_service() override { return options_.tuning.get(); }
+  tune::PlanCache* plan_cache_service() override { return plan_cache_.get(); }
 
   const topo::Machine& machine_;
   SimEngineOptions options_;
@@ -139,21 +139,12 @@ class SimEngine final : public Engine {
   /// any frame still parked in a pending event at teardown.
   support::FrameArena frame_arena_;
   obs::Recorder* obs_ = nullptr;  ///< null unless options_.recorder enabled
-  /// Sampled at construction: when logging is on, rank callbacks run under a
-  /// ScopedLogContext so lines carry virtual time + rank. When off, callbacks
-  /// are scheduled unwrapped — no extra capture on the hot path.
-  bool log_ctx_ = false;
   sim::Simulator sim_;
   net::ClusterNet net_;
-  std::shared_ptr<noise::NoiseModel> noise_;
   std::unique_ptr<net::FaultInjector> injector_;
   std::vector<std::unique_ptr<mpi::ReliableChannel>> channels_;
   std::unique_ptr<SimTransport> transport_;
-  std::vector<std::unique_ptr<SimRankExecutor>> executors_;
-  std::vector<std::unique_ptr<mpi::Endpoint>> endpoints_;
-  std::vector<std::unique_ptr<SimContext>> contexts_;
-  std::vector<TimeNs> busy_until_;           // main thread, noise applies
-  std::vector<TimeNs> progress_busy_until_;  // progress context
+  RankCore core_;
   std::unique_ptr<gpu::GpuRuntime> gpu_;
   std::unique_ptr<tune::PlanCache> plan_cache_;
   std::unique_ptr<RecoveryService> recovery_;

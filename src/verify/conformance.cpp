@@ -144,8 +144,7 @@ std::vector<Rank> comm_members(CommKind comm, int world) {
   return members;
 }
 
-std::string repro_string(const CaseConfig& config, const RunSpec& spec,
-                         Fault fault) {
+std::string config_string(const CaseConfig& config) {
   std::ostringstream out;
   out << "collective=" << collective_name(config.collective)
       << " style=" << coll::style_name(config.style)
@@ -161,14 +160,22 @@ std::string repro_string(const CaseConfig& config, const RunSpec& spec,
       << " rankmap=" << rankmap_name(config.rankmap)
       << " data_seed=" << config.data_seed
       << " persistent=" << (config.persistent ? 1 : 0)
-      << " starts=" << config.starts << " parts=" << config.partitions
-      << " engine=" << engine_name(spec.engine)
+      << " starts=" << config.starts << " parts=" << config.partitions;
+  return out.str();
+}
+
+std::string repro_string(const CaseConfig& config, const RunSpec& spec,
+                         Fault fault) {
+  std::ostringstream out;
+  out << config_string(config) << " engine=" << engine_name(spec.engine)
       << " perturb_seed=" << spec.perturb_seed << " jitter=" << spec.jitter
       << " chaos=" << chaos_name(spec.chaos)
       << " chaos_seed=" << spec.chaos_seed
       << " wd_detect=" << spec.wd_detect
       << " wd_quiesce=" << spec.wd_quiesce << " wd_bomb=" << spec.wd_bomb
-      << " shards=" << spec.shards << " fault=" << fault_name(fault);
+      << " shards=" << spec.shards
+      << " cross_engine=" << (spec.cross_engine ? 1 : 0)
+      << " fault=" << fault_name(fault);
   return out.str();
 }
 
@@ -274,6 +281,11 @@ bool parse_repro(const std::string& line, CaseConfig* config, RunSpec* spec,
     } else if (key == "shards") {
       // Absent on pre-sharded repro lines; those parse to the default.
       ok = as_int(&run.shards) && run.shards >= 1;
+    } else if (key == "cross_engine") {
+      // Absent on older repro lines; those parse to the default.
+      int flag = 0;
+      ok = as_int(&flag) && (flag == 0 || flag == 1);
+      run.cross_engine = flag == 1;
     } else if (key == "fault") {
       ok = enum_from_name(value, 3, fault_name, &flt);
     } else {
@@ -395,9 +407,16 @@ std::string diff_buffers(const CaseIo& io,
 
 }  // namespace
 
-std::optional<std::string> run_case(const CaseConfig& config,
+namespace {
+
+/// One run of `config` under `spec` (cross_engine ignored), diffed against
+/// the oracle. `sharing` selects the SimEngine's fabric; `finish`, when set,
+/// receives every rank's finish time of a SimEngine or sharded run.
+std::optional<std::string> run_once(const CaseConfig& config,
                                     const RunSpec& spec, Fault fault,
-                                    std::shared_ptr<obs::Recorder> recorder) {
+                                    std::shared_ptr<obs::Recorder> recorder,
+                                    net::SharingPolicy sharing,
+                                    std::vector<TimeNs>* finish) {
   const std::vector<Rank> members = comm_members(config.comm, config.world);
   const int p = static_cast<int>(members.size());
   ADAPT_CHECK(config.root >= 0 && config.root < p)
@@ -621,6 +640,7 @@ std::optional<std::string> run_case(const CaseConfig& config,
   try {
     if (spec.engine == EngineKind::kSim) {
       runtime::SimEngineOptions engine_opts;
+      engine_opts.sharing = sharing;
       engine_opts.recorder = std::move(recorder);
       if (spec.perturb_seed != 0) {
         engine_opts.perturb = sim::PerturbConfig{
@@ -636,7 +656,8 @@ std::optional<std::string> run_case(const CaseConfig& config,
       }
       runtime::SimEngine engine(machine, engine_opts);
       if (!chaos) {
-        engine.run(body);
+        const runtime::RunResult result = engine.run(body);
+        if (finish) *finish = result.rank_finish;
       } else {
         const auto chaos_program = [&](runtime::Context& ctx) -> sim::Task<> {
           const Rank g = ctx.rank();
@@ -684,7 +705,8 @@ std::optional<std::string> run_case(const CaseConfig& config,
       engine_opts.shards = spec.shards;
       engine_opts.recorder = std::move(recorder);
       runtime::ShardedEngine engine(machine, engine_opts);
-      engine.run(body);
+      const runtime::RunResult result = engine.run(body);
+      if (finish) *finish = result.rank_finish;
     } else {
       runtime::ThreadEngine engine(machine);
       engine.run(body);
@@ -784,6 +806,99 @@ std::optional<std::string> run_case(const CaseConfig& config,
                    dead_local.empty() ? nullptr : &dead_local);
   if (!diff.empty()) return diff;
   return std::nullopt;
+}
+
+/// Rows whose finish times still differ between the sharded engine and the
+/// uncontended SimEngine, pinned with the first event at which their traces
+/// diverge (adapt-trace diff). Both engines price every message alike; they
+/// differ only in how they order events due at the same instant — the
+/// SimEngine by insertion sequence, the sharded engine by (producer rank,
+/// per-producer sequence) keys. Running the SimEngine on keyed events
+/// (ROADMAP item 1) empties this list.
+struct TieOrderRow {
+  const char* config;  ///< config_string of the row
+  const char* first_divergence;
+};
+constexpr const char* kWorldTie =
+    "t=11276 ns on rank 1: its seg-3 eager send to rank 2 completes as rank "
+    "0's seg-6 eager arrives; the SimEngine runs the completion first and "
+    "forwards seg 5 at 11276 ns, the sharded engine runs the arrival first "
+    "(rank 0's key) and its receive overhead holds seg 5 until 11426 ns";
+constexpr const char* kSliceTie =
+    "t=8492 ns on rank 3: its seg-3 eager send to rank 4 completes as rank "
+    "2's seg-6 eager arrives; the SimEngine runs the completion first and "
+    "forwards seg 5 at 8492 ns, the sharded engine runs the arrival first "
+    "(rank 2's key) and its receive overhead holds seg 5 until 8642 ns";
+constexpr TieOrderRow kTieOrderRows[] = {
+    {"collective=allreduce style=adapt lib=- ag=ring dtype=int32 "
+     "op=sum world=12 comm=world root=0 bytes=2048 seg=256 N=2 M=4 "
+     "tree=topo ppn=0 rankmap=dense data_seed=64 persistent=0 "
+     "starts=3 parts=0",
+     kWorldTie},
+    {"collective=allreduce style=adapt lib=- ag=ring dtype=int32 "
+     "op=sum world=12 comm=slice root=0 bytes=2048 seg=256 N=2 M=4 "
+     "tree=topo ppn=0 rankmap=dense data_seed=65 persistent=0 "
+     "starts=3 parts=0",
+     kSliceTie},
+    {"collective=allreduce style=adapt lib=- ag=ring dtype=double "
+     "op=sum world=12 comm=world root=0 bytes=2048 seg=256 N=2 M=4 "
+     "tree=topo ppn=0 rankmap=dense data_seed=66 persistent=0 "
+     "starts=3 parts=0",
+     kWorldTie},
+    {"collective=allreduce style=adapt lib=- ag=ring dtype=double "
+     "op=sum world=12 comm=slice root=0 bytes=2048 seg=256 N=2 M=4 "
+     "tree=topo ppn=0 rankmap=dense data_seed=67 persistent=0 "
+     "starts=3 parts=0",
+     kSliceTie},
+};
+
+/// Compares a cross-engine row's finish times; nullopt when they agree, or
+/// when they differ on a pinned tie-order row.
+std::optional<std::string> diff_finish(const CaseConfig& config,
+                                       const std::vector<TimeNs>& sharded,
+                                       const std::vector<TimeNs>& reference) {
+  const std::string key = config_string(config);
+  const TieOrderRow* pinned = nullptr;
+  for (const TieOrderRow& row : kTieOrderRows) {
+    if (key == row.config) pinned = &row;
+  }
+  for (std::size_t r = 0; r < sharded.size(); ++r) {
+    if (sharded[r] == reference[r]) continue;
+    if (pinned) return std::nullopt;
+    std::ostringstream out;
+    out << "cross-engine: rank " << r << " finishes at " << sharded[r]
+        << " ns on the sharded engine but " << reference[r]
+        << " ns on the uncontended SimEngine";
+    return out.str();
+  }
+  if (!pinned) return std::nullopt;
+  return std::string("cross-engine: pinned tie-order row now agrees with the "
+                     "uncontended SimEngine; remove it from kTieOrderRows (")
+         + pinned->first_divergence + ")";
+}
+
+}  // namespace
+
+std::optional<std::string> run_case(const CaseConfig& config,
+                                    const RunSpec& spec, Fault fault,
+                                    std::shared_ptr<obs::Recorder> recorder) {
+  const net::SharingPolicy fair = net::SharingPolicy::kFairShare;
+  if (!spec.cross_engine) {
+    return run_once(config, spec, fault, std::move(recorder), fair, nullptr);
+  }
+  ADAPT_CHECK(spec.engine == EngineKind::kSharded)
+      << "cross-engine runs compare the sharded engine with the SimEngine";
+  std::vector<TimeNs> sharded;
+  std::vector<TimeNs> reference;
+  if (auto mismatch =
+          run_once(config, spec, fault, std::move(recorder), fair, &sharded)) {
+    return mismatch;
+  }
+  if (auto mismatch = run_once(config, RunSpec{}, fault, nullptr,
+                               net::SharingPolicy::kUncontended, &reference)) {
+    return "uncontended SimEngine: " + *mismatch;
+  }
+  return diff_finish(config, sharded, reference);
 }
 
 // ----------------------------------------------------------------- shrink ---
@@ -1325,6 +1440,15 @@ std::string write_failure_trace(const CaseConfig& config, const RunSpec& spec,
   obs::write_metrics_file(*recorder,
                           trace_dir + "/failure-" + std::to_string(index) +
                               ".metrics.csv");
+  if (spec.cross_engine) {
+    // The other half of a cross-engine mismatch, for adapt-trace diff.
+    auto reference = std::make_shared<obs::Recorder>();
+    run_once(config, RunSpec{}, fault, reference,
+             net::SharingPolicy::kUncontended, nullptr);
+    obs::write_trace_file(*reference, trace_dir + "/failure-" +
+                                          std::to_string(index) +
+                                          ".reference.trace.json");
+  }
   return path;
 }
 
@@ -1435,11 +1559,12 @@ Report run_matrix(const std::vector<CaseConfig>& cases,
           RunSpec sharded;
           sharded.engine = EngineKind::kSharded;
           sharded.shards = 1;
-          specs.push_back(sharded);
           if (options.sharded_shards > 1) {
-            sharded.shards = options.sharded_shards;
             specs.push_back(sharded);
+            sharded.shards = options.sharded_shards;
           }
+          sharded.cross_engine = true;
+          specs.push_back(sharded);
         }
         return specs;
       },

@@ -171,10 +171,19 @@ struct RunSpec {
   /// Worker shards for kSharded runs (clamped by the engine to the machine's
   /// block count); ignored by the other engines.
   int shards = 1;
+  /// kSharded runs only: also run the case once on the SimEngine with
+  /// net::SharingPolicy::kUncontended (stable schedule), and fail unless
+  /// every rank finishes at the same virtual time on both engines. A few
+  /// rows are pinned as known same-instant tie-order differences instead
+  /// (kTieOrderRows in conformance.cpp); they fail if they start to agree.
+  bool cross_engine = false;
 };
 
 /// Members of the case's communicator as global ranks of `world`.
 std::vector<Rank> comm_members(CommKind comm, int world);
+
+/// The case half of a repro line: every CaseConfig key, no RunSpec keys.
+std::string config_string(const CaseConfig& config);
 
 /// Self-contained one-line reproducer, parseable by parse_repro.
 std::string repro_string(const CaseConfig& config, const RunSpec& spec,
@@ -244,8 +253,9 @@ struct MatrixOptions {
   /// > 0: every eligible case (non-persistent, non-partitioned) also runs on
   /// the sharded engine under the stable schedule, at 1 shard and at this
   /// many shards — certifying that partitioning the event core across
-  /// threads cannot change a collective's bytes. 0 (default) adds no
-  /// sharded rows.
+  /// threads cannot change a collective's bytes. The last of those runs is
+  /// also a RunSpec::cross_engine run: its finish times must match the
+  /// uncontended SimEngine's. 0 (default) adds no sharded rows.
   int sharded_shards = 0;
 };
 

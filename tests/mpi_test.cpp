@@ -263,11 +263,14 @@ TEST(P2P, WaitAnyReturnsACompletedIndex) {
 
 // MPI's non-overtaking rule: messages between one pair with the same tag
 // match receives in the order they were sent, whatever their sizes. A
-// trailing zero-byte message must wait behind the larger ones still queued
-// on the pair's transmit queue instead of completing after alpha alone.
-std::vector<Bytes> arrival_sizes_of_trailing_empty_message(Rank target) {
+// trailing small message must wait behind the larger ones still queued on
+// the pair's transmit queue instead of completing after alpha alone — under
+// either sharing policy.
+std::vector<Bytes> arrival_sizes_of_trailing_message(
+    Rank target, Bytes trailing,
+    net::SharingPolicy sharing = net::SharingPolicy::kFairShare) {
   topo::Machine m(topo::cori(2), 64);
-  SimEngine engine(m);
+  SimEngine engine(m, {.sharing = sharing});
   std::vector<Bytes> sizes;
   auto program = [&](Context& ctx) -> sim::Task<> {
     if (ctx.rank() == 0) {
@@ -275,7 +278,7 @@ std::vector<Bytes> arrival_sizes_of_trailing_empty_message(Rank target) {
       for (int i = 0; i < 3; ++i) {
         reqs.push_back(ctx.isend(target, 5, ConstView{nullptr, kib(32)}));
       }
-      reqs.push_back(ctx.isend(target, 5, ConstView{nullptr, 0}));
+      reqs.push_back(ctx.isend(target, 5, ConstView{nullptr, trailing}));
       co_await wait_all(reqs);
     } else if (ctx.rank() == target) {
       std::vector<RequestPtr> reqs;
@@ -291,13 +294,22 @@ std::vector<Bytes> arrival_sizes_of_trailing_empty_message(Rank target) {
 }
 
 TEST(P2P, ZeroByteMessageDoesNotOvertakeInterNode) {
-  EXPECT_EQ(arrival_sizes_of_trailing_empty_message(32),
+  EXPECT_EQ(arrival_sizes_of_trailing_message(32, 0),
             (std::vector<Bytes>{kib(32), kib(32), kib(32), 0}));
 }
 
 TEST(P2P, ZeroByteMessageDoesNotOvertakeIntraNode) {
-  EXPECT_EQ(arrival_sizes_of_trailing_empty_message(1),
+  EXPECT_EQ(arrival_sizes_of_trailing_message(1, 0),
             (std::vector<Bytes>{kib(32), kib(32), kib(32), 0}));
+}
+
+TEST(P2P, UncontendedSmallMessageDoesNotOvertake) {
+  for (const Rank target : {1, 32}) {
+    EXPECT_EQ(arrival_sizes_of_trailing_message(
+                  target, 1, net::SharingPolicy::kUncontended),
+              (std::vector<Bytes>{kib(32), kib(32), kib(32), 1}))
+        << "target rank " << target;
+  }
 }
 
 TEST(P2P, CompletionCallbackFires) {

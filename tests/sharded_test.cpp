@@ -3,7 +3,8 @@
 //
 // The contract under test (DESIGN.md §14): traces, metrics, collective
 // payload bytes and the rank-state gauge are byte-identical for ANY --shards
-// value, including 1. The procedural-topology pins lock the O(1) route
+// value, including 1, and every rank finishes at the same time as on the
+// SimEngine with uncontended links. The procedural-topology pins lock the O(1) route
 // arithmetic the shard mapper and the lookahead bound are built on, and the
 // scale tests hold the per-rank memory footprint to a documented budget at
 // 4096 and 65,536 ranks.
@@ -20,11 +21,13 @@
 #include <vector>
 
 #include "src/coll/coll.hpp"
+#include "src/coll/library.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/mpi/payload.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/sharded_engine.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/topo/presets.hpp"
 #include "src/topo/procedural.hpp"
 #include "src/verify/conformance.hpp"
@@ -353,6 +356,78 @@ TEST(ShardedEngine, GoldenHashes4096) {
   EXPECT_EQ(run.trace.size(), want["bcast4096_trace"].second);
   EXPECT_EQ(hex(verify::fnv1a64(run.csv)), want["bcast4096_metrics"].first);
   EXPECT_EQ(run.csv.size(), want["bcast4096_metrics"].second);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-engine differential: both engines run ranks on one RankCore and price
+// every message with its pair's net::PairClock, so the sharded engine at any
+// shard count reproduces the uncontended SimEngine's finish times rank by
+// rank.
+// ---------------------------------------------------------------------------
+
+void expect_engines_agree(const topo::Machine& machine,
+                          const runtime::RankProgram& program,
+                          const std::string& what) {
+  runtime::SimEngine reference(
+      machine, {.sharing = net::SharingPolicy::kUncontended});
+  const std::vector<TimeNs> want = reference.run(program).rank_finish;
+  for (const int shards : {1, 2, 4}) {
+    runtime::ShardedEngine engine(machine, {.shards = shards});
+    EXPECT_EQ(engine.run(program).rank_finish, want)
+        << what << " at shards=" << shards;
+  }
+}
+
+TEST(EngineDifferential, Fig10PointMatchesUncontendedSimEngine) {
+  // The paper's Fig. 10 point: Cori 8 x 32 ranks, 4 MiB, every end-to-end
+  // personality, both operations, a node-leader root and an interior one.
+  const topo::Machine machine(topo::cori(8), 256);
+  const mpi::Comm world = mpi::Comm::world(256);
+  for (const std::string& name : coll::end_to_end_libraries("cori")) {
+    const std::shared_ptr<coll::MpiLibrary> lib =
+        coll::make_library(name, machine);
+    for (const bool is_bcast : {true, false}) {
+      for (const Rank root : {0, 37}) {
+        const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+          const mpi::MutView buf{nullptr, mib(4)};
+          if (is_bcast) {
+            co_await lib->bcast(ctx, world, buf, root);
+          } else {
+            co_await lib->reduce(ctx, world, buf, mpi::ReduceOp::kSum,
+                                 mpi::Datatype::kFloat, root);
+          }
+        };
+        expect_engines_agree(machine, program,
+                             name + (is_bcast ? " bcast" : " reduce") +
+                                 " root=" + std::to_string(root));
+      }
+    }
+  }
+}
+
+TEST(EngineDifferential, AdaptAt1024RanksMatchesUncontendedSimEngine) {
+  // ADAPT topo-chain bcast and reduce, 1 MiB in 64 KiB segments: the
+  // leaders' inter-node and intra-node sends overlap on both engines.
+  const int n = 1024;
+  const topo::Machine machine(topo::cori(n / 32), n);
+  const mpi::Comm world = mpi::Comm::world(n);
+  const coll::Tree tree = coll::build_topo_tree(machine, world, 0);
+  const coll::CollOpts opts{.segment_size = kib(64)};
+  for (const bool is_bcast : {true, false}) {
+    const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      const mpi::MutView buf{nullptr, mib(1)};
+      if (is_bcast) {
+        co_await coll::bcast(ctx, world, buf, 0, tree, coll::Style::kAdapt,
+                             opts);
+      } else {
+        co_await coll::reduce(ctx, world, buf, mpi::ReduceOp::kSum,
+                              mpi::Datatype::kFloat, 0, tree,
+                              coll::Style::kAdapt, opts);
+      }
+    };
+    expect_engines_agree(machine, program,
+                         is_bcast ? "adapt bcast" : "adapt reduce");
+  }
 }
 
 // ---------------------------------------------------------------------------
