@@ -9,8 +9,8 @@ namespace adapt::coll {
 namespace {
 
 /// Leader of a node group: the root when present, otherwise the first member
-/// in communicator order (matching hierarchical.hpp's election so the two
-/// designs are comparable head to head).
+/// in communicator order (hierarchical.hpp's sequential design elects through
+/// han_groups too, so the two designs are comparable head to head).
 Rank leader_of(const mpi::Comm& node, Rank root_global) {
   return node.contains(root_global) ? root_global : node.members().front();
 }

@@ -1,51 +1,19 @@
 #include "src/coll/hierarchical.hpp"
 
-#include <algorithm>
-#include <map>
-
+#include "src/coll/han.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::coll {
 
 namespace {
 
-struct HierGroups {
-  mpi::Comm leaders{std::vector<Rank>{0}};  ///< global ranks of node leaders
-  mpi::Comm my_node{std::vector<Rank>{0}};  ///< global ranks on my node
-  Rank my_leader_global = -1;
-  Rank root_leader_global = -1;
-  bool am_leader = false;
-};
-
-/// Splits `comm` by node. The root leads its node; elsewhere the smallest
-/// member leads.
-HierGroups split(const runtime::Context& ctx, const mpi::Comm& comm,
-                 const topo::Machine& machine, Rank root) {
-  const Rank root_global = comm.global(root);
-  std::map<int, std::vector<Rank>> nodes;  // node id -> global members
-  for (Rank local = 0; local < comm.size(); ++local) {
-    const Rank g = comm.global(local);
-    nodes[machine.node_of(g)].push_back(g);
+/// The caller's node group in `g` (han_groups splits by node; the root leads
+/// its node, elsewhere the first member in communicator order leads).
+std::size_t node_of(const HanGroups& g, Rank rank) {
+  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+    if (g.nodes[i].contains(rank)) return i;
   }
-  std::vector<Rank> leaders;
-  leaders.reserve(nodes.size());
-  for (auto& [node, members] : nodes) {
-    const bool has_root =
-        std::find(members.begin(), members.end(), root_global) !=
-        members.end();
-    leaders.push_back(has_root ? root_global : members.front());
-  }
-
-  HierGroups g;
-  const int my_node_id = machine.node_of(ctx.rank());
-  g.my_node = mpi::Comm(nodes.at(my_node_id));
-  const bool my_node_has_root = g.my_node.contains(root_global);
-  g.my_leader_global =
-      my_node_has_root ? root_global : g.my_node.members().front();
-  g.root_leader_global = root_global;
-  g.am_leader = g.my_leader_global == ctx.rank();
-  g.leaders = mpi::Comm(std::move(leaders));
-  return g;
+  ADAPT_UNREACHABLE("rank outside the communicator");
 }
 
 }  // namespace
@@ -53,25 +21,28 @@ HierGroups split(const runtime::Context& ctx, const mpi::Comm& comm,
 sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
                        mpi::MutView buffer, Rank root,
                        const topo::Machine& machine, const HierSpec& spec) {
-  const HierGroups g = split(ctx, comm, machine, root);
+  const HanGroups g = han_groups(comm, machine, root);
+  const std::size_t node = node_of(g, ctx.rank());
+  const mpi::Comm& my_node = g.nodes[node];
+  const Rank my_leader = g.leaders.global(static_cast<Rank>(node));
   const Segmenter segs(buffer.size, spec.opts.segment_size);
   // Both phases' tags are allocated on EVERY rank so counters stay aligned
   // even though only leaders run phase 1.
   const Tag inter_tag = ctx.alloc_tags(segs.count());
   const Tag intra_tag = ctx.alloc_tags(segs.count());
 
-  if (g.am_leader && g.leaders.size() > 1) {
-    const Rank leader_root = g.leaders.local_of(g.root_leader_global);
+  if (my_leader == ctx.rank() && g.leaders.size() > 1) {
+    const Rank leader_root = g.leaders.local_of(comm.global(root));
     const Tree tree = build_tree(spec.inter_node, g.leaders.size(),
                                      leader_root, spec.radix);
     co_await bcast_tagged(ctx, g.leaders, buffer, leader_root, tree,
                           spec.style, spec.opts, inter_tag);
   }
-  if (g.my_node.size() > 1) {
-    const Rank node_root = g.my_node.local_of(g.my_leader_global);
-    const Tree tree = build_tree(spec.intra_node, g.my_node.size(),
+  if (my_node.size() > 1) {
+    const Rank node_root = my_node.local_of(my_leader);
+    const Tree tree = build_tree(spec.intra_node, my_node.size(),
                                      node_root, spec.radix);
-    co_await bcast_tagged(ctx, g.my_node, buffer, node_root, tree, spec.style,
+    co_await bcast_tagged(ctx, my_node, buffer, node_root, tree, spec.style,
                           spec.opts, intra_tag);
   }
 }
@@ -80,20 +51,23 @@ sim::Task<> hier_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                         mpi::MutView accum, mpi::ReduceOp op,
                         mpi::Datatype dtype, Rank root,
                         const topo::Machine& machine, const HierSpec& spec) {
-  const HierGroups g = split(ctx, comm, machine, root);
+  const HanGroups g = han_groups(comm, machine, root);
+  const std::size_t node = node_of(g, ctx.rank());
+  const mpi::Comm& my_node = g.nodes[node];
+  const Rank my_leader = g.leaders.global(static_cast<Rank>(node));
   const Segmenter segs(accum.size, spec.opts.segment_size);
   const Tag intra_tag = ctx.alloc_tags(segs.count());
   const Tag inter_tag = ctx.alloc_tags(segs.count());
 
-  if (g.my_node.size() > 1) {
-    const Rank node_root = g.my_node.local_of(g.my_leader_global);
-    const Tree tree = build_tree(spec.intra_node, g.my_node.size(),
+  if (my_node.size() > 1) {
+    const Rank node_root = my_node.local_of(my_leader);
+    const Tree tree = build_tree(spec.intra_node, my_node.size(),
                                      node_root, spec.radix);
-    co_await reduce_tagged(ctx, g.my_node, accum, op, dtype, node_root, tree,
+    co_await reduce_tagged(ctx, my_node, accum, op, dtype, node_root, tree,
                            spec.style, spec.opts, intra_tag);
   }
-  if (g.am_leader && g.leaders.size() > 1) {
-    const Rank leader_root = g.leaders.local_of(g.root_leader_global);
+  if (my_leader == ctx.rank() && g.leaders.size() > 1) {
+    const Rank leader_root = g.leaders.local_of(comm.global(root));
     const Tree tree = build_tree(spec.inter_node, g.leaders.size(),
                                      leader_root, spec.radix);
     co_await reduce_tagged(ctx, g.leaders, accum, op, dtype, leader_root, tree,

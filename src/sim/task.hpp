@@ -221,37 +221,4 @@ class Trigger {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Countdown latch: fires once `signal()` has been called `count` times.
-/// A zero-count latch is born fired.
-class Countdown {
- public:
-  explicit Countdown(int count) : remaining_(count) {
-    ADAPT_CHECK(count >= 0);
-    if (remaining_ == 0) trigger_.fire();
-  }
-
-  void signal() {
-    if (forced_) return;  // late completions after an error-path force()
-    ADAPT_CHECK(remaining_ > 0) << "countdown signalled below zero";
-    if (--remaining_ == 0) trigger_.fire();
-  }
-
-  /// Error path: fires the trigger now regardless of the remaining count and
-  /// turns later signal()s into no-ops. Used by callback state machines that
-  /// must wake their awaiter once an operation has failed.
-  void force() {
-    forced_ = true;
-    remaining_ = 0;
-    trigger_.fire();
-  }
-
-  int remaining() const { return remaining_; }
-  auto operator co_await() noexcept { return trigger_.operator co_await(); }
-
- private:
-  int remaining_;
-  bool forced_ = false;
-  Trigger trigger_;
-};
-
 }  // namespace adapt::sim
