@@ -28,27 +28,22 @@
 
 namespace adapt::net {
 
-/// Sharing discipline. kFairShare divides each shared link max-min fairly
-/// among its flows. kUncontended gives links unbounded capacity (pure
-/// Hockney, for the contention ablation and the sharded engine's reference):
-/// a message then pays only its route's alpha and single-stream rate, but it
-/// still waits for its pair's transmit queue, priced in closed form by a
-/// PairClock. Both policies keep MPI's non-overtaking order between a pair.
+/// Sharing discipline. kFairShare divides each link max-min fairly among
+/// its flows. kUncontended gives links unbounded capacity (pure Hockney, for
+/// the contention ablation and as the sharded engine's model), but a keyed
+/// message still waits for its pair's transmit queue (PairClock), so
+/// neither policy lets a message overtake an earlier one to the same peer.
 enum class SharingPolicy { kFairShare, kUncontended };
 
-/// Streaming time of `bytes` at a route's single-stream rate, rounded up to a
-/// whole nanosecond (the fabric's rounding, so every engine agrees).
+/// Time to stream `bytes` at `per_flow_cap`, rounded up to a whole ns.
 inline TimeNs stream_time(Bytes bytes, double per_flow_cap) {
   return static_cast<TimeNs>(
       std::ceil(static_cast<double>(bytes) / per_flow_cap));
 }
 
-/// One (src, dst) pair's serial transmit queue in closed form: a message
-/// starts streaming once its startup latency has elapsed and the pair's
-/// previous message has fully arrived,
-///   arrive = max(now + alpha, free_at) + stream_time(bytes),
-/// and the pair is busy until it arrives. The fluid fabric's kUncontended
-/// transfers and the sharded engine's transport both price messages with it.
+/// A (src, dst) pair's serial transmit queue in closed form, shared by the
+/// fabric's kUncontended path and the sharded engine: a message streams once
+/// its alpha has elapsed and the pair's previous message has arrived.
 struct PairClock {
   TimeNs free_at = 0;
 

@@ -119,56 +119,44 @@ mpi::Endpoint& RankCore::endpoint(Rank r) {
 }
 
 void RankCore::run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost) {
-  ADAPT_CHECK(cpu_cost >= 0);
-  const TimeNs now = host_.now_of(r);
-  TimeNs& busy = busy_until_[static_cast<std::size_t>(r)];
-  const TimeNs ready = std::max(now, busy);
-  const TimeNs start = noise_->next_free(r, ready);
-  busy = start + cpu_cost;
-  if (obs::Recorder* rec = host_.recorder_of(r)) {
-    rec->cpu_task(r, /*progress=*/false, now, ready, start, busy);
-  }
-  if (log_ctx_) {
-    const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
-    host_.schedule(r, busy, [r, rank, fn = std::move(fn)] {
-      ScopedLogContext lc(r, &SimRank::log_now, rank);
-      fn();
-    });
-    return;
-  }
-  host_.schedule(r, busy, std::move(fn));
+  post(r, occupy(r, /*progress=*/false, /*noisy=*/true, cpu_cost),
+       std::move(fn));
 }
 
 void RankCore::run_progress(Rank r, std::function<void()> fn,
                             TimeNs cpu_cost) {
-  ADAPT_CHECK(cpu_cost >= 0);
-  const TimeNs now = host_.now_of(r);
-  TimeNs& busy = progress_busy_until_[static_cast<std::size_t>(r)];
-  const TimeNs ready = std::max(now, busy);
-  busy = ready + cpu_cost;
-  if (obs::Recorder* rec = host_.recorder_of(r)) {
-    rec->cpu_task(r, /*progress=*/true, now, ready, ready, busy);
-  }
-  if (log_ctx_) {
-    const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
-    host_.schedule(r, busy, [r, rank, fn = std::move(fn)] {
-      ScopedLogContext lc(r, &SimRank::log_now, rank);
-      fn();
-    });
-    return;
-  }
-  host_.schedule(r, busy, std::move(fn));
+  post(r, occupy(r, /*progress=*/true, /*noisy=*/false, cpu_cost),
+       std::move(fn));
 }
 
 void RankCore::charge(Rank r, TimeNs cpu_cost) {
+  occupy(r, /*progress=*/false, /*noisy=*/false, cpu_cost);
+}
+
+TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   ADAPT_CHECK(cpu_cost >= 0);
+  const auto i = static_cast<std::size_t>(r);
+  TimeNs& busy = progress ? progress_busy_until_[i] : busy_until_[i];
   const TimeNs now = host_.now_of(r);
-  TimeNs& busy = busy_until_[static_cast<std::size_t>(r)];
   const TimeNs ready = std::max(now, busy);
-  busy = ready + cpu_cost;
+  const TimeNs start = noisy ? noise_->next_free(r, ready) : ready;
+  busy = start + cpu_cost;
   if (obs::Recorder* rec = host_.recorder_of(r)) {
-    rec->cpu_task(r, /*progress=*/false, now, ready, ready, busy);
+    rec->cpu_task(r, progress, now, ready, start, busy);
   }
+  return busy;
+}
+
+void RankCore::post(Rank r, TimeNs t, std::function<void()> fn) {
+  if (!log_ctx_) {
+    host_.schedule(r, t, std::move(fn));
+    return;
+  }
+  const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
+  host_.schedule(r, t, [r, rank, fn = std::move(fn)] {
+    ScopedLogContext lc(r, &SimRank::log_now, rank);
+    fn();
+  });
 }
 
 void RankCore::launch(const RankProgram& program) {

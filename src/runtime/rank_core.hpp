@@ -20,7 +20,6 @@
 #include "src/noise/noise.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/context.hpp"
-#include "src/sim/event_queue.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/topo/hardware.hpp"
 
@@ -32,7 +31,7 @@ class RankHost {
   /// Current time on rank r's clock.
   virtual TimeNs now_of(Rank r) const = 0;
   /// Schedules fn as an event of rank r at absolute time t (>= now_of(r)).
-  virtual void schedule(Rank r, TimeNs t, sim::EventFn fn) = 0;
+  virtual void schedule(Rank r, TimeNs t, std::function<void()>&& fn) = 0;
   /// Rank r's recorder, or null when observability is off.
   virtual obs::Recorder* recorder_of(Rank r) const = 0;
 
@@ -90,6 +89,14 @@ class RankCore {
 
  private:
   class SimRank;
+
+  /// Occupies one of rank r's timelines (main thread or progress context)
+  /// for `cpu_cost` from when it is free, noise delaying the start when
+  /// `noisy`; records the task and returns when the timeline frees again.
+  TimeNs occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost);
+  /// Schedules `fn` for rank r at `t`, under the rank's log context when
+  /// logging is on.
+  void post(Rank r, TimeNs t, std::function<void()> fn);
 
   RankHost& host_;
   support::BufferPool& pool_;

@@ -18,90 +18,79 @@ constexpr int kRankBits = 20;
 
 }  // namespace
 
-// -------------------------------------------------------- ShardTransport ---
+// ------------------------------------------------------------ transport ---
 
-// One stateless-per-call transport serves every shard: all mutable state it
+// The engine is the transport of every shard: all mutable state a submit
 // touches (pair clocks, shard queues, mailboxes, recorders) is owned by the
 // producing rank's shard, so concurrent submits from different shards never
 // share data. Delivery, completion and protocol legs are events keyed by the
 // producing rank — the rank whose callback is executing at schedule time —
 // which is what keeps per-rank sequence draws invariant to sharding.
-class ShardedEngine::ShardTransport final : public mpi::Transport {
- public:
-  explicit ShardTransport(ShardedEngine& engine) : engine_(engine) {}
-
-  void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
-              std::function<void()> on_sent,
-              std::function<void(mpi::ErrCode)> on_failed) override {
-    ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
-        << "the sharded engine is host-only; use SimEngine for GPU runs";
-    (void)on_failed;  // no fault injection here: every submit succeeds
-    const topo::RouteCost rc = engine_.topo_->route(env.src, env.dst);
-    if (env.size <= engine_.machine_.spec().eager_threshold) {
-      submit_eager(rc, std::move(env), std::move(on_sent));
-    } else {
-      submit_rendezvous(rc, std::move(env), std::move(on_sent));
-    }
+void ShardedEngine::submit(mpi::Envelope env, MemSpace src_space,
+                           MemSpace dst_space, std::function<void()> on_sent,
+                           std::function<void(mpi::ErrCode)> on_failed) {
+  ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
+      << "the sharded engine is host-only; use SimEngine for GPU runs";
+  (void)on_failed;  // no fault injection here: every submit succeeds
+  const topo::RouteCost rc = topo_->route(env.src, env.dst);
+  if (env.size <= machine_.spec().eager_threshold) {
+    submit_eager(rc, std::move(env), std::move(on_sent));
+  } else {
+    submit_rendezvous(rc, std::move(env), std::move(on_sent));
   }
+}
 
- private:
-  /// Eager: data goes on the wire at once, behind the pair's earlier
-  /// messages, and is buffered at the receiver if nothing matches. The
-  /// sender completes at arrival (the last byte left the wire), as in the
-  /// SimEngine's raw eager path.
-  void submit_eager(const topo::RouteCost& rc, mpi::Envelope env,
-                    std::function<void()> on_sent) {
-    ShardedEngine& eng = engine_;
-    const Rank src = env.src;
-    const Rank dst = env.dst;
-    const int ss = eng.shard_of(src);
-    const TimeNs arrive = eng.transmit(
-        src, dst, rc, env.size, static_cast<int>(mpi::Frame::Kind::kEager));
-    eng.post_at(ss, ss, arrive, eng.next_key(src),
-                [&eng, src, on_sent = std::move(on_sent)]() mutable {
-                  eng.core_.run_progress(src, std::move(on_sent), 0);
-                });
-    eng.post_at(ss, eng.shard_of(dst), arrive, eng.next_key(src),
-                [&eng, dst, env = std::move(env)]() mutable {
-                  eng.endpoint(dst).deliver(std::move(env));
-                });
+/// Eager: data goes on the wire at once, behind the pair's earlier messages,
+/// and is buffered at the receiver if nothing matches. The sender completes
+/// at arrival (the last byte left the wire), as in the SimEngine's raw eager
+/// path.
+void ShardedEngine::submit_eager(const topo::RouteCost& rc, mpi::Envelope env,
+                                 std::function<void()> on_sent) {
+  const Rank src = env.src;
+  const Rank dst = env.dst;
+  const int ss = shard_of(src);
+  const TimeNs arrive = transmit(src, dst, rc, env.size,
+                                 static_cast<int>(mpi::Frame::Kind::kEager));
+  post_at(ss, ss, arrive, next_key(src),
+          [this, src, on_sent = std::move(on_sent)]() mutable {
+            core_.run_progress(src, std::move(on_sent), 0);
+          });
+  post_at(ss, shard_of(dst), arrive, next_key(src),
+          [this, dst, env = std::move(env)]() mutable {
+            endpoint(dst).deliver(std::move(env));
+          });
+}
+
+/// Rendezvous: an alpha-only RTS races ahead; the matched receive grants on
+/// the receiver's shard, an alpha-only CTS returns to the sender, and only
+/// then does the bulk data go on the wire (see rendezvous_grant/bulk).
+void ShardedEngine::submit_rendezvous(const topo::RouteCost& rc,
+                                      mpi::Envelope env,
+                                      std::function<void()> on_sent) {
+  const Rank src = env.src;
+  const Rank dst = env.dst;
+  const int ss = shard_of(src);
+  Shard& sh = *shards_[static_cast<std::size_t>(ss)];
+  const TimeNs rts_arrive = sh.now + rc.alpha;
+  if (sh.rec) {
+    sh.rec->transfer_alpha_only(src, dst,
+                                static_cast<int>(mpi::Frame::Kind::kRts),
+                                sh.now, rts_arrive);
   }
-
-  /// Rendezvous: an alpha-only RTS races ahead; the matched receive grants
-  /// on the receiver's shard, an alpha-only CTS returns to the sender, and
-  /// only then does the bulk data go on the wire (see rendezvous_grant/bulk).
-  void submit_rendezvous(const topo::RouteCost& rc, mpi::Envelope env,
-                         std::function<void()> on_sent) {
-    ShardedEngine& eng = engine_;
-    const Rank src = env.src;
-    const Rank dst = env.dst;
-    const int ss = eng.shard_of(src);
-    Shard& sh = *eng.shards_[static_cast<std::size_t>(ss)];
-    const TimeNs now = sh.now;
-    const TimeNs rts_arrive = now + rc.alpha;
-    if (sh.rec) {
-      sh.rec->transfer_alpha_only(src, dst,
-                                  static_cast<int>(mpi::Frame::Kind::kRts),
-                                  now, rts_arrive);
-    }
-    mpi::Envelope rts;
-    rts.src = src;
-    rts.dst = dst;
-    rts.tag = env.tag;
-    rts.size = env.size;
-    rts.grant = [&eng, rc, env = std::move(env),
-                 on_sent = std::move(on_sent)](mpi::PostedRecv recv) mutable {
-      eng.rendezvous_grant(rc, std::move(env), std::move(on_sent),
-                           std::move(recv));
-    };
-    eng.post_at(ss, eng.shard_of(dst), rts_arrive, eng.next_key(src),
-                [&eng, dst, rts = std::move(rts)]() mutable {
-                  eng.endpoint(dst).deliver(std::move(rts));
-                });
-  }
-
-  ShardedEngine& engine_;
-};
+  mpi::Envelope rts;
+  rts.src = src;
+  rts.dst = dst;
+  rts.tag = env.tag;
+  rts.size = env.size;
+  rts.grant = [this, rc, env = std::move(env),
+               on_sent = std::move(on_sent)](mpi::PostedRecv recv) mutable {
+    rendezvous_grant(rc, std::move(env), std::move(on_sent), std::move(recv));
+  };
+  post_at(ss, shard_of(dst), rts_arrive, next_key(src),
+          [this, dst, rts = std::move(rts)]() mutable {
+            endpoint(dst).deliver(std::move(rts));
+          });
+}
 
 TimeNs ShardedEngine::transmit(Rank src, Rank dst, const topo::RouteCost& rc,
                                Bytes bytes, int kind) {
@@ -183,8 +172,7 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
       options_(std::move(options)),
       machine_topo_(machine),
       topo_(options_.topology ? options_.topology : &machine_topo_),
-      transport_(std::make_unique<ShardTransport>(*this)),
-      core_(*this, machine, *transport_, pool_, options_.noise) {
+      core_(*this, machine, *this, pool_, options_.noise) {
   const int n = machine_.nranks();
   ADAPT_CHECK(topo_->nranks() == n)
       << "topology describes " << topo_->nranks() << " ranks but the machine "

@@ -77,7 +77,9 @@ struct ShardedEngineOptions {
   const topo::ProcTopology* topology = nullptr;
 };
 
-class ShardedEngine final : public Engine, private RankHost {
+class ShardedEngine final : public Engine,
+                            private RankHost,
+                            private mpi::Transport {
  public:
   ShardedEngine(const topo::Machine& machine,
                 ShardedEngineOptions options = {});
@@ -106,8 +108,6 @@ class ShardedEngine final : public Engine, private RankHost {
   std::uint64_t rank_state_peak_bytes() const;
 
  private:
-  class ShardTransport;
-
   /// One cross-shard message: an event to be pushed on the destination
   /// shard's queue at the next window boundary.
   struct Msg {
@@ -149,14 +149,21 @@ class ShardedEngine final : public Engine, private RankHost {
   TimeNs now_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->now;
   }
-  void schedule(Rank r, TimeNs t, sim::EventFn fn) override {
+  void schedule(Rank r, TimeNs t, std::function<void()>&& fn) override {
     shard_for(r).queue.push_keyed(t, next_key(r), std::move(fn));
   }
   obs::Recorder* recorder_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->rec.get();
   }
 
-  // Transport legs (see sharded_engine.cpp).
+  // Transport: the eager/rendezvous legs (see sharded_engine.cpp).
+  void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
+              std::function<void()> on_sent,
+              std::function<void(mpi::ErrCode)> on_failed) override;
+  void submit_eager(const topo::RouteCost& rc, mpi::Envelope env,
+                    std::function<void()> on_sent);
+  void submit_rendezvous(const topo::RouteCost& rc, mpi::Envelope env,
+                         std::function<void()> on_sent);
   /// Puts `bytes` from src to dst on the wire at src's shard's now, behind
   /// the pair's earlier messages; returns the arrival time.
   TimeNs transmit(Rank src, Rank dst, const topo::RouteCost& rc, Bytes bytes,
@@ -185,7 +192,6 @@ class ShardedEngine final : public Engine, private RankHost {
   TimeNs lookahead_ = 0;  ///< min cross-shard route alpha
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<support::ShardPool> workers_;  ///< null when shards() == 1
-  std::unique_ptr<ShardTransport> transport_;
   RankCore core_;
   /// Per-producer event sequence, globally indexed: each entry is only ever
   /// touched by the owning rank's shard.

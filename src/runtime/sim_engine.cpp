@@ -614,10 +614,6 @@ TimeNs SimEngine::death_time(Rank r) const {
   return -1;
 }
 
-Context& SimEngine::context(Rank r) { return core_.context(r); }
-
-mpi::Endpoint& SimEngine::endpoint(Rank r) { return core_.endpoint(r); }
-
 gpu::Device* SimEngine::gpu_of(Rank r) {
   return gpu_ ? gpu_->device_for(r) : nullptr;
 }

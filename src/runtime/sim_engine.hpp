@@ -84,10 +84,10 @@ class SimEngine final : public Engine, private RankHost {
   sim::Simulator& simulator() { return sim_; }
   net::ClusterNet& net() { return net_; }
   const topo::Machine& machine() const { return machine_; }
-  Context& context(Rank r);
+  Context& context(Rank r) { return core_.context(r); }
   TimeNs now() const { return sim_.now(); }
 
-  mpi::Endpoint& endpoint(Rank r);
+  mpi::Endpoint& endpoint(Rank r) { return core_.endpoint(r); }
   /// The engine's buffer pool (eager copies, segment staging scratch).
   support::BufferPool& pool() { return pool_; }
   /// Reliability-channel introspection; null when reliability is off.
@@ -119,7 +119,7 @@ class SimEngine final : public Engine, private RankHost {
 
   // RankHost: one virtual clock and one recorder for every rank.
   TimeNs now_of(Rank) const override { return sim_.now(); }
-  void schedule(Rank, TimeNs t, sim::EventFn fn) override {
+  void schedule(Rank, TimeNs t, std::function<void()>&& fn) override {
     sim_.at(t, std::move(fn));
   }
   obs::Recorder* recorder_of(Rank) const override { return obs_; }

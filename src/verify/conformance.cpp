@@ -1,5 +1,6 @@
 #include "src/verify/conformance.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -144,7 +145,8 @@ std::vector<Rank> comm_members(CommKind comm, int world) {
   return members;
 }
 
-std::string config_string(const CaseConfig& config) {
+std::string repro_string(const CaseConfig& config, const RunSpec& spec,
+                         Fault fault) {
   std::ostringstream out;
   out << "collective=" << collective_name(config.collective)
       << " style=" << coll::style_name(config.style)
@@ -160,14 +162,8 @@ std::string config_string(const CaseConfig& config) {
       << " rankmap=" << rankmap_name(config.rankmap)
       << " data_seed=" << config.data_seed
       << " persistent=" << (config.persistent ? 1 : 0)
-      << " starts=" << config.starts << " parts=" << config.partitions;
-  return out.str();
-}
-
-std::string repro_string(const CaseConfig& config, const RunSpec& spec,
-                         Fault fault) {
-  std::ostringstream out;
-  out << config_string(config) << " engine=" << engine_name(spec.engine)
+      << " starts=" << config.starts << " parts=" << config.partitions
+      << " engine=" << engine_name(spec.engine)
       << " perturb_seed=" << spec.perturb_seed << " jitter=" << spec.jitter
       << " chaos=" << chaos_name(spec.chaos)
       << " chaos_seed=" << spec.chaos_seed
@@ -404,10 +400,6 @@ std::string diff_buffers(const CaseIo& io,
   }
   return {};
 }
-
-}  // namespace
-
-namespace {
 
 /// One run of `config` under `spec` (cross_engine ignored), diffed against
 /// the oracle. `sharing` selects the SimEngine's fabric; `finish`, when set,
@@ -816,7 +808,7 @@ std::optional<std::string> run_once(const CaseConfig& config,
 /// per-producer sequence) keys. Running the SimEngine on keyed events
 /// (ROADMAP item 1) empties this list.
 struct TieOrderRow {
-  const char* config;  ///< config_string of the row
+  const char* config;  ///< the case half of the row's repro line
   const char* first_divergence;
 };
 constexpr const char* kWorldTie =
@@ -852,29 +844,29 @@ constexpr TieOrderRow kTieOrderRows[] = {
      kSliceTie},
 };
 
-/// Compares a cross-engine row's finish times; nullopt when they agree, or
-/// when they differ on a pinned tie-order row.
+/// Compares a cross-engine row's finish times: nullopt when they agree on an
+/// unpinned row or differ on a pinned one.
 std::optional<std::string> diff_finish(const CaseConfig& config,
                                        const std::vector<TimeNs>& sharded,
                                        const std::vector<TimeNs>& reference) {
-  const std::string key = config_string(config);
+  const std::string repro = repro_string(config, RunSpec{});
   const TieOrderRow* pinned = nullptr;
   for (const TieOrderRow& row : kTieOrderRows) {
-    if (key == row.config) pinned = &row;
+    const std::size_t n = std::strlen(row.config);
+    if (repro.compare(0, n, row.config) == 0 && repro[n] == ' ') pinned = &row;
   }
-  for (std::size_t r = 0; r < sharded.size(); ++r) {
-    if (sharded[r] == reference[r]) continue;
-    if (pinned) return std::nullopt;
-    std::ostringstream out;
-    out << "cross-engine: rank " << r << " finishes at " << sharded[r]
-        << " ns on the sharded engine but " << reference[r]
-        << " ns on the uncontended SimEngine";
-    return out.str();
+  const auto [got, want] =
+      std::mismatch(sharded.begin(), sharded.end(), reference.begin());
+  if ((got == sharded.end()) == (pinned == nullptr)) return std::nullopt;
+  if (pinned) {
+    return std::string("cross-engine: pinned tie-order row now agrees; ") +
+           "remove it from kTieOrderRows (" + pinned->first_divergence + ")";
   }
-  if (!pinned) return std::nullopt;
-  return std::string("cross-engine: pinned tie-order row now agrees with the "
-                     "uncontended SimEngine; remove it from kTieOrderRows (")
-         + pinned->first_divergence + ")";
+  std::ostringstream out;
+  out << "cross-engine: rank " << (got - sharded.begin()) << " finishes at "
+      << *got << " ns on the sharded engine but " << *want
+      << " ns on the uncontended SimEngine";
+  return out.str();
 }
 
 }  // namespace
@@ -888,8 +880,7 @@ std::optional<std::string> run_case(const CaseConfig& config,
   }
   ADAPT_CHECK(spec.engine == EngineKind::kSharded)
       << "cross-engine runs compare the sharded engine with the SimEngine";
-  std::vector<TimeNs> sharded;
-  std::vector<TimeNs> reference;
+  std::vector<TimeNs> sharded, reference;
   if (auto mismatch =
           run_once(config, spec, fault, std::move(recorder), fair, &sharded)) {
     return mismatch;

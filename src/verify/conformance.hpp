@@ -182,9 +182,6 @@ struct RunSpec {
 /// Members of the case's communicator as global ranks of `world`.
 std::vector<Rank> comm_members(CommKind comm, int world);
 
-/// The case half of a repro line: every CaseConfig key, no RunSpec keys.
-std::string config_string(const CaseConfig& config);
-
 /// Self-contained one-line reproducer, parseable by parse_repro.
 std::string repro_string(const CaseConfig& config, const RunSpec& spec,
                          Fault fault = Fault::kNone);

@@ -2,10 +2,16 @@
 // noise deferral semantics, compute/sleep, determinism of whole simulations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/bench/imb.hpp"
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
+#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/support/log.hpp"
 #include "src/topo/presets.hpp"
 
 namespace adapt::runtime {
@@ -106,6 +112,37 @@ TEST(SimEngine, RunResultReportsPerRankFinish) {
               result.rank_finish[static_cast<std::size_t>(r - 1)]);
   }
   EXPECT_EQ(result.total_time, result.rank_finish[3]);
+}
+
+// Both engines run rank callbacks through the shared RankCore, which stamps
+// log lines with the rank and its virtual time while logging is on.
+template <typename Engine, typename Options>
+std::vector<std::string> log_lines_of_compute(Options options) {
+  std::vector<std::string> lines;
+  set_log_level(LogLevel::kInfo);
+  set_log_sink([&lines](const std::string& line) { lines.push_back(line); });
+  {
+    topo::Machine m(topo::cori(1), 2);
+    Engine engine(m, options);
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      co_await ctx.compute(100 * (ctx.rank() + 1));
+      ADAPT_LOG(kInfo) << "computed";
+    };
+    engine.run(program);
+  }
+  set_log_sink(nullptr);
+  set_log_level(LogLevel::kOff);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(RankCore, LogLinesCarryRankAndVirtualTime) {
+  const std::vector<std::string> want = {
+      "[adapt INFO  t=100ns r=0] computed",
+      "[adapt INFO  t=200ns r=1] computed"};
+  EXPECT_EQ(log_lines_of_compute<SimEngine>(SimEngineOptions{}), want);
+  EXPECT_EQ(log_lines_of_compute<ShardedEngine>(ShardedEngineOptions{}),
+            want);
 }
 
 // ----------------------------------------------------------- determinism ---
