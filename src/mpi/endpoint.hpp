@@ -142,6 +142,7 @@ class Endpoint {
   /// Installs (or clears) the trace/metrics recorder: per-rank send/recv
   /// counters, match-queue depth histograms, unexpected-hit instants.
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
+  obs::Recorder* recorder() const { return rec_; }
 
   /// Installs the engine's buffer pool: eager send copies recycle through it
   /// instead of allocating. Null (the default) falls back to heap blocks.

@@ -85,7 +85,8 @@ class Fabric {
   /// arrival from the pair's PairClock. Under kFairShare a zero-byte message
   /// completes after alpha alone when its route is empty or its pair's
   /// transmit queue is idle; behind a busy queue it waits for the messages
-  /// posted before it, like any other. The callback type matches the event queue's: captures up to EventFn's
+  /// posted before it, like any other. The callback type matches the event
+  /// queue's: captures up to EventFn's
   /// capacity (including a boxed std::function) stay inline, so posting a
   /// transfer never heap-allocates — the invariant the persistent-collective
   /// steady state is built on.

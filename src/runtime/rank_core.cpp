@@ -32,7 +32,9 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
   void post_progress(std::function<void()> fn, TimeNs cpu_cost) override {
     core_.run_progress(rank_, std::move(fn), cpu_cost);
   }
-  void charge(TimeNs cpu_cost) override { core_.charge(rank_, cpu_cost); }
+  void charge(TimeNs cpu_cost) override {
+    core_.occupy(rank_, /*progress=*/false, /*noisy=*/false, cpu_cost);
+  }
 
   // Context.
   Rank rank() const override { return rank_; }
@@ -64,17 +66,12 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
 
   gpu::Device* gpu() override { return core_.host_.gpu_of(rank_); }
   support::BufferPool* pool() override { return &core_.pool_; }
-  obs::Recorder* recorder() override { return core_.host_.recorder_of(rank_); }
+  obs::Recorder* recorder() override { return endpoint_.recorder(); }
   tune::Tuner* tuner() override { return core_.host_.tuner_service(); }
   tune::PlanCache* plan_cache() override {
     return core_.host_.plan_cache_service();
   }
   Recovery* recovery() override { return core_.host_.recovery_of(rank_); }
-
-  /// ScopedLogContext clock: `arg` is the SimRank.
-  static std::int64_t log_now(const void* arg) {
-    return static_cast<const SimRank*>(arg)->now();
-  }
 
  private:
   RankCore& core_;
@@ -129,10 +126,6 @@ void RankCore::run_progress(Rank r, std::function<void()> fn,
        std::move(fn));
 }
 
-void RankCore::charge(Rank r, TimeNs cpu_cost) {
-  occupy(r, /*progress=*/false, /*noisy=*/false, cpu_cost);
-}
-
 TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   ADAPT_CHECK(cpu_cost >= 0);
   const auto i = static_cast<std::size_t>(r);
@@ -141,7 +134,7 @@ TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   const TimeNs ready = std::max(now, busy);
   const TimeNs start = noisy ? noise_->next_free(r, ready) : ready;
   busy = start + cpu_cost;
-  if (obs::Recorder* rec = host_.recorder_of(r)) {
+  if (obs::Recorder* rec = ranks_[i]->endpoint().recorder()) {
     rec->cpu_task(r, progress, now, ready, start, busy);
   }
   return busy;
@@ -154,7 +147,9 @@ void RankCore::post(Rank r, TimeNs t, std::function<void()> fn) {
   }
   const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
   host_.schedule(r, t, [r, rank, fn = std::move(fn)] {
-    ScopedLogContext lc(r, &SimRank::log_now, rank);
+    ScopedLogContext lc(
+        r, [](const void* p) { return static_cast<const SimRank*>(p)->now(); },
+        rank);
     fn();
   });
 }

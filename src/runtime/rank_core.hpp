@@ -6,9 +6,9 @@
 // work through those clocks; its program is a coroutine started at time
 // zero of the run, and the run ends when every rank's program has finished.
 // RankCore owns all of that once. An engine supplies only what differs
-// between them, through RankHost: a rank's current time, a way to schedule
-// an event for a rank, the rank's recorder, and the engine-only services a
-// Context exposes.
+// between them: through RankHost a rank's current time, a way to schedule
+// an event for a rank and the engine-only services a Context exposes, and
+// through the rank's endpoint its recorder.
 #pragma once
 
 #include <exception>
@@ -25,15 +25,14 @@
 
 namespace adapt::runtime {
 
-/// What a discrete-event engine supplies to its RankCore.
+/// What a discrete-event engine supplies to its RankCore, besides each
+/// rank's recorder, which it installs on the rank's endpoint.
 class RankHost {
  public:
   /// Current time on rank r's clock.
   virtual TimeNs now_of(Rank r) const = 0;
   /// Schedules fn as an event of rank r at absolute time t (>= now_of(r)).
   virtual void schedule(Rank r, TimeNs t, std::function<void()>&& fn) = 0;
-  /// Rank r's recorder, or null when observability is off.
-  virtual obs::Recorder* recorder_of(Rank r) const = 0;
 
   // Engine services behind Context; null on engines without them.
   virtual gpu::Device* gpu_of(Rank) { return nullptr; }
@@ -65,8 +64,6 @@ class RankCore {
   /// Runs `fn` on rank r's progress context (async progress thread + NIC
   /// offload), which noise never touches, after occupying it for `cpu_cost`.
   void run_progress(Rank r, std::function<void()> fn, TimeNs cpu_cost);
-  /// Synchronously extends rank r's main-thread busy window.
-  void charge(Rank r, TimeNs cpu_cost);
 
   /// Starts `program` on every rank as soon as its main thread is free. The
   /// engine then drains its events and calls finish(); `program` must live

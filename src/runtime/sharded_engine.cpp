@@ -32,44 +32,30 @@ void ShardedEngine::submit(mpi::Envelope env, MemSpace src_space,
   ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
       << "the sharded engine is host-only; use SimEngine for GPU runs";
   (void)on_failed;  // no fault injection here: every submit succeeds
-  const topo::RouteCost rc = topo_->route(env.src, env.dst);
+  const Rank src = env.src;
+  const Rank dst = env.dst;
+  const int ss = shard_of(src);
+  const topo::RouteCost rc = topo_->route(src, dst);
   if (env.size <= machine_.spec().eager_threshold) {
-    submit_eager(rc, std::move(env), std::move(on_sent));
-  } else {
-    submit_rendezvous(rc, std::move(env), std::move(on_sent));
+    // Eager: data goes on the wire at once, behind the pair's earlier
+    // messages, and is buffered at the receiver if nothing matches. The
+    // sender completes at arrival (the last byte left the wire), as in the
+    // SimEngine's raw eager path.
+    const TimeNs arrive = transmit(src, dst, rc, env.size,
+                                   static_cast<int>(mpi::Frame::Kind::kEager));
+    post_at(ss, ss, arrive, next_key(src),
+            [this, src, on_sent = std::move(on_sent)]() mutable {
+              core_.run_progress(src, std::move(on_sent), 0);
+            });
+    post_at(ss, shard_of(dst), arrive, next_key(src),
+            [this, dst, env = std::move(env)]() mutable {
+              endpoint(dst).deliver(std::move(env));
+            });
+    return;
   }
-}
-
-/// Eager: data goes on the wire at once, behind the pair's earlier messages,
-/// and is buffered at the receiver if nothing matches. The sender completes
-/// at arrival (the last byte left the wire), as in the SimEngine's raw eager
-/// path.
-void ShardedEngine::submit_eager(const topo::RouteCost& rc, mpi::Envelope env,
-                                 std::function<void()> on_sent) {
-  const Rank src = env.src;
-  const Rank dst = env.dst;
-  const int ss = shard_of(src);
-  const TimeNs arrive = transmit(src, dst, rc, env.size,
-                                 static_cast<int>(mpi::Frame::Kind::kEager));
-  post_at(ss, ss, arrive, next_key(src),
-          [this, src, on_sent = std::move(on_sent)]() mutable {
-            core_.run_progress(src, std::move(on_sent), 0);
-          });
-  post_at(ss, shard_of(dst), arrive, next_key(src),
-          [this, dst, env = std::move(env)]() mutable {
-            endpoint(dst).deliver(std::move(env));
-          });
-}
-
-/// Rendezvous: an alpha-only RTS races ahead; the matched receive grants on
-/// the receiver's shard, an alpha-only CTS returns to the sender, and only
-/// then does the bulk data go on the wire (see rendezvous_grant/bulk).
-void ShardedEngine::submit_rendezvous(const topo::RouteCost& rc,
-                                      mpi::Envelope env,
-                                      std::function<void()> on_sent) {
-  const Rank src = env.src;
-  const Rank dst = env.dst;
-  const int ss = shard_of(src);
+  // Rendezvous: an alpha-only RTS races ahead; the matched receive grants on
+  // the receiver's shard, an alpha-only CTS returns to the sender, and only
+  // then does the bulk data go on the wire (see rendezvous_grant/bulk).
   Shard& sh = *shards_[static_cast<std::size_t>(ss)];
   const TimeNs rts_arrive = sh.now + rc.alpha;
   if (sh.rec) {

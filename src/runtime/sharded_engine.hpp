@@ -21,16 +21,11 @@
 // including 1 — the single-shard fast path goes through the same keys and
 // the same merge.
 //
-// Cost model: the SimEngine's under SharingPolicy::kUncontended. Every
-// message is priced by its (src, dst) pair's net::PairClock — Hockney
-// alpha/beta of the route, behind the pair's previous message — so the
-// inter-node and intra-node sends of one rank overlap, and one pair's
-// messages never overtake each other. The clock lives on the source rank's
-// shard. Ranks run on the RankCore the SimEngine uses (CPU and progress
-// clocks, noise, the eager/rendezvous protocol split of the endpoints), so
-// both engines give identical finish times for the same schedule, up to the
-// order of same-instant events (DESIGN.md §14.5). The fluid max-min
-// fair-sharing fabric is deliberately not modelled — cross-shard bandwidth
+// Cost model: the SimEngine's under SharingPolicy::kUncontended. Each
+// message is priced by its (src, dst) pair's net::PairClock, held on the
+// source rank's shard, and ranks run on the SimEngine's RankCore, so both
+// engines give the same finish times up to the order of same-instant events
+// (DESIGN.md §14.5). The fluid max-min fair-sharing fabric is deliberately not modelled — cross-shard bandwidth
 // sharing would need global state on the hot path. Fault injection,
 // schedule perturbation, reliability, recovery, GPUs and the tuner are
 // likewise out of scope here and gated off; use the SimEngine for those
@@ -130,7 +125,7 @@ class ShardedEngine final : public Engine,
     /// producer and consumer never touch the same vector.
     std::vector<std::array<std::vector<Msg>, 2>> outbox;
     /// Transmit queues of the pairs whose source rank lives here, keyed by
-    /// pair_key(src, dst): created on a pair's first message.
+    /// src * nranks + dst: created on a pair's first message.
     std::unordered_map<std::uint64_t, net::PairClock> pairs;
     std::exception_ptr fatal;
   };
@@ -145,25 +140,18 @@ class ShardedEngine final : public Engine,
   /// shard `from` (same shard: direct push; different: mailbox append).
   void post_at(int from, int to, TimeNs t, std::uint64_t tie, sim::EventFn fn);
 
-  // RankHost: each rank runs on its shard's clock, queue and recorder.
+  // RankHost: each rank runs on its shard's clock and queue.
   TimeNs now_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->now;
   }
   void schedule(Rank r, TimeNs t, std::function<void()>&& fn) override {
     shard_for(r).queue.push_keyed(t, next_key(r), std::move(fn));
   }
-  obs::Recorder* recorder_of(Rank r) const override {
-    return shards_[static_cast<std::size_t>(shard_of(r))]->rec.get();
-  }
 
   // Transport: the eager/rendezvous legs (see sharded_engine.cpp).
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
               std::function<void()> on_sent,
               std::function<void(mpi::ErrCode)> on_failed) override;
-  void submit_eager(const topo::RouteCost& rc, mpi::Envelope env,
-                    std::function<void()> on_sent);
-  void submit_rendezvous(const topo::RouteCost& rc, mpi::Envelope env,
-                         std::function<void()> on_sent);
   /// Puts `bytes` from src to dst on the wire at src's shard's now, behind
   /// the pair's earlier messages; returns the arrival time.
   TimeNs transmit(Rank src, Rank dst, const topo::RouteCost& rc, Bytes bytes,

@@ -1,6 +1,5 @@
 #include "src/runtime/sim_engine.hpp"
 
-#include <algorithm>
 #include <array>
 #include <map>
 #include <unordered_map>
@@ -8,7 +7,6 @@
 
 #include "src/gpu/device.hpp"
 #include "src/support/error.hpp"
-#include "src/support/log.hpp"
 #include "src/support/slot_pool.hpp"
 #include "src/tune/plan_cache.hpp"
 

@@ -117,12 +117,11 @@ class SimEngine final : public Engine, private RankHost {
  private:
   class SimTransport;
 
-  // RankHost: one virtual clock and one recorder for every rank.
+  // RankHost: one virtual clock for every rank.
   TimeNs now_of(Rank) const override { return sim_.now(); }
   void schedule(Rank, TimeNs t, std::function<void()>&& fn) override {
     sim_.at(t, std::move(fn));
   }
-  obs::Recorder* recorder_of(Rank) const override { return obs_; }
   gpu::Device* gpu_of(Rank r) override;
   Recovery* recovery_of(Rank r) override;
   tune::Tuner* tuner_service() override { return options_.tuning.get(); }

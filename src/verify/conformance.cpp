@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -807,10 +808,12 @@ std::optional<std::string> run_once(const CaseConfig& config,
 /// SimEngine by insertion sequence, the sharded engine by (producer rank,
 /// per-producer sequence) keys. Running the SimEngine on keyed events
 /// (ROADMAP item 1) empties this list.
-struct TieOrderRow {
-  const char* config;  ///< the case half of the row's repro line
-  const char* first_divergence;
-};
+/// The case half of each pinned row's repro line, open in dtype, comm and
+/// data_seed (the trailing space ends the last field).
+constexpr const char* kTieOrderCase =
+    "collective=allreduce style=adapt lib=- ag=ring dtype=%s op=sum "
+    "world=12 comm=%s root=0 bytes=2048 seg=256 N=2 M=4 tree=topo ppn=0 "
+    "rankmap=dense data_seed=%d persistent=0 starts=3 parts=0 ";
 constexpr const char* kWorldTie =
     "t=11276 ns on rank 1: its seg-3 eager send to rank 2 completes as rank "
     "0's seg-6 eager arrives; the SimEngine runs the completion first and "
@@ -821,27 +824,17 @@ constexpr const char* kSliceTie =
     "2's seg-6 eager arrives; the SimEngine runs the completion first and "
     "forwards seg 5 at 8492 ns, the sharded engine runs the arrival first "
     "(rank 2's key) and its receive overhead holds seg 5 until 8642 ns";
+struct TieOrderRow {
+  const char* dtype;
+  const char* comm;
+  int data_seed;
+  const char* first_divergence;
+};
 constexpr TieOrderRow kTieOrderRows[] = {
-    {"collective=allreduce style=adapt lib=- ag=ring dtype=int32 "
-     "op=sum world=12 comm=world root=0 bytes=2048 seg=256 N=2 M=4 "
-     "tree=topo ppn=0 rankmap=dense data_seed=64 persistent=0 "
-     "starts=3 parts=0",
-     kWorldTie},
-    {"collective=allreduce style=adapt lib=- ag=ring dtype=int32 "
-     "op=sum world=12 comm=slice root=0 bytes=2048 seg=256 N=2 M=4 "
-     "tree=topo ppn=0 rankmap=dense data_seed=65 persistent=0 "
-     "starts=3 parts=0",
-     kSliceTie},
-    {"collective=allreduce style=adapt lib=- ag=ring dtype=double "
-     "op=sum world=12 comm=world root=0 bytes=2048 seg=256 N=2 M=4 "
-     "tree=topo ppn=0 rankmap=dense data_seed=66 persistent=0 "
-     "starts=3 parts=0",
-     kWorldTie},
-    {"collective=allreduce style=adapt lib=- ag=ring dtype=double "
-     "op=sum world=12 comm=slice root=0 bytes=2048 seg=256 N=2 M=4 "
-     "tree=topo ppn=0 rankmap=dense data_seed=67 persistent=0 "
-     "starts=3 parts=0",
-     kSliceTie},
+    {"int32", "world", 64, kWorldTie},
+    {"int32", "slice", 65, kSliceTie},
+    {"double", "world", 66, kWorldTie},
+    {"double", "slice", 67, kSliceTie},
 };
 
 /// Compares a cross-engine row's finish times: nullopt when they agree on an
@@ -852,8 +845,10 @@ std::optional<std::string> diff_finish(const CaseConfig& config,
   const std::string repro = repro_string(config, RunSpec{});
   const TieOrderRow* pinned = nullptr;
   for (const TieOrderRow& row : kTieOrderRows) {
-    const std::size_t n = std::strlen(row.config);
-    if (repro.compare(0, n, row.config) == 0 && repro[n] == ' ') pinned = &row;
+    char prefix[256];
+    std::snprintf(prefix, sizeof prefix, kTieOrderCase, row.dtype, row.comm,
+                  row.data_seed);
+    if (repro.rfind(prefix, 0) == 0) pinned = &row;
   }
   const auto [got, want] =
       std::mismatch(sharded.begin(), sharded.end(), reference.begin());
