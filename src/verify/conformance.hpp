@@ -40,7 +40,8 @@ namespace adapt::verify {
 /// sharded engine (runtime/sharded_engine.hpp): stable schedule only (its
 /// keyed event order is incompatible with perturbation), no chaos, no
 /// persistent rows — its job in the matrix is proving the sharded runtime
-/// produces byte-identical collective results for any shard count.
+/// produces byte-identical collective results for any shard count, at the
+/// uncontended SimEngine's finish times (RunSpec::cross_engine).
 enum class EngineKind { kSim, kThread, kSharded };
 
 /// The operations the matrix covers. kLibBcast/kLibReduce run a library
