@@ -345,8 +345,15 @@ std::uint64_t ShardedEngine::rank_state_bytes() const {
 }
 
 std::uint64_t ShardedEngine::rank_state_peak_bytes() const {
+  // A pair clock lives in one hash node (link + key + clock) behind one
+  // bucket pointer; the maps only grow, so their size is their peak.
+  constexpr std::uint64_t kPairNodeBytes =
+      sizeof(void*) + sizeof(std::pair<const std::uint64_t, net::PairClock>);
   std::uint64_t peak = 0;
-  for (const auto& sh : shards_) peak += sh->arena.peak_bytes();
+  for (const auto& sh : shards_) {
+    peak += sh->arena.peak_bytes() + sh->pairs.size() * kPairNodeBytes +
+            sh->pairs.bucket_count() * sizeof(void*);
+  }
   return peak + core_.matcher_bytes() + pool_.cached_bytes();
 }
 

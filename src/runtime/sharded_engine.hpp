@@ -97,9 +97,9 @@ class ShardedEngine final : public Engine,
   /// shards value; exported as the sim.rank_state_bytes counter.
   std::uint64_t rank_state_bytes() const;
   /// Peak resident rank state (live frame high-water + matcher footprint +
-  /// pool-cached blocks): the memory-budget figure. NOT byte-stable across
-  /// shard counts (per-shard peaks don't sum to the global peak) — never
-  /// exported, only asserted against budgets.
+  /// pool-cached blocks + pair clocks): the memory-budget figure. NOT
+  /// byte-stable across shard counts (per-shard peaks don't sum to the global
+  /// peak) — never exported, only asserted against budgets.
   std::uint64_t rank_state_peak_bytes() const;
 
  private:

@@ -141,11 +141,11 @@ std::unique_ptr<FatTree> fat_tree(int min_ranks);
 
 }  // namespace presets
 
-/// Assignment of ranks to shards along block boundaries: blocks are dealt to
-/// shards in index order, closing a shard once it holds its fair share of the
-/// remaining ranks. Shard count is clamped to the block count, so no route
-/// interior to a block ever crosses shards and min_cross_block_alpha() is a
-/// valid lookahead for every cross-shard message.
+/// Assignment of ranks to shards along block boundaries: blocks are dealt in
+/// index order, each to the shard holding the fewest ranks so far (equal
+/// blocks go round-robin). Shard count is clamped to the block count, so no
+/// route interior to a block ever crosses shards and min_cross_block_alpha()
+/// is a valid lookahead for every cross-shard message.
 struct ShardMap {
   int shards = 1;
   std::vector<int> shard_of;              ///< rank -> shard

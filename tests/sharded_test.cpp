@@ -199,6 +199,27 @@ TEST(ShardMap, MachineBlocksAreNodes) {
   }
 }
 
+TEST(ShardMap, InterleavesBlocksByPopulation) {
+  // Equal blocks go round-robin, so neighbouring nodes — where a pipelined
+  // collective's front is at any one time — land on different shards.
+  const topo::Machine eight(topo::cori(8), 256);
+  const topo::MachineTopology mt(eight);
+  const topo::ShardMap map = topo::make_shard_map(mt, 4);
+  expect_valid_map(map, mt, 4);
+  for (Rank r = 0; r < 256; ++r) {
+    EXPECT_EQ(map.shard_of[static_cast<std::size_t>(r)], (r / 32) % 4);
+  }
+  // A short last block goes to a shard holding fewest ranks, keeping shard
+  // populations within one block of each other.
+  const topo::Machine ragged(topo::cori(4), 100);
+  const topo::MachineTopology rt(ragged);
+  const topo::ShardMap three = topo::make_shard_map(rt, 3);
+  expect_valid_map(three, rt, 3);
+  EXPECT_EQ(three.ranks[0].size(), 36u);  // blocks 0 and 3 (32 + 4 ranks)
+  EXPECT_EQ(three.ranks[1].size(), 32u);
+  EXPECT_EQ(three.ranks[2].size(), 32u);
+}
+
 // ---------------------------------------------------------------------------
 // Engine determinism: byte-identical artefacts for any shard count.
 // ---------------------------------------------------------------------------
