@@ -1,6 +1,5 @@
 #include "src/coll/hierarchical.hpp"
 
-#include "src/coll/han.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::coll {
@@ -19,9 +18,8 @@ std::size_t node_of(const HanGroups& g, Rank rank) {
 }  // namespace
 
 sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView buffer, Rank root,
-                       const topo::Machine& machine, const HierSpec& spec) {
-  const HanGroups g = han_groups(comm, machine, root);
+                       mpi::MutView buffer, Rank root, const HanGroups& g,
+                       const HierSpec& spec) {
   const std::size_t node = node_of(g, ctx.rank());
   const mpi::Comm& my_node = g.nodes[node];
   const Rank my_leader = g.leaders.global(static_cast<Rank>(node));
@@ -49,9 +47,8 @@ sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
 
 sim::Task<> hier_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                         mpi::MutView accum, mpi::ReduceOp op,
-                        mpi::Datatype dtype, Rank root,
-                        const topo::Machine& machine, const HierSpec& spec) {
-  const HanGroups g = han_groups(comm, machine, root);
+                        mpi::Datatype dtype, Rank root, const HanGroups& g,
+                        const HierSpec& spec) {
   const std::size_t node = node_of(g, ctx.rank());
   const mpi::Comm& my_node = g.nodes[node];
   const Rank my_leader = g.leaders.global(static_cast<Rank>(node));

@@ -8,7 +8,7 @@
 #pragma once
 
 #include "src/coll/coll.hpp"
-#include "src/topo/hardware.hpp"
+#include "src/coll/han.hpp"
 
 namespace adapt::coll {
 
@@ -21,16 +21,17 @@ struct HierSpec {
 };
 
 /// Hierarchical broadcast: inter-node phase over node leaders, then a fully
-/// separate intra-node phase per node.
+/// separate intra-node phase per node. `groups` is han_groups(comm, machine,
+/// root); it must outlive the returned task.
 sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView buffer, Rank root,
-                       const topo::Machine& machine, const HierSpec& spec);
+                       mpi::MutView buffer, Rank root, const HanGroups& groups,
+                       const HierSpec& spec);
 
 /// Hierarchical reduce: intra-node phase to each node leader, then the
-/// inter-node phase over leaders.
+/// inter-node phase over leaders. `groups` as for hier_bcast.
 sim::Task<> hier_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                         mpi::MutView accum, mpi::ReduceOp op,
                         mpi::Datatype dtype, Rank root,
-                        const topo::Machine& machine, const HierSpec& spec);
+                        const HanGroups& groups, const HierSpec& spec);
 
 }  // namespace adapt::coll

@@ -48,9 +48,10 @@ struct Plan {
 
 using PlanFn = std::function<Plan(Bytes message)>;
 
-/// Caches built trees. A topology tree depends on the communicator's full
-/// membership, so the key carries its fingerprint: sub-communicators of equal
-/// size and first member but different members don't collide.
+/// Caches built trees and node decompositions. A topology tree depends on the
+/// communicator's full membership, so the key carries its fingerprint:
+/// sub-communicators of equal size and first member but different members
+/// don't collide.
 class TreeCache {
  public:
   explicit TreeCache(const topo::Machine& machine) : machine_(machine) {}
@@ -69,11 +70,22 @@ class TreeCache {
     return it->second;
   }
 
+  const HanGroups& groups(const mpi::Comm& comm, Rank root) {
+    const std::pair<std::uint64_t, Rank> key{comm.fingerprint(), root};
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = groups_.find(key);
+    if (it == groups_.end()) {
+      it = groups_.emplace(key, han_groups(comm, machine_, root)).first;
+    }
+    return it->second;
+  }
+
  private:
   using Key = std::tuple<std::uint64_t, Rank, bool, int, int, int>;
   const topo::Machine& machine_;
   std::mutex mutex_;
   std::map<Key, Tree> cache_;
+  std::map<std::pair<std::uint64_t, Rank>, HanGroups> groups_;
 };
 
 /// Emits the "tuned <winner>" instant carrying the simulated collective
@@ -198,7 +210,8 @@ class PlanLibrary final : public MpiLibrary {
         HierSpec spec = p.hier;
         spec.style = p.style;
         spec.opts = opts;
-        co_await hier_bcast(ctx, comm, buffer, root, machine_, spec);
+        co_await hier_bcast(ctx, comm, buffer, root,
+                            cache_.groups(comm, root), spec);
         co_return;
       }
       case Plan::Algo::kHan: {
@@ -239,8 +252,8 @@ class PlanLibrary final : public MpiLibrary {
         HierSpec spec = p.hier;
         spec.style = p.style;
         spec.opts = opts;
-        co_await hier_reduce(ctx, comm, accum, op, dtype, root, machine_,
-                             spec);
+        co_await hier_reduce(ctx, comm, accum, op, dtype, root,
+                             cache_.groups(comm, root), spec);
         co_return;
       }
       case Plan::Algo::kHan: {

@@ -86,10 +86,9 @@ class Fabric {
   /// completes after alpha alone when its route is empty or its pair's
   /// transmit queue is idle; behind a busy queue it waits for the messages
   /// posted before it, like any other. The callback type matches the event
-  /// queue's: captures up to EventFn's
-  /// capacity (including a boxed std::function) stay inline, so posting a
-  /// transfer never heap-allocates — the invariant the persistent-collective
-  /// steady state is built on.
+  /// queue's: captures up to EventFn's capacity (including a boxed
+  /// std::function) stay inline, so posting a transfer never heap-allocates
+  /// — the invariant the persistent-collective steady state is built on.
   void transfer(const Route& route, Bytes bytes, sim::EventFn on_complete);
 
   /// Installs (or clears, with nullptr) the fault injector consulted by

@@ -190,8 +190,9 @@ TEST(HanPerf, BeatsSequentialHierarchicalBcast) {
 
   HierSpec hier;
   hier.opts.segment_size = kib(16);
+  const HanGroups groups = han_groups(world, m, root);
   const TimeNs sequential = timed([&](Context& ctx, mpi::MutView buf) {
-    return hier_bcast(ctx, world, buf, root, m, hier);
+    return hier_bcast(ctx, world, buf, root, groups, hier);
   });
   HanSpec han;
   han.opts.segment_size = kib(16);

@@ -416,10 +416,11 @@ TEST(Hierarchical, BcastAcrossNodes) {
       64, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
   bufs[20] = golden;
   HierSpec spec;
+  const HanGroups groups = han_groups(world, m, root);
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
-    co_await hier_bcast(ctx, world, mpi::MutView{mine.data(), bytes}, root, m,
-                        spec);
+    co_await hier_bcast(ctx, world, mpi::MutView{mine.data(), bytes}, root,
+                        groups, spec);
   };
   engine.run(program);
   for (int r = 0; r < 64; ++r) {
@@ -447,13 +448,14 @@ TEST(Hierarchical, ReduceAcrossNodes) {
     }
   }
   HierSpec spec;
+  const HanGroups groups = han_groups(world, m, root);
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = contrib[static_cast<std::size_t>(ctx.rank())];
     co_await hier_reduce(ctx, world,
                          mpi::MutView{reinterpret_cast<std::byte*>(mine.data()),
                                       400},
-                         mpi::ReduceOp::kSum, mpi::Datatype::kInt32, root, m,
-                         spec);
+                         mpi::ReduceOp::kSum, mpi::Datatype::kInt32, root,
+                         groups, spec);
   };
   engine.run(program);
   EXPECT_EQ(contrib[5], expected);
