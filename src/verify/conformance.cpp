@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -170,9 +169,7 @@ std::string repro_string(const CaseConfig& config, const RunSpec& spec,
       << " chaos_seed=" << spec.chaos_seed
       << " wd_detect=" << spec.wd_detect
       << " wd_quiesce=" << spec.wd_quiesce << " wd_bomb=" << spec.wd_bomb
-      << " shards=" << spec.shards
-      << " cross_engine=" << (spec.cross_engine ? 1 : 0)
-      << " fault=" << fault_name(fault);
+      << " shards=" << spec.shards << " fault=" << fault_name(fault);
   return out.str();
 }
 
@@ -278,11 +275,6 @@ bool parse_repro(const std::string& line, CaseConfig* config, RunSpec* spec,
     } else if (key == "shards") {
       // Absent on pre-sharded repro lines; those parse to the default.
       ok = as_int(&run.shards) && run.shards >= 1;
-    } else if (key == "cross_engine") {
-      // Absent on older repro lines; those parse to the default.
-      int flag = 0;
-      ok = as_int(&flag) && (flag == 0 || flag == 1);
-      run.cross_engine = flag == 1;
     } else if (key == "fault") {
       ok = enum_from_name(value, 3, fault_name, &flt);
     } else {
@@ -402,9 +394,9 @@ std::string diff_buffers(const CaseIo& io,
   return {};
 }
 
-/// One run of `config` under `spec` (cross_engine ignored), diffed against
-/// the oracle. `sharing` selects the SimEngine's fabric; `finish`, when set,
-/// receives every rank's finish time of a SimEngine or sharded run.
+/// One run of `config` under `spec`, diffed against the oracle. `sharing`
+/// selects the SimEngine's fabric; `finish`, when set, receives every rank's
+/// finish time of a SimEngine or sharded run.
 std::optional<std::string> run_once(const CaseConfig& config,
                                     const RunSpec& spec, Fault fault,
                                     std::shared_ptr<obs::Recorder> recorder,
@@ -802,64 +794,69 @@ std::optional<std::string> run_once(const CaseConfig& config,
 }
 
 /// Rows whose finish times still differ between the sharded engine and the
-/// uncontended SimEngine, pinned with the first event at which their traces
-/// diverge (adapt-trace diff). Both engines price every message alike; they
-/// differ only in how they order events due at the same instant — the
-/// SimEngine by insertion sequence, the sharded engine by (producer rank,
-/// per-producer sequence) keys. Running the SimEngine on keyed events
-/// (ROADMAP item 1) empties this list.
-/// The case half of each pinned row's repro line, open in dtype, comm and
-/// data_seed (the trailing space ends the last field).
-constexpr const char* kTieOrderCase =
-    "collective=allreduce style=adapt lib=- ag=ring dtype=%s op=sum "
-    "world=12 comm=%s root=0 bytes=2048 seg=256 N=2 M=4 tree=topo ppn=0 "
-    "rankmap=dense data_seed=%d persistent=0 starts=3 parts=0 ";
-constexpr const char* kWorldTie =
-    "t=11276 ns on rank 1: its seg-3 eager send to rank 2 completes as rank "
-    "0's seg-6 eager arrives; the SimEngine runs the completion first and "
-    "forwards seg 5 at 11276 ns, the sharded engine runs the arrival first "
-    "(rank 0's key) and its receive overhead holds seg 5 until 11426 ns";
-constexpr const char* kSliceTie =
-    "t=8492 ns on rank 3: its seg-3 eager send to rank 4 completes as rank "
-    "2's seg-6 eager arrives; the SimEngine runs the completion first and "
-    "forwards seg 5 at 8492 ns, the sharded engine runs the arrival first "
-    "(rank 2's key) and its receive overhead holds seg 5 until 8642 ns";
+/// uncontended SimEngine: ADAPT allreduce, 12 ranks, 2048 B in 256 B
+/// segments, open in dtype, communicator and payload seed. Both engines
+/// price every message alike but order same-instant events differently —
+/// the SimEngine by insertion sequence, the sharded engine by (producer
+/// rank, per-producer sequence) keys. In each row a rank's seg-3 eager send
+/// completes as its parent's seg-6 arrives; the SimEngine runs the
+/// completion first and forwards seg 5 at once, the sharded engine the
+/// arrival first and its 150 ns receive overhead holds seg 5 back
+/// (adapt-trace diff; DESIGN.md §14.5). A row passes only while its first
+/// differing rank finishes at exactly the pinned pair of times. Running the
+/// SimEngine on keyed events (ROADMAP item 1) empties this list.
 struct TieOrderRow {
-  const char* dtype;
-  const char* comm;
-  int data_seed;
-  const char* first_divergence;
+  mpi::Datatype dtype;
+  CommKind comm;
+  std::uint64_t data_seed;
+  Rank rank;
+  TimeNs sharded;
+  TimeNs reference;
+  const char* tie;  ///< the first diverging event
+
+  bool pins(const CaseConfig& c) const {
+    return c.collective == Collective::kAllreduce &&
+           c.style == coll::Style::kAdapt && c.world == 12 &&
+           c.bytes == 2048 && c.segment == 256 && c.dtype == dtype &&
+           c.comm == comm && c.data_seed == data_seed;
+  }
 };
+constexpr const char* kWorldTie = "rank 1 at 11276 ns, seg 5 held to 11426";
+constexpr const char* kSliceTie = "rank 3 at 8492 ns, seg 5 held to 8642";
 constexpr TieOrderRow kTieOrderRows[] = {
-    {"int32", "world", 64, kWorldTie},
-    {"int32", "slice", 65, kSliceTie},
-    {"double", "world", 66, kWorldTie},
-    {"double", "slice", 67, kSliceTie},
+    {mpi::Datatype::kInt32, CommKind::kWorld, 64, 3, 13194, 13204, kWorldTie},
+    {mpi::Datatype::kInt32, CommKind::kSlice, 65, 5, 10410, 10420, kSliceTie},
+    {mpi::Datatype::kDouble, CommKind::kWorld, 66, 3, 13194, 13204,
+     kWorldTie},
+    {mpi::Datatype::kDouble, CommKind::kSlice, 67, 5, 10410, 10420,
+     kSliceTie},
 };
 
-/// Compares a cross-engine row's finish times: nullopt when they agree on an
-/// unpinned row or differ on a pinned one.
+/// Compares a sharded run's finish times with the uncontended SimEngine's:
+/// nullopt when they agree on an unpinned row, or differ exactly as pinned.
 std::optional<std::string> diff_finish(const CaseConfig& config,
                                        const std::vector<TimeNs>& sharded,
                                        const std::vector<TimeNs>& reference) {
-  const std::string repro = repro_string(config, RunSpec{});
   const TieOrderRow* pinned = nullptr;
   for (const TieOrderRow& row : kTieOrderRows) {
-    char prefix[256];
-    std::snprintf(prefix, sizeof prefix, kTieOrderCase, row.dtype, row.comm,
-                  row.data_seed);
-    if (repro.rfind(prefix, 0) == 0) pinned = &row;
+    if (row.pins(config)) pinned = &row;
   }
   const auto [got, want] =
       std::mismatch(sharded.begin(), sharded.end(), reference.begin());
-  if ((got == sharded.end()) == (pinned == nullptr)) return std::nullopt;
-  if (pinned) {
-    return std::string("cross-engine: pinned tie-order row now agrees; ") +
-           "remove it from kTieOrderRows (" + pinned->first_divergence + ")";
+  const bool agree = got == sharded.end();
+  const Rank rank = static_cast<Rank>(got - sharded.begin());
+  if (pinned == nullptr ? agree
+                        : !agree && rank == pinned->rank &&
+                              *got == pinned->sharded &&
+                              *want == pinned->reference) {
+    return std::nullopt;
   }
   std::ostringstream out;
-  out << "cross-engine: rank " << (got - sharded.begin()) << " finishes at "
-      << *got << " ns on the sharded engine but " << *want
+  out << "cross-engine: ";
+  if (pinned) out << "tie-order row (" << pinned->tie << ") unlike its pin: ";
+  if (agree) return out.str() + "finish times agree";
+  out << "rank " << rank << " finishes at " << *got
+      << " ns on the sharded engine but " << *want
       << " ns on the uncontended SimEngine";
   return out.str();
 }
@@ -870,11 +867,9 @@ std::optional<std::string> run_case(const CaseConfig& config,
                                     const RunSpec& spec, Fault fault,
                                     std::shared_ptr<obs::Recorder> recorder) {
   const net::SharingPolicy fair = net::SharingPolicy::kFairShare;
-  if (!spec.cross_engine) {
+  if (spec.engine != EngineKind::kSharded) {
     return run_once(config, spec, fault, std::move(recorder), fair, nullptr);
   }
-  ADAPT_CHECK(spec.engine == EngineKind::kSharded)
-      << "cross-engine runs compare the sharded engine with the SimEngine";
   std::vector<TimeNs> sharded, reference;
   if (auto mismatch =
           run_once(config, spec, fault, std::move(recorder), fair, &sharded)) {
@@ -1426,7 +1421,7 @@ std::string write_failure_trace(const CaseConfig& config, const RunSpec& spec,
   obs::write_metrics_file(*recorder,
                           trace_dir + "/failure-" + std::to_string(index) +
                               ".metrics.csv");
-  if (spec.cross_engine) {
+  if (spec.engine == EngineKind::kSharded) {
     // The other half of a cross-engine mismatch, for adapt-trace diff.
     auto reference = std::make_shared<obs::Recorder>();
     run_once(config, RunSpec{}, fault, reference,
@@ -1545,12 +1540,11 @@ Report run_matrix(const std::vector<CaseConfig>& cases,
           RunSpec sharded;
           sharded.engine = EngineKind::kSharded;
           sharded.shards = 1;
-          if (options.sharded_shards > 1) {
-            specs.push_back(sharded);
-            sharded.shards = options.sharded_shards;
-          }
-          sharded.cross_engine = true;
           specs.push_back(sharded);
+          if (options.sharded_shards > 1) {
+            sharded.shards = options.sharded_shards;
+            specs.push_back(sharded);
+          }
         }
         return specs;
       },

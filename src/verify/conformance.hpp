@@ -41,7 +41,7 @@ namespace adapt::verify {
 /// keyed event order is incompatible with perturbation), no chaos, no
 /// persistent rows — its job in the matrix is proving the sharded runtime
 /// produces byte-identical collective results for any shard count, at the
-/// uncontended SimEngine's finish times (RunSpec::cross_engine).
+/// uncontended SimEngine's finish times (run_case checks both).
 enum class EngineKind { kSim, kThread, kSharded };
 
 /// The operations the matrix covers. kLibBcast/kLibReduce run a library
@@ -172,12 +172,6 @@ struct RunSpec {
   /// Worker shards for kSharded runs (clamped by the engine to the machine's
   /// block count); ignored by the other engines.
   int shards = 1;
-  /// kSharded runs only: also run the case once on the SimEngine with
-  /// net::SharingPolicy::kUncontended (stable schedule), and fail unless
-  /// every rank finishes at the same virtual time on both engines. A few
-  /// rows are pinned as known same-instant tie-order differences instead
-  /// (kTieOrderRows in conformance.cpp); they fail if they start to agree.
-  bool cross_engine = false;
 };
 
 /// Members of the case's communicator as global ranks of `world`.
@@ -197,7 +191,11 @@ bool parse_repro(const std::string& line, CaseConfig* config, RunSpec* spec,
 /// description on failure. Throws only on harness misuse (bad config).
 /// A non-null `recorder` observes the run (SimEngine runs only; the
 /// ThreadEngine ignores it) — pair with a parsed repro line to attach a
-/// full virtual-time trace to any failure.
+/// full virtual-time trace to any failure. A kSharded run is also run once
+/// on the SimEngine with net::SharingPolicy::kUncontended and fails unless
+/// every rank finishes at the same virtual time on both engines; the few
+/// known same-instant tie-order rows (kTieOrderRows in conformance.cpp) fail
+/// unless they differ exactly as pinned.
 std::optional<std::string> run_case(
     const CaseConfig& config, const RunSpec& spec, Fault fault = Fault::kNone,
     std::shared_ptr<obs::Recorder> recorder = nullptr);
@@ -251,9 +249,8 @@ struct MatrixOptions {
   /// > 0: every eligible case (non-persistent, non-partitioned) also runs on
   /// the sharded engine under the stable schedule, at 1 shard and at this
   /// many shards — certifying that partitioning the event core across
-  /// threads cannot change a collective's bytes. The last of those runs is
-  /// also a RunSpec::cross_engine run: its finish times must match the
-  /// uncontended SimEngine's. 0 (default) adds no sharded rows.
+  /// threads cannot change a collective's bytes, nor the uncontended
+  /// SimEngine's finish times. 0 (default) adds no sharded rows.
   int sharded_shards = 0;
 };
 

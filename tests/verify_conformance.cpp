@@ -57,8 +57,8 @@ int usage() {
          "--shards: also run every eligible case on the sharded engine, at 1\n"
          "shard and at N shards, under the stable schedule — the sharded\n"
          "rows must report byte-identically for any N and any --jobs — and\n"
-         "once on the uncontended SimEngine, whose per-rank finish times the\n"
-         "N-shard run must match (cross_engine=1 on its repro line).\n"
+         "once per sharded run on the uncontended SimEngine, whose per-rank\n"
+         "finish times every sharded run must match.\n"
          "--han-only: restrict the conformance matrix to the HAN two-level\n"
          "rows (ppn > 0) — the CI TSan subset.\n"
          "--jobs: run matrix cases on N worker threads. Every run is an\n"
@@ -66,7 +66,7 @@ int usage() {
          "any N; only wall clock changes.\n"
          "--trace-dir: re-run every shrunken failure (and any --repro that\n"
          "reproduces) with the obs recorder and write a Perfetto trace\n"
-         "(failure-N.trace.json) into DIR; a cross-engine failure also\n"
+         "(failure-N.trace.json) into DIR; a sharded-engine failure also\n"
          "writes the uncontended SimEngine's (failure-N.reference.trace.json)\n"
          "for adapt-trace diff.\n";
   return 2;
