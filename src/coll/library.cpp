@@ -70,6 +70,20 @@ class TreeCache {
     return it->second;
   }
 
+  /// The fused HAN tree, keyed by everything build_han_tree reads of the
+  /// spec: the inter-node and intra-node shapes and the radix.
+  const Tree& han(const mpi::Comm& comm, Rank root, const HanSpec& spec) {
+    const HanKey key{comm.fingerprint(), root,
+                     static_cast<int>(spec.inter_node),
+                     static_cast<int>(spec.intra_node), spec.radix};
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = han_.find(key);
+    if (it == han_.end()) {
+      it = han_.emplace(key, build_han_tree(machine_, comm, root, spec)).first;
+    }
+    return it->second;
+  }
+
   const HanGroups& groups(const mpi::Comm& comm, Rank root) {
     const std::pair<std::uint64_t, Rank> key{comm.fingerprint(), root};
     std::lock_guard<std::mutex> lock(mutex_);
@@ -82,9 +96,11 @@ class TreeCache {
 
  private:
   using Key = std::tuple<std::uint64_t, Rank, bool, int, int, int>;
+  using HanKey = std::tuple<std::uint64_t, Rank, int, int, int>;
   const topo::Machine& machine_;
   std::mutex mutex_;
   std::map<Key, Tree> cache_;
+  std::map<HanKey, Tree> han_;
   std::map<std::pair<std::uint64_t, Rank>, HanGroups> groups_;
 };
 
@@ -180,7 +196,6 @@ class PlanLibrary final : public MpiLibrary {
               std::shared_ptr<tune::Tuner> own_tuner = nullptr,
               bool engine_tunable = false)
       : name_(std::move(name)),
-        machine_(machine),
         cache_(machine),
         bcast_fn_(std::move(bcast_fn)),
         reduce_fn_(std::move(reduce_fn)),
@@ -214,13 +229,10 @@ class PlanLibrary final : public MpiLibrary {
                             cache_.groups(comm, root), spec);
         co_return;
       }
-      case Plan::Algo::kHan: {
-        HanSpec spec = p.han;
-        spec.style = p.style;
-        spec.opts = opts;
-        co_await han_bcast(ctx, comm, buffer, root, machine_, spec);
+      case Plan::Algo::kHan:
+        co_await coll::bcast(ctx, comm, buffer, root,
+                             cache_.han(comm, root, p.han), p.style, opts);
         co_return;
-      }
       case Plan::Algo::kScatterAllgather:
         co_await bcast_scatter_allgather(ctx, comm, buffer, root, p.ag);
         co_return;
@@ -256,14 +268,10 @@ class PlanLibrary final : public MpiLibrary {
                              cache_.groups(comm, root), spec);
         co_return;
       }
-      case Plan::Algo::kHan: {
-        HanSpec spec = p.han;
-        spec.style = p.style;
-        spec.opts = opts;
-        co_await han_reduce(ctx, comm, accum, op, dtype, root, machine_,
-                            spec);
+      case Plan::Algo::kHan:
+        co_await coll::reduce(ctx, comm, accum, op, dtype, root,
+                              cache_.han(comm, root, p.han), p.style, opts);
         co_return;
-      }
       case Plan::Algo::kRabenseifner:
         co_await reduce_rabenseifner(ctx, comm, accum, op, dtype, root, opts);
         co_return;
@@ -289,7 +297,6 @@ class PlanLibrary final : public MpiLibrary {
   }
 
   std::string name_;
-  const topo::Machine& machine_;
   TreeCache cache_;
   PlanFn bcast_fn_;
   PlanFn reduce_fn_;
