@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "src/coll/topo_tree.hpp"
 #include "src/support/error.hpp"
@@ -27,8 +28,10 @@ class BaseGpuLibrary : public GpuLibrary {
   std::string name() const override { return name_; }
 
  protected:
+  /// Keyed on the communicator's fingerprint, like coll's TreeCache: a
+  /// tree is built for one membership and is wrong for any other.
   const Tree& tree_for(const mpi::Comm& comm, Rank root, bool topo) {
-    const auto key = std::pair<Rank, bool>(root, topo);
+    const Key key{comm.fingerprint(), root, topo};
     auto it = trees_.find(key);
     if (it == trees_.end()) {
       coll::TopoTreeSpec chains;  // chain at every level (§5.2.1)
@@ -42,7 +45,8 @@ class BaseGpuLibrary : public GpuLibrary {
 
   std::string name_;
   const topo::Machine& machine_;
-  std::map<std::pair<Rank, bool>, Tree> trees_;
+  using Key = std::tuple<std::uint64_t, Rank, bool>;
+  std::map<Key, Tree> trees_;
 };
 
 /// MVAPICH2-like: device-direct transfers over IPC/GPUDirect, k-nomial tree,

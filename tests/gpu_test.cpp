@@ -229,6 +229,41 @@ TEST(GpuColl, AdaptFinishTimesPinned) {
             TimeNs{3835168});
 }
 
+TEST(GpuColl, TreeCacheKeysOnCommunicator) {
+  // One library object serves the world and then a smaller sub-communicator
+  // with the same root: the second call needs a tree of its own.
+  topo::Machine m = gpu_machine(2);
+  const int n = m.nranks();
+  const mpi::Comm world = mpi::Comm::world(n);
+  const mpi::Comm half(std::vector<Rank>{0, 1, 4, 5});  // spans both nodes
+  for (const std::string name : {"mvapich-gpu", "ompi-adapt-gpu"}) {
+    auto lib = make_gpu_library(name, m);
+    runtime::SimEngineOptions options;
+    options.gpu = lib->gpu_config();
+    SimEngine engine(m, options);
+    const Bytes bytes = 4096;
+    std::vector<std::vector<std::byte>> bufs(
+        static_cast<std::size_t>(n),
+        std::vector<std::byte>(static_cast<std::size_t>(bytes)));
+    std::vector<std::byte> second(static_cast<std::size_t>(bytes));
+    Rng rng(11);
+    for (auto& b : bufs[0]) b = std::byte(rng.next_below(256));
+    for (auto& b : second) b = std::byte(rng.next_below(256));
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+      co_await lib->bcast(ctx, world, mpi::MutView{mine.data(), bytes}, 0);
+      if (!half.contains(ctx.rank())) co_return;
+      if (ctx.rank() == 0) mine = second;
+      co_await lib->bcast(ctx, half, mpi::MutView{mine.data(), bytes}, 0);
+    };
+    engine.run(program);
+    for (const Rank r : half.members()) {
+      EXPECT_EQ(bufs[static_cast<std::size_t>(r)], second)
+          << name << " sub-communicator bcast, rank " << r;
+    }
+  }
+}
+
 TEST(GpuColl, RejectsCpuOnlyMachine) {
   topo::Machine m(topo::cori(1), 8);
   EXPECT_THROW(make_gpu_library("ompi-adapt-gpu", m), Error);
