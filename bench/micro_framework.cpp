@@ -69,10 +69,12 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     sim::EventQueue q;
+    sim::EventKeys keys(1);
     for (int i = 0; i < n; ++i) {
-      q.push(static_cast<TimeNs>(rng.next_below(1 << 20)), [] {});
+      q.push(static_cast<TimeNs>(rng.next_below(1 << 20)), keys.next(0),
+             [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().second);
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop().fn);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -84,26 +86,28 @@ BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 void BM_EventQueueSteadyState(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   sim::EventQueue q;
+  sim::EventKeys keys(1);
   Rng rng(1);
   TimeNs t = 0;
   const auto round = [&] {
     for (int i = 0; i < depth; ++i) {
-      q.push(t + 1 + static_cast<TimeNs>(rng.next_below(1 << 12)), [] {});
+      q.push(t + 1 + static_cast<TimeNs>(rng.next_below(1 << 12)),
+             keys.next(0), [] {});
     }
     while (!q.empty()) {
-      auto [time, fn] = q.pop();
-      t = time;
-      benchmark::DoNotOptimize(fn);
+      sim::Event ev = q.pop();
+      t = ev.time;
+      benchmark::DoNotOptimize(ev.fn);
     }
   };
   // Warm every radix level reachable by an advancing clock, then the loop's
   // own shape, so the measured region starts with all capacity in place.
   for (int b = 5; b <= 45; ++b) {
     for (int j = 0; j < depth; ++j) {
-      q.push((static_cast<TimeNs>(1) << b) + j, [] {});
+      q.push((static_cast<TimeNs>(1) << b) + j, keys.next(0), [] {});
     }
   }
-  while (!q.empty()) t = q.pop().first;
+  while (!q.empty()) t = q.pop().time;
   round();
   const std::uint64_t before = g_alloc_count.load();
   std::uint64_t items = 0;

@@ -1,7 +1,10 @@
 #include "src/obs/merge.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <tuple>
+
+#include "src/obs/export.hpp"
 
 namespace adapt::obs {
 
@@ -111,6 +114,15 @@ void merge_recorders(const std::vector<const Recorder*>& parts,
     merge_metrics(part->metrics(), out.metrics());
     out.queue_stats().scheduled += part->queue_stats().scheduled;
   }
+}
+
+std::string canonical_trace_json(const Recorder& rec) {
+  Recorder canonical(true);
+  canonical.init_ranks(static_cast<int>(rec.metrics().ranks().size()));
+  merge_recorders({&rec}, canonical);
+  std::ostringstream os;
+  write_trace_json(canonical, os);
+  return os.str();
 }
 
 }  // namespace adapt::obs

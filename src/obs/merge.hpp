@@ -17,6 +17,7 @@
 // and histograms.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "src/obs/trace.hpp"
@@ -27,5 +28,11 @@ namespace adapt::obs {
 /// should be freshly init_ranks()'d; parts are read-only. Transfers not yet
 /// done are dropped (exports skip them anyway).
 void merge_recorders(const std::vector<const Recorder*>& parts, Recorder& out);
+
+/// `rec`'s trace export with its records in canonical order — the order a
+/// sharded run's merged recorder already has. The uncontended SimEngine and
+/// the ShardedEngine run the same schedule, so their canonical traces are
+/// byte-identical.
+std::string canonical_trace_json(const Recorder& rec);
 
 }  // namespace adapt::obs

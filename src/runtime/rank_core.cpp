@@ -60,7 +60,7 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
   sim::Task<> sleep_for(TimeNs duration) override {
     ADAPT_CHECK(duration >= 0);
     co_await sim::Suspend([this, duration](std::coroutine_handle<> h) {
-      core_.host_.schedule(rank_, now() + duration, [h] { h.resume(); });
+      core_.post(rank_, now() + duration, [h] { h.resume(); });
     });
   }
 
@@ -115,13 +115,12 @@ mpi::Endpoint& RankCore::endpoint(Rank r) {
   return ranks_[static_cast<std::size_t>(r)]->endpoint();
 }
 
-void RankCore::run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost) {
+void RankCore::run_on(Rank r, sim::EventFn fn, TimeNs cpu_cost) {
   post(r, occupy(r, /*progress=*/false, /*noisy=*/true, cpu_cost),
        std::move(fn));
 }
 
-void RankCore::run_progress(Rank r, std::function<void()> fn,
-                            TimeNs cpu_cost) {
+void RankCore::run_progress(Rank r, sim::EventFn fn, TimeNs cpu_cost) {
   post(r, occupy(r, /*progress=*/true, /*noisy=*/false, cpu_cost),
        std::move(fn));
 }
@@ -140,13 +139,13 @@ TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   return busy;
 }
 
-void RankCore::post(Rank r, TimeNs t, std::function<void()> fn) {
+void RankCore::post(Rank r, TimeNs t, sim::EventFn fn) {
   if (!log_ctx_) {
-    host_.schedule(r, t, std::move(fn));
+    host_.schedule(r, r, t, std::move(fn));
     return;
   }
   const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
-  host_.schedule(r, t, [r, rank, fn = std::move(fn)] {
+  host_.schedule(r, r, t, [r, rank, fn = std::move(fn)]() mutable {
     ScopedLogContext lc(
         r, [](const void* p) { return static_cast<const SimRank*>(p)->now(); },
         rank);

@@ -7,8 +7,8 @@
 // zero of the run, and the run ends when every rank's program has finished.
 // RankCore owns all of that once. An engine supplies only what differs
 // between them: through RankHost a rank's current time, a way to schedule
-// an event for a rank and the engine-only services a Context exposes, and
-// through the rank's endpoint its recorder.
+// a rank's event, the route between two ranks and the engine-only services
+// a Context exposes, and through the rank's endpoint its recorder.
 #pragma once
 
 #include <exception>
@@ -17,22 +17,31 @@
 #include <vector>
 
 #include "src/mpi/endpoint.hpp"
+#include "src/net/fabric.hpp"
 #include "src/noise/noise.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/context.hpp"
+#include "src/sim/event_queue.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/topo/hardware.hpp"
 
 namespace adapt::runtime {
 
-/// What a discrete-event engine supplies to its RankCore, besides each
-/// rank's recorder, which it installs on the rank's endpoint.
+/// What a discrete-event engine supplies to its RankCore and MessageLegs,
+/// besides each rank's recorder, which it installs on the rank's endpoint.
 class RankHost {
  public:
   /// Current time on rank r's clock.
   virtual TimeNs now_of(Rank r) const = 0;
-  /// Schedules fn as an event of rank r at absolute time t (>= now_of(r)).
-  virtual void schedule(Rank r, TimeNs t, std::function<void()>&& fn) = 0;
+  /// Schedules fn at absolute time t (>= now_of(producer)) as the next
+  /// event of rank `producer`, the rank whose code is running; it runs
+  /// where rank `at` runs.
+  virtual void schedule(Rank producer, Rank at, TimeNs t, sim::EventFn fn) = 0;
+  /// Index of the shard that runs rank r's events (0 on a one-clock engine).
+  virtual int shard_of(Rank) const { return 0; }
+  /// Cost route of a message from src to dst between the given memories.
+  virtual net::Route route(Rank src, MemSpace src_space, Rank dst,
+                           MemSpace dst_space) = 0;
 
   // Engine services behind Context; null on engines without them.
   virtual gpu::Device* gpu_of(Rank) { return nullptr; }
@@ -60,10 +69,10 @@ class RankCore {
 
   /// Runs `fn` once rank r's main thread is free (noise applies), after
   /// occupying it for `cpu_cost`.
-  void run_on(Rank r, std::function<void()> fn, TimeNs cpu_cost);
+  void run_on(Rank r, sim::EventFn fn, TimeNs cpu_cost);
   /// Runs `fn` on rank r's progress context (async progress thread + NIC
   /// offload), which noise never touches, after occupying it for `cpu_cost`.
-  void run_progress(Rank r, std::function<void()> fn, TimeNs cpu_cost);
+  void run_progress(Rank r, sim::EventFn fn, TimeNs cpu_cost);
 
   /// Starts `program` on every rank as soon as its main thread is free. The
   /// engine then drains its events and calls finish(); `program` must live
@@ -91,9 +100,9 @@ class RankCore {
   /// for `cpu_cost` from when it is free, noise delaying the start when
   /// `noisy`; records the task and returns when the timeline frees again.
   TimeNs occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost);
-  /// Schedules `fn` for rank r at `t`, under the rank's log context when
-  /// logging is on.
-  void post(Rank r, TimeNs t, std::function<void()> fn);
+  /// Schedules `fn` as rank r's event at `t`, under the rank's log context
+  /// when logging is on.
+  void post(Rank r, TimeNs t, sim::EventFn fn);
 
   RankHost& host_;
   support::BufferPool& pool_;

@@ -13,141 +13,30 @@ namespace {
 
 constexpr TimeNs kInf = std::numeric_limits<TimeNs>::max();
 
-/// Rank field of the event key occupies the low 20 bits.
-constexpr int kRankBits = 20;
-
 }  // namespace
 
 // ------------------------------------------------------------ transport ---
 
-// The engine is the transport of every shard: all mutable state a submit
-// touches (pair clocks, shard queues, mailboxes, recorders) is owned by the
-// producing rank's shard, so concurrent submits from different shards never
-// share data. Delivery, completion and protocol legs are events keyed by the
-// producing rank — the rank whose callback is executing at schedule time —
-// which is what keeps per-rank sequence draws invariant to sharding.
+// The engine is the transport of every shard, and MessageLegs runs its
+// legs: all mutable state a leg touches (pair tables, parked messages,
+// shard queues, mailboxes, recorders) belongs to the shard of the rank
+// whose code runs it, so concurrent legs on different shards never share
+// data.
 void ShardedEngine::submit(mpi::Envelope env, MemSpace src_space,
                            MemSpace dst_space, std::function<void()> on_sent,
                            std::function<void(mpi::ErrCode)> on_failed) {
   ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
       << "the sharded engine is host-only; use SimEngine for GPU runs";
   (void)on_failed;  // no fault injection here: every submit succeeds
-  const Rank src = env.src;
-  const Rank dst = env.dst;
-  const int ss = shard_of(src);
+  legs_.submit(std::move(env), src_space, dst_space, std::move(on_sent));
+}
+
+net::Route ShardedEngine::route(Rank src, MemSpace, Rank dst, MemSpace) {
   const topo::RouteCost rc = topo_->route(src, dst);
-  if (env.size <= machine_.spec().eager_threshold) {
-    // Eager: data goes on the wire at once, behind the pair's earlier
-    // messages, and is buffered at the receiver if nothing matches. The
-    // sender completes at arrival (the last byte left the wire), as in the
-    // SimEngine's raw eager path.
-    const TimeNs arrive = transmit(src, dst, rc, env.size,
-                                   static_cast<int>(mpi::Frame::Kind::kEager));
-    post_at(ss, ss, arrive, next_key(src),
-            [this, src, on_sent = std::move(on_sent)]() mutable {
-              core_.run_progress(src, std::move(on_sent), 0);
-            });
-    post_at(ss, shard_of(dst), arrive, next_key(src),
-            [this, dst, env = std::move(env)]() mutable {
-              endpoint(dst).deliver(std::move(env));
-            });
-    return;
-  }
-  // Rendezvous: an alpha-only RTS races ahead; the matched receive grants on
-  // the receiver's shard, an alpha-only CTS returns to the sender, and only
-  // then does the bulk data go on the wire (see rendezvous_grant/bulk).
-  Shard& sh = *shards_[static_cast<std::size_t>(ss)];
-  const TimeNs rts_arrive = sh.now + rc.alpha;
-  if (sh.rec) {
-    sh.rec->transfer_alpha_only(src, dst,
-                                static_cast<int>(mpi::Frame::Kind::kRts),
-                                sh.now, rts_arrive);
-  }
-  mpi::Envelope rts;
-  rts.src = src;
-  rts.dst = dst;
-  rts.tag = env.tag;
-  rts.size = env.size;
-  rts.grant = [this, rc, env = std::move(env),
-               on_sent = std::move(on_sent)](mpi::PostedRecv recv) mutable {
-    rendezvous_grant(rc, std::move(env), std::move(on_sent), std::move(recv));
-  };
-  post_at(ss, shard_of(dst), rts_arrive, next_key(src),
-          [this, dst, rts = std::move(rts)]() mutable {
-            endpoint(dst).deliver(std::move(rts));
-          });
-}
-
-TimeNs ShardedEngine::transmit(Rank src, Rank dst, const topo::RouteCost& rc,
-                               Bytes bytes, int kind) {
-  Shard& sh = shard_for(src);
-  const TimeNs stream = net::stream_time(bytes, 1.0 / rc.beta_ns_per_byte);
-  const std::uint64_t pair_key =
-      static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(nranks()) +
-      static_cast<std::uint64_t>(dst);
-  const TimeNs arrive = sh.pairs[pair_key].arrive(sh.now, rc.alpha, stream);
-  if (sh.rec) {
-    const std::uint64_t id = sh.rec->transfer_begin(src, dst, bytes, kind,
-                                                    sh.now);
-    if (id != 0) {
-      sh.rec->transfer_active(id, arrive - stream, stream);
-      sh.rec->transfer_end(id, arrive);
-    }
-  }
-  return arrive;
-}
-
-/// A receive matched the RTS: runs on the RECEIVER's shard at match time.
-/// The CTS leg back to the sender is keyed by the receiver (the producing
-/// rank here), then the bulk leg continues on the sender's shard.
-void ShardedEngine::rendezvous_grant(topo::RouteCost rc, mpi::Envelope env,
-                                     std::function<void()> on_sent,
-                                     mpi::PostedRecv recv) {
-  const Rank src = env.src;
-  const Rank dst = env.dst;
-  const int ds = shard_of(dst);
-  Shard& sh = *shards_[static_cast<std::size_t>(ds)];
-  const TimeNs now = sh.now;
-  const TimeNs cts_arrive = now + rc.alpha;
-  if (sh.rec) {
-    sh.rec->transfer_alpha_only(dst, src,
-                                static_cast<int>(mpi::Frame::Kind::kCts), now,
-                                cts_arrive);
-  }
-  post_at(ds, shard_of(src), cts_arrive, next_key(dst),
-          [this, rc, env = std::move(env), on_sent = std::move(on_sent),
-           recv = std::move(recv)]() mutable {
-            rendezvous_bulk(rc, std::move(env), std::move(on_sent),
-                            std::move(recv));
-          });
-}
-
-/// CTS reached the sender: runs on the SENDER's shard. The bulk data goes
-/// on the wire behind the pair's earlier messages; completion fires at the
-/// sender and finalisation at the receiver, both at arrival time.
-void ShardedEngine::rendezvous_bulk(topo::RouteCost rc, mpi::Envelope env,
-                                    std::function<void()> on_sent,
-                                    mpi::PostedRecv recv) {
-  const Rank src = env.src;
-  const Rank dst = env.dst;
-  const int ss = shard_of(src);
-  const TimeNs arrive = transmit(src, dst, rc, env.size,
-                                 static_cast<int>(mpi::Frame::Kind::kBulk));
-  post_at(ss, ss, arrive, next_key(src),
-          [this, src, on_sent = std::move(on_sent)]() mutable {
-            core_.run_progress(src, std::move(on_sent), 0);
-          });
-  const TimeNs overhead = machine_.spec().cpu_overhead;
-  post_at(ss, shard_of(dst), arrive, next_key(src),
-          [this, dst, overhead, env = std::move(env),
-           recv = std::move(recv)]() mutable {
-            core_.run_progress(
-                dst,
-                [this, dst, env = std::move(env), recv = std::move(recv)] {
-                  endpoint(dst).finalize_recv(recv, env);
-                },
-                overhead);
-          });
+  net::Route route;
+  route.alpha = rc.alpha;
+  route.per_flow_cap = 1.0 / rc.beta_ns_per_byte;
+  return route;
 }
 
 // --------------------------------------------------------- ShardedEngine ---
@@ -158,16 +47,16 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
       options_(std::move(options)),
       machine_topo_(machine),
       topo_(options_.topology ? options_.topology : &machine_topo_),
-      core_(*this, machine, *this, pool_, options_.noise) {
+      map_(topo::make_shard_map(*topo_, std::max(options_.shards, 1))),
+      keys_(machine.nranks()),
+      core_(*this, machine, *this, pool_, options_.noise),
+      legs_(*this, core_, machine, map_.shards) {
   const int n = machine_.nranks();
   ADAPT_CHECK(topo_->nranks() == n)
       << "topology describes " << topo_->nranks() << " ranks but the machine "
       << "places " << n;
-  ADAPT_CHECK(n < (1 << kRankBits))
-      << "event keys reserve " << kRankBits << " bits for the rank";
   ADAPT_CHECK(options_.shards >= 1);
 
-  map_ = topo::make_shard_map(*topo_, options_.shards);
   lookahead_ = topo_->min_cross_block_alpha();
   ADAPT_CHECK(map_.shards == 1 || lookahead_ > 0)
       << "conservative sharding needs positive cross-block latency";
@@ -186,7 +75,6 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
     workers_ = std::make_unique<support::ShardPool>(map_.shards);
   }
 
-  rank_seq_.assign(static_cast<std::size_t>(n), 0);
   if (options_.recorder && options_.recorder->enabled()) {
     options_.recorder->init_ranks(n);
   }
@@ -194,25 +82,20 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
 
 ShardedEngine::~ShardedEngine() = default;
 
-std::uint64_t ShardedEngine::next_key(Rank r) {
-  std::uint64_t& seq = rank_seq_[static_cast<std::size_t>(r)];
-  ADAPT_CHECK(seq < (1ull << (64 - kRankBits)))
-      << "per-rank event sequence overflow";
-  return (seq++ << kRankBits) | static_cast<std::uint64_t>(r);
-}
-
-void ShardedEngine::post_at(int from, int to, TimeNs t, std::uint64_t tie,
-                            sim::EventFn fn) {
+void ShardedEngine::schedule(Rank producer, Rank at, TimeNs t,
+                             sim::EventFn fn) {
+  const int from = shard_of(producer);
+  const int to = shard_of(at);
+  const std::uint64_t key = keys_.next(producer);
   if (from == to) {
-    shards_[static_cast<std::size_t>(to)]->queue.push_keyed(t, tie,
-                                                            std::move(fn));
+    shards_[static_cast<std::size_t>(to)]->queue.push(t, key, std::move(fn));
     return;
   }
   // Cross-shard: t is at least this window's end (route alpha >= lookahead),
   // so delivery at the next round's drain is never late.
   Shard& sh = *shards_[static_cast<std::size_t>(from)];
   sh.outbox[static_cast<std::size_t>(to)][epoch_ & 1].push_back(
-      Msg{t, tie, std::move(fn)});
+      Msg{t, key, std::move(fn)});
 }
 
 TimeNs ShardedEngine::pending_min(const Shard& sh) const {
@@ -236,16 +119,16 @@ void ShardedEngine::round(int s, TimeNs window) {
     const std::size_t prev = (epoch_ + 1) & 1;
     for (auto& peer : shards_) {
       auto& box = peer->outbox[static_cast<std::size_t>(s)][prev];
-      for (Msg& m : box) sh.queue.push_keyed(m.time, m.tie, std::move(m.fn));
+      for (Msg& m : box) sh.queue.push(m.time, m.key, std::move(m.fn));
       box.clear();
     }
     // peek_min_time for the guard too: evaluating it on an idle shard must
     // not commit the cursor past messages the next drain will deliver. pop()
     // advances the cursor only to events actually executed (< window).
     while (!sh.queue.empty() && sh.queue.peek_min_time() < window) {
-      auto [t, fn] = sh.queue.pop();
-      sh.now = t;
-      fn();
+      sim::Event ev = sh.queue.pop();
+      sh.now = ev.time;
+      ev.fn();
     }
   } catch (...) {
     sh.fatal = std::current_exception();
@@ -291,9 +174,9 @@ RunResult ShardedEngine::run(const RankProgram& program) {
     Shard& sh = *shards_[0];
     support::FrameArena::Scope frames(&sh.arena);
     while (!sh.queue.empty()) {
-      auto [t, fn] = sh.queue.pop();
-      sh.now = t;
-      fn();
+      sim::Event ev = sh.queue.pop();
+      sh.now = ev.time;
+      ev.fn();
     }
   } else {
     while (true) {
@@ -345,16 +228,11 @@ std::uint64_t ShardedEngine::rank_state_bytes() const {
 }
 
 std::uint64_t ShardedEngine::rank_state_peak_bytes() const {
-  // A pair clock lives in one hash node (link + key + clock) behind one
-  // bucket pointer; the maps only grow, so their size is their peak.
-  constexpr std::uint64_t kPairNodeBytes =
-      sizeof(void*) + sizeof(std::pair<const std::uint64_t, net::PairClock>);
+  // The pair tables only grow, so their size is their peak.
   std::uint64_t peak = 0;
-  for (const auto& sh : shards_) {
-    peak += sh->arena.peak_bytes() + sh->pairs.size() * kPairNodeBytes +
-            sh->pairs.bucket_count() * sizeof(void*);
-  }
-  return peak + core_.matcher_bytes() + pool_.cached_bytes();
+  for (const auto& sh : shards_) peak += sh->arena.peak_bytes();
+  return peak + legs_.pair_bytes() + core_.matcher_bytes() +
+         pool_.cached_bytes();
 }
 
 }  // namespace adapt::runtime

@@ -13,31 +13,31 @@
 // hop rather than window by window.
 //
 // Determinism contract (the non-negotiable): every event is keyed by
-// (producer rank, per-producer sequence) via EventQueue::push_keyed. A
-// rank's execution order is the ascending (time, key) order of its events,
-// which is independent of how ranks are partitioned; per-shard records are
-// merged in canonical order (obs/merge.hpp). Traces, metrics, conformance
-// results and golden hashes are byte-identical for ANY shards value,
-// including 1 — the single-shard fast path goes through the same keys and
-// the same merge.
+// (per-producer sequence << 20) | producer rank (sim::EventKeys, the rule
+// the SimEngine's queue uses too). A rank's execution order is the
+// ascending (time, key) order of its events, which is independent of how
+// ranks are partitioned; per-shard records are merged in canonical order
+// (obs/merge.hpp). Traces, metrics, conformance results and golden hashes
+// are byte-identical for ANY shards value, including 1 — the single-shard
+// fast path goes through the same keys and the same merge.
 //
-// Cost model: the SimEngine's under SharingPolicy::kUncontended. Each
-// message is priced by its (src, dst) pair's net::PairClock, held on the
-// source rank's shard, and ranks run on the SimEngine's RankCore, so both
-// engines give the same finish times up to the order of same-instant events
-// (DESIGN.md §14.5). The fluid max-min fair-sharing fabric is deliberately not modelled — cross-shard bandwidth
-// sharing would need global state on the hot path. Fault injection,
-// schedule perturbation, reliability, recovery, GPUs and the tuner are
-// likewise out of scope here and gated off; use the SimEngine for those
-// studies. This engine's job is scale: compact per-rank state and intra-run
-// parallelism toward million-rank simulations.
+// Cost model: the SimEngine's under SharingPolicy::kUncontended. Both
+// engines run ranks on one RankCore, messages on one set of legs
+// (MessageLegs, each (src, dst) pair priced by its net::PairClock on the
+// source rank's shard) and events in one keyed order, so the uncontended
+// SimEngine produces this engine's trace byte for byte (DESIGN.md §14.5).
+// The fluid max-min fair-sharing fabric is deliberately not modelled —
+// cross-shard bandwidth sharing would need global state on the hot path.
+// Fault injection, schedule perturbation, reliability, recovery, GPUs and
+// the tuner are likewise out of scope here and gated off; use the SimEngine
+// for those studies. This engine's job is scale: compact per-rank state and
+// intra-run parallelism toward million-rank simulations.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,6 +46,7 @@
 #include "src/noise/noise.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/context.hpp"
+#include "src/runtime/legs.hpp"
 #include "src/runtime/rank_core.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/support/buffer_pool.hpp"
@@ -97,7 +98,7 @@ class ShardedEngine final : public Engine,
   /// shards value; exported as the sim.rank_state_bytes counter.
   std::uint64_t rank_state_bytes() const;
   /// Peak resident rank state (live frame high-water + matcher footprint +
-  /// pool-cached blocks + pair clocks): the memory-budget figure. NOT
+  /// pool-cached blocks + pair tables): the memory-budget figure. NOT
   /// byte-stable across shard counts (per-shard peaks don't sum to the global
   /// peak) — never exported, only asserted against budgets.
   std::uint64_t rank_state_peak_bytes() const;
@@ -107,7 +108,7 @@ class ShardedEngine final : public Engine,
   /// shard's queue at the next window boundary.
   struct Msg {
     TimeNs time;
-    std::uint64_t tie;
+    std::uint64_t key;
     sim::EventFn fn;
   };
 
@@ -124,42 +125,29 @@ class ShardedEngine final : public Engine,
     /// drained by dst at the start of the next round (the off epoch), so
     /// producer and consumer never touch the same vector.
     std::vector<std::array<std::vector<Msg>, 2>> outbox;
-    /// Transmit queues of the pairs whose source rank lives here, keyed by
-    /// src * nranks + dst: created on a pair's first message.
-    std::unordered_map<std::uint64_t, net::PairClock> pairs;
     std::exception_ptr fatal;
   };
 
-  int shard_of(Rank r) const {
-    return map_.shard_of[static_cast<std::size_t>(r)];
-  }
   Shard& shard_for(Rank r) { return *shards_[static_cast<std::size_t>(shard_of(r))]; }
-  /// Shard-invariant event key for rank r's next event: (seq(r) << 20) | r.
-  std::uint64_t next_key(Rank r);
-  /// Schedules fn at absolute time t on shard `to`, from code running on
-  /// shard `from` (same shard: direct push; different: mailbox append).
-  void post_at(int from, int to, TimeNs t, std::uint64_t tie, sim::EventFn fn);
 
-  // RankHost: each rank runs on its shard's clock and queue.
+  // RankHost: each rank runs on its shard's clock and queue. A same-shard
+  // event is pushed directly; a cross-shard one (always at least this
+  // window's end away: route alpha >= lookahead) waits in the mailbox until
+  // the next round's drain.
   TimeNs now_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->now;
   }
-  void schedule(Rank r, TimeNs t, std::function<void()>&& fn) override {
-    shard_for(r).queue.push_keyed(t, next_key(r), std::move(fn));
+  void schedule(Rank producer, Rank at, TimeNs t, sim::EventFn fn) override;
+  int shard_of(Rank r) const override {
+    return map_.shard_of[static_cast<std::size_t>(r)];
   }
+  net::Route route(Rank src, MemSpace src_space, Rank dst,
+                   MemSpace dst_space) override;
 
-  // Transport: the eager/rendezvous legs (see sharded_engine.cpp).
+  // Transport: host-only messages on the shared legs.
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
               std::function<void()> on_sent,
               std::function<void(mpi::ErrCode)> on_failed) override;
-  /// Puts `bytes` from src to dst on the wire at src's shard's now, behind
-  /// the pair's earlier messages; returns the arrival time.
-  TimeNs transmit(Rank src, Rank dst, const topo::RouteCost& rc, Bytes bytes,
-                  int kind);
-  void rendezvous_grant(topo::RouteCost rc, mpi::Envelope env,
-                        std::function<void()> on_sent, mpi::PostedRecv recv);
-  void rendezvous_bulk(topo::RouteCost rc, mpi::Envelope env,
-                       std::function<void()> on_sent, mpi::PostedRecv recv);
 
   /// One conservative window on shard s: drain inbound mailboxes, then
   /// execute local events with time < window.
@@ -180,10 +168,12 @@ class ShardedEngine final : public Engine,
   TimeNs lookahead_ = 0;  ///< min cross-shard route alpha
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<support::ShardPool> workers_;  ///< null when shards() == 1
+  /// Event keys, globally indexed: each rank's counter is only ever touched
+  /// by the rank's own shard. Built before the core, so a rank count the
+  /// keys cannot hold is rejected before any rank state is.
+  sim::EventKeys keys_;
   RankCore core_;
-  /// Per-producer event sequence, globally indexed: each entry is only ever
-  /// touched by the owning rank's shard.
-  std::vector<std::uint64_t> rank_seq_;
+  MessageLegs legs_;
   std::uint64_t epoch_ = 0;  ///< round counter; selects the mailbox epoch
 };
 

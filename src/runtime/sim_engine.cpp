@@ -1,13 +1,10 @@
 #include "src/runtime/sim_engine.hpp"
 
-#include <array>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "src/gpu/device.hpp"
 #include "src/support/error.hpp"
-#include "src/support/slot_pool.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::runtime {
@@ -23,15 +20,6 @@ int wire_kind(const mpi::WireFrame& wire) {
   return wire.is_ack ? kWireKindAck : static_cast<int>(wire.frame.kind);
 }
 
-/// Deterministic in-place payload corruption (raw/unreliable mode only: with
-/// the reliability layer on, corruption is a checksum discard instead and the
-/// payload is never touched).
-void corrupt_in_place(mpi::Envelope& env, std::uint64_t salt) {
-  if (!env.data || env.size == 0) return;
-  env.data.data()[static_cast<std::size_t>(
-      salt % static_cast<std::uint64_t>(env.size))] ^= std::byte{0x2a};
-}
-
 }  // namespace
 
 class SimEngine::SimTransport final : public mpi::Transport {
@@ -41,26 +29,13 @@ class SimEngine::SimTransport final : public mpi::Transport {
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
               std::function<void()> on_sent,
               std::function<void(mpi::ErrCode)> on_failed) override {
-    if (!engine_.channels_.empty()) {
-      submit_reliable(std::move(env), src_space, dst_space,
-                      std::move(on_sent), std::move(on_failed));
+    if (engine_.channels_.empty()) {
+      engine_.legs_.submit(std::move(env), src_space, dst_space,
+                           std::move(on_sent));
       return;
     }
-    const std::uint32_t pi = pair_index(env.src, env.dst);
-    const std::uint32_t ri =
-        route_index(pi, env.src, src_space, env.dst, dst_space);
-    const std::uint64_t seq = ++pairs_[pi].raw_seq;
-    if (env.size <= engine_.machine_.spec().eager_threshold) {
-      net::Route& route = routes_[ri];
-      if (obs::Recorder* rec = engine_.obs_) {
-        route.trace = rec->transfer_begin(
-            env.src, env.dst, env.size,
-            static_cast<int>(mpi::Frame::Kind::kEager), engine_.sim_.now());
-      }
-      submit_eager(route, seq, std::move(env), std::move(on_sent));
-    } else {
-      submit_rendezvous(ri, seq, std::move(env), std::move(on_sent));
-    }
+    submit_reliable(std::move(env), src_space, dst_space, std::move(on_sent),
+                    std::move(on_failed));
   }
 
   /// Channel downcall: puts one wire frame (data or ack) on the fabric.
@@ -71,8 +46,8 @@ class SimEngine::SimTransport final : public mpi::Transport {
                             wire_kind(wire)};
     const bool data_frame = !wire.is_ack && wire.frame.wire_bytes > 0;
     if (data_frame) {
-      net::Route& route = cached_route(wire.src, wire.frame.src_space,
-                                       wire.dst, wire.frame.dst_space);
+      net::Route& route = engine_.legs_.route(wire.src, wire.frame.src_space,
+                                              wire.dst, wire.frame.dst_space);
       if (obs::Recorder* rec = engine_.obs_) {
         route.trace = rec->transfer_begin(
             wire.src, wire.dst, wire.frame.wire_bytes,
@@ -92,8 +67,8 @@ class SimEngine::SimTransport final : public mpi::Transport {
           });
       return;
     }
-    const net::Route& route =
-        cached_route(wire.src, MemSpace::kHost, wire.dst, MemSpace::kHost);
+    const net::Route& route = engine_.legs_.route(wire.src, MemSpace::kHost,
+                                                  wire.dst, MemSpace::kHost);
     net::TransferFate fate;
     if (const net::FaultInjector* inj = engine_.injector_.get()) {
       fate = inj->decide(key, route.links, engine_.sim_.now());
@@ -105,8 +80,8 @@ class SimEngine::SimTransport final : public mpi::Transport {
           wire.is_ack ? obs::kXferAck : static_cast<int>(wire.frame.kind),
           engine_.sim_.now(), engine_.sim_.now() + route.alpha + fate.delay);
     }
-    engine_.sim_.after(
-        route.alpha + fate.delay,
+    engine_.sim_.schedule(
+        wire.src, engine_.sim_.now() + route.alpha + fate.delay,
         [this, wire = wire, corrupted = fate.corrupted]() mutable {
           wire.corrupted = corrupted;
           engine_.channels_[static_cast<std::size_t>(wire.dst)]->on_wire(wire);
@@ -215,84 +190,12 @@ class SimEngine::SimTransport final : public mpi::Transport {
     std::function<void(mpi::ErrCode)> on_failed;
   };
 
-  /// In-flight raw eager message, parked while the fabric models the
-  /// transfer. Slot-pooled: see submit_eager.
-  struct EagerPending {
-    mpi::Envelope env;
-    std::function<void()> on_sent;
-    Rank src = 0;
-    Rank dst = 0;
-    std::uint64_t trace = 0;
-  };
-
-  /// In-flight raw rendezvous message, parked from its RTS until the
-  /// receiver finalises it (or a fault loses one of its legs). Slot-pooled:
-  /// see submit_rendezvous.
-  struct RdvzPending {
-    mpi::Envelope env;  ///< the payload ships with the bulk leg
-    std::function<void()> on_sent;
-    mpi::PostedRecv recv;      ///< the matched receive, set by the grant
-    std::uint32_t route = 0;   ///< routes_ index
-    std::uint64_t seq = 0;     ///< raw fault-key sequence number
-    std::uint64_t trace = 0;   ///< bulk-leg trace record (0 = untraced)
-  };
-
-  /// Per-(src, dst) message-path state, reached with one hash lookup per
-  /// message: the raw fault-key sequence counter and the pair's cached
-  /// routes, one per (src space, dst space) combination (routes_ indices,
-  /// -1 until first used). A pair's dense index doubles as its fabric
-  /// serial-queue index.
-  struct PairState {
-    std::uint64_t raw_seq = 0;
-    std::array<std::int32_t, 4> routes{-1, -1, -1, -1};
-  };
-
   mpi::Endpoint& endpoint(Rank r) { return engine_.core_.endpoint(r); }
   mpi::ReliableChannel& channel(Rank r) {
     return *engine_.channels_[static_cast<std::size_t>(r)];
   }
   std::int64_t pair_key(Rank src, Rank dst) const {
     return static_cast<std::int64_t>(src) * engine_.machine_.nranks() + dst;
-  }
-
-  /// Dense index of the (src, dst) pair, assigned on first use: the tables
-  /// grow with the pairs that actually communicate, not with nranks^2.
-  std::uint32_t pair_index(Rank src, Rank dst) {
-    const auto [it, fresh] = pair_index_.try_emplace(
-        pair_key(src, dst), static_cast<std::uint32_t>(pairs_.size()));
-    if (fresh) pairs_.emplace_back();
-    return it->second;
-  }
-
-  /// Route between fixed endpoints, cached: building a Route allocates its
-  /// link vector, and routes never change for the life of the engine, so the
-  /// per-message send paths reuse one entry per (pair, memory spaces). The
-  /// serial key is part of the route (FIFO per (src, dst): segments between
-  /// one pair leave back to back — NIC transmit queue — instead of
-  /// fair-sharing against each other); it is the pair's dense index, which
-  /// the fabric uses to index its serial-queue table. The trace id is
-  /// per-message state and is reset here, stamped by the caller only when a
-  /// recorder is attached. Returns a routes_ index: slots keep the index
-  /// across legs, since routes_ may grow underneath a held reference.
-  std::uint32_t route_index(std::uint32_t pi, Rank src, MemSpace src_space,
-                            Rank dst, MemSpace dst_space) {
-    const int spaces = (src_space == MemSpace::kDevice ? 2 : 0) |
-                       (dst_space == MemSpace::kDevice ? 1 : 0);
-    std::int32_t& ri = pairs_[pi].routes[static_cast<std::size_t>(spaces)];
-    if (ri < 0) {
-      net::Route route = engine_.net_.route_mem(src, src_space, dst, dst_space);
-      route.serial_key = pi;
-      ri = static_cast<std::int32_t>(routes_.size());
-      routes_.push_back(std::move(route));
-    }
-    routes_[static_cast<std::size_t>(ri)].trace = 0;
-    return static_cast<std::uint32_t>(ri);
-  }
-
-  net::Route& cached_route(Rank src, MemSpace src_space, Rank dst,
-                           MemSpace dst_space) {
-    return routes_[route_index(pair_index(src, dst), src, src_space, dst,
-                               dst_space)];
   }
 
   /// Local failure of one operation: fail its request with the specific
@@ -353,183 +256,10 @@ class SimEngine::SimTransport final : public mpi::Transport {
                         });
   }
 
-  /// Eager: the data travels immediately and is buffered at the receiver if
-  /// nothing matches; the sender never waits on the receiver's CPU. Under an
-  /// active fault plan (raw mode, no reliability) a dropped message simply
-  /// never arrives and a corrupted one is delivered with damaged bytes —
-  /// exactly the behaviour the chaos self-test exists to catch.
-  ///
-  /// The in-flight envelope is parked in a recycled slot so the fabric
-  /// completion captures only {this, slot} — inside std::function's inline
-  /// storage. This is the last per-segment heap allocation on the raw eager
-  /// path, which persistent collectives require to be allocation-free in
-  /// steady state.
-  void submit_eager(const net::Route& route, std::uint64_t seq,
-                    mpi::Envelope env, std::function<void()> on_sent) {
-    const Rank src = env.src;
-    const Rank dst = env.dst;
-    const net::FaultKey key{src, dst, seq, 0,
-                            static_cast<int>(mpi::Frame::Kind::kEager)};
-    const std::uint32_t slot = eager_.acquire(
-        {std::move(env), std::move(on_sent), src, dst, route.trace});
-    engine_.net_.fabric().transfer_tagged(
-        route, eager_[slot].env.size, key,
-        [this, slot](const net::TransferFate& fate) {
-          finish_eager(slot, fate);
-        });
-  }
-
-  void finish_eager(std::uint32_t slot, const net::TransferFate& fate) {
-    EagerPending p = eager_.release(slot);
-    engine_.core_.run_progress(p.src, std::move(p.on_sent), 0);
-    if (!fate.delivered) {
-      if (p.trace) engine_.obs_->transfer_undelivered(p.trace);
-      return;
-    }
-    if (fate.corrupted) corrupt_in_place(p.env, fate.salt);
-    // NIC-side matching: no receiver-CPU gate here (deliver defers any
-    // CPU-bound follow-up itself).
-    endpoint(p.dst).deliver(std::move(p.env));
-  }
-
-  /// Rendezvous: an RTS races ahead; the bulk data moves only once a receive
-  /// matched (instantly when pre-posted — hardware matching — or whenever
-  /// the receiver gets around to posting one). This is the coupling that
-  /// lets a noisy receiver stall its parent in blocking/Waitall designs.
-  /// Control legs (RTS/CTS) consult the fault injector directly: a lost
-  /// notice stalls the rendezvous forever in raw mode.
-  ///
-  /// The message lives in one recycled slot for its whole journey: the RTS
-  /// event, the grant, the CTS event, the bulk completion and the
-  /// finalisation each capture {this, slot}, so no leg copies the route,
-  /// the envelope or the callbacks. A leg that a fault loses releases the
-  /// slot on the spot.
-  void submit_rendezvous(std::uint32_t route, std::uint64_t seq,
-                         mpi::Envelope env, std::function<void()> on_sent) {
-    const Rank src = env.src;
-    const Rank dst = env.dst;
-    const std::uint32_t slot =
-        rdvz_.acquire({std::move(env), std::move(on_sent), {}, route, seq, 0});
-    const net::Route& r = routes_[route];
-    TimeNs rts_delay = r.alpha;
-    if (const net::FaultInjector* inj = engine_.injector_.get()) {
-      const net::TransferFate fate =
-          inj->decide({src, dst, seq, 0,
-                       static_cast<int>(mpi::Frame::Kind::kRts)},
-                      r.links, engine_.sim_.now());
-      if (!fate.delivered || fate.corrupted) {  // RTS lost
-        rdvz_.release(slot);
-        return;
-      }
-      rts_delay += fate.delay;
-    }
-    if (obs::Recorder* rec = engine_.obs_) {
-      rec->transfer_alpha_only(src, dst,
-                               static_cast<int>(mpi::Frame::Kind::kRts),
-                               engine_.sim_.now(),
-                               engine_.sim_.now() + rts_delay);
-    }
-    engine_.sim_.after(rts_delay, [this, slot] { deliver_rts(slot); });
-  }
-
-  /// The RTS reaches the receiver: a metadata-only envelope whose grant
-  /// points back at the slot.
-  void deliver_rts(std::uint32_t slot) {
-    const mpi::Envelope& env = rdvz_[slot].env;
-    mpi::Envelope rts;
-    rts.src = env.src;
-    rts.dst = env.dst;
-    rts.tag = env.tag;
-    rts.size = env.size;
-    rts.grant = [this, slot](mpi::PostedRecv recv) {
-      grant_rendezvous(slot, std::move(recv));
-    };
-    mpi::Endpoint& receiver = endpoint(rts.dst);
-    if (receiver.poisoned()) {  // deliver() would drop it: nothing to grant
-      rdvz_.release(slot);
-      return;
-    }
-    receiver.deliver(std::move(rts));
-  }
-
-  /// A receive matched the RTS: CTS back to the sender, then the bulk leg.
-  void grant_rendezvous(std::uint32_t slot, mpi::PostedRecv recv) {
-    RdvzPending& p = rdvz_[slot];
-    p.recv = std::move(recv);
-    const Rank src = p.env.src;
-    const Rank dst = p.env.dst;
-    const net::Route& route = routes_[p.route];
-    TimeNs cts_delay = route.alpha;
-    if (const net::FaultInjector* inj = engine_.injector_.get()) {
-      const net::TransferFate fate =
-          inj->decide({dst, src, p.seq, 0,
-                       static_cast<int>(mpi::Frame::Kind::kCts)},
-                      route.links, engine_.sim_.now());
-      if (!fate.delivered || fate.corrupted) {  // CTS lost
-        rdvz_.release(slot);
-        return;
-      }
-      cts_delay += fate.delay;
-    }
-    if (obs::Recorder* rec = engine_.obs_) {
-      rec->transfer_alpha_only(dst, src,
-                               static_cast<int>(mpi::Frame::Kind::kCts),
-                               engine_.sim_.now(),
-                               engine_.sim_.now() + cts_delay);
-    }
-    engine_.sim_.after(cts_delay, [this, slot] { start_bulk(slot); });
-  }
-
-  void start_bulk(std::uint32_t slot) {
-    RdvzPending& p = rdvz_[slot];
-    const Rank src = p.env.src;
-    const Rank dst = p.env.dst;
-    net::Route& route = routes_[p.route];
-    route.trace = 0;
-    if (obs::Recorder* rec = engine_.obs_) {
-      route.trace = rec->transfer_begin(
-          src, dst, p.env.size, static_cast<int>(mpi::Frame::Kind::kBulk),
-          engine_.sim_.now());
-    }
-    p.trace = route.trace;
-    engine_.net_.fabric().transfer_tagged(
-        route, p.env.size,
-        {src, dst, p.seq, 0, static_cast<int>(mpi::Frame::Kind::kBulk)},
-        [this, slot](const net::TransferFate& fate) {
-          finish_bulk(slot, fate);
-        });
-  }
-
-  void finish_bulk(std::uint32_t slot, const net::TransferFate& fate) {
-    RdvzPending& p = rdvz_[slot];
-    engine_.core_.run_progress(p.env.src, std::move(p.on_sent), 0);
-    if (!fate.delivered) {
-      const std::uint64_t trace = p.trace;
-      rdvz_.release(slot);
-      if (trace) engine_.obs_->transfer_undelivered(trace);
-      return;
-    }
-    if (fate.corrupted) corrupt_in_place(p.env, fate.salt);
-    engine_.core_.run_progress(
-        p.env.dst, [this, slot] { finalize_rendezvous(slot); },
-        engine_.machine_.spec().cpu_overhead);
-  }
-
-  void finalize_rendezvous(std::uint32_t slot) {
-    // Moved out first: completion callbacks may send again and grow rdvz_.
-    const RdvzPending p = rdvz_.release(slot);
-    endpoint(p.env.dst).finalize_recv(p.recv, p.env);
-  }
-
   SimEngine& engine_;
   std::map<RdvzKey, PendingSend> rdvz_send_;
   std::map<RdvzKey, mpi::PostedRecv> rdvz_recv_;
   std::uint64_t rdvz_counter_ = 0;
-  std::unordered_map<std::int64_t, std::uint32_t> pair_index_;
-  std::vector<PairState> pairs_;
-  std::vector<net::Route> routes_;
-  support::SlotPool<EagerPending> eager_;
-  support::SlotPool<RdvzPending> rdvz_;
 };
 
 // -------------------------------------------------------------- SimEngine ---
@@ -537,16 +267,22 @@ class SimEngine::SimTransport final : public mpi::Transport {
 SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
     : machine_(machine),
       options_(options),
+      sim_(machine.nranks()),
       net_(sim_, machine, options.sharing, options.gpu),
       transport_(std::make_unique<SimTransport>(*this)),
-      core_(*this, machine, *transport_, pool_, options.noise) {
+      core_(*this, machine, *transport_, pool_, options.noise),
+      legs_(*this, core_, machine, 1) {
   if (options_.perturb) sim_.set_perturbation(options_.perturb);
+  if (options_.sharing == net::SharingPolicy::kFairShare) {
+    legs_.set_fabric(&net_.fabric());
+  }
   const int n = machine_.nranks();
   plan_cache_ = std::make_unique<tune::PlanCache>();
 
   if (options_.faults.enabled()) {
     injector_ = std::make_unique<net::FaultInjector>(options_.faults);
     net_.fabric().set_fault_injector(injector_.get());
+    legs_.set_fault_injector(injector_.get());
   }
   if (options_.reliability) {
     channels_.reserve(static_cast<std::size_t>(n));
@@ -554,8 +290,8 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
       channels_.push_back(std::make_unique<mpi::ReliableChannel>(
           r, *options_.reliability,
           [this](const mpi::WireFrame& wire) { transport_->send_wire(wire); },
-          [this](TimeNs delay, std::function<void()> fn) {
-            sim_.after(delay, std::move(fn));
+          [this, r](TimeNs delay, std::function<void()> fn) {
+            sim_.schedule(r, sim_.now() + delay, std::move(fn));
           },
           [this, r](Rank from, const mpi::Frame& frame) {
             transport_->on_frame(r, from, frame);

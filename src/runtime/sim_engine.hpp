@@ -1,7 +1,9 @@
 // Discrete-event execution engine: every rank is a coroutine scheduled on one
 // virtual clock; messages move through the contention-aware ClusterNet;
-// rank CPUs are serialised resources that noise can occupy (the RankCore it
-// shares with the ShardedEngine).
+// rank CPUs are serialised resources that noise can occupy. The rank core,
+// the raw message legs and the keyed event order are the ones the
+// ShardedEngine runs (RankCore, MessageLegs, sim::EventKeys), so with
+// SharingPolicy::kUncontended both engines produce the same trace.
 //
 // This is the engine all paper-scale experiments run on.
 #pragma once
@@ -18,6 +20,7 @@
 #include "src/noise/noise.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/context.hpp"
+#include "src/runtime/legs.hpp"
 #include "src/runtime/rank_core.hpp"
 #include "src/runtime/recovery.hpp"
 #include "src/sim/simulator.hpp"
@@ -119,8 +122,12 @@ class SimEngine final : public Engine, private RankHost {
 
   // RankHost: one virtual clock for every rank.
   TimeNs now_of(Rank) const override { return sim_.now(); }
-  void schedule(Rank, TimeNs t, std::function<void()>&& fn) override {
-    sim_.at(t, std::move(fn));
+  void schedule(Rank producer, Rank, TimeNs t, sim::EventFn fn) override {
+    sim_.schedule(producer, t, std::move(fn));
+  }
+  net::Route route(Rank src, MemSpace src_space, Rank dst,
+                   MemSpace dst_space) override {
+    return net_.route_mem(src, src_space, dst, dst_space);
   }
   gpu::Device* gpu_of(Rank r) override;
   Recovery* recovery_of(Rank r) override;
@@ -144,6 +151,7 @@ class SimEngine final : public Engine, private RankHost {
   std::vector<std::unique_ptr<mpi::ReliableChannel>> channels_;
   std::unique_ptr<SimTransport> transport_;
   RankCore core_;
+  MessageLegs legs_;  ///< the raw protocol; SimTransport adds reliability
   std::unique_ptr<gpu::GpuRuntime> gpu_;
   std::unique_ptr<tune::PlanCache> plan_cache_;
   std::unique_ptr<RecoveryService> recovery_;

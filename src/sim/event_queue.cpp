@@ -7,6 +7,13 @@
 
 namespace adapt::sim {
 
+EventKeys::EventKeys(int producers) {
+  ADAPT_CHECK(producers < (1 << kProducerBits))
+      << "event keys reserve " << kProducerBits << " bits for the rank: "
+      << producers << " ranks do not fit";
+  seq_.assign(static_cast<std::size_t>(std::max(producers, 1)), 0);
+}
+
 EventQueue::EventQueue(std::size_t expected_cohort)
     : slab_(std::make_unique<detail::EventSlab>()) {
   // Pre-size the cohort heap and every radix level once, up front. Level
@@ -107,30 +114,17 @@ void EventQueue::pop_top() const {
   cohort_[hole] = last;
 }
 
-EventHandle EventQueue::push(TimeNs time, EventFn fn) {
+EventHandle EventQueue::push(TimeNs time, std::uint64_t key, EventFn fn) {
   TimeNs fire_time = time;
-  std::uint64_t tie = seq_;
   if (perturb_) {
     if (perturb_->max_jitter > 0) {
       fire_time += static_cast<TimeNs>(perturb_rng_.next_below(
           static_cast<std::uint64_t>(perturb_->max_jitter) + 1));
     }
-    if (perturb_->shuffle_ties) tie = perturb_rng_.next_u64();
+    if (perturb_->shuffle_ties) {
+      key = (perturb_rng_.next_u64() & ~kProducerMask) | (key & kProducerMask);
+    }
   }
-  return emplace(fire_time, tie, std::move(fn));
-}
-
-EventHandle EventQueue::push_keyed(TimeNs time, std::uint64_t tie,
-                                   EventFn fn) {
-  // Perturbation draws would desynchronise the caller's canonical keys from
-  // the actual schedule; the sharded engine rejects perturbed runs upstream.
-  ADAPT_CHECK(!perturb_)
-      << "push_keyed is incompatible with schedule perturbation";
-  return emplace(time, tie, std::move(fn));
-}
-
-EventHandle EventQueue::emplace(TimeNs fire_time, std::uint64_t tie,
-                                EventFn fn) {
   ADAPT_CHECK(fire_time >= last_)
       << "event scheduled at " << fire_time
       << " is before the queue's current time " << last_
@@ -138,7 +132,7 @@ EventHandle EventQueue::emplace(TimeNs fire_time, std::uint64_t tie,
   const std::uint32_t slot = acquire_slot();
   detail::EventRecord& rec = slab_->record(slot);
   rec.fn = std::move(fn);
-  const Entry e{fire_time, tie, seq_++, slot, rec.gen};
+  const Entry e{fire_time, key, seq_++, slot, rec.gen};
   const std::uint64_t diff = static_cast<std::uint64_t>(fire_time) ^
                              static_cast<std::uint64_t>(last_);
   if (diff == 0) {
@@ -299,7 +293,7 @@ TimeNs EventQueue::peek_min_time() const {
   }
 }
 
-std::pair<TimeNs, EventFn> EventQueue::pop() {
+Event EventQueue::pop() {
   ADAPT_CHECK(!empty()) << "pop on empty event queue";
   settle();
   const Entry top = cohort_.front();
@@ -310,8 +304,7 @@ std::pair<TimeNs, EventFn> EventQueue::pop() {
   if (!cohort_.empty()) {
     __builtin_prefetch(&slab_->record(cohort_.front().slot));
   }
-  std::pair<TimeNs, EventFn> out{top.time,
-                                 std::move(slab_->record(top.slot).fn)};
+  Event out{top.time, top.key, std::move(slab_->record(top.slot).fn)};
   release_slot(top.slot);
   return out;
 }

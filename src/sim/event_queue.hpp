@@ -1,16 +1,20 @@
 // Pending-event priority queue for the discrete-event kernel.
 //
-// Ordering is (time, insertion sequence): events at equal times fire in the
-// order they were scheduled, which makes whole-simulation traces reproducible
-// bit-for-bit — a property the determinism tests pin down.
+// Ordering is (time, key). Every event carries a key
+// (per-producer sequence << kProducerBits) | producer from EventKeys, the
+// producer being the rank whose code scheduled it: at equal times a rank's
+// own events fire in the order it scheduled them, different ranks' by
+// sequence, then rank. A key depends only on what one rank has scheduled,
+// never on how ranks are spread over queues, so the SimEngine's queue and
+// the ShardedEngine's per-shard queues run the same schedule and produce
+// byte-identical traces — the property the determinism tests pin down.
 //
 // Schedule perturbation (verification mode): a seeded PerturbConfig replaces
-// the same-time tie-break with a random draw and may add bounded delivery
-// jitter to every event's firing time. Causality is preserved — an event
-// never fires before its scheduled time, so anything scheduled from inside a
-// callback still runs after it — but the interleaving of *concurrently
-// pending* events becomes one of the many legal schedules instead of always
-// the same one. Two queues with the same seed replay the same schedule.
+// each key's sequence with a seeded draw and may add bounded delivery jitter
+// to every event's firing time. Causality is preserved — an event never
+// fires before its scheduled time — but the interleaving of concurrently
+// pending events becomes one of the many legal schedules. The draws come in
+// push order, so a seed replays only on the same queue layout.
 //
 // Storage is allocation-free in steady state: event records live in a
 // chunked slab (fixed 512-record chunks recycled through a LIFO free list,
@@ -26,12 +30,10 @@
 // drains, the lowest non-empty bucket is scanned once for its minimum and
 // redistributed into strictly lower buckets (amortised O(word bits) per
 // event, sequential memory traffic). Only the cohort of events at exactly
-// the current time lives in a comparison heap, ordered by (tie, seq) — which
-// is where same-time FIFO stability and perturbed tie-shuffling are decided.
-// The pop sequence is the unique ascending (time, tie, seq) order either
-// way, so swapping the comparison heap for the radix layout cannot change a
-// schedule, and the perturbation RNG draw order is exactly that of the
-// original shared_ptr<State> queue: same-seed traces stay byte-identical.
+// the current time lives in a comparison heap, ordered by (key, seq) — which
+// is where same-time order and perturbed tie-shuffling are decided. The pop
+// sequence is the unique ascending (time, key, seq) order either way, so
+// the radix layout cannot change a schedule.
 //
 // Lifetime contract: an EventHandle may not outlive its EventQueue (handles
 // hold an unowned pointer to the queue's slab; cancel() on a handle whose
@@ -54,6 +56,7 @@
 #include <vector>
 
 #include "src/obs/trace.hpp"
+#include "src/support/error.hpp"
 #include "src/support/inline_fn.hpp"
 #include "src/support/rng.hpp"
 #include "src/support/units.hpp"
@@ -75,6 +78,43 @@ struct PerturbConfig {
   /// time, so events scheduled within `max_jitter` of each other may fire in
   /// either order. 0 = tie-shuffling only.
   TimeNs max_jitter = 0;
+};
+
+/// An event key reserves its low kProducerBits bits for the producer rank.
+inline constexpr int kProducerBits = 20;
+inline constexpr std::uint64_t kProducerMask = (1ull << kProducerBits) - 1;
+
+/// Per-producer sequence counters: the one place event keys are made.
+/// Each producer's counter is only ever touched by that producer's own
+/// code, so engines that run producers on several threads share one
+/// EventKeys without locks.
+class EventKeys {
+ public:
+  /// Rejects producer counts whose ranks do not fit the key's rank field.
+  explicit EventKeys(int producers);
+
+  /// The next key of `producer`: (sequence << kProducerBits) | producer.
+  std::uint64_t next(int producer) {
+    std::uint64_t& seq = seq_[static_cast<std::size_t>(producer)];
+    ADAPT_CHECK(seq < (1ull << (64 - kProducerBits)))
+        << "per-rank event sequence overflow";
+    return (seq++ << kProducerBits) | static_cast<std::uint64_t>(producer);
+  }
+
+  static int producer_of(std::uint64_t key) {
+    return static_cast<int>(key & kProducerMask);
+  }
+
+ private:
+  std::vector<std::uint64_t> seq_;
+};
+
+/// A popped event: its firing time, its key (perturbed, when perturbation
+/// is on) and its callback.
+struct Event {
+  TimeNs time;
+  std::uint64_t key;
+  EventFn fn;
 };
 
 namespace detail {
@@ -140,9 +180,9 @@ class EventHandle {
   std::uint32_t gen_ = 0;
 };
 
-/// Monotone priority queue of timed callbacks with stable same-time
-/// ordering. Pushes must not be earlier than the last popped event's time
-/// (the discrete-event invariant; Simulator::at enforces it upstream).
+/// Monotone priority queue of timed callbacks, ordered by (time, key).
+/// Pushes must not be earlier than the last popped event's time (the
+/// discrete-event invariant; Simulator::at enforces it upstream).
 class EventQueue {
  public:
   /// `expected_cohort` sizes the up-front reservation of the cohort heap and
@@ -153,16 +193,12 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  EventHandle push(TimeNs time, EventFn fn);
-
-  /// Push with a caller-supplied tie key instead of the insertion sequence.
-  /// The sharded engine derives the key from (producer rank, per-producer
-  /// sequence), which is invariant to how ranks are partitioned across
-  /// shards — the foundation of byte-identical traces for any --shards
-  /// value. Keys must be unique per (time, tie) or ordering falls back to
-  /// the shard-local insertion sequence (which IS shard-dependent), so the
-  /// caller owns uniqueness. Incompatible with perturbation (checked).
-  EventHandle push_keyed(TimeNs time, std::uint64_t tie, EventFn fn);
+  /// Schedules `fn` at `time` under `key` (from EventKeys::next). Keys
+  /// from one EventKeys are unique, so the order is total; equal keys fall
+  /// back to insertion order. Under perturbation the key's sequence field is
+  /// replaced by a seeded draw (its producer field stays) and the time may
+  /// be jittered.
+  EventHandle push(TimeNs time, std::uint64_t key, EventFn fn);
 
   /// Enables (or, with nullopt, disables) schedule perturbation for all
   /// subsequently pushed events. Typically set before any push.
@@ -203,9 +239,8 @@ class EventQueue {
   /// asks this to decide when an instant is over.
   bool has_live_at(TimeNs t) const;
 
-  /// Pops the earliest live event and returns (time, callback).
-  /// Precondition: !empty().
-  std::pair<TimeNs, EventFn> pop();
+  /// Pops the earliest live event. Precondition: !empty().
+  Event pop();
 
   std::uint64_t total_scheduled() const { return seq_; }
 
@@ -227,21 +262,17 @@ class EventQueue {
   /// 32-byte POD entry; the callback lives in the slab record.
   struct Entry {
     TimeNs time;
-    std::uint64_t tie;  ///< seq normally; a seeded random draw when perturbed
-    std::uint64_t seq;
+    std::uint64_t key;  ///< the pushed key; its sequence drawn when perturbed
+    std::uint64_t seq;  ///< insertion order, for equal keys
     std::uint32_t slot;
     std::uint32_t gen;
   };
   /// Strict total order (seq is unique): a fires before b.
   static bool earlier(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.tie != b.tie) return a.tie < b.tie;
+    if (a.key != b.key) return a.key < b.key;
     return a.seq < b.seq;
   }
-
-  /// Shared tail of push/push_keyed: slot acquisition, radix placement,
-  /// stats, bounded compaction.
-  EventHandle emplace(TimeNs fire_time, std::uint64_t tie, EventFn fn);
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) const;
@@ -267,7 +298,7 @@ class EventQueue {
   void pop_top() const;  ///< removes cohort_[0]
 
   std::unique_ptr<detail::EventSlab> slab_;
-  /// Events at exactly time `last_`, heap-ordered by (tie, seq).
+  /// Events at exactly time `last_`, heap-ordered by (key, seq).
   mutable std::vector<Entry> cohort_;
   /// Future events, bucketed by the highest bit of (time XOR last_).
   mutable std::array<std::vector<Entry>, 64> buckets_;

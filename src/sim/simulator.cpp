@@ -4,15 +4,19 @@
 
 namespace adapt::sim {
 
-EventHandle Simulator::at(TimeNs t, EventFn fn) {
+EventHandle Simulator::schedule(int producer, TimeNs t, EventFn fn) {
   ADAPT_CHECK(t >= now_) << "scheduling into the past: t=" << t
                          << " now=" << now_;
-  return queue_.push(t, std::move(fn));
+  return queue_.push(t, keys_.next(producer), std::move(fn));
+}
+
+EventHandle Simulator::at(TimeNs t, EventFn fn) {
+  return schedule(producer_, t, std::move(fn));
 }
 
 EventHandle Simulator::after(TimeNs delay, EventFn fn) {
   ADAPT_CHECK(delay >= 0) << "negative delay " << delay;
-  return queue_.push(now_ + delay, std::move(fn));
+  return queue_.push(now_ + delay, keys_.next(producer_), std::move(fn));
 }
 
 void Simulator::at_instant_end(EventFn fn) {
@@ -29,14 +33,19 @@ bool Simulator::end_instant_if_due() {
   return true;
 }
 
+void Simulator::fire() {
+  Event ev = queue_.pop();
+  now_ = ev.time;
+  producer_ = EventKeys::producer_of(ev.key);
+  ++processed_;
+  ev.fn();
+}
+
 TimeNs Simulator::run(TimeNs until) {
   for (;;) {
     if (end_instant_if_due()) continue;
     if (queue_.empty() || queue_.next_time() > until) break;
-    auto [t, fn] = queue_.pop();
-    now_ = t;
-    ++processed_;
-    fn();
+    fire();
   }
   return now_;
 }
@@ -44,10 +53,7 @@ TimeNs Simulator::run(TimeNs until) {
 bool Simulator::step() {
   end_instant_if_due();
   if (queue_.empty()) return false;
-  auto [t, fn] = queue_.pop();
-  now_ = t;
-  ++processed_;
-  fn();
+  fire();
   return true;
 }
 

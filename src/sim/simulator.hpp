@@ -1,8 +1,11 @@
 // The discrete-event simulation kernel: a virtual clock plus an event queue.
 //
-// The kernel knows nothing about ranks, networks or MPI — higher layers
-// (net::Fabric, runtime::SimEngine) schedule closures on it. Strictly
-// single-threaded; determinism follows from EventQueue's stable ordering.
+// The kernel knows nothing about networks or MPI — higher layers
+// (net::Fabric, runtime::SimEngine) schedule closures on it. It knows ranks
+// only as event producers: every event is keyed by the rank that scheduled
+// it (EventQueue's one ordering rule), either named by the caller
+// (schedule) or, by default, the producer of the event now running.
+// Strictly single-threaded; determinism follows from the keyed order.
 #pragma once
 
 #include <cstdint>
@@ -16,21 +19,31 @@ namespace adapt::sim {
 
 class Simulator {
  public:
+  /// `producers` is the number of ranks that may produce events (keys
+  /// reserve kProducerBits bits for the rank; checked).
+  explicit Simulator(int producers = 1) : keys_(producers) {}
+
   /// Current virtual time. Starts at 0.
   TimeNs now() const { return now_; }
 
   /// Seeded schedule perturbation (see sim::PerturbConfig): randomizes the
   /// order of concurrently pending events while preserving causality. Used by
-  /// the conformance harness; leave unset for bit-reproducible traces.
+  /// the conformance harness; leave unset for the keyed order.
   void set_perturbation(std::optional<PerturbConfig> config) {
     queue_.set_perturbation(std::move(config));
   }
   bool perturbed() const { return queue_.perturbed(); }
 
-  /// Schedules `fn` at absolute virtual time `t` (must be >= now()).
+  /// Schedules `fn` at absolute virtual time `t` (must be >= now()) as the
+  /// next event of rank `producer`.
+  EventHandle schedule(int producer, TimeNs t, EventFn fn);
+
+  /// Schedules `fn` at absolute virtual time `t` (must be >= now()) as the
+  /// next event of the running event's producer (outside any event, of the
+  /// last event's producer; rank 0 before the first).
   EventHandle at(TimeNs t, EventFn fn);
 
-  /// Schedules `fn` after a relative delay (must be >= 0).
+  /// Like at(), after a relative delay (must be >= 0).
   EventHandle after(TimeNs delay, EventFn fn);
 
   /// Runs until the event queue drains or `until` is passed; returns the
@@ -48,7 +61,7 @@ class Simulator {
   /// clock advances. A single slot, for a layer that batches its work per
   /// instant (net::Fabric recomputes fair-share rates here); requesting
   /// while a request is pending is an error. It is not an event: it takes no
-  /// sequence number, no perturbation draw and no jitter, so it runs at
+  /// key, no perturbation draw and no jitter, so it runs at
   /// exactly the instant that requested it. Events it schedules at now()
   /// extend the instant, and may request the slot again.
   void at_instant_end(EventFn fn);
@@ -64,8 +77,12 @@ class Simulator {
   /// Runs the pending end-of-instant callback if nothing live is left at
   /// now(); returns whether it ran.
   bool end_instant_if_due();
+  /// Pops and runs the earliest event.
+  void fire();
 
   EventQueue queue_;
+  EventKeys keys_;
+  int producer_ = 0;  ///< producer of the running (or last run) event
   TimeNs now_ = 0;
   std::uint64_t processed_ = 0;
   EventFn instant_end_;  ///< pending end-of-instant callback, if any

@@ -4,13 +4,16 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "src/coll/han.hpp"
 #include "src/coll/library.hpp"
 #include "src/coll/persistent.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/merge.hpp"
 #include "src/obs/trace.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
@@ -793,71 +796,46 @@ std::optional<std::string> run_once(const CaseConfig& config,
   return std::nullopt;
 }
 
-/// Rows whose finish times still differ between the sharded engine and the
-/// uncontended SimEngine: ADAPT allreduce, 12 ranks, 2048 B in 256 B
-/// segments, open in dtype, communicator and payload seed. Both engines
-/// price every message alike but order same-instant events differently —
-/// the SimEngine by insertion sequence, the sharded engine by (producer
-/// rank, per-producer sequence) keys. In each row a rank's seg-3 eager send
-/// completes as its parent's seg-6 arrives; the SimEngine runs the
-/// completion first and forwards seg 5 at once, the sharded engine the
-/// arrival first and its 150 ns receive overhead holds seg 5 back
-/// (adapt-trace diff; DESIGN.md §14.5). A row passes only while its first
-/// differing rank finishes at exactly the pinned pair of times. Running the
-/// SimEngine on keyed events (ROADMAP item 1) empties this list.
-struct TieOrderRow {
-  mpi::Datatype dtype;
-  CommKind comm;
-  std::uint64_t data_seed;
-  Rank rank;
-  TimeNs sharded;
-  TimeNs reference;
-  const char* tie;  ///< the first diverging event
+/// The line of `text` that starts at `begin` (a trace export has one record
+/// per line).
+std::string_view line_at(std::string_view text, std::size_t begin) {
+  const std::size_t end = text.find('\n', begin);
+  return text.substr(begin, end == std::string_view::npos ? end : end - begin);
+}
 
-  bool pins(const CaseConfig& c) const {
-    return c.collective == Collective::kAllreduce &&
-           c.style == coll::Style::kAdapt && c.world == 12 &&
-           c.bytes == 2048 && c.segment == 256 && c.dtype == dtype &&
-           c.comm == comm && c.data_seed == data_seed;
-  }
-};
-constexpr const char* kWorldTie = "rank 1 at 11276 ns, seg 5 held to 11426";
-constexpr const char* kSliceTie = "rank 3 at 8492 ns, seg 5 held to 8642";
-constexpr TieOrderRow kTieOrderRows[] = {
-    {mpi::Datatype::kInt32, CommKind::kWorld, 64, 3, 13194, 13204, kWorldTie},
-    {mpi::Datatype::kInt32, CommKind::kSlice, 65, 5, 10410, 10420, kSliceTie},
-    {mpi::Datatype::kDouble, CommKind::kWorld, 66, 3, 13194, 13204,
-     kWorldTie},
-    {mpi::Datatype::kDouble, CommKind::kSlice, 67, 5, 10410, 10420,
-     kSliceTie},
-};
-
-/// Compares a sharded run's finish times with the uncontended SimEngine's:
-/// nullopt when they agree on an unpinned row, or differ exactly as pinned.
-std::optional<std::string> diff_finish(const CaseConfig& config,
-                                       const std::vector<TimeNs>& sharded,
-                                       const std::vector<TimeNs>& reference) {
-  const TieOrderRow* pinned = nullptr;
-  for (const TieOrderRow& row : kTieOrderRows) {
-    if (row.pins(config)) pinned = &row;
-  }
+/// Compares a sharded run with the uncontended SimEngine's: every rank's
+/// finish time, then the trace bytes (the SimEngine's records in canonical
+/// order). nullopt when both agree; otherwise the first differing rank or
+/// record.
+std::optional<std::string> diff_engines(const std::vector<TimeNs>& sharded,
+                                        const std::vector<TimeNs>& reference,
+                                        const obs::Recorder& sharded_rec,
+                                        const obs::Recorder& reference_rec) {
   const auto [got, want] =
       std::mismatch(sharded.begin(), sharded.end(), reference.begin());
-  const bool agree = got == sharded.end();
-  const Rank rank = static_cast<Rank>(got - sharded.begin());
-  if (pinned == nullptr ? agree
-                        : !agree && rank == pinned->rank &&
-                              *got == pinned->sharded &&
-                              *want == pinned->reference) {
-    return std::nullopt;
+  if (got != sharded.end()) {
+    std::ostringstream out;
+    out << "cross-engine: rank " << (got - sharded.begin()) << " finishes at "
+        << *got << " ns on the sharded engine but " << *want
+        << " ns on the uncontended SimEngine";
+    return out.str();
   }
+  std::ostringstream merged;
+  obs::write_trace_json(sharded_rec, merged);
+  const std::string a = merged.str();
+  const std::string b = obs::canonical_trace_json(reference_rec);
+  if (a == b) return std::nullopt;
+  const std::size_t at =
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin();
+  const std::size_t line = a.rfind('\n', at == 0 ? 0 : at - 1);
+  const std::size_t begin = line == std::string::npos ? 0 : line + 1;
   std::ostringstream out;
-  out << "cross-engine: ";
-  if (pinned) out << "tie-order row (" << pinned->tie << ") unlike its pin: ";
-  if (agree) return out.str() + "finish times agree";
-  out << "rank " << rank << " finishes at " << *got
-      << " ns on the sharded engine but " << *want
-      << " ns on the uncontended SimEngine";
+  out << "cross-engine: traces differ at line "
+      << std::count(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(begin),
+                    '\n')
+      << ": sharded " << line_at(a, begin) << " vs uncontended SimEngine "
+      << line_at(b, begin)
+      << " (--trace-dir writes both; compare them with adapt-trace diff)";
   return out.str();
 }
 
@@ -870,16 +848,20 @@ std::optional<std::string> run_case(const CaseConfig& config,
   if (spec.engine != EngineKind::kSharded) {
     return run_once(config, spec, fault, std::move(recorder), fair, nullptr);
   }
+  // Both runs are traced: the engines must agree record by record.
+  if (!recorder || !recorder->enabled()) {
+    recorder = std::make_shared<obs::Recorder>(true);
+  }
+  auto reference_rec = std::make_shared<obs::Recorder>(true);
   std::vector<TimeNs> sharded, reference;
-  if (auto mismatch =
-          run_once(config, spec, fault, std::move(recorder), fair, &sharded)) {
+  if (auto mismatch = run_once(config, spec, fault, recorder, fair, &sharded)) {
     return mismatch;
   }
-  if (auto mismatch = run_once(config, RunSpec{}, fault, nullptr,
+  if (auto mismatch = run_once(config, RunSpec{}, fault, reference_rec,
                                net::SharingPolicy::kUncontended, &reference)) {
     return "uncontended SimEngine: " + *mismatch;
   }
-  return diff_finish(config, sharded, reference);
+  return diff_engines(sharded, reference, *recorder, *reference_rec);
 }
 
 // ----------------------------------------------------------------- shrink ---
@@ -1422,13 +1404,14 @@ std::string write_failure_trace(const CaseConfig& config, const RunSpec& spec,
                           trace_dir + "/failure-" + std::to_string(index) +
                               ".metrics.csv");
   if (spec.engine == EngineKind::kSharded) {
-    // The other half of a cross-engine mismatch, for adapt-trace diff.
+    // The other half of a cross-engine mismatch, in the sharded trace's
+    // canonical record order, for adapt-trace diff.
     auto reference = std::make_shared<obs::Recorder>();
     run_once(config, RunSpec{}, fault, reference,
              net::SharingPolicy::kUncontended, nullptr);
-    obs::write_trace_file(*reference, trace_dir + "/failure-" +
-                                          std::to_string(index) +
-                                          ".reference.trace.json");
+    std::ofstream(trace_dir + "/failure-" + std::to_string(index) +
+                  ".reference.trace.json")
+        << obs::canonical_trace_json(*reference);
   }
   return path;
 }

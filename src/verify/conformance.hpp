@@ -193,9 +193,8 @@ bool parse_repro(const std::string& line, CaseConfig* config, RunSpec* spec,
 /// ThreadEngine ignores it) — pair with a parsed repro line to attach a
 /// full virtual-time trace to any failure. A kSharded run is also run once
 /// on the SimEngine with net::SharingPolicy::kUncontended and fails unless
-/// every rank finishes at the same virtual time on both engines; the few
-/// known same-instant tie-order rows (kTieOrderRows in conformance.cpp) fail
-/// unless they differ exactly as pinned.
+/// every rank finishes at the same virtual time on both engines and both
+/// traces are byte-identical (the SimEngine's records in canonical order).
 std::optional<std::string> run_case(
     const CaseConfig& config, const RunSpec& spec, Fault fault = Fault::kNone,
     std::shared_ptr<obs::Recorder> recorder = nullptr);

@@ -83,6 +83,13 @@ namespace {
 
 using namespace adapt;
 
+/// Pushes as producer 0, whose keys follow insertion order (as one rank's
+/// events do).
+sim::EventHandle push0(sim::EventQueue& q, TimeNs t, sim::EventFn fn) {
+  static sim::EventKeys keys(1);
+  return q.push(t, keys.next(0), std::move(fn));
+}
+
 // ------------------------------------------------------------ InlineFunction
 
 TEST(InlineFunction, InvokesInlineCapture) {
@@ -208,11 +215,11 @@ TEST(EventQueue, PopsAcrossWideTimeSpreadInOrder) {
                                      5,  123'456'789, 42, 0, 7};
   std::vector<int> fired;
   for (int i = 0; i < static_cast<int>(times.size()); ++i) {
-    q.push(times[i], [&fired, i] { fired.push_back(i); });
+    push0(q, times[i], [&fired, i] { fired.push_back(i); });
   }
   std::vector<TimeNs> popped;
   while (!q.empty()) {
-    auto [t, fn] = q.pop();
+    auto [t, key, fn] = q.pop();
     popped.push_back(t);
     fn();
   }
@@ -227,14 +234,14 @@ TEST(EventQueue, PopsAcrossWideTimeSpreadInOrder) {
 TEST(EventQueue, MonotoneInterleavedPushPop) {
   sim::EventQueue q;
   std::vector<TimeNs> popped;
-  q.push(10, [] {});
-  q.push(30, [] {});
-  popped.push_back(q.pop().first);  // 10
+  push0(q, 10, [] {});
+  push0(q, 30, [] {});
+  popped.push_back(q.pop().time);  // 10
   // New work at or after the current time, including a same-time event.
-  q.push(10, [] {});
-  q.push(20, [] {});
-  q.push(1'000'000'000'000, [] {});
-  while (!q.empty()) popped.push_back(q.pop().first);
+  push0(q, 10, [] {});
+  push0(q, 20, [] {});
+  push0(q, 1'000'000'000'000, [] {});
+  while (!q.empty()) popped.push_back(q.pop().time);
   EXPECT_EQ(popped, (std::vector<TimeNs>{10, 10, 20, 30, 1'000'000'000'000}));
 }
 
@@ -242,7 +249,7 @@ TEST(EventQueue, LiveCountTracksCancellation) {
   sim::EventQueue q;
   std::vector<sim::EventHandle> handles;
   for (int i = 0; i < 4; ++i) {
-    handles.push_back(q.push(100 + i, [] {}));
+    handles.push_back(push0(q, 100 + i, [] {}));
   }
   EXPECT_EQ(q.size(), 4u);
   handles[1].cancel();
@@ -252,15 +259,15 @@ TEST(EventQueue, LiveCountTracksCancellation) {
   EXPECT_EQ(q.depth(), 4u);  // lazy: entries still buried
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.next_time(), 100);
-  EXPECT_EQ(q.pop().first, 100);
-  EXPECT_EQ(q.pop().first, 103);
+  EXPECT_EQ(q.pop().time, 100);
+  EXPECT_EQ(q.pop().time, 103);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EmptyAfterCancellingEverything) {
   sim::EventQueue q;
   std::vector<sim::EventHandle> handles;
-  for (int i = 0; i < 8; ++i) handles.push_back(q.push(i * 50, [] {}));
+  for (int i = 0; i < 8; ++i) handles.push_back(push0(q, i * 50, [] {}));
   for (auto& h : handles) h.cancel();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
@@ -270,18 +277,18 @@ TEST(EventQueue, CompactionBoundsCancelledBacklog) {
   sim::EventQueue q;
   std::vector<sim::EventHandle> handles;
   for (int i = 0; i < 100; ++i) {
-    handles.push_back(q.push(1000 + i * 3, [] {}));
+    handles.push_back(push0(q, 1000 + i * 3, [] {}));
   }
   for (int i = 0; i < 60; ++i) handles[static_cast<std::size_t>(i)].cancel();
   EXPECT_EQ(q.depth(), 100u);
   // The next push sees cancelled (60) outnumber live (41) and compacts.
-  q.push(5000, [] {});
+  push0(q, 5000, [] {});
   EXPECT_EQ(q.size(), 41u);
   EXPECT_EQ(q.depth(), 41u);
   // Survivors still pop in time order.
   TimeNs prev = 0;
   while (!q.empty()) {
-    const TimeNs t = q.pop().first;
+    const TimeNs t = q.pop().time;
     EXPECT_GE(t, prev);
     prev = t;
   }
@@ -290,13 +297,13 @@ TEST(EventQueue, CompactionBoundsCancelledBacklog) {
 
 TEST(EventQueue, StaleHandleCannotCancelRecycledSlot) {
   sim::EventQueue q;
-  sim::EventHandle stale = q.push(1, [] {});
+  sim::EventHandle stale = push0(q, 1, [] {});
   q.pop();  // fires; the slot returns to the free list
   bool ran = false;
-  q.push(2, [&ran] { ran = true; });  // recycles the slot, new generation
+  push0(q, 2, [&ran] { ran = true; });  // recycles the slot, new generation
   stale.cancel();                     // must be a no-op
   EXPECT_EQ(q.size(), 1u);
-  q.pop().second();
+  q.pop().fn();
   EXPECT_TRUE(ran);
 }
 
@@ -454,10 +461,10 @@ TEST(AllocationFree, EventQueueSteadyState) {
       for (int i = 0; i < 64; ++i) {
         const Capture c{static_cast<std::uint64_t>(r),
                         static_cast<std::uint64_t>(i)};
-        q.push(t + 1 + (i * 37) % 1000, [c] { (void)c; });
+        push0(q, t + 1 + (i * 37) % 1000, [c] { (void)c; });
       }
       while (!q.empty()) {
-        auto [time, fn] = q.pop();
+        auto [time, key, fn] = q.pop();
         t = time;
         fn();
       }
@@ -469,11 +476,11 @@ TEST(AllocationFree, EventQueueSteadyState) {
   // used — those vectors must have grown before counting starts).
   for (int b = 5; b <= 45; ++b) {
     for (int j = 0; j < 64; ++j) {
-      q.push((static_cast<TimeNs>(1) << b) + j * 37, [] {});
+      push0(q, (static_cast<TimeNs>(1) << b) + j * 37, [] {});
     }
   }
   while (!q.empty()) {
-    auto [time, fn] = q.pop();
+    auto [time, key, fn] = q.pop();
     t = time;
     fn();
   }
@@ -501,11 +508,11 @@ TEST(AllocationFree, ShardCohortPreReserve) {
         // Spread across radix levels 5..45 like the default steady-state
         // test — the ctor's per-level reserve must cover them unwarmed.
         const int level = 5 + (i % 41);
-        q.push_keyed(t + (static_cast<TimeNs>(1) << level) + i * 37, tie++,
+        q.push(t + (static_cast<TimeNs>(1) << level) + i * 37, tie++,
                      [] {});
       }
       while (!q.empty()) {
-        auto [time, fn] = q.pop();
+        auto [time, key, fn] = q.pop();
         t = time;
         fn();
       }

@@ -25,6 +25,7 @@
 #include "src/coll/topo_tree.hpp"
 #include "src/mpi/payload.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/merge.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
@@ -380,22 +381,33 @@ TEST(ShardedEngine, GoldenHashes4096) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine differential: both engines run ranks on one RankCore and price
-// every message with its pair's net::PairClock, so the sharded engine at any
-// shard count reproduces the uncontended SimEngine's finish times rank by
-// rank.
+// Cross-engine differential: both engines run ranks on one RankCore,
+// messages on one set of MessageLegs priced by each pair's net::PairClock,
+// and events in one keyed order, so the sharded engine at any shard count
+// reproduces the uncontended SimEngine rank by rank and record by record.
 // ---------------------------------------------------------------------------
 
 void expect_engines_agree(const topo::Machine& machine,
                           const runtime::RankProgram& program,
                           const std::string& what) {
+  auto reference_rec = std::make_shared<obs::Recorder>(true);
   runtime::SimEngine reference(
-      machine, {.sharing = net::SharingPolicy::kUncontended});
+      machine, {.sharing = net::SharingPolicy::kUncontended,
+                .recorder = reference_rec});
   const std::vector<TimeNs> want = reference.run(program).rank_finish;
+  const std::string want_trace = obs::canonical_trace_json(*reference_rec);
+  ASSERT_FALSE(reference_rec->transfers().empty()) << what;
   for (const int shards : {1, 2, 4}) {
-    runtime::ShardedEngine engine(machine, {.shards = shards});
+    auto rec = std::make_shared<obs::Recorder>(true);
+    runtime::ShardedEngine engine(machine, {.shards = shards, .recorder = rec});
     EXPECT_EQ(engine.run(program).rank_finish, want)
         << what << " at shards=" << shards;
+    std::ostringstream trace;
+    obs::write_trace_json(*rec, trace);
+    EXPECT_TRUE(trace.str() == want_trace)
+        << what << " at shards=" << shards << ": the merged trace ("
+        << trace.str().size() << " B) differs from the uncontended "
+        << "SimEngine's (" << want_trace.size() << " B)";
   }
 }
 

@@ -6,46 +6,56 @@
 #include <optional>
 #include <vector>
 
+#include "src/runtime/sharded_engine.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/task.hpp"
 #include "src/support/error.hpp"
+#include "src/topo/presets.hpp"
 
 namespace adapt::sim {
 namespace {
 
+/// Pushes as producer 0, whose keys follow insertion order (as one rank's
+/// events do).
+EventHandle push0(EventQueue& q, TimeNs t, EventFn fn) {
+  static EventKeys keys(1);
+  return q.push(t, keys.next(0), std::move(fn));
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
-  q.push(30, [&] { fired.push_back(3); });
-  q.push(10, [&] { fired.push_back(1); });
-  q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  push0(q, 30, [&] { fired.push_back(3); });
+  push0(q, 10, [&] { fired.push_back(1); });
+  push0(q, 20, [&] { fired.push_back(2); });
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, StableAtEqualTimes) {
   EventQueue q;
   std::vector<int> fired;
-  for (int i = 0; i < 8; ++i) q.push(5, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().second();
+  for (int i = 0; i < 8; ++i) push0(q, 5, [&fired, i] { fired.push_back(i); });
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(EventQueue, CancelSkipsEvent) {
   EventQueue q;
   int fired = 0;
-  auto h = q.push(1, [&] { ++fired; });
-  q.push(2, [&] { ++fired; });
+  auto h = push0(q, 1, [&] { ++fired; });
+  push0(q, 2, [&] { ++fired; });
   h.cancel();
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, CancelAllLeavesEmpty) {
   EventQueue q;
-  auto a = q.push(1, [] {});
-  auto b = q.push(2, [] {});
+  auto a = push0(q, 1, [] {});
+  auto b = push0(q, 2, [] {});
   a.cancel();
   b.cancel();
   EXPECT_TRUE(q.empty());
@@ -53,26 +63,26 @@ TEST(EventQueue, CancelAllLeavesEmpty) {
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
-  auto a = q.push(1, [] {});
-  q.push(7, [] {});
+  auto a = push0(q, 1, [] {});
+  push0(q, 7, [] {});
   a.cancel();
   EXPECT_EQ(q.next_time(), 7);
 }
 
 TEST(EventQueue, HasLiveAtLeavesTheCursor) {
   EventQueue q;
-  auto a = q.push(10, [] {});
-  q.push(10, [] {});
-  q.push(40, [] {});
+  auto a = push0(q, 10, [] {});
+  push0(q, 10, [] {});
+  push0(q, 40, [] {});
   a.cancel();
-  EXPECT_EQ(q.pop().first, 10);
+  EXPECT_EQ(q.pop().time, 10);
   EXPECT_FALSE(q.has_live_at(10));
   EXPECT_FALSE(q.has_live_at(40));
   // The query did not move the cursor to 40: an earlier push stays legal.
-  q.push(15, [] {});
-  EXPECT_EQ(q.pop().first, 15);
+  push0(q, 15, [] {});
+  EXPECT_EQ(q.pop().time, 15);
   EXPECT_FALSE(q.has_live_at(15));
-  q.push(15, [] {});
+  push0(q, 15, [] {});
   EXPECT_TRUE(q.has_live_at(15));
 }
 
@@ -295,14 +305,114 @@ TEST(Trigger, AwaitAfterFireDoesNotSuspend) {
   EXPECT_EQ(woke, 1);
 }
 
+// -- one tie rule: (time, key) ---------------------------------------------
+
+/// Keys of two producers drawn in one order: rank 3 twice, then rank 1
+/// twice. By key, same-instant events fire sequence-major, rank-minor.
+struct TwoProducers {
+  EventKeys keys{4};
+  std::uint64_t r3a = keys.next(3), r3b = keys.next(3);
+  std::uint64_t r1a = keys.next(1), r1b = keys.next(1);
+};
+
+TEST(EventKeys, SameInstantPopsInKeyOrderWhateverTheInsertionOrder) {
+  const TwoProducers k;
+  const std::vector<std::pair<std::uint64_t, int>> events = {
+      {k.r3a, 30}, {k.r3b, 31}, {k.r1a, 10}, {k.r1b, 11}};
+  std::vector<std::pair<std::uint64_t, int>> order = events;
+  std::sort(order.begin(), order.end());
+  do {
+    EventQueue q;
+    std::vector<int> fired;
+    for (const auto& [key, id] : order) {
+      q.push(5, key, [&fired, id = id] { fired.push_back(id); });
+    }
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(fired, (std::vector<int>{10, 30, 11, 31}));
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(EventKeys, SimulatorOrdersSameInstantEventsByProducerKey) {
+  for (const bool rank3_first : {true, false}) {
+    Simulator s(4);
+    std::vector<int> fired;
+    const auto schedule_rank = [&](int rank) {
+      for (int i = 0; i < 2; ++i) {
+        s.schedule(rank, 5, [&fired, id = rank * 10 + i] {
+          fired.push_back(id);
+        });
+      }
+    };
+    schedule_rank(rank3_first ? 3 : 1);
+    schedule_rank(rank3_first ? 1 : 3);
+    s.run();
+    EXPECT_EQ(fired, (std::vector<int>{10, 30, 11, 31}))
+        << "rank " << (rank3_first ? 3 : 1) << " scheduled first";
+  }
+}
+
+TEST(EventKeys, UnnamedProducerIsTheRunningEvents) {
+  // Rank 2's event runs first, but what it schedules is rank 2's second
+  // event, which a same-instant second event of rank 0 precedes.
+  Simulator s(3);
+  std::vector<int> fired;
+  s.schedule(2, 1, [&] { s.at(5, [&] { fired.push_back(2); }); });
+  s.schedule(0, 2, [&] { s.at(5, [&] { fired.push_back(0); }); });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+}
+
+TEST(EventKeys, PerturbedKeyedPushesReplayPerSeed) {
+  const auto run = [](std::uint64_t seed) {
+    EventQueue q;
+    q.set_perturbation(PerturbConfig{.seed = seed});
+    EventKeys keys(4);
+    std::vector<int> fired;
+    for (int i = 0; i < 16; ++i) {
+      const int producer = i % 4;
+      q.push(5, keys.next(producer), [&fired, i] { fired.push_back(i); });
+    }
+    while (!q.empty()) {
+      Event ev = q.pop();
+      ev.fn();
+      // The draw replaces the sequence; the producer survives.
+      EXPECT_EQ(EventKeys::producer_of(ev.key), fired.back() % 4);
+    }
+    return fired;
+  };
+  EXPECT_EQ(run(7), run(7));
+  EXPECT_NE(run(7), run(8));
+}
+
+TEST(EventKeys, BothEnginesRejectTooManyRanksAlike) {
+  // 2^20 ranks do not fit the key's rank field. Both engines build their
+  // keys before any rank state, so the check is cheap to reach.
+  const topo::Machine machine(topo::cori(1 << 15), 1 << 20);
+  const auto message = [&](auto make) {
+    try {
+      make();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string sim = message([&] { runtime::SimEngine engine(machine); });
+  const std::string sharded =
+      message([&] { runtime::ShardedEngine engine(machine); });
+  EXPECT_NE(sim.find("event keys reserve 20 bits for the rank"),
+            std::string::npos)
+      << sim;
+  EXPECT_EQ(sim, sharded);
+}
+
 // -- schedule perturbation (src/verify's engine hook) ----------------------
 
 TEST(EventQueuePerturb, ShufflesTiesButKeepsAllEvents) {
   EventQueue q;
   q.set_perturbation(PerturbConfig{.seed = 99, .shuffle_ties = true});
   std::vector<int> fired;
-  for (int i = 0; i < 16; ++i) q.push(5, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().second();
+  for (int i = 0; i < 16; ++i) push0(q, 5, [&fired, i] { fired.push_back(i); });
+  while (!q.empty()) q.pop().fn();
   std::vector<int> sorted = fired;
   std::sort(sorted.begin(), sorted.end());
   std::vector<int> identity(16);
@@ -317,9 +427,9 @@ TEST(EventQueuePerturb, SameSeedSameOrder) {
     q.set_perturbation(PerturbConfig{.seed = seed, .max_jitter = 50});
     std::vector<int> fired;
     for (int i = 0; i < 12; ++i) {
-      q.push(10 * (i % 3), [&fired, i] { fired.push_back(i); });
+      push0(q, 10 * (i % 3), [&fired, i] { fired.push_back(i); });
     }
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) q.pop().fn();
     return fired;
   };
   EXPECT_EQ(run(7), run(7));
@@ -331,13 +441,13 @@ TEST(EventQueuePerturb, JitterIsBoundedAndNeverEarly) {
   const TimeNs jitter = 100;
   q.set_perturbation(PerturbConfig{.seed = 3, .max_jitter = jitter});
   const TimeNs scheduled[] = {0, 10, 10, 500, 500, 500, 1000};
-  for (TimeNs t : scheduled) q.push(t, [] {});
+  for (TimeNs t : scheduled) push0(q, t, [] {});
   // Pop times are nondecreasing and each lies in [t, t + jitter] for SOME
   // scheduled t — never before any event's own schedule time (causality).
   TimeNs prev = -1;
   std::size_t popped = 0;
   while (!q.empty()) {
-    const TimeNs t = q.pop().first;
+    const TimeNs t = q.pop().time;
     EXPECT_GE(t, prev);
     prev = t;
     bool legal = false;
@@ -353,8 +463,8 @@ TEST(EventQueuePerturb, DisablingRestoresFifo) {
   q.set_perturbation(PerturbConfig{.seed = 4});
   q.set_perturbation(std::nullopt);
   std::vector<int> fired;
-  for (int i = 0; i < 8; ++i) q.push(5, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().second();
+  for (int i = 0; i < 8; ++i) push0(q, 5, [&fired, i] { fired.push_back(i); });
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_FALSE(q.perturbed());
 }
