@@ -94,12 +94,4 @@ sim::Task<> han_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                   spec.opts);
 }
 
-sim::Task<> han_allreduce(runtime::Context& ctx, const mpi::Comm& comm,
-                          mpi::MutView accum, mpi::ReduceOp op,
-                          mpi::Datatype dtype, const topo::Machine& machine,
-                          const HanSpec& spec) {
-  co_await han_reduce(ctx, comm, accum, op, dtype, 0, machine, spec);
-  co_await han_bcast(ctx, comm, accum, 0, machine, spec);
-}
-
 }  // namespace adapt::coll

@@ -63,10 +63,4 @@ sim::Task<> han_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                        mpi::Datatype dtype, Rank root,
                        const topo::Machine& machine, const HanSpec& spec = {});
 
-/// Two-level allreduce: han_reduce to `root` 0 chained into han_bcast.
-sim::Task<> han_allreduce(runtime::Context& ctx, const mpi::Comm& comm,
-                          mpi::MutView accum, mpi::ReduceOp op,
-                          mpi::Datatype dtype, const topo::Machine& machine,
-                          const HanSpec& spec = {});
-
 }  // namespace adapt::coll

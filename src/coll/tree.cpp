@@ -196,9 +196,6 @@ Tree build_tree(TreeKind kind, int nranks, Rank root, int radix) {
 
 Tree chain_tree(int n, Rank root) { return build_tree(TreeKind::kChain, n, root); }
 Tree flat_tree(int n, Rank root) { return build_tree(TreeKind::kFlat, n, root); }
-Tree kary_tree(int n, Rank root, int k) {
-  return build_tree(TreeKind::kKAry, n, root, k);
-}
 Tree binomial_tree(int n, Rank root) {
   return build_tree(TreeKind::kBinomial, n, root);
 }

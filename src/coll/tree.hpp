@@ -60,7 +60,6 @@ Tree build_tree(TreeKind kind, int nranks, Rank root, int radix = 2);
 // Individual builders (exposed for tests).
 Tree chain_tree(int nranks, Rank root);
 Tree flat_tree(int nranks, Rank root);
-Tree kary_tree(int nranks, Rank root, int k);
 Tree binomial_tree(int nranks, Rank root);
 Tree knomial_tree(int nranks, Rank root, int k);
 

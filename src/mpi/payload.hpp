@@ -82,7 +82,6 @@ class Payload {
   }
 
   Bytes size() const { return size_; }
-  bool is_real() const { return static_cast<bool>(buf_) || size_ == 0; }
 
   MutView view() { return MutView{buf_ ? buf_.data() : nullptr, size_}; }
   ConstView cview() const {

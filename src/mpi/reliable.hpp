@@ -79,21 +79,6 @@ struct Frame {
   RecoveryInfo rec;      ///< recovery kinds only; defaulted otherwise
 };
 
-inline const char* frame_kind_name(Frame::Kind kind) {
-  switch (kind) {
-    case Frame::Kind::kEager: return "eager";
-    case Frame::Kind::kRts: return "rts";
-    case Frame::Kind::kCts: return "cts";
-    case Frame::Kind::kBulk: return "bulk";
-    case Frame::Kind::kAbort: return "abort";
-    case Frame::Kind::kPing: return "ping";
-    case Frame::Kind::kFailNotice: return "fail_notice";
-    case Frame::Kind::kRevoke: return "revoke";
-    case Frame::Kind::kAgree: return "agree";
-  }
-  return "?";
-}
-
 /// What actually crosses the fabric: a data frame or an ack, stamped with the
 /// (seq, attempt) identity the fault injector keys its decisions on.
 struct WireFrame {

@@ -27,11 +27,6 @@ LinkId Fabric::add_link(double capacity_bytes_per_ns) {
   return static_cast<LinkId>(capacity_.size() - 1);
 }
 
-double Fabric::link_capacity(LinkId id) const {
-  ADAPT_CHECK(id >= 0 && id < static_cast<LinkId>(capacity_.size()));
-  return capacity_[static_cast<std::size_t>(id)];
-}
-
 int Fabric::allocate_slot() {
   if (!free_slots_.empty()) {
     const int slot = free_slots_.back();

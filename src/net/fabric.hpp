@@ -115,10 +115,8 @@ class Fabric {
                        std::function<void(const TransferFate&)> on_complete);
 
   // -- introspection / stats ---------------------------------------------
-  int active_flows() const { return active_count_; }
   std::uint64_t flows_completed() const { return completed_; }
   std::uint64_t peak_active_flows() const { return peak_active_; }
-  double link_capacity(LinkId id) const;
 
  private:
   struct Flow {

@@ -85,7 +85,6 @@ class Recovery {
 
   /// This rank's current failed view (global-rank bitmask). Monotonic.
   virtual std::uint64_t failed_mask() const = 0;
-  bool is_failed(Rank r) const { return (failed_mask() >> r) & 1u; }
 
   /// Declares `peer` failed from local evidence; gossips job-wide.
   virtual void report_failure(Rank peer) = 0;

@@ -86,7 +86,6 @@ class ShardedEngine final : public Engine,
 
   /// Effective shard count after clamping to the block count.
   int shards() const { return static_cast<int>(shards_.size()); }
-  const topo::ShardMap& shard_map() const { return map_; }
   const topo::ProcTopology& topology() const { return *topo_; }
   const topo::Machine& machine() const { return machine_; }
   support::BufferPool& pool() { return pool_; }

@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "src/support/error.hpp"
-#include "src/support/json.hpp"
 
 namespace adapt {
 
@@ -67,25 +66,6 @@ void Table::print_csv(std::ostream& os) const {
   };
   emit(header_);
   for (const auto& row : rows_) emit(row);
-}
-
-void Table::print_json(std::ostream& os) const {
-  auto emit_list = [&](const std::vector<std::string>& cells) {
-    os << '[';
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << json_quote(cells[c]);
-    }
-    os << ']';
-  };
-  os << "{\"header\":";
-  emit_list(header_);
-  os << ",\"rows\":[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) os << ',';
-    emit_list(rows_[r]);
-  }
-  os << "]}";
 }
 
 }  // namespace adapt

@@ -27,7 +27,6 @@ class Table {
   void print_csv(std::ostream& os) const;
   /// One JSON object: {"header": [...], "rows": [[...], ...]} (no trailing
   /// newline — composable inside larger documents, see bench::JsonReport).
-  void print_json(std::ostream& os) const;
 
   const std::vector<std::string>& header() const { return header_; }
   const std::vector<std::vector<std::string>>& row_data() const {

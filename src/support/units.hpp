@@ -36,7 +36,6 @@ constexpr TimeNs microseconds(double v) { return static_cast<TimeNs>(v * 1e3); }
 constexpr TimeNs milliseconds(double v) { return static_cast<TimeNs>(v * 1e6); }
 constexpr TimeNs seconds(double v) { return static_cast<TimeNs>(v * 1e9); }
 
-constexpr double to_us(TimeNs t) { return static_cast<double>(t) / 1e3; }
 constexpr double to_ms(TimeNs t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_sec(TimeNs t) { return static_cast<double>(t) / 1e9; }
 

@@ -5,16 +5,6 @@
 
 namespace adapt::tune {
 
-const char* plan_op_name(PlanOp op) {
-  switch (op) {
-    case PlanOp::kBcast: return "bcast";
-    case PlanOp::kReduce: return "reduce";
-    case PlanOp::kAllreduce: return "allreduce";
-    case PlanOp::kBarrier: return "barrier";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool plan_live(const CachedPlan& plan) {

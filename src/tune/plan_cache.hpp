@@ -43,8 +43,6 @@ namespace adapt::tune {
 /// prices bcast/reduce only): allreduce and barrier plans are cached too.
 enum class PlanOp : int { kBcast = 0, kReduce, kAllreduce, kBarrier };
 
-const char* plan_op_name(PlanOp op);
-
 struct PlanKey {
   PlanOp op = PlanOp::kBcast;
   std::uint64_t comm_fingerprint = 0;  ///< mpi::Comm::fingerprint()
