@@ -29,10 +29,8 @@ namespace adapt::obs {
 /// done are dropped (exports skip them anyway).
 void merge_recorders(const std::vector<const Recorder*>& parts, Recorder& out);
 
-/// `rec`'s trace export with its records in canonical order — the order a
-/// sharded run's merged recorder already has. The uncontended SimEngine and
-/// the ShardedEngine run the same schedule, so their canonical traces are
-/// byte-identical.
+/// `rec`'s trace export with its records in canonical order, the order of a
+/// sharded run's merged recorder: one schedule gives one canonical trace.
 std::string canonical_trace_json(const Recorder& rec);
 
 }  // namespace adapt::obs

@@ -114,7 +114,8 @@ bool MessageLegs::control(Rank from, Rank to, mpi::Frame::Kind kind,
 }
 
 void MessageLegs::submit(mpi::Envelope env, MemSpace src_space,
-                         MemSpace dst_space, std::function<void()> on_sent) {
+                         MemSpace dst_space, std::function<void()> on_sent,
+                         std::function<void(mpi::ErrCode)>) {
   const Rank src = env.src;
   const Rank dst = env.dst;
   Shard& sh = shard(src);

@@ -35,13 +35,14 @@
 
 namespace adapt::runtime {
 
-class MessageLegs {
+/// The raw transport: no leg is ever given up on, so on_failed never runs.
+class MessageLegs final : public mpi::Transport {
  public:
   /// `host` and `core` must outlive the legs; `shards` is the host's shard
   /// count (every shard_of(r) is below it).
   MessageLegs(RankHost& host, RankCore& core, const topo::Machine& machine,
               int shards);
-  ~MessageLegs();
+  ~MessageLegs() override;
 
   /// Prices data legs as flows of `fabric` (null: on pair clocks).
   void set_fabric(net::Fabric* fabric) { fabric_ = fabric; }
@@ -49,10 +50,10 @@ class MessageLegs {
   /// hosts only.
   void set_fault_injector(const net::FaultInjector* injector);
 
-  /// Ships env from env.src, whose code is running, to env.dst; `on_sent`
-  /// runs on the sender's progress context once the data has left.
+  /// Ships env from env.src, whose code is running, to env.dst.
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
-              std::function<void()> on_sent);
+              std::function<void()> on_sent,
+              std::function<void(mpi::ErrCode)> on_failed) override;
 
   /// The cached route between fixed endpoints and memories, its serial key
   /// the pair's dense index on src's shard. The trace id is reset: a caller
@@ -85,7 +86,7 @@ class MessageLegs {
   };
 
   /// A rendezvous message's receiver side, parked on the receiver's shard
-  /// from the RTS's arrival until the receive is finalised.
+  /// from the RTS's arrival to finalisation.
   struct Incoming {
     mpi::Envelope env;  ///< metadata and payload
     mpi::PostedRecv recv;

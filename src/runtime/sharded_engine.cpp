@@ -15,23 +15,12 @@ constexpr TimeNs kInf = std::numeric_limits<TimeNs>::max();
 
 }  // namespace
 
-// ------------------------------------------------------------ transport ---
+// ------------------------------------------------------------- RankHost ---
 
-// The engine is the transport of every shard, and MessageLegs runs its
-// legs: all mutable state a leg touches (pair tables, parked messages,
-// shard queues, mailboxes, recorders) belongs to the shard of the rank
-// whose code runs it, so concurrent legs on different shards never share
-// data.
-void ShardedEngine::submit(mpi::Envelope env, MemSpace src_space,
-                           MemSpace dst_space, std::function<void()> on_sent,
-                           std::function<void(mpi::ErrCode)> on_failed) {
+net::Route ShardedEngine::route(Rank src, MemSpace src_space, Rank dst,
+                                MemSpace dst_space) {
   ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
       << "the sharded engine is host-only; use SimEngine for GPU runs";
-  (void)on_failed;  // no fault injection here: every submit succeeds
-  legs_.submit(std::move(env), src_space, dst_space, std::move(on_sent));
-}
-
-net::Route ShardedEngine::route(Rank src, MemSpace, Rank dst, MemSpace) {
   const topo::RouteCost rc = topo_->route(src, dst);
   net::Route route;
   route.alpha = rc.alpha;
@@ -49,7 +38,7 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
       topo_(options_.topology ? options_.topology : &machine_topo_),
       map_(topo::make_shard_map(*topo_, std::max(options_.shards, 1))),
       keys_(machine.nranks()),
-      core_(*this, machine, *this, pool_, options_.noise),
+      core_(*this, machine, legs_, pool_, options_.noise),
       legs_(*this, core_, machine, map_.shards) {
   const int n = machine_.nranks();
   ADAPT_CHECK(topo_->nranks() == n)

@@ -73,9 +73,7 @@ struct ShardedEngineOptions {
   const topo::ProcTopology* topology = nullptr;
 };
 
-class ShardedEngine final : public Engine,
-                            private RankHost,
-                            private mpi::Transport {
+class ShardedEngine final : public Engine, private RankHost {
  public:
   ShardedEngine(const topo::Machine& machine,
                 ShardedEngineOptions options = {});
@@ -129,10 +127,8 @@ class ShardedEngine final : public Engine,
 
   Shard& shard_for(Rank r) { return *shards_[static_cast<std::size_t>(shard_of(r))]; }
 
-  // RankHost: each rank runs on its shard's clock and queue. A same-shard
-  // event is pushed directly; a cross-shard one (always at least this
-  // window's end away: route alpha >= lookahead) waits in the mailbox until
-  // the next round's drain.
+  // RankHost: each rank runs on its shard's clock and queue; an event for
+  // another shard (>= this window's end away) waits in the mailbox.
   TimeNs now_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->now;
   }
@@ -140,13 +136,9 @@ class ShardedEngine final : public Engine,
   int shard_of(Rank r) const override {
     return map_.shard_of[static_cast<std::size_t>(r)];
   }
+  /// Host-only (checked): the topology's route cost.
   net::Route route(Rank src, MemSpace src_space, Rank dst,
                    MemSpace dst_space) override;
-
-  // Transport: host-only messages on the shared legs.
-  void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
-              std::function<void()> on_sent,
-              std::function<void(mpi::ErrCode)> on_failed) override;
 
   /// One conservative window on shard s: drain inbound mailboxes, then
   /// execute local events with time < window.
@@ -172,7 +164,7 @@ class ShardedEngine final : public Engine,
   /// keys cannot hold is rejected before any rank state is.
   sim::EventKeys keys_;
   RankCore core_;
-  MessageLegs legs_;
+  MessageLegs legs_;  ///< the core's transport (bound before it is built)
   std::uint64_t epoch_ = 0;  ///< round counter; selects the mailbox epoch
 };
 

@@ -31,7 +31,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
               std::function<void(mpi::ErrCode)> on_failed) override {
     if (engine_.channels_.empty()) {
       engine_.legs_.submit(std::move(env), src_space, dst_space,
-                           std::move(on_sent));
+                           std::move(on_sent), std::move(on_failed));
       return;
     }
     submit_reliable(std::move(env), src_space, dst_space, std::move(on_sent),

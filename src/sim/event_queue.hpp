@@ -84,10 +84,8 @@ struct PerturbConfig {
 inline constexpr int kProducerBits = 20;
 inline constexpr std::uint64_t kProducerMask = (1ull << kProducerBits) - 1;
 
-/// Per-producer sequence counters: the one place event keys are made.
-/// Each producer's counter is only ever touched by that producer's own
-/// code, so engines that run producers on several threads share one
-/// EventKeys without locks.
+/// Per-producer sequence counters, the one place keys are made. Only a
+/// producer's own code touches its counter: shards share one without locks.
 class EventKeys {
  public:
   /// Rejects producer counts whose ranks do not fit the key's rank field.
@@ -109,8 +107,7 @@ class EventKeys {
   std::vector<std::uint64_t> seq_;
 };
 
-/// A popped event: its firing time, its key (perturbed, when perturbation
-/// is on) and its callback.
+/// A popped event (its key as perturbed, when perturbation is on).
 struct Event {
   TimeNs time;
   std::uint64_t key;

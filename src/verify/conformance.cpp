@@ -7,7 +7,6 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <string_view>
 
 #include "src/coll/han.hpp"
 #include "src/coll/library.hpp"
@@ -796,47 +795,38 @@ std::optional<std::string> run_once(const CaseConfig& config,
   return std::nullopt;
 }
 
-/// The line of `text` that starts at `begin` (a trace export has one record
-/// per line).
-std::string_view line_at(std::string_view text, std::size_t begin) {
-  const std::size_t end = text.find('\n', begin);
-  return text.substr(begin, end == std::string_view::npos ? end : end - begin);
-}
-
 /// Compares a sharded run with the uncontended SimEngine's: every rank's
 /// finish time, then the trace bytes (the SimEngine's records in canonical
-/// order). nullopt when both agree; otherwise the first differing rank or
-/// record.
+/// order). nullopt when they agree, else the first differing rank or line.
 std::optional<std::string> diff_engines(const std::vector<TimeNs>& sharded,
                                         const std::vector<TimeNs>& reference,
                                         const obs::Recorder& sharded_rec,
                                         const obs::Recorder& reference_rec) {
+  std::ostringstream out;
+  out << "cross-engine: ";
   const auto [got, want] =
       std::mismatch(sharded.begin(), sharded.end(), reference.begin());
   if (got != sharded.end()) {
-    std::ostringstream out;
-    out << "cross-engine: rank " << (got - sharded.begin()) << " finishes at "
-        << *got << " ns on the sharded engine but " << *want
+    out << "rank " << (got - sharded.begin()) << " finishes at " << *got
+        << " ns on the sharded engine but " << *want
         << " ns on the uncontended SimEngine";
     return out.str();
   }
   std::ostringstream merged;
   obs::write_trace_json(sharded_rec, merged);
-  const std::string a = merged.str();
-  const std::string b = obs::canonical_trace_json(reference_rec);
-  if (a == b) return std::nullopt;
-  const std::size_t at =
-      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin();
-  const std::size_t line = a.rfind('\n', at == 0 ? 0 : at - 1);
-  const std::size_t begin = line == std::string::npos ? 0 : line + 1;
-  std::ostringstream out;
-  out << "cross-engine: traces differ at line "
-      << std::count(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(begin),
-                    '\n')
-      << ": sharded " << line_at(a, begin) << " vs uncontended SimEngine "
-      << line_at(b, begin)
-      << " (--trace-dir writes both; compare them with adapt-trace diff)";
-  return out.str();
+  std::istringstream a(merged.str());
+  std::istringstream b(obs::canonical_trace_json(reference_rec));
+  std::string la, lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_b = static_cast<bool>(std::getline(b, lb));
+    if (!more_a && !more_b) return std::nullopt;
+    if (more_a == more_b && la == lb) continue;
+    out << "traces differ at line " << line << ": sharded " << la
+        << " vs uncontended SimEngine " << lb
+        << " (--trace-dir writes both for adapt-trace diff)";
+    return out.str();
+  }
 }
 
 }  // namespace
