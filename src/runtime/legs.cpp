@@ -118,37 +118,39 @@ void MessageLegs::submit(mpi::Envelope env, MemSpace src_space,
                          std::function<void(mpi::ErrCode)>) {
   const Rank src = env.src;
   const Rank dst = env.dst;
+  const bool eager = env.size <= eager_threshold_;
   Shard& sh = shard(src);
   const std::uint32_t ri = route_index(src, src_space, dst, dst_space);
   const net::Route& route = sh.routes[ri];
   const std::uint64_t seq =
       ++sh.pairs[static_cast<std::size_t>(route.serial_key)].raw_seq;
-  if (env.size <= eager_threshold_) {
+  mpi::Envelope notice = eager ? mpi::Envelope{} : notice_of(env);
+  const std::uint32_t slot =
+      sh.out.acquire({std::move(env), std::move(on_sent), ri, seq});
+  if (eager) {
     // Eager: the data travels at once and is buffered at the receiver if
     // nothing matches; the sender never waits on the receiver.
-    carry({std::move(env), std::move(on_sent), ri, seq},
-          mpi::Frame::Kind::kEager);
+    carry(src, slot, mpi::Frame::Kind::kEager);
     return;
   }
   // Rendezvous: the bulk data moves only once a receive matched the RTS —
   // the coupling that lets a noisy receiver stall its parent in
   // blocking/Waitall designs. A lost RTS stalls the message for good.
-  const std::uint32_t slot =
-      sh.out.acquire({notice_of(env), std::move(on_sent), ri, seq});
   const TimeNs alpha = route.alpha;
   if (!control(src, dst, mpi::Frame::Kind::kRts, src, ri, seq, alpha,
-               [this, env = std::move(env), slot, alpha, ri, seq]() mutable {
-                 arrive_rts(std::move(env), slot, alpha, ri, seq);
+               [this, notice = std::move(notice), slot, alpha, ri,
+                seq]() mutable {
+                 arrive_rts(std::move(notice), slot, alpha, ri, seq);
                })) {
     sh.out.release(slot);
   }
 }
 
-void MessageLegs::carry(Outgoing o, mpi::Frame::Kind kind) {
-  const Rank src = o.env.src;
+void MessageLegs::carry(Rank src, std::uint32_t slot, mpi::Frame::Kind kind) {
+  Shard& sh = shard(src);
+  Outgoing& o = sh.out[slot];
   const Rank dst = o.env.dst;
   const Bytes bytes = o.env.size;
-  Shard& sh = shard(src);
   net::Route& route = sh.routes[o.route];
   obs::Recorder* rec = core_.endpoint(src).recorder();
   const TimeNs now = host_.now_of(src);
@@ -158,7 +160,6 @@ void MessageLegs::carry(Outgoing o, mpi::Frame::Kind kind) {
                                             static_cast<int>(kind), now)
                       : 0;
     o.trace = route.trace;
-    const std::uint32_t slot = sh.out.acquire(std::move(o));
     fabric_->transfer_tagged(route, bytes, key,
                              [this, src, slot](const net::TransferFate& fate) {
                                land(src, slot, fate);
@@ -181,13 +182,14 @@ void MessageLegs::carry(Outgoing o, mpi::Frame::Kind kind) {
     }
     for (net::LinkId l : route.links) rec->metrics().link_bytes(l) += bytes;
   }
+  Outgoing m = sh.out.release(slot);
   host_.schedule(src, src, arrive,
-                 [this, src, on_sent = std::move(o.on_sent)]() mutable {
+                 [this, src, on_sent = std::move(m.on_sent)]() mutable {
                    core_.run_progress(src, std::move(on_sent), 0);
                  });
-  if (!settle(o, fate)) return;
+  if (!settle(m, fate)) return;
   host_.schedule(src, dst, arrive,
-                 [this, env = std::move(o.env), in = o.incoming]() mutable {
+                 [this, env = std::move(m.env), in = m.incoming]() mutable {
                    receive(std::move(env), in);
                  });
 }
@@ -203,15 +205,11 @@ void MessageLegs::land(Rank src, std::uint32_t slot,
 }
 
 bool MessageLegs::settle(Outgoing& o, const net::TransferFate& fate) {
-  Shard& dst = shard(o.env.dst);
   if (!fate.delivered) {
-    if (o.incoming != kNone) dst.in.release(o.incoming);
+    if (o.incoming != kNone) shard(o.env.dst).in.release(o.incoming);
     return false;
   }
-  if (fate.corrupted) {
-    corrupt_in_place(o.incoming == kNone ? o.env : dst.in[o.incoming].env,
-                     fate.salt);
-  }
+  if (fate.corrupted) corrupt_in_place(o.env, fate.salt);
   return true;
 }
 
@@ -221,55 +219,52 @@ void MessageLegs::receive(mpi::Envelope env, std::uint32_t incoming) {
     core_.endpoint(dst).deliver(std::move(env));
     return;
   }
-  core_.run_progress(dst, [this, dst, incoming] { finalize(dst, incoming); },
+  core_.run_progress(dst,
+                     [this, dst, incoming, env = std::move(env)] {
+                       finalize(dst, incoming, env);
+                     },
                      recv_overhead_);
 }
 
-void MessageLegs::arrive_rts(mpi::Envelope env, std::uint32_t outgoing,
+void MessageLegs::arrive_rts(mpi::Envelope notice, std::uint32_t outgoing,
                              TimeNs alpha, std::uint32_t route,
                              std::uint64_t seq) {
-  const Rank src = env.src;
-  const Rank dst = env.dst;
+  const Rank src = notice.src;
+  const Rank dst = notice.dst;
   mpi::Endpoint& receiver = core_.endpoint(dst);
   if (receiver.poisoned()) {  // deliver() would drop it: nothing to grant
     shard(src).out.release(outgoing);
     return;
   }
-  mpi::Envelope rts = notice_of(env);
   const std::uint32_t in =
-      shard(dst).in.acquire({std::move(env), {}, alpha, outgoing, route, seq});
-  rts.grant = [this, dst, in](mpi::PostedRecv recv) {
+      shard(dst).in.acquire({{}, src, alpha, outgoing, route, seq});
+  notice.grant = [this, dst, in](mpi::PostedRecv recv) {
     grant(dst, in, std::move(recv));
   };
-  receiver.deliver(std::move(rts));
+  receiver.deliver(std::move(notice));
 }
 
 void MessageLegs::grant(Rank dst, std::uint32_t incoming,
                         mpi::PostedRecv recv) {
   Incoming& p = shard(dst).in[incoming];
   p.recv = std::move(recv);
-  const Rank src = p.env.src;
+  const Rank src = p.src;
   const std::uint32_t outgoing = p.outgoing;
   if (!control(dst, src, mpi::Frame::Kind::kCts, src, p.route, p.seq, p.alpha,
                [this, src, outgoing, incoming] {
-                 send_bulk(src, outgoing, incoming);
+                 shard(src).out[outgoing].incoming = incoming;
+                 carry(src, outgoing, mpi::Frame::Kind::kBulk);
                })) {
     shard(src).out.release(outgoing);
     shard(dst).in.release(incoming);
   }
 }
 
-void MessageLegs::send_bulk(Rank src, std::uint32_t outgoing,
-                            std::uint32_t incoming) {
-  Outgoing o = shard(src).out.release(outgoing);
-  o.incoming = incoming;
-  carry(std::move(o), mpi::Frame::Kind::kBulk);
-}
-
-void MessageLegs::finalize(Rank dst, std::uint32_t incoming) {
+void MessageLegs::finalize(Rank dst, std::uint32_t incoming,
+                           const mpi::Envelope& env) {
   // Moved out first: completion callbacks may send again and grow the pool.
-  const Incoming p = shard(dst).in.release(incoming);
-  core_.endpoint(dst).finalize_recv(p.recv, p.env);
+  const mpi::PostedRecv recv = shard(dst).in.release(incoming).recv;
+  core_.endpoint(dst).finalize_recv(recv, env);
 }
 
 }  // namespace adapt::runtime

@@ -75,9 +75,10 @@ class MessageLegs final : public mpi::Transport {
     std::array<std::int32_t, 4> routes{-1, -1, -1, -1};
   };
 
-  /// A message's sender side, parked on the sender's shard between legs.
+  /// A message's sender side, parked on the sender's shard from submit
+  /// until its data leaves.
   struct Outgoing {
-    mpi::Envelope env;  ///< rendezvous: metadata; the payload rides the RTS
+    mpi::Envelope env;
     std::function<void()> on_sent;
     std::uint32_t route = 0;          ///< Shard::routes index
     std::uint64_t seq = 0;            ///< raw fault-key sequence number
@@ -88,8 +89,8 @@ class MessageLegs final : public mpi::Transport {
   /// A rendezvous message's receiver side, parked on the receiver's shard
   /// from the RTS's arrival to finalisation.
   struct Incoming {
-    mpi::Envelope env;  ///< metadata and payload
     mpi::PostedRecv recv;
+    Rank src = 0;
     TimeNs alpha = 0;            ///< the route's latency, for the CTS
     std::uint32_t outgoing = 0;  ///< the sender's slot
     std::uint32_t route = 0;     ///< sender-shard route, for CTS fault keys
@@ -105,7 +106,9 @@ class MessageLegs final : public mpi::Transport {
   };
 
   Shard& shard(Rank r) {
-    return *shards_[static_cast<std::size_t>(host_.shard_of(r))];
+    return shards_.size() == 1
+               ? *shards_.front()
+               : *shards_[static_cast<std::size_t>(host_.shard_of(r))];
   }
   /// Index in src's Shard::routes of the route between the given memories;
   /// its serial key is the pair's index in Shard::pairs, assigned on the
@@ -120,24 +123,23 @@ class MessageLegs final : public mpi::Transport {
                std::uint32_t route, std::uint64_t seq, TimeNs alpha,
                sim::EventFn next);
 
-  /// Puts a data leg (eager message or bulk) on the wire.
-  void carry(Outgoing o, mpi::Frame::Kind kind);
-  /// Fabric completion of a data leg parked in src's shard.
+  /// Puts the data of the message parked in src's `slot` on the wire.
+  void carry(Rank src, std::uint32_t slot, mpi::Frame::Kind kind);
+  /// Fabric completion of a data leg.
   void land(Rank src, std::uint32_t slot, const net::TransferFate& fate);
-  /// Applies a data leg's fate to its receiver side: false (and the
-  /// receiver's slot freed) when lost; corrupted data is damaged in place.
+  /// Applies a data leg's fate: false (and the receiver's slot freed) when
+  /// lost; corrupted data is damaged in place.
   bool settle(Outgoing& o, const net::TransferFate& fate);
   /// The data reached env.dst: delivery (eager) or finalisation (bulk).
   void receive(mpi::Envelope env, std::uint32_t incoming);
 
-  /// The RTS reached the receiver, carrying the payload along.
-  void arrive_rts(mpi::Envelope env, std::uint32_t outgoing, TimeNs alpha,
+  /// The RTS reached the receiver.
+  void arrive_rts(mpi::Envelope notice, std::uint32_t outgoing, TimeNs alpha,
                   std::uint32_t route, std::uint64_t seq);
-  /// A receive matched the RTS: CTS back to the sender.
+  /// A receive matched the RTS: CTS back to the sender, whose arrival
+  /// starts the bulk leg.
   void grant(Rank dst, std::uint32_t incoming, mpi::PostedRecv recv);
-  /// The CTS reached the sender: the bulk leg.
-  void send_bulk(Rank src, std::uint32_t outgoing, std::uint32_t incoming);
-  void finalize(Rank dst, std::uint32_t incoming);
+  void finalize(Rank dst, std::uint32_t incoming, const mpi::Envelope& env);
 
   RankHost& host_;
   RankCore& core_;

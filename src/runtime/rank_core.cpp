@@ -115,12 +115,12 @@ mpi::Endpoint& RankCore::endpoint(Rank r) {
   return ranks_[static_cast<std::size_t>(r)]->endpoint();
 }
 
-void RankCore::run_on(Rank r, sim::EventFn fn, TimeNs cpu_cost) {
+void RankCore::run_on(Rank r, sim::EventFn&& fn, TimeNs cpu_cost) {
   post(r, occupy(r, /*progress=*/false, /*noisy=*/true, cpu_cost),
        std::move(fn));
 }
 
-void RankCore::run_progress(Rank r, sim::EventFn fn, TimeNs cpu_cost) {
+void RankCore::run_progress(Rank r, sim::EventFn&& fn, TimeNs cpu_cost) {
   post(r, occupy(r, /*progress=*/true, /*noisy=*/false, cpu_cost),
        std::move(fn));
 }
@@ -139,7 +139,7 @@ TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   return busy;
 }
 
-void RankCore::post(Rank r, TimeNs t, sim::EventFn fn) {
+void RankCore::post(Rank r, TimeNs t, sim::EventFn&& fn) {
   if (!log_ctx_) {
     host_.schedule(r, r, t, std::move(fn));
     return;

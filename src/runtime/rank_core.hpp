@@ -36,7 +36,8 @@ class RankHost {
   /// Schedules fn at absolute time t (>= now_of(producer)) as the next
   /// event of rank `producer`, the rank whose code is running; it runs
   /// where rank `at` runs.
-  virtual void schedule(Rank producer, Rank at, TimeNs t, sim::EventFn fn) = 0;
+  virtual void schedule(Rank producer, Rank at, TimeNs t,
+                        sim::EventFn&& fn) = 0;
   /// Index of the shard that runs rank r's events (0 on a one-clock engine).
   virtual int shard_of(Rank) const { return 0; }
   /// Cost route of a message from src to dst between the given memories.
@@ -69,10 +70,10 @@ class RankCore {
 
   /// Runs `fn` once rank r's main thread is free (noise applies), after
   /// occupying it for `cpu_cost`.
-  void run_on(Rank r, sim::EventFn fn, TimeNs cpu_cost);
+  void run_on(Rank r, sim::EventFn&& fn, TimeNs cpu_cost);
   /// Runs `fn` on rank r's progress context (async progress thread + NIC
   /// offload), which noise never touches, after occupying it for `cpu_cost`.
-  void run_progress(Rank r, sim::EventFn fn, TimeNs cpu_cost);
+  void run_progress(Rank r, sim::EventFn&& fn, TimeNs cpu_cost);
 
   /// Starts `program` on every rank as soon as its main thread is free. The
   /// engine then drains its events and calls finish(); `program` must live
@@ -102,7 +103,7 @@ class RankCore {
   TimeNs occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost);
   /// Schedules `fn` as rank r's event at `t`, under the rank's log context
   /// when logging is on.
-  void post(Rank r, TimeNs t, sim::EventFn fn);
+  void post(Rank r, TimeNs t, sim::EventFn&& fn);
 
   RankHost& host_;
   support::BufferPool& pool_;

@@ -72,7 +72,7 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
 ShardedEngine::~ShardedEngine() = default;
 
 void ShardedEngine::schedule(Rank producer, Rank at, TimeNs t,
-                             sim::EventFn fn) {
+                             sim::EventFn&& fn) {
   const int from = shard_of(producer);
   const int to = shard_of(at);
   const std::uint64_t key = keys_.next(producer);

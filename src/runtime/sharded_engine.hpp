@@ -132,7 +132,8 @@ class ShardedEngine final : public Engine, private RankHost {
   TimeNs now_of(Rank r) const override {
     return shards_[static_cast<std::size_t>(shard_of(r))]->now;
   }
-  void schedule(Rank producer, Rank at, TimeNs t, sim::EventFn fn) override;
+  void schedule(Rank producer, Rank at, TimeNs t,
+                sim::EventFn&& fn) override;
   int shard_of(Rank r) const override {
     return map_.shard_of[static_cast<std::size_t>(r)];
   }

@@ -122,7 +122,7 @@ class SimEngine final : public Engine, private RankHost {
 
   // RankHost: one virtual clock for every rank.
   TimeNs now_of(Rank) const override { return sim_.now(); }
-  void schedule(Rank producer, Rank, TimeNs t, sim::EventFn fn) override {
+  void schedule(Rank producer, Rank, TimeNs t, sim::EventFn&& fn) override {
     sim_.schedule(producer, t, std::move(fn));
   }
   net::Route route(Rank src, MemSpace src_space, Rank dst,

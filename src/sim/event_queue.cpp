@@ -114,7 +114,7 @@ void EventQueue::pop_top() const {
   cohort_[hole] = last;
 }
 
-EventHandle EventQueue::push(TimeNs time, std::uint64_t key, EventFn fn) {
+EventHandle EventQueue::push(TimeNs time, std::uint64_t key, EventFn&& fn) {
   TimeNs fire_time = time;
   if (perturb_) {
     if (perturb_->max_jitter > 0) {

@@ -195,7 +195,7 @@ class EventQueue {
   /// back to insertion order. Under perturbation the key's sequence field is
   /// replaced by a seeded draw (its producer field stays) and the time may
   /// be jittered.
-  EventHandle push(TimeNs time, std::uint64_t key, EventFn fn);
+  EventHandle push(TimeNs time, std::uint64_t key, EventFn&& fn);
 
   /// Enables (or, with nullopt, disables) schedule perturbation for all
   /// subsequently pushed events. Typically set before any push.

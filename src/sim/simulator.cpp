@@ -4,7 +4,7 @@
 
 namespace adapt::sim {
 
-EventHandle Simulator::schedule(int producer, TimeNs t, EventFn fn) {
+EventHandle Simulator::schedule(int producer, TimeNs t, EventFn&& fn) {
   ADAPT_CHECK(t >= now_) << "scheduling into the past: t=" << t
                          << " now=" << now_;
   return queue_.push(t, keys_.next(producer), std::move(fn));

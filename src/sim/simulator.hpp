@@ -36,7 +36,7 @@ class Simulator {
 
   /// Schedules `fn` at absolute virtual time `t` (must be >= now()) as the
   /// next event of rank `producer`.
-  EventHandle schedule(int producer, TimeNs t, EventFn fn);
+  EventHandle schedule(int producer, TimeNs t, EventFn&& fn);
 
   /// Schedules `fn` at absolute virtual time `t` (must be >= now()) as the
   /// next event of the running event's producer (outside any event, of the
