@@ -17,16 +17,6 @@ void corrupt_in_place(mpi::Envelope& env, std::uint64_t salt) {
       salt % static_cast<std::uint64_t>(env.size))] ^= std::byte{0x2a};
 }
 
-/// The metadata of `env`: what an RTS notice or a parked sender carries.
-mpi::Envelope notice_of(const mpi::Envelope& env) {
-  mpi::Envelope notice;
-  notice.src = env.src;
-  notice.dst = env.dst;
-  notice.tag = env.tag;
-  notice.size = env.size;
-  return notice;
-}
-
 }  // namespace
 
 MessageLegs::MessageLegs(RankHost& host, RankCore& core,
@@ -124,9 +114,10 @@ void MessageLegs::submit(mpi::Envelope env, MemSpace src_space,
   const net::Route& route = sh.routes[ri];
   const std::uint64_t seq =
       ++sh.pairs[static_cast<std::size_t>(route.serial_key)].raw_seq;
-  mpi::Envelope notice = eager ? mpi::Envelope{} : notice_of(env);
-  const std::uint32_t slot =
+  Notice notice{src, dst, env.tag, env.size, route.alpha, 0, ri, seq};
+  notice.outgoing =
       sh.out.acquire({std::move(env), std::move(on_sent), ri, seq});
+  const std::uint32_t slot = notice.outgoing;
   if (eager) {
     // Eager: the data travels at once and is buffered at the receiver if
     // nothing matches; the sender never waits on the receiver.
@@ -136,12 +127,8 @@ void MessageLegs::submit(mpi::Envelope env, MemSpace src_space,
   // Rendezvous: the bulk data moves only once a receive matched the RTS —
   // the coupling that lets a noisy receiver stall its parent in
   // blocking/Waitall designs. A lost RTS stalls the message for good.
-  const TimeNs alpha = route.alpha;
-  if (!control(src, dst, mpi::Frame::Kind::kRts, src, ri, seq, alpha,
-               [this, notice = std::move(notice), slot, alpha, ri,
-                seq]() mutable {
-                 arrive_rts(std::move(notice), slot, alpha, ri, seq);
-               })) {
+  if (!control(src, dst, mpi::Frame::Kind::kRts, src, ri, seq, route.alpha,
+               [this, notice] { arrive_rts(notice); })) {
     sh.out.release(slot);
   }
 }
@@ -226,31 +213,33 @@ void MessageLegs::receive(mpi::Envelope env, std::uint32_t incoming) {
                      recv_overhead_);
 }
 
-void MessageLegs::arrive_rts(mpi::Envelope notice, std::uint32_t outgoing,
-                             TimeNs alpha, std::uint32_t route,
-                             std::uint64_t seq) {
-  const Rank src = notice.src;
-  const Rank dst = notice.dst;
-  mpi::Endpoint& receiver = core_.endpoint(dst);
+void MessageLegs::arrive_rts(const Notice& notice) {
+  mpi::Endpoint& receiver = core_.endpoint(notice.dst);
   if (receiver.poisoned()) {  // deliver() would drop it: nothing to grant
-    shard(src).out.release(outgoing);
+    shard(notice.src).out.release(notice.outgoing);
     return;
   }
-  const std::uint32_t in =
-      shard(dst).in.acquire({{}, src, alpha, outgoing, route, seq});
-  notice.grant = [this, dst, in](mpi::PostedRecv recv) {
+  const Rank dst = notice.dst;
+  const std::uint32_t in = shard(dst).in.acquire({notice, {}});
+  mpi::Envelope rts;
+  rts.src = notice.src;
+  rts.dst = dst;
+  rts.tag = notice.tag;
+  rts.size = notice.size;
+  rts.grant = [this, dst, in](mpi::PostedRecv recv) {
     grant(dst, in, std::move(recv));
   };
-  receiver.deliver(std::move(notice));
+  receiver.deliver(std::move(rts));
 }
 
 void MessageLegs::grant(Rank dst, std::uint32_t incoming,
                         mpi::PostedRecv recv) {
   Incoming& p = shard(dst).in[incoming];
   p.recv = std::move(recv);
-  const Rank src = p.src;
-  const std::uint32_t outgoing = p.outgoing;
-  if (!control(dst, src, mpi::Frame::Kind::kCts, src, p.route, p.seq, p.alpha,
+  const Notice& n = p.notice;
+  const Rank src = n.src;
+  const std::uint32_t outgoing = n.outgoing;
+  if (!control(dst, src, mpi::Frame::Kind::kCts, src, n.route, n.seq, n.alpha,
                [this, src, outgoing, incoming] {
                  shard(src).out[outgoing].incoming = incoming;
                  carry(src, outgoing, mpi::Frame::Kind::kBulk);

@@ -86,15 +86,23 @@ class MessageLegs final : public mpi::Transport {
     std::uint32_t incoming = kNone;   ///< the receiver's slot (rendezvous)
   };
 
-  /// A rendezvous message's receiver side, parked on the receiver's shard
-  /// from the RTS's arrival to finalisation.
-  struct Incoming {
-    mpi::PostedRecv recv;
+  /// What an RTS carries to the receiver (plain data: cheap to move).
+  struct Notice {
     Rank src = 0;
+    Rank dst = 0;
+    Tag tag = 0;
+    Bytes size = 0;
     TimeNs alpha = 0;            ///< the route's latency, for the CTS
     std::uint32_t outgoing = 0;  ///< the sender's slot
     std::uint32_t route = 0;     ///< sender-shard route, for CTS fault keys
     std::uint64_t seq = 0;
+  };
+
+  /// A rendezvous message's receiver side, parked on the receiver's shard
+  /// from the RTS's arrival to finalisation.
+  struct Incoming {
+    Notice notice;
+    mpi::PostedRecv recv;
   };
 
   struct Shard {
@@ -134,8 +142,7 @@ class MessageLegs final : public mpi::Transport {
   void receive(mpi::Envelope env, std::uint32_t incoming);
 
   /// The RTS reached the receiver.
-  void arrive_rts(mpi::Envelope notice, std::uint32_t outgoing, TimeNs alpha,
-                  std::uint32_t route, std::uint64_t seq);
+  void arrive_rts(const Notice& notice);
   /// A receive matched the RTS: CTS back to the sender, whose arrival
   /// starts the bulk leg.
   void grant(Rank dst, std::uint32_t incoming, mpi::PostedRecv recv);
