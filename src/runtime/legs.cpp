@@ -48,7 +48,7 @@ std::uint32_t MessageLegs::route_index(Rank src, MemSpace src_space,
       key, static_cast<std::uint32_t>(sh.pairs.size()));
   if (fresh) sh.pairs.emplace_back();
   // Routes never change and building one allocates its link vector, so
-  // each is built once. Indices, not references: routes_ may grow.
+  // each is built once. Indices, not references: the table may grow.
   const int spaces = (src_space == MemSpace::kDevice ? 2 : 0) |
                      (dst_space == MemSpace::kDevice ? 1 : 0);
   std::int32_t& ri =
