@@ -32,12 +32,19 @@ Comm Comm::world(int nranks) {
 
 Comm::Comm(std::vector<Rank> members) {
   ADAPT_CHECK(!members.empty());
-  std::vector<Rank> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  ADAPT_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+  std::vector<std::pair<Rank, Rank>> by_global;
+  by_global.reserve(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i)
+    by_global.emplace_back(members[i], static_cast<Rank>(i));
+  std::sort(by_global.begin(), by_global.end());
+  ADAPT_CHECK(std::adjacent_find(by_global.begin(), by_global.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.first == b.first;
+                                 }) == by_global.end())
       << "duplicate member rank";
   state_ = std::make_shared<CommState>();
   state_->members = std::move(members);
+  state_->by_global = std::move(by_global);
   state_->fingerprint = members_fingerprint(state_->members);
   cstate_ = state_;
 }
@@ -52,10 +59,12 @@ std::vector<Comm> Comm::split_by(const std::function<int(Rank)>& color) const {
 }
 
 Rank Comm::local_of(Rank global_rank) const {
-  const auto& m = members();
-  const auto it = std::find(m.begin(), m.end(), global_rank);
-  if (it == m.end()) return kAnyRank;
-  return static_cast<Rank>(it - m.begin());
+  const auto& index = state_->by_global;
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), global_rank,
+      [](const std::pair<Rank, Rank>& e, Rank g) { return e.first < g; });
+  if (it == index.end() || it->first != global_rank) return kAnyRank;
+  return it->second;
 }
 
 }  // namespace adapt::mpi

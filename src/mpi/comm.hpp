@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/support/error.hpp"
@@ -28,6 +29,9 @@ namespace adapt::mpi {
 /// is only ever read afterwards.
 struct CommState {
   std::vector<Rank> members;
+  /// (global, local) for every member, sorted by global rank: local_of's
+  /// binary-search index.
+  std::vector<std::pair<Rank, Rank>> by_global;
   std::uint64_t fingerprint = 0;  ///< FNV-1a over the ordered member list
   bool freed = false;
   bool revoked = false;  ///< ULFM revocation: schedules on it are stale
@@ -49,6 +53,7 @@ class Comm {
     return members()[static_cast<std::size_t>(local)];
   }
   /// Local rank of a global rank, or kAnyRank when not a member.
+  /// O(log size).
   Rank local_of(Rank global_rank) const;
   bool contains(Rank global_rank) const {
     return local_of(global_rank) != kAnyRank;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "src/mpi/op.hpp"
 #include "src/mpi/p2p.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
 
 namespace adapt::mpi {
@@ -397,6 +399,26 @@ TEST(Comm, WorldAndMembership) {
 
 TEST(Comm, RejectsDuplicates) {
   EXPECT_THROW(Comm({1, 2, 1}), Error);
+}
+
+TEST(Comm, LocalOfMatchesALinearScan) {
+  // A scrambled communicator over a random two thirds of [0, 300): every
+  // global rank in [-2, 302), member or not, maps as a scan would map it.
+  std::vector<Rank> members(300);
+  for (Rank r = 0; r < 300; ++r) members[static_cast<std::size_t>(r)] = r;
+  Rng rng(17);
+  for (std::size_t i = members.size(); i > 1; --i)
+    std::swap(members[i - 1], members[rng.next_below(i)]);
+  members.resize(200);
+  const Comm comm(members);
+  for (Rank g = -2; g < 302; ++g) {
+    const auto it = std::find(members.begin(), members.end(), g);
+    const Rank expect = it == members.end()
+                            ? kAnyRank
+                            : static_cast<Rank>(it - members.begin());
+    EXPECT_EQ(comm.local_of(g), expect) << "global " << g;
+    EXPECT_EQ(comm.contains(g), expect != kAnyRank) << "global " << g;
+  }
 }
 
 // --------------------------------------------- argument validation ---
