@@ -1,7 +1,5 @@
 #include "src/coll/han.hpp"
 
-#include <algorithm>
-
 #include "src/support/error.hpp"
 
 namespace adapt::coll {
@@ -13,17 +11,6 @@ namespace {
 /// han_groups too, so the two designs are comparable head to head).
 Rank leader_of(const mpi::Comm& node, Rank root_global) {
   return node.contains(root_global) ? root_global : node.members().front();
-}
-
-void merge_edges(Tree& final_tree, const Tree& group_tree) {
-  for (Rank r = 0; r < group_tree.size(); ++r) {
-    for (Rank c : group_tree.kids(r)) {
-      ADAPT_CHECK(final_tree.parent[static_cast<std::size_t>(c)] == -1)
-          << "rank " << c << " acquired two parents";
-      final_tree.parent[static_cast<std::size_t>(c)] = r;
-      final_tree.children[static_cast<std::size_t>(r)].push_back(c);
-    }
-  }
 }
 
 }  // namespace
@@ -44,38 +31,28 @@ HanGroups han_groups(const mpi::Comm& comm, const topo::Machine& machine,
 
 Tree build_han_tree(const topo::Machine& machine, const mpi::Comm& comm,
                     Rank root, const HanSpec& spec) {
-  const int n = comm.size();
   const HanGroups g = han_groups(comm, machine, root);
   const Rank root_global = comm.global(root);
-
-  Tree result;
-  result.root = root;
-  result.parent.assign(static_cast<std::size_t>(n), -1);
-  result.children.resize(static_cast<std::size_t>(n));
+  TreeBuilder b(comm.size(), root);
+  std::vector<Rank> group;  // one level's ranks, local to `comm`
+  const auto to_local = [&](const std::vector<Rank>& globals) {
+    group.clear();
+    for (const Rank r : globals) group.push_back(comm.local_of(r));
+  };
 
   // Inter-node level first, so every leader's child list starts with its
   // slow-lane (fabric) children and long-haul transfers start earliest.
   if (g.leaders.size() > 1) {
-    std::vector<Rank> leaders_local;
-    leaders_local.reserve(g.leaders.members().size());
-    for (const Rank leader : g.leaders.members())
-      leaders_local.push_back(comm.local_of(leader));
-    merge_edges(result,
-                tree_over(spec.inter_node, leaders_local, root, spec.radix));
+    to_local(g.leaders.members());
+    b.shape(spec.inter_node, group, root, spec.radix);
   }
   for (const mpi::Comm& node : g.nodes) {
     if (node.size() <= 1) continue;
-    std::vector<Rank> members_local;
-    members_local.reserve(node.members().size());
-    for (const Rank m : node.members())
-      members_local.push_back(comm.local_of(m));
-    const Rank node_root = comm.local_of(leader_of(node, root_global));
-    merge_edges(result, tree_over(spec.intra_node, members_local, node_root,
-                                  spec.radix));
+    to_local(node.members());
+    b.shape(spec.intra_node, group,
+            comm.local_of(leader_of(node, root_global)), spec.radix);
   }
-
-  result.validate();
-  return result;
+  return std::move(b).finish();
 }
 
 sim::Task<> han_bcast(runtime::Context& ctx, const mpi::Comm& comm,

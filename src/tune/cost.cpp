@@ -247,7 +247,7 @@ TimeNs walk_bcast(const topo::MachineSpec& spec, const Tree& tree,
 
   TimeNs total = 0;
   for (const Rank r : bfs_order(tree)) {
-    const auto& kids = tree.kids(r);
+    const auto kids = tree.kids(r);
     const bool is_root = tree.up(r) < 0;
     const auto& mine = have[static_cast<std::size_t>(r)];
     TimeNs cur = 0;
@@ -337,7 +337,7 @@ TimeNs walk_reduce(const topo::MachineSpec& spec, const Tree& tree,
 
   TimeNs total = 0;
   for (const Rank r : order) {
-    const auto& kids = tree.kids(r);
+    const auto kids = tree.kids(r);
     const bool is_root = tree.up(r) < 0;
     TimeNs cur = 0;
 

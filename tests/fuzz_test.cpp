@@ -26,10 +26,6 @@ using runtime::ThreadEngine;
 /// A uniformly random spanning tree over [0, n) rooted at `root`: nodes are
 /// attached in random order to a random already-attached parent.
 Tree random_tree(int n, Rank root, Rng& rng) {
-  Tree t;
-  t.root = root;
-  t.parent.assign(static_cast<std::size_t>(n), -1);
-  t.children.resize(static_cast<std::size_t>(n));
   std::vector<Rank> order;
   order.reserve(static_cast<std::size_t>(n));
   for (Rank r = 0; r < n; ++r) {
@@ -39,15 +35,13 @@ Tree random_tree(int n, Rank root, Rng& rng) {
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
+  TreeBuilder b(n, root);
   std::vector<Rank> attached = {root};
   for (Rank r : order) {
-    const Rank parent = attached[rng.next_below(attached.size())];
-    t.parent[static_cast<std::size_t>(r)] = parent;
-    t.children[static_cast<std::size_t>(parent)].push_back(r);
+    b.edge(attached[rng.next_below(attached.size())], r);
     attached.push_back(r);
   }
-  t.validate();
-  return t;
+  return std::move(b).finish();
 }
 
 struct FuzzConfig {

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "src/coll/coll.hpp"
+#include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
 #include "src/mpi/match.hpp"
 #include "src/obs/trace.hpp"
@@ -36,6 +37,7 @@
 #include "src/support/inline_fn.hpp"
 #include "src/support/parallel.hpp"
 #include "src/topo/presets.hpp"
+#include "src/tune/tuner.hpp"
 #include "src/verify/conformance.hpp"
 #include "tests/trace_trio.hpp"
 
@@ -732,6 +734,40 @@ TEST(SimEngineMessageState, BlockingBaselineAllocatesNothingPerMessage) {
 
 TEST(SimEngineMessageState, NonblockingBaselineStaysUnderOnePerMessage) {
   EXPECT_LE(baseline_allocs_per_message(coll::Style::kNonblocking), 1.0);
+}
+
+// ---------------------------------------------------------- tree building
+
+// A one-shot collective builds its tree on every rank in every call (any
+// tree plugs into any style, paper §2.2.4), so a build is a few flat
+// arrays whatever the size: the tree's three, the builder's edge list, and
+// the topology-aware builder's sort keys, members and leaders.
+TEST(TreeBuild, DecisionTreeAllocatesAFewArrays) {
+  constexpr int kRanks = 64;
+  const topo::Machine machine(topo::cori(2), kRanks);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  tune::Decision d;
+  d.topology = tune::Topology::kTopoKnomial;
+  d.radix = 4;
+  for (Rank root = 0; root < kRanks; ++root) {
+    const std::uint64_t before = g_alloc_count.load();
+    const coll::Tree tree = tune::decision_tree(machine, world, root, d);
+    const std::uint64_t allocs = g_alloc_count.load() - before;
+    EXPECT_LE(allocs, 8u) << "root " << root;
+    EXPECT_EQ(tree.size(), kRanks);
+  }
+}
+
+TEST(TreeBuild, FourThousandRankTopoTreeAllocatesAFewArrays) {
+  const topo::Machine machine(topo::cori(128), 4096);
+  const mpi::Comm world = mpi::Comm::world(4096);
+  for (const Rank root : {0, 1234, 4095}) {
+    const std::uint64_t before = g_alloc_count.load();
+    const coll::Tree tree = coll::build_topo_tree(machine, world, root);
+    const std::uint64_t allocs = g_alloc_count.load() - before;
+    EXPECT_LE(allocs, 8u) << "root " << root;
+    EXPECT_EQ(tree.size(), 4096);
+  }
 }
 
 // -------------------------------------------------------------- parallel_for

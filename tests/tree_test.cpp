@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 
+#include "src/coll/han.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
+#include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
+#include "tests/tree_reference.hpp"
 
 namespace adapt::coll {
 namespace {
+
+std::vector<Rank> kids_of(const Tree& t, Rank r) {
+  const auto kids = t.kids(r);
+  return {kids.begin(), kids.end()};
+}
 
 TEST(Tree, ChainShape) {
   const Tree t = chain_tree(5, 0);
@@ -36,26 +45,26 @@ TEST(Tree, FlatShape) {
 
 TEST(Tree, BinaryShape) {
   const Tree t = build_tree(TreeKind::kBinary, 7, 0);
-  EXPECT_EQ(t.kids(0), (std::vector<Rank>{1, 2}));
-  EXPECT_EQ(t.kids(1), (std::vector<Rank>{3, 4}));
-  EXPECT_EQ(t.kids(2), (std::vector<Rank>{5, 6}));
+  EXPECT_EQ(kids_of(t, 0), (std::vector<Rank>{1, 2}));
+  EXPECT_EQ(kids_of(t, 1), (std::vector<Rank>{3, 4}));
+  EXPECT_EQ(kids_of(t, 2), (std::vector<Rank>{5, 6}));
   EXPECT_EQ(t.height(), 2);
 }
 
 TEST(Tree, BinomialShape) {
   const Tree t = binomial_tree(8, 0);
   // Children of the root are 4, 2, 1 (largest subtree first).
-  EXPECT_EQ(t.kids(0), (std::vector<Rank>{4, 2, 1}));
-  EXPECT_EQ(t.kids(4), (std::vector<Rank>{6, 5}));
-  EXPECT_EQ(t.kids(6), (std::vector<Rank>{7}));
+  EXPECT_EQ(kids_of(t, 0), (std::vector<Rank>{4, 2, 1}));
+  EXPECT_EQ(kids_of(t, 4), (std::vector<Rank>{6, 5}));
+  EXPECT_EQ(kids_of(t, 6), (std::vector<Rank>{7}));
   EXPECT_EQ(t.height(), 3);
 }
 
 TEST(Tree, KnomialRadix4) {
   const Tree t = knomial_tree(16, 0, 4);
   // Root reaches 4, 8, 12 at stride 4 and 1, 2, 3 at stride 1.
-  EXPECT_EQ(t.kids(0), (std::vector<Rank>{4, 8, 12, 1, 2, 3}));
-  EXPECT_EQ(t.kids(4), (std::vector<Rank>{5, 6, 7}));
+  EXPECT_EQ(kids_of(t, 0), (std::vector<Rank>{4, 8, 12, 1, 2, 3}));
+  EXPECT_EQ(kids_of(t, 4), (std::vector<Rank>{5, 6, 7}));
   EXPECT_EQ(t.height(), 2);
 }
 
@@ -191,6 +200,286 @@ TEST(TopoTree, SubCommunicator) {
   const Tree t = build_topo_tree(m, comm, 0);
   t.validate();
   EXPECT_EQ(t.size(), 16);
+}
+
+// ---------------------------------------------------------- validation ---
+
+constexpr TreeKind kAllKinds[] = {TreeKind::kChain,    TreeKind::kFlat,
+                                  TreeKind::kBinary,   TreeKind::kKAry,
+                                  TreeKind::kBinomial, TreeKind::kKNomial};
+
+TEST(TreeBuilder, EdgesFinishInEdgeOrderPerParent) {
+  TreeBuilder b(5, 2);
+  b.edge(2, 4);
+  b.edge(2, 0);
+  b.edge(0, 3);
+  b.edge(2, 1);
+  const Tree t = std::move(b).finish();
+  EXPECT_EQ(kids_of(t, 2), (std::vector<Rank>{4, 0, 1}));
+  EXPECT_EQ(kids_of(t, 0), (std::vector<Rank>{3}));
+  EXPECT_TRUE(t.is_leaf(4));
+  EXPECT_EQ(t.up(3), 0);
+  EXPECT_EQ(t.child_begin, (std::vector<int>{0, 1, 1, 4, 4, 4}));
+  EXPECT_EQ(t.height(), 2);
+}
+
+TEST(TreeBuilder, RejectsASecondParent) {
+  TreeBuilder b(4, 0);
+  b.edge(0, 1);
+  b.edge(0, 2);
+  EXPECT_THROW(b.edge(1, 2), Error);
+}
+
+TEST(TreeBuilder, RejectsAParentForTheRoot) {
+  TreeBuilder b(3, 1);
+  EXPECT_THROW(b.edge(0, 1), Error);
+}
+
+TEST(TreeBuilder, RejectsOutOfRangeRanks) {
+  TreeBuilder b(3, 0);
+  EXPECT_THROW(b.edge(0, 3), Error);
+  EXPECT_THROW(b.edge(-1, 1), Error);
+  EXPECT_THROW(b.edge(5, 1), Error);
+  EXPECT_THROW(b.edge(0, -2), Error);
+  EXPECT_THROW(TreeBuilder(3, 3), Error);
+  EXPECT_THROW(TreeBuilder(0, 0), Error);
+}
+
+TEST(TreeBuilder, RejectsAnUnreachableRank) {
+  TreeBuilder b(4, 0);
+  b.edge(0, 1);
+  b.edge(1, 2);  // rank 3 never gets a parent
+  EXPECT_THROW(std::move(b).finish(), Error);
+}
+
+TEST(TreeBuilder, RejectsACycle) {
+  // 0 -> 1 is fine; 2 -> 3 -> 4 -> 2 is a cycle cut off from the root.
+  TreeBuilder b(5, 0);
+  b.edge(0, 1);
+  b.edge(2, 3);
+  b.edge(3, 4);
+  b.edge(4, 2);
+  EXPECT_THROW(std::move(b).finish(), Error);
+}
+
+TEST(TreeBuilder, RejectsASelfLoop) {
+  TreeBuilder b(3, 0);
+  b.edge(0, 1);
+  b.edge(2, 2);
+  EXPECT_THROW(std::move(b).finish(), Error);
+}
+
+TEST(TreeBuilder, ShapeRootMustBeInOrder) {
+  TreeBuilder b(4, 0);
+  const std::vector<Rank> order{1, 2, 3};
+  EXPECT_THROW(b.shape(TreeKind::kChain, order, 0), Error);
+  EXPECT_THROW(b.shape(TreeKind::kKAry, order, 1, 1), Error);
+}
+
+/// A hand-built CSR tree: 0 -> {1, 2}, 1 -> {3}.
+Tree small_tree() {
+  Tree t;
+  t.root = 0;
+  t.parent = {-1, 0, 0, 1};
+  t.child_begin = {0, 2, 3, 3, 3};
+  t.child_list = {1, 2, 3};
+  return t;
+}
+
+TEST(TreeValidate, AcceptsAWellFormedTree) {
+  EXPECT_NO_THROW(small_tree().validate());
+}
+
+TEST(TreeValidate, RejectsAParentForTheRoot) {
+  Tree t = small_tree();
+  t.parent[0] = 3;
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsAChildThatDoesNotPointBack) {
+  Tree t = small_tree();
+  t.parent[3] = 2;  // listed under 1
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsARankListedTwice) {
+  // 0 -> {1, 1}, 1 -> {3}: rank 2 points at 0 but is never listed.
+  Tree t = small_tree();
+  t.child_list = {1, 1, 3};
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsAnUnreachableRank) {
+  Tree t;
+  t.root = 0;
+  t.parent = {-1, 0, -1};
+  t.child_begin = {0, 1, 1, 1};
+  t.child_list = {1};
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsACycleOffTheRoot) {
+  // 0 -> 1; 2 -> 3 -> 2. Every non-root is listed once under the rank it
+  // points to, so only the cycle check can catch it.
+  Tree t;
+  t.root = 0;
+  t.parent = {-1, 0, 3, 2};
+  t.child_begin = {0, 1, 1, 2, 3};
+  t.child_list = {1, 3, 2};
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsOutOfRangeRanks) {
+  Tree t = small_tree();
+  t.child_list = {1, 2, 7};
+  EXPECT_THROW(t.validate(), Error);
+  t = small_tree();
+  t.root = 4;
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, RejectsAMalformedChildIndex) {
+  Tree t = small_tree();
+  t.child_begin = {0, 2, 3, 3};  // n, not n + 1, offsets
+  EXPECT_THROW(t.validate(), Error);
+  t = small_tree();
+  t.child_begin = {0, 9, 3, 3, 3};  // runs past the list
+  EXPECT_THROW(t.validate(), Error);
+  t = small_tree();
+  t.child_begin = {0, 2, 3, 3, 2};  // last offset short of the list
+  EXPECT_THROW(t.validate(), Error);
+}
+
+TEST(TreeValidate, ChainsValidateInLinearTime) {
+  // A 200k-rank chain is height n - 1: a validation that walks every rank
+  // to the root would take ~2e10 steps here.
+  const Tree t = chain_tree(200000, 7);
+  EXPECT_NO_THROW(t.validate());
+  EXPECT_EQ(t.height(), 199999);
+}
+
+// -------------------------------------------- reference equivalence ---
+
+/// Same root, parents and ordered child lists as the nested-vector build.
+::testing::AssertionResult same_tree(const Tree& t,
+                                     const reference::RefTree& ref) {
+  if (t.size() != ref.size() || t.root != ref.root) {
+    return ::testing::AssertionFailure()
+           << "size/root " << t.size() << "/" << t.root << " vs "
+           << ref.size() << "/" << ref.root;
+  }
+  if (t.parent != ref.parent) return ::testing::AssertionFailure() << "parent";
+  for (Rank r = 0; r < t.size(); ++r) {
+    if (kids_of(t, r) != ref.children[static_cast<std::size_t>(r)])
+      return ::testing::AssertionFailure() << "kids of " << r;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TreeReference, EveryShapeSizeRootAndRadix) {
+  for (const TreeKind kind : kAllKinds) {
+    for (const int radix : {2, 3, 4, 8}) {
+      for (int n = 1; n <= 70; ++n) {
+        for (Rank root = 0; root < n; ++root) {
+          ASSERT_TRUE(same_tree(build_tree(kind, n, root, radix),
+                                reference::build_tree(kind, n, root, radix)))
+              << tree_kind_name(kind) << " radix=" << radix << " n=" << n
+              << " root=" << root;
+        }
+      }
+    }
+  }
+}
+
+/// The sub-communicators the topology-aware and HAN trees are checked on.
+std::vector<std::pair<const char*, mpi::Comm>> sub_comms(int n) {
+  std::vector<Rank> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<Rank> reversed(all.rbegin(), all.rend());
+  std::vector<Rank> strided;
+  for (Rank r = 1; r < n; r += 3) strided.push_back(r);
+  // A seeded random subset (about two thirds) in random order.
+  std::vector<Rank> random = all;
+  Rng rng(static_cast<std::uint64_t>(n) * 7919u);
+  for (std::size_t i = random.size(); i > 1; --i)
+    std::swap(random[i - 1], random[rng.next_below(i)]);
+  random.resize(static_cast<std::size_t>(n - n / 3));
+  return {{"world", mpi::Comm(all)},
+          {"reversed", mpi::Comm(reversed)},
+          {"strided", mpi::Comm(strided)},
+          {"random", mpi::Comm(random)}};
+}
+
+std::vector<Rank> roots_of(int n) {
+  std::vector<Rank> roots{0, n - 1, n / 2 + 1, n / 3};
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  return roots;
+}
+
+TEST(TreeReference, TopoTreeEveryLevelShapeAndSubCommunicator) {
+  for (const int nodes : {1, 2, 4}) {
+    const topo::MachineSpec spec = topo::cori(nodes);
+    const int n = nodes * spec.cores_per_node();
+    const topo::Machine m(spec, n);
+    for (const auto& [name, comm] : sub_comms(n)) {
+      for (const Rank root : roots_of(comm.size())) {
+        for (const TreeKind node_level : kAllKinds) {
+          for (const TreeKind socket_level : kAllKinds) {
+            for (const TreeKind core_level : kAllKinds) {
+              TopoTreeSpec ts;
+              ts.node_level = node_level;
+              ts.socket_level = socket_level;
+              ts.core_level = core_level;
+              ts.radix = 2 + (root % 3);
+              ASSERT_TRUE(same_tree(
+                  build_topo_tree(m, comm, root, ts),
+                  reference::build_topo_tree(m, comm, root, ts)))
+                  << "nodes=" << nodes << " comm=" << name
+                  << " root=" << root << " levels="
+                  << tree_kind_name(node_level) << "/"
+                  << tree_kind_name(socket_level) << "/"
+                  << tree_kind_name(core_level) << " radix=" << ts.radix;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeReference, HanTreeOnHanCluster) {
+  const int nodes = 4;
+  const int ppn = 6;
+  const int n = nodes * ppn;
+  // Dense and scrambled rank -> node placements.
+  std::vector<int> scrambled(static_cast<std::size_t>(n));
+  std::iota(scrambled.begin(), scrambled.end(), 0);
+  Rng rng(2024);
+  for (std::size_t i = scrambled.size(); i > 1; --i)
+    std::swap(scrambled[i - 1], scrambled[rng.next_below(i)]);
+  const topo::Machine dense(topo::han_cluster(nodes, ppn), n);
+  const topo::Machine scattered(topo::han_cluster(nodes, ppn), scrambled);
+  for (const topo::Machine* m : {&dense, &scattered}) {
+    for (const auto& [name, comm] : sub_comms(n)) {
+      for (Rank root = 0; root < comm.size(); ++root) {
+        for (const TreeKind inter : kAllKinds) {
+          for (const TreeKind intra : kAllKinds) {
+            HanSpec hs;
+            hs.inter_node = inter;
+            hs.intra_node = intra;
+            hs.radix = 2 + (root % 3);
+            ASSERT_TRUE(
+                same_tree(build_han_tree(*m, comm, root, hs),
+                          reference::build_han_tree(*m, comm, root, hs)))
+                << (m == &dense ? "dense" : "scrambled") << " comm=" << name
+                << " root=" << root << " inter=" << tree_kind_name(inter)
+                << " intra=" << tree_kind_name(intra);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
