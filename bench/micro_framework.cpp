@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
@@ -216,6 +217,33 @@ void BM_SimulatedBcast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedBcast)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
+
+// The same broadcast with a real 1 MiB payload in eager-sized 16 KiB
+// segments: the data plane's per-byte cost. A segment is borrowed from its
+// sender and copied once, straight into the posted receive.
+void BM_SimulatedBcastPayload(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  constexpr Bytes kBytes = mib(1);
+  topo::Machine machine(topo::cori((ranks + 31) / 32), ranks);
+  const mpi::Comm world = mpi::Comm::world(ranks);
+  const coll::Tree tree = coll::build_topo_tree(machine, world, 0);
+  std::vector<std::vector<std::byte>> bufs(
+      static_cast<std::size_t>(ranks),
+      std::vector<std::byte>(static_cast<std::size_t>(kBytes), std::byte{1}));
+  for (auto _ : state) {
+    runtime::SimEngine engine(machine);
+    auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+      co_await coll::bcast(ctx, world, mpi::MutView{mine.data(), kBytes}, 0,
+                           tree, coll::Style::kAdapt,
+                           coll::CollOpts{.segment_size = kib(16)});
+    };
+    engine.run(program);
+    benchmark::DoNotOptimize(bufs.back().data());
+  }
+  state.SetBytesProcessed(state.iterations() * kBytes * (ranks - 1));
+}
+BENCHMARK(BM_SimulatedBcastPayload)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // Zero-overhead guard for the fault-injection layer: the same end-to-end
 // broadcast with fault injection DISABLED (the default-constructed plan) and

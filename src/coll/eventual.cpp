@@ -62,6 +62,26 @@ sim::Task<> await_wake(runtime::Context& ctx, std::shared_ptr<EcShared> sh) {
   });
 }
 
+/// Fire-and-forget sends of `data` to every live member but this rank. The
+/// op returns (or folds into the caller's buffer) without waiting on them,
+/// and a send borrows its buffer until it completes, so they go from a
+/// pooled snapshot that each send keeps alive until then.
+void send_to_all(runtime::Context& ctx, const mpi::Comm& comm, Tag tag,
+                 std::uint64_t known_failed, mpi::ConstView data) {
+  mpi::Payload snapshot =
+      mpi::Payload::scratch(ctx.pool(), data.size, data.synthetic());
+  if (!data.synthetic() && data.size > 0) {
+    std::memcpy(snapshot.data(), data.data,
+                static_cast<std::size_t>(data.size));
+  }
+  for (int i = 0; i < comm.size(); ++i) {
+    const Rank peer = comm.global(i);
+    if (peer == ctx.rank() || ((known_failed >> peer) & 1u)) continue;
+    ctx.isend(peer, tag, snapshot.cview())
+        ->set_completion_cb([snapshot](mpi::Request&) {});
+  }
+}
+
 }  // namespace
 
 sim::Task<EcResult> ec_allreduce(runtime::Context& ctx, const mpi::Comm& comm,
@@ -95,11 +115,7 @@ sim::Task<EcResult> ec_allreduce(runtime::Context& ctx, const mpi::Comm& comm,
       if (++sh->finished == sh->expected) sh->wake.fire();
     });
   }
-  for (int i = 0; i < n; ++i) {
-    const Rank peer = comm.global(i);
-    if (peer == me || ((known_failed >> peer) & 1u)) continue;
-    ctx.isend(peer, tag, accum.as_const());  // fire-and-forget
-  }
+  send_to_all(ctx, comm, tag, known_failed, accum.as_const());
   sim::run_detached(ec_deadline(ctx, staleness, sh), [](std::exception_ptr) {});
   co_await await_wake(ctx, sh);
 
@@ -137,11 +153,7 @@ sim::Task<EcResult> ec_bcast(runtime::Context& ctx, const mpi::Comm& comm,
   if (me == root) {
     // The root has the payload by definition; its sends are fire-and-forget
     // (a dead receiver costs nothing but a retry chain that gives up).
-    for (int i = 0; i < comm.size(); ++i) {
-      const Rank peer = comm.global(i);
-      if (peer == me || ((known_failed >> peer) & 1u)) continue;
-      ctx.isend(peer, tag, buffer.as_const());
-    }
+    send_to_all(ctx, comm, tag, known_failed, buffer.as_const());
     res.complete = true;
     co_return res;
   }

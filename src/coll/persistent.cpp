@@ -165,9 +165,11 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
   part_ready_.assign(static_cast<std::size_t>(partitions_), 0);
 
   // -- warm the engine pool for the round's eager footprint ----------------
-  // In-flight eager copies: N per child edge plus N up plus M unexpected
-  // staging slots. One reserve call at init keeps every steady-state
-  // acquire a free-list hit.
+  // Captured payloads in flight: on the pair clocks each leg copies its
+  // segment at carry, N per child edge plus N up; plus M unexpected staging
+  // slots. (On the fair-share fabric a send borrows its buffer, so only
+  // unexpected arrivals take a block.) One reserve call at init keeps every
+  // steady-state acquire a free-list hit.
   if (support::BufferPool* pool = ctx.pool();
       pool != nullptr && !buffer.synthetic() && bytes > 0) {
     const int in_flight =

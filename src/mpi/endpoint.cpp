@@ -50,6 +50,9 @@ void Endpoint::poison(ErrCode code) {
   ADAPT_CHECK(code != ErrCode::kOk);
   if (poisoned()) return;  // first cause wins
   poisoned_ = code;
+  // A failed send's buffer may be freed as soon as the request fails (its
+  // callback runs inline), so in-flight legs stop borrowing it first.
+  transport_.end_borrows(rank_);
   // Completion unlinks each request, so this walks the list head by head in
   // issue order. Requests issued from here on fail at birth.
   while (RequestPtr req = requests_->oldest_pending()) req->mark_failed(code);
@@ -77,16 +80,10 @@ RequestPtr Endpoint::isend(Rank dst, Tag tag, ConstView data, SendOpts opts) {
   env.dst = dst;
   env.tag = tag;
   env.size = data.size;
-  if (!data.synthetic() && data.size > 0) {
-    // The payload is captured at post time, so the sender's buffer is
-    // immediately reusable (for rendezvous the transport keeps this copy
-    // until the grant; semantically equivalent, since the request only
-    // completes at transfer end).
-    env.data = pool_ ? pool_->acquire_raw(data.size)
-                     : support::BufferRef::heap_raw(data.size);
-    std::memcpy(env.data.data(), data.data,
-                static_cast<std::size_t>(data.size));
-  }
+  // The payload is borrowed, not copied: the request stays pending until
+  // the transport reports the data leg done, so the buffer cannot change
+  // before the leg has read it (Envelope's borrow rule).
+  if (data.size > 0) env.borrow(data.data);
   // Park the request in a recycled slot: both transport callbacks capture
   // {this, slot} (std::function inline storage, no boxing) and exactly one
   // of them fires, releasing the slot's ownership.
@@ -150,18 +147,25 @@ void Endpoint::deliver(Envelope env) {
   // rendezvous matches) is deferred through the executor by the paths below.
   // arrive() moves from env only on the unexpected (miss) path; on a hit it
   // is untouched, so the rendezvous/finalise uses below stay valid.
-  if (auto recv = matcher_.arrive(std::move(env))) {
+  const bool payload = env.bytes() != nullptr;
+  if (auto recv = matcher_.arrive(std::move(env), pool_)) {
     if (env.rendezvous()) {
       env.grant(*recv);
     } else {
+      // Expected eager message: its one copy, from the sender's buffer
+      // straight into the posted receive. The receive still completes at
+      // its finalisation, after the progress overhead.
+      env.place_into(*recv);
       const std::uint32_t slot =
           finalize_slots_.acquire({std::move(*recv), std::move(env)});
       exec_.post_progress([this, slot] { run_finalize_slot(slot); },
                           costs_.cpu_overhead);
     }
-  } else if (rec_) {
+  } else {
     // Queued as unexpected (an eager payload or an RTS); a later irecv picks
     // it up. Sample the queue's depth at its high-water moments.
+    if (payload) ++unexpected_payloads_;
+    if (rec_ == nullptr) return;
     rec_->metrics()
         .histogram("unexpected_queue_depth")
         .record(static_cast<std::int64_t>(matcher_.unexpected_count()));
@@ -175,9 +179,11 @@ void Endpoint::finalize_recv(const PostedRecv& recv, const Envelope& env) {
   ADAPT_CHECK(env.size <= recv.buffer.size)
       << "message of " << env.size << "B overflows a " << recv.buffer.size
       << "B receive buffer (src=" << env.src << " tag=" << env.tag << ")";
-  if (env.data && !recv.buffer.synthetic()) {
-    std::memcpy(recv.buffer.data, env.data.data(),
-                static_cast<std::size_t>(env.size));
+  // Only a captured payload is left to copy here (an unexpected hit, a
+  // reliable bulk frame); every other path placed its bytes on arrival.
+  ADAPT_CHECK(!env.borrowing()) << "borrow outlived its data leg";
+  if (const std::byte* from = env.bytes(); from && !recv.buffer.synthetic()) {
+    std::memcpy(recv.buffer.data, from, static_cast<std::size_t>(env.size));
   }
   ++recvs_done_;
   if (rec_) {

@@ -66,6 +66,12 @@ class Transport {
   virtual void submit(Envelope env, MemSpace src_space, MemSpace dst_space,
                       std::function<void()> on_sent,
                       std::function<void(ErrCode)> on_failed = nullptr) = 0;
+  /// Called by `src`'s endpoint just before it fails its pending sends: a
+  /// failed send's buffer may be freed at once, so every envelope of `src`
+  /// still in flight that borrows its sender's buffer must capture (or drop)
+  /// the bytes before this returns. Transports that capture at submit need
+  /// do nothing.
+  virtual void end_borrows(Rank /*src*/) {}
 };
 
 /// Per-P2P options; defaults describe plain host-to-host messages of raw
@@ -97,6 +103,8 @@ class Endpoint {
 
   /// Nonblocking send. The returned request completes when the transport
   /// reports the message sent; attach callbacks via set_completion_cb.
+  /// `data` must stay valid and unchanged until then: the transport borrows
+  /// it rather than copying it at post time.
   /// Invalid arguments (rank out of range, negative count, size not a
   /// multiple of the datatype extent) return an already-failed request
   /// carrying the matching ErrCode — never UB, never a hang.
@@ -112,7 +120,8 @@ class Endpoint {
   /// follow-ups (callbacks, unexpected copies) are deferred internally.
   void deliver(Envelope env);
 
-  /// Copies `env`'s payload into the matched receive and completes it.
+  /// Copies `env`'s payload, if it still carries a captured one, into the
+  /// matched receive and completes it.
   /// Must run on this rank's execution context (transports call it through
   /// the executor after a rendezvous data transfer).
   void finalize_recv(const PostedRecv& recv, const Envelope& env);
@@ -138,15 +147,22 @@ class Endpoint {
   const Matcher& matcher() const { return matcher_; }
   std::uint64_t sends_started() const { return sends_; }
   std::uint64_t recvs_completed() const { return recvs_done_; }
+  /// Arrivals that met no posted receive and carried a payload: each one's
+  /// bytes wait in a staging copy until a receive matches (MPI's unexpected
+  /// copy, the one ADAPT's M > N rule exists to avoid).
+  std::uint64_t unexpected_payloads() const { return unexpected_payloads_; }
 
   /// Installs (or clears) the trace/metrics recorder: per-rank send/recv
   /// counters, match-queue depth histograms, unexpected-hit instants.
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
   obs::Recorder* recorder() const { return rec_; }
 
-  /// Installs the engine's buffer pool: eager send copies recycle through it
-  /// instead of allocating. Null (the default) falls back to heap blocks.
+  /// Installs the engine's buffer pool: captured payloads (unexpected
+  /// arrivals, and the transport paths that cannot borrow the sender's
+  /// buffer) recycle through it instead of allocating. Null (the default)
+  /// falls back to heap blocks.
   void set_pool(support::BufferPool* pool) { pool_ = pool; }
+  support::BufferPool* pool() const { return pool_; }
 
  private:
   /// Immediately-failed request for invalid arguments or a poisoned endpoint.
@@ -175,6 +191,7 @@ class Endpoint {
   ErrCode poisoned_ = ErrCode::kOk;
   std::uint64_t sends_ = 0;
   std::uint64_t recvs_done_ = 0;
+  std::uint64_t unexpected_payloads_ = 0;
 
   /// This rank's requests, incomplete ones listed in issue order. Orphaned,
   /// not deleted, at destruction: handles may outlive the endpoint.

@@ -1,13 +1,43 @@
 #include "src/mpi/match.hpp"
 
+#include <cstring>
 #include <limits>
 #include <utility>
+
+#include "src/support/error.hpp"
 
 namespace adapt::mpi {
 
 namespace {
 constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 }  // namespace
+
+// The borrowed pointer and the captured block share one word and the flag
+// sits in the padding after `tag`: envelopes are no larger than when they
+// could only hold a captured block.
+static_assert(sizeof(Envelope) ==
+              4 * sizeof(std::int32_t) + sizeof(Bytes) +
+                  sizeof(support::BufferRef) +
+                  sizeof(std::function<void(PostedRecv)>));
+
+void Envelope::capture_borrowed(support::BufferPool* pool) {
+  const std::byte* from = borrowed_;
+  drop_payload();
+  data_ = pool ? pool->acquire_raw(size) : support::BufferRef::heap_raw(size);
+  std::memcpy(data_.data(), from, static_cast<std::size_t>(size));
+}
+
+void Envelope::place_bytes(const PostedRecv& recv) {
+  if (!recv.request->complete()) {
+    ADAPT_CHECK(size <= recv.buffer.size)
+        << "message of " << size << "B overflows a " << recv.buffer.size
+        << "B receive buffer (src=" << src << " tag=" << tag << ")";
+    if (!recv.buffer.synthetic()) {
+      std::memcpy(recv.buffer.data, bytes(), static_cast<std::size_t>(size));
+    }
+  }
+  drop_payload();
+}
 
 std::optional<Envelope> Matcher::post(PostedRecv recv) {
   // Find the earliest-arrived matching envelope. A concrete receive can only
@@ -44,7 +74,8 @@ std::optional<Envelope> Matcher::post(PostedRecv recv) {
   return std::nullopt;
 }
 
-std::optional<PostedRecv> Matcher::arrive(Envelope&& env) {
+std::optional<PostedRecv> Matcher::arrive(Envelope&& env,
+                                          support::BufferPool* pool) {
   // Two candidates can match: the front of the exact (src, tag) bucket and
   // the earliest matching wildcard. Earliest posted wins overall, so compare
   // stamps — this reproduces the original single-queue FIFO scan exactly.
@@ -70,6 +101,7 @@ std::optional<PostedRecv> Matcher::arrive(Envelope&& env) {
     --posted_count_;
     return recv;
   }
+  env.capture(pool);
   unexpected_.get(key_of(env.src, env.tag))
       .push_back(Stamped<Envelope>{next_stamp_++, std::move(env)});
   ++unexpected_count_;

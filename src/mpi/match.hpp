@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <new>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -57,19 +58,140 @@ struct PostedRecv {
 
 /// In-flight message (eager: data travels with it) or rendezvous
 /// ready-to-send notice (grant set: data moves only once a receive matched).
+///
+/// The payload (`size` bytes) is either borrowed or captured. A borrowed
+/// payload is the sender's own buffer, read in place: the send request is
+/// still pending, so the buffer cannot change. The borrow rule is that a leg
+/// reads it no later than the event that schedules the sender's completion;
+/// a path that needs the bytes past that point (an unexpected arrival, a
+/// retransmit buffer, a receive in a later event, a corrupted copy) captures
+/// them first. Synthetic payloads and RTS notices carry neither.
+///
+/// The two share one word, told apart by a flag in the padding after `tag`:
+/// the unexpected queue holds envelopes, so their size is part of the
+/// matcher's footprint gauge.
 struct Envelope {
   Rank src = kAnyRank;
   Rank dst = kAnyRank;
   Tag tag = kAnyTag;
+
+ private:
+  bool borrowing_ = false;
+
+ public:
   Bytes size = 0;
-  /// Copy of the sender's bytes (`size` of them, in a pooled block); null
-  /// for synthetic payloads and RTS notices.
-  support::BufferRef data;
   /// Rendezvous grant: invoked exactly once with the matched receive; the
   /// transport then runs CTS + data transfer and finalises both requests.
   std::function<void(PostedRecv)> grant;
 
+  Envelope() : data_() {}
+  Envelope(const Envelope& other)
+      : src(other.src), dst(other.dst), tag(other.tag), size(other.size),
+        grant(other.grant) {
+    copy_payload(other);
+  }
+  Envelope(Envelope&& other) noexcept
+      : src(other.src), dst(other.dst), tag(other.tag), size(other.size),
+        grant(std::move(other.grant)) {
+    take_payload(other);
+  }
+  Envelope& operator=(const Envelope& other) {
+    if (this != &other) {
+      src = other.src;
+      dst = other.dst;
+      tag = other.tag;
+      size = other.size;
+      grant = other.grant;
+      destroy_payload();
+      copy_payload(other);
+    }
+    return *this;
+  }
+  Envelope& operator=(Envelope&& other) noexcept {
+    if (this != &other) {
+      src = other.src;
+      dst = other.dst;
+      tag = other.tag;
+      size = other.size;
+      grant = std::move(other.grant);
+      destroy_payload();
+      take_payload(other);
+    }
+    return *this;
+  }
+  ~Envelope() { destroy_payload(); }
+
   bool rendezvous() const { return static_cast<bool>(grant); }
+  bool borrowing() const { return borrowing_; }
+  /// The payload's bytes, wherever they are; null for no payload.
+  const std::byte* bytes() const {
+    return borrowing_ ? borrowed_ : (data_ ? data_.data() : nullptr);
+  }
+  /// The captured copy's bytes; null unless captured.
+  std::byte* captured() {
+    return borrowing_ || !data_ ? nullptr : data_.data();
+  }
+
+  /// Borrows the sender's `bytes` (the `size` of them) as the payload; a
+  /// null (synthetic) `bytes` leaves the envelope as it is.
+  void borrow(const std::byte* bytes) {
+    if (bytes == nullptr) return;
+    destroy_payload();
+    borrowed_ = bytes;
+    borrowing_ = true;
+  }
+  /// Ends a borrow: copies the sender's bytes into a block of `pool` (a heap
+  /// block when null) that this envelope owns. No-op unless borrowing.
+  void capture(support::BufferPool* pool) {
+    if (borrowing_) capture_borrowed(pool);
+  }
+  /// Copies the payload into `recv`'s buffer and drops it, so the receive
+  /// later completes without a second copy. A receive that has already
+  /// failed gets no copy: its buffer may be gone.
+  void place_into(const PostedRecv& recv) {
+    if (bytes() != nullptr) place_bytes(recv);
+  }
+  /// Forgets the payload (borrowed or captured); `size` is kept.
+  void drop_payload() {
+    if (borrowing_) {
+      borrowing_ = false;
+      new (&data_) support::BufferRef();
+    } else {
+      data_.reset();
+    }
+  }
+
+ private:
+  void capture_borrowed(support::BufferPool* pool);
+  void place_bytes(const PostedRecv& recv);
+  // copy_payload/take_payload construct the live payload member below and
+  // destroy_payload ends it; a moved-from envelope keeps an empty block.
+  void destroy_payload() {
+    if (!borrowing_) data_.~BufferRef();
+  }
+  void copy_payload(const Envelope& other) {
+    borrowing_ = other.borrowing_;
+    if (borrowing_) {
+      borrowed_ = other.borrowed_;
+    } else {
+      new (&data_) support::BufferRef(other.data_);
+    }
+  }
+  void take_payload(Envelope& other) {
+    borrowing_ = other.borrowing_;
+    if (borrowing_) {
+      borrowed_ = other.borrowed_;
+      other.borrowing_ = false;
+      new (&other.data_) support::BufferRef();
+    } else {
+      new (&data_) support::BufferRef(std::move(other.data_));
+    }
+  }
+
+  union {
+    support::BufferRef data_;   ///< captured copy (live unless borrowing_)
+    const std::byte* borrowed_; ///< the sender's buffer (while borrowing_)
+  };
 };
 
 class Matcher {
@@ -84,7 +206,10 @@ class Matcher {
   /// only on a miss is `env` moved into the unexpected list (copying it
   /// would re-box the rendezvous grant's std::function on every unexpected
   /// arrival — the per-round allocation the steady-state bench pins at 0).
-  std::optional<PostedRecv> arrive(Envelope&& env);
+  /// A miss captures a borrowed payload into `pool` first (MPI's unexpected
+  /// copy): the sender's buffer is free again long before a receive matches.
+  std::optional<PostedRecv> arrive(Envelope&& env,
+                                   support::BufferPool* pool = nullptr);
 
   std::size_t posted_count() const { return posted_count_; }
   std::size_t unexpected_count() const { return unexpected_count_; }

@@ -7,10 +7,11 @@
 // code paths; only the final memcpy/arithmetic is skipped for synthetic ones.
 //
 // Real payloads are backed by pooled BufferRefs: engine-internal staging
-// buffers (segment scratch, eager copies) come from the engine's BufferPool
-// and recycle across segments and collectives; engine-free payloads (unit
-// tests, user buffers) fall back to plain heap blocks. Either way the first
-// `size` bytes start zeroed, exactly as the vector-backed payloads did.
+// buffers (segment scratch, captured message payloads) come from the
+// engine's BufferPool and recycle across segments and collectives;
+// engine-free payloads (unit tests, user buffers) fall back to plain heap
+// blocks. Either way the first `size` bytes start zeroed, exactly as the
+// vector-backed payloads did.
 #pragma once
 
 #include <cstddef>

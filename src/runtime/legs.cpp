@@ -12,8 +12,9 @@ namespace {
 /// Deterministic in-place payload corruption (raw mode only; the
 /// reliability layer discards corrupted frames instead).
 void corrupt_in_place(mpi::Envelope& env, std::uint64_t salt) {
-  if (!env.data || env.size == 0) return;
-  env.data.data()[static_cast<std::size_t>(
+  std::byte* bytes = env.captured();
+  if (bytes == nullptr || env.size == 0) return;
+  bytes[static_cast<std::size_t>(
       salt % static_cast<std::uint64_t>(env.size))] ^= std::byte{0x2a};
 }
 
@@ -175,6 +176,9 @@ void MessageLegs::carry(Rank src, std::uint32_t slot, mpi::Frame::Kind kind) {
                    core_.run_progress(src, std::move(on_sent), 0);
                  });
   if (!settle(m, fate)) return;
+  // The receiving end is its own event, which may run after the sender's
+  // completion (or on another shard): the leg takes its copy now.
+  m.env.capture(core_.endpoint(src).pool());
   host_.schedule(src, dst, arrive,
                  [this, env = std::move(m.env), in = m.incoming]() mutable {
                    receive(std::move(env), in);
@@ -196,7 +200,11 @@ bool MessageLegs::settle(Outgoing& o, const net::TransferFate& fate) {
     if (o.incoming != kNone) shard(o.env.dst).in.release(o.incoming);
     return false;
   }
-  if (fate.corrupted) corrupt_in_place(o.env, fate.salt);
+  if (fate.corrupted) {
+    // Damage a copy: the fault hits the wire, never the sender's buffer.
+    o.env.capture(core_.endpoint(o.env.src).pool());
+    corrupt_in_place(o.env, fate.salt);
+  }
   return true;
 }
 
@@ -206,11 +214,21 @@ void MessageLegs::receive(mpi::Envelope env, std::uint32_t incoming) {
     core_.endpoint(dst).deliver(std::move(env));
     return;
   }
+  // The bulk data lands in the matched receive now, while the borrow
+  // holds; finalisation completes it after the receive overhead.
+  env.place_into(shard(dst).in[incoming].recv);
   core_.run_progress(dst,
                      [this, dst, incoming, env = std::move(env)] {
                        finalize(dst, incoming, env);
                      },
                      recv_overhead_);
+}
+
+void MessageLegs::end_borrows(Rank src) {
+  support::BufferPool* pool = core_.endpoint(src).pool();
+  shard(src).out.for_each([src, pool](Outgoing& o) {
+    if (o.env.src == src) o.env.capture(pool);
+  });
 }
 
 void MessageLegs::arrive_rts(const Notice& notice) {

@@ -16,6 +16,14 @@
 // and fit their inline storage: a warm engine allocates nothing per
 // message. Fault fates and poisoned receivers exist only on the one-shard
 // SimEngine, where a leg may reach both ends.
+//
+// Payloads are borrowed from the sender until the data leg reads them
+// (mpi::Envelope). A fabric flow's completion runs both ends in one event
+// and the sender's completion in a later one, so it copies the bytes once,
+// straight into the receive. A pair-clock leg's receiving end is a separate
+// event, possibly on another shard, so it captures at carry; so does a
+// corrupted leg, before it damages the bytes, and so does every in-flight
+// leg of a sender whose endpoint fails its sends (end_borrows).
 #pragma once
 
 #include <array>
@@ -54,6 +62,8 @@ class MessageLegs final : public mpi::Transport {
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
               std::function<void()> on_sent,
               std::function<void(mpi::ErrCode)> on_failed) override;
+  /// Captures the borrowed payload of every message src has parked.
+  void end_borrows(Rank src) override;
 
   /// The cached route between fixed endpoints and memories, its serial key
   /// the pair's dense index on src's shard. The trace id is reset: a caller

@@ -38,6 +38,8 @@ class SimEngine::SimTransport final : public mpi::Transport {
                     std::move(on_failed));
   }
 
+  void end_borrows(Rank src) override { engine_.legs_.end_borrows(src); }
+
   /// Channel downcall: puts one wire frame (data or ack) on the fabric.
   /// Data frames occupy bandwidth; control frames and acks are alpha-only.
   /// The fault injector decides each transmission's fate either way.
@@ -212,12 +214,15 @@ class SimEngine::SimTransport final : public mpi::Transport {
 
   /// Fault-tolerant path: every protocol message is a frame on the per-rank
   /// ReliableChannel. Eager sends complete on ack; rendezvous decomposes
-  /// into RTS → CTS → BULK frames, each independently retransmitted.
+  /// into RTS → CTS → BULK frames, each independently retransmitted. The
+  /// payload is captured once, here: retransmits need their own copy, and a
+  /// frame may still be in flight when the sender's request fails.
   void submit_reliable(mpi::Envelope env, MemSpace src_space,
                        MemSpace dst_space, std::function<void()> on_sent,
                        std::function<void(mpi::ErrCode)> on_failed) {
     const Rank src = env.src;
     const Rank dst = env.dst;
+    env.capture(endpoint(src).pool());
     if (env.size <= engine_.machine_.spec().eager_threshold) {
       mpi::Frame frame;
       frame.kind = mpi::Frame::Kind::kEager;
@@ -240,7 +245,7 @@ class SimEngine::SimTransport final : public mpi::Transport {
     rts.kind = mpi::Frame::Kind::kRts;
     rts.rdvz = key.second;
     rts.env = env;
-    rts.env.data.reset();  // metadata only; the payload ships with kBulk
+    rts.env.drop_payload();  // metadata only; the payload ships with kBulk
     rts.env.grant = nullptr;
     rts.src_space = src_space;
     rts.dst_space = dst_space;

@@ -91,7 +91,7 @@ class SimEngine final : public Engine, private RankHost {
   TimeNs now() const { return sim_.now(); }
 
   mpi::Endpoint& endpoint(Rank r) { return core_.endpoint(r); }
-  /// The engine's buffer pool (eager copies, segment staging scratch).
+  /// The engine's buffer pool (captured payloads, segment staging scratch).
   support::BufferPool& pool() { return pool_; }
   /// Reliability-channel introspection; null when reliability is off.
   mpi::ReliableChannel* channel(Rank r);

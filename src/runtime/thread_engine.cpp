@@ -6,6 +6,7 @@
 
 #include "src/support/error.hpp"
 #include "src/support/log.hpp"
+#include "src/support/slot_pool.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::runtime {
@@ -124,7 +125,10 @@ class ThreadEngine::ThreadContext final : public Context {
 
 class ThreadEngine::ThreadTransport final : public mpi::Transport {
  public:
-  explicit ThreadTransport(ThreadEngine& engine) : engine_(engine) {}
+  explicit ThreadTransport(ThreadEngine& engine) : engine_(engine) {
+    outboxes_.resize(static_cast<std::size_t>(engine.machine_.nranks()));
+    for (auto& box : outboxes_) box = std::make_unique<Outbox>();
+  }
 
   void submit(mpi::Envelope env, MemSpace /*src*/, MemSpace /*dst*/,
               std::function<void()> on_sent,
@@ -132,21 +136,49 @@ class ThreadEngine::ThreadTransport final : public mpi::Transport {
     // In-process hand-off never loses a message, so on_failed never fires.
     const Rank src = env.src;
     const Rank dst = env.dst;
-    // Eager hand-off: the receiver's thread matches and copies; the sender
-    // completes as soon as the receiver accepted the envelope.
+    Outbox& box = outbox(src);
+    std::uint32_t slot = 0;
+    {
+      std::lock_guard<std::mutex> lock(box.mutex);
+      slot = box.inflight.acquire(std::move(env));
+    }
+    // Eager hand-off: the receiver's thread matches and copies straight
+    // from the sender's buffer; the sender completes only after that.
     engine_.mailboxes_[static_cast<std::size_t>(dst)]->enqueue(
-        [this, dst, env = std::move(env), src,
-         on_sent = std::move(on_sent)]() mutable {
-          engine_.endpoints_[static_cast<std::size_t>(dst)]->deliver(
-              std::move(env));
+        [this, src, dst, slot, on_sent = std::move(on_sent)]() mutable {
+          Outbox& from = outbox(src);
+          {
+            // Held while deliver reads the bytes, so a concurrent
+            // end_borrows cannot let the sender free them mid-copy.
+            std::lock_guard<std::mutex> lock(from.mutex);
+            engine_.endpoints_[static_cast<std::size_t>(dst)]->deliver(
+                from.inflight.release(slot));
+          }
           engine_.mailboxes_[static_cast<std::size_t>(src)]->enqueue(
               std::move(on_sent), 0);
         },
         0);
   }
 
+  void end_borrows(Rank src) override {
+    Outbox& box = outbox(src);
+    std::lock_guard<std::mutex> lock(box.mutex);
+    box.inflight.for_each(
+        [this](mpi::Envelope& env) { env.capture(&engine_.pool_); });
+  }
+
  private:
+  /// A sender's envelopes between submit and delivery, where end_borrows
+  /// can reach them from the sender's thread.
+  struct Outbox {
+    std::mutex mutex;
+    support::SlotPool<mpi::Envelope> inflight;
+  };
+
+  Outbox& outbox(Rank r) { return *outboxes_[static_cast<std::size_t>(r)]; }
+
   ThreadEngine& engine_;
+  std::vector<std::unique_ptr<Outbox>> outboxes_;
 };
 
 // ------------------------------------------------------------ ThreadEngine ---

@@ -6,9 +6,12 @@
 // assumptions (endpoints are rank-confined; cross-rank hand-off happens only
 // through mailboxes).
 //
-// Protocol notes: the transport is eager-only (payloads are captured at post
-// time and handed to the receiver's mailbox), `compute` burns real CPU, and
-// cost parameters of the machine model are ignored — real costs are real.
+// Protocol notes: the transport is eager-only. A payload stays in the
+// sender's buffer until the receiver's thread delivers it: an expected
+// message is copied once, straight into the posted receive, an unexpected
+// one into a pool block; the send completes only after that. `compute` burns
+// real CPU, and cost parameters of the machine model are ignored — real
+// costs are real.
 #pragma once
 
 #include <condition_variable>

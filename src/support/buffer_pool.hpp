@@ -1,8 +1,9 @@
 // Size-classed buffer pool with intrusive refcounted buffers.
 //
-// The simulator's data plane recycles three kinds of byte buffers at high
-// rate: ADAPT segment staging scratch (one per in-flight segment), eager
-// send copies (one per message), and unexpected-queue staging. Each used to
+// The simulator's data plane recycles two kinds of byte buffers at high
+// rate: ADAPT segment staging scratch (one per in-flight segment) and
+// captured message payloads (unexpected-queue staging, and the transport
+// paths that cannot borrow the sender's buffer). Each used to
 // be a fresh vector<byte> (or make_shared<vector<byte>> — two allocations),
 // so a 1k-rank collective paid millions of malloc/free round trips for
 // buffers of a handful of recurring sizes. The pool holds freed blocks on
@@ -11,8 +12,8 @@
 //
 // BufferRef is the owner handle: a pointer to a header co-allocated ahead of
 // the data bytes, carrying an intrusive atomic refcount and the home pool.
-// Copies share the block (the eager path copies Envelopes through lambda
-// captures and the unexpected queue); the last drop returns the block to its
+// Copies share the block (envelopes holding a captured payload are copied
+// through lambda captures and the unexpected queue); the last drop returns the block to its
 // pool — or plain-deletes it for pool-less blocks (BufferRef::heap), which
 // keeps Payload usable in unit tests with no engine around.
 //
@@ -110,7 +111,7 @@ class BufferPool {
   /// semantics, matching what vector-backed payloads guaranteed).
   BufferRef acquire(Bytes n);
   /// A block of capacity >= n, contents unspecified — for callers that
-  /// overwrite every byte (eager send copies).
+  /// overwrite every byte (captured message payloads).
   BufferRef acquire_raw(Bytes n);
 
   /// Warm-up: guarantees at least `count` free blocks of capacity >= n, so a

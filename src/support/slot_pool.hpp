@@ -34,6 +34,12 @@ class SlotPool {
   /// The parked state. The reference is invalidated by the next acquire().
   T& operator[](std::uint32_t slot) { return slots_[slot]; }
 
+  /// Visits every slot, parked or free (a free slot holds a reset value).
+  template <typename F>
+  void for_each(F&& visit) {
+    for (T& value : slots_) visit(value);
+  }
+
   /// Moves the state out and recycles the slot, resetting it so it holds no
   /// references (payload buffers, requests) while it waits for reuse.
   T release(std::uint32_t slot) {

@@ -5,11 +5,13 @@
 // death — participant and coordinator. RecoveryFuzz overlaps fault-tolerant
 // agreement with in-flight persistent rounds on both the SimEngine and the
 // ThreadEngine (the latter exercises the fallback agreement protocol).
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/coll/eventual.hpp"
 #include "src/coll/persistent.hpp"
 #include "src/mpi/comm.hpp"
 #include "src/mpi/comm_ft.hpp"
@@ -313,6 +315,77 @@ TEST(CommFt, RecoveryFuzzThreadEngineFallbackAgree) {
   topo::Machine machine = test_machine();
   ThreadEngine engine(machine);
   run_recovery_fuzz(engine);
+}
+
+// ----------------------------------------------------- eventual collectives
+
+// The eventual collectives return (ec_bcast's root) or fold into the
+// caller's buffer (ec_allreduce, as soon as it wakes) without waiting on
+// their fire-and-forget sends. A send borrows its buffer until it completes,
+// so those sends must go from a snapshot: a caller that reuses its buffer
+// right after the op returns cannot change what any peer receives.
+TEST(EventualColl, BcastRootMayClobberItsBufferOnReturn) {
+  topo::Machine machine = test_machine();
+  SimEngine engine(machine);
+  const Comm world = Comm::world(kRanks);
+  constexpr Bytes kSize = kib(4);
+  std::vector<std::byte> expect(static_cast<std::size_t>(kSize));
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    expect[i] = std::byte(37 * i + 11);
+  }
+  std::vector<std::vector<std::byte>> bufs(
+      kRanks, std::vector<std::byte>(expect.size()));
+  bufs[0] = expect;
+  std::vector<int> complete(kRanks, 0);
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+    const coll::EcResult res = co_await coll::ec_bcast(
+        ctx, world, MutView{mine.data(), kSize}, /*root=*/0);
+    complete[static_cast<std::size_t>(ctx.rank())] = res.complete ? 1 : 0;
+    if (ctx.rank() == 0) std::fill(mine.begin(), mine.end(), std::byte{0});
+  };
+  engine.run(program);
+  for (int r = 1; r < kRanks; ++r) {
+    EXPECT_EQ(complete[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(bufs[static_cast<std::size_t>(r)], expect) << "rank " << r;
+  }
+}
+
+// Rank 0's short deadline returns it long before its peers enter, with its
+// rendezvous-sized sends still waiting for their receives; it then reuses
+// its buffer. Every peer must still fold in rank 0's original contribution.
+TEST(EventualColl, AllreduceCallerMayReuseItsBufferOnReturn) {
+  topo::Machine machine = test_machine();
+  SimEngine engine(machine);
+  const Comm world = Comm::world(kRanks);
+  const Bytes bytes = machine.spec().eager_threshold + kib(4);
+  const auto count = static_cast<std::size_t>(bytes) / sizeof(std::int32_t);
+  std::vector<std::vector<std::int32_t>> accums(kRanks);
+  std::vector<int> complete(kRanks, 0);
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    auto& mine = accums[static_cast<std::size_t>(ctx.rank())];
+    mine.assign(count, ctx.rank() + 1);
+    coll::EcOpts opts;
+    if (ctx.rank() == 0) {
+      opts.staleness = milliseconds(1);
+    } else {
+      co_await ctx.sleep_for(milliseconds(2));
+    }
+    const coll::EcResult res = co_await coll::ec_allreduce(
+        ctx, world, MutView{reinterpret_cast<std::byte*>(mine.data()), bytes},
+        ReduceOp::kSum, Datatype::kInt32, opts);
+    complete[static_cast<std::size_t>(ctx.rank())] = res.complete ? 1 : 0;
+    if (ctx.rank() == 0) std::fill(mine.begin(), mine.end(), -1000);
+  };
+  engine.run(program);
+  EXPECT_EQ(complete[0], 0) << "rank 0 was meant to return at its deadline";
+  const std::int32_t sum = kRanks * (kRanks + 1) / 2;
+  for (int r = 1; r < kRanks; ++r) {
+    EXPECT_EQ(complete[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(accums[static_cast<std::size_t>(r)],
+              std::vector<std::int32_t>(count, sum))
+        << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "src/coll/coll.hpp"
+#include "src/coll/persistent.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
 #include "src/mpi/match.hpp"
@@ -734,6 +735,73 @@ TEST(SimEngineMessageState, BlockingBaselineAllocatesNothingPerMessage) {
 
 TEST(SimEngineMessageState, NonblockingBaselineStaysUnderOnePerMessage) {
   EXPECT_LE(baseline_allocs_per_message(coll::Style::kNonblocking), 1.0);
+}
+
+// ------------------------------------------------------------ payload copies
+
+// On the fair-share fabric a send borrows its buffer and the data leg copies
+// it once, straight into the posted receive: a pool block is taken only for
+// an unexpected arrival's staging copy (one block per message used to be
+// the eager send copy). A warm persistent 64-rank bcast + reduce round with
+// real payload therefore takes exactly as many blocks as it had unexpected
+// payload arrivals — none, when every receive was pre-posted.
+TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
+  constexpr int kRanks = 64;
+  constexpr Bytes kBytes = kib(64);
+  constexpr int kWarm = 3;
+  constexpr int kMeasured = 4;
+  topo::Machine machine(topo::cori(2), kRanks);
+  runtime::SimEngine engine(machine);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  std::vector<std::vector<std::byte>> bufs(
+      kRanks, std::vector<std::byte>(static_cast<std::size_t>(kBytes)));
+  struct Totals {
+    std::uint64_t blocks = 0;
+    std::uint64_t unexpected = 0;
+    std::uint64_t sends = 0;
+  };
+  const auto totals = [&] {
+    Totals t;
+    t.blocks = engine.pool().hits() + engine.pool().misses();
+    for (Rank r = 0; r < kRanks; ++r) {
+      t.unexpected += engine.endpoint(r).unexpected_payloads();
+      t.sends += engine.endpoint(r).sends_started();
+    }
+    return t;
+  };
+  Totals before;
+  Totals after;
+  auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+    const mpi::MutView view{mine.data(), kBytes};
+    auto bcast = coll::bcast_init(ctx, world, view, /*root=*/0);
+    auto reduce = coll::reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                                    mpi::Datatype::kInt32, /*root=*/0);
+    auto bar = coll::barrier_init(ctx, world);
+    for (int r = 0; r < kWarm + kMeasured; ++r) {
+      // Every rank is past the previous barrier and no payload moves
+      // before the root starts the bcast, so the snapshot is exact.
+      if (r == kWarm && ctx.rank() == 0) before = totals();
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        mine[i] = std::byte(ctx.rank() + static_cast<int>(i));
+      }
+      EXPECT_EQ(bcast->start(), mpi::ErrCode::kOk);
+      co_await bcast->wait();
+      EXPECT_EQ(reduce->start(), mpi::ErrCode::kOk);
+      co_await reduce->wait();
+      EXPECT_EQ(bar->start(), mpi::ErrCode::kOk);
+      co_await bar->wait();
+    }
+    if (ctx.rank() == 0) after = totals();
+  };
+  ASSERT_NO_THROW(engine.run(program));
+  const std::uint64_t blocks = after.blocks - before.blocks;
+  const std::uint64_t unexpected = after.unexpected - before.unexpected;
+  const std::uint64_t sends = after.sends - before.sends;
+  ASSERT_GT(sends, 0u);
+  EXPECT_EQ(blocks, unexpected)
+      << blocks << " pool blocks for " << unexpected
+      << " unexpected payload arrivals over " << sends << " sends";
 }
 
 // ---------------------------------------------------------- tree building

@@ -1,10 +1,17 @@
 // Transport-protocol semantics on the SimEngine: the eager/rendezvous split,
 // NIC-offloaded matching of pre-posted receives, per-pair FIFO ordering, and
-// the sender-receiver coupling that drives the paper's noise analysis.
+// the sender-receiver coupling that drives the paper's noise analysis; and
+// the send-buffer contract on every engine.
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/net/fabric.hpp"
+#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/runtime/thread_engine.hpp"
 #include "src/topo/presets.hpp"
 
 namespace adapt::runtime {
@@ -300,6 +307,131 @@ TEST(Protocol, WildcardSourceObservesActualSender) {
   EXPECT_TRUE(saw_either_order[0]);
   EXPECT_TRUE(saw_either_order[1]);
 }
+
+// ---------------------------------------------------- send-buffer contract
+//
+// A send borrows its buffer until it completes, and no longer: the sender
+// may overwrite the buffer the moment its request completes, and the
+// receiver must still get the bytes as of isend, whether the message met a
+// posted receive, waited on the unexpected queue or went by rendezvous.
+// Each engine ends the borrow its own way (fabric flows copy at landing,
+// pair-clock legs at carry, the ThreadEngine on the receiver's thread), so
+// every case runs on each of them.
+
+enum class EngineKind { kFairShare, kUncontended, kSharded, kThread };
+enum class Arrival { kExpected, kUnexpected, kRendezvous };
+
+struct ContractCase {
+  EngineKind engine;
+  Arrival arrival;
+};
+
+std::string contract_label(const ContractCase& c) {
+  static const char* const kEngines[] = {"FairShare", "Uncontended",
+                                         "Sharded2", "Thread"};
+  static const char* const kArrivals[] = {"EagerExpected", "EagerUnexpected",
+                                          "Rendezvous"};
+  return std::string(kEngines[static_cast<int>(c.engine)]) +
+         kArrivals[static_cast<int>(c.arrival)];
+}
+
+void PrintTo(const ContractCase& c, std::ostream* os) {
+  *os << contract_label(c);
+}
+
+std::string contract_name(const testing::TestParamInfo<ContractCase>& info) {
+  return contract_label(info.param);
+}
+
+std::unique_ptr<Engine> make_engine(EngineKind kind,
+                                    const topo::Machine& m) {
+  switch (kind) {
+    case EngineKind::kFairShare:
+      return std::make_unique<SimEngine>(m);
+    case EngineKind::kUncontended: {
+      SimEngineOptions options;
+      options.sharing = net::SharingPolicy::kUncontended;
+      return std::make_unique<SimEngine>(m, options);
+    }
+    case EngineKind::kSharded: {
+      ShardedEngineOptions options;
+      options.shards = 2;
+      return std::make_unique<ShardedEngine>(m, options);
+    }
+    case EngineKind::kThread:
+      return std::make_unique<ThreadEngine>(m);
+  }
+  return nullptr;
+}
+
+class SendBufferContract : public testing::TestWithParam<ContractCase> {};
+
+TEST_P(SendBufferContract, ReceiverGetsTheBytesAsOfIsend) {
+  const ContractCase c = GetParam();
+  const bool sharded = c.engine == EngineKind::kSharded;
+  // The sharded engine puts sender and receiver on different nodes, hence
+  // on different shards.
+  const topo::Machine m =
+      sharded ? topo::Machine(topo::cori(2), 64) : two_ranks();
+  const Rank sender = 0;
+  const Rank receiver = sharded ? 32 : 1;
+  const Bytes size = c.arrival == Arrival::kRendezvous
+                         ? m.spec().eager_threshold + kib(4)
+                         : kib(4);
+  std::unique_ptr<Engine> engine = make_engine(c.engine, m);
+  if (sharded) {
+    ASSERT_EQ(static_cast<ShardedEngine&>(*engine).shards(), 2);
+  }
+
+  std::vector<std::byte> out(static_cast<std::size_t>(size));
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::byte(131 * i + 7);
+  const std::vector<std::byte> expect = out;
+  std::vector<std::byte> in(out.size());
+  bool clobbered = false;
+  std::uint64_t staged = 0;
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    if (ctx.rank() == sender) {
+      // Expected arrivals: let the receive be posted first.
+      if (c.arrival != Arrival::kUnexpected) {
+        co_await ctx.sleep_for(microseconds(50));
+      }
+      auto req = ctx.isend(receiver, 3, mpi::ConstView{out.data(), size});
+      req->set_completion_cb([&](mpi::Request&) {
+        std::fill(out.begin(), out.end(), std::byte{0xee});
+        clobbered = true;
+      });
+      co_await mpi::wait(req);
+    } else if (ctx.rank() == receiver) {
+      if (c.arrival == Arrival::kUnexpected) {
+        co_await ctx.sleep_for(milliseconds(2));  // long after the send
+      }
+      staged = ctx.endpoint().unexpected_payloads();
+      co_await ctx.recv(sender, 3, mpi::MutView{in.data(), size});
+    }
+  };
+  engine->run(program);
+  EXPECT_TRUE(clobbered);
+  EXPECT_EQ(in, expect);
+  if (c.engine != EngineKind::kThread) {  // real time decides there
+    EXPECT_EQ(staged, c.arrival == Arrival::kUnexpected ? 1u : 0u);
+  }
+}
+
+std::vector<ContractCase> contract_cases() {
+  std::vector<ContractCase> cases;
+  for (EngineKind engine :
+       {EngineKind::kFairShare, EngineKind::kUncontended, EngineKind::kSharded,
+        EngineKind::kThread}) {
+    for (Arrival arrival :
+         {Arrival::kExpected, Arrival::kUnexpected, Arrival::kRendezvous}) {
+      cases.push_back({engine, arrival});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SendBufferContract,
+                         testing::ValuesIn(contract_cases()), contract_name);
 
 }  // namespace
 }  // namespace adapt::runtime

@@ -2,6 +2,7 @@
 // scripted lossy wire on a bare simulator — no engine, no fabric — plus
 // engine-level checks that retry exhaustion surfaces as error codes on BOTH
 // endpoints of a partitioned send/recv.
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -271,6 +272,76 @@ TEST(ReliableEngine, RendezvousPartitionFailsBothRequests) {
 
   EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted);
   EXPECT_EQ(codes[1], ErrCode::kErrProcFailed);
+}
+
+// ---------------------------------------------------- borrowed send buffers
+
+/// Raw mode (no reliability layer), every data leg corrupted: the fault hits
+/// the receiver's copy only. A send borrows its buffer, so the leg must
+/// capture the bytes before it damages them, on the fabric and on the pair
+/// clocks alike.
+TEST(BorrowedPayload, CorruptedLegDamagesOnlyTheReceiversCopy) {
+  const topo::Machine machine(topo::cori(1), 2);
+  for (const net::SharingPolicy sharing :
+       {net::SharingPolicy::kFairShare, net::SharingPolicy::kUncontended}) {
+    runtime::SimEngineOptions options;
+    options.sharing = sharing;
+    options.faults.corrupt = 1.0;
+    runtime::SimEngine engine(machine, options);
+
+    const Bytes size = kib(4);
+    std::vector<std::byte> out(static_cast<std::size_t>(size));
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::byte(7 * i + 1);
+    const std::vector<std::byte> original = out;
+    std::vector<std::byte> in(out.size());
+    const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      if (ctx.rank() == 0) {
+        co_await ctx.send(1, /*tag=*/4, mpi::ConstView{out.data(), size});
+      } else {
+        co_await ctx.recv(0, /*tag=*/4, mpi::MutView{in.data(), size});
+      }
+    };
+    engine.run(program);
+    EXPECT_EQ(out, original) << "the sender's buffer was damaged";
+    EXPECT_NE(in, original) << "the leg was not corrupted";
+  }
+}
+
+/// A send failed by Endpoint::poison while its data leg is still in flight
+/// completes at once, and its caller frees the buffer right there (in the
+/// completion callback). The leg must not read the freed bytes when it
+/// lands (ASan: no heap-use-after-free), and the receiver still gets the
+/// bytes as of isend. Eager and rendezvous; the leg is parked on the wire
+/// or waiting for its CTS.
+TEST(BorrowedPayload, PoisonedSendWhoseBufferIsFreedReadsNothingAfterFree) {
+  const topo::Machine machine(topo::cori(1), 2);
+  for (const Bytes size : {kib(4), machine.spec().eager_threshold + kib(4)}) {
+    runtime::SimEngine engine(machine);
+    std::vector<std::byte> expect(static_cast<std::size_t>(size));
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      expect[i] = std::byte(13 * i + 5);
+    }
+    std::vector<std::byte> in(expect.size());
+    ErrCode send_code = ErrCode::kOk;
+    const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      if (ctx.rank() == 0) {
+        auto* buf = new std::byte[expect.size()];
+        std::copy(expect.begin(), expect.end(), buf);
+        auto req = ctx.isend(1, /*tag=*/6, mpi::ConstView{buf, size});
+        req->set_completion_cb([&send_code, buf](mpi::Request& r) {
+          send_code = r.error();
+          delete[] buf;
+        });
+        ctx.endpoint().poison(ErrCode::kErrProcFailed);
+      } else {
+        co_await ctx.recv(0, /*tag=*/6, mpi::MutView{in.data(), size});
+      }
+      co_return;
+    };
+    engine.run(program);
+    EXPECT_EQ(send_code, ErrCode::kErrProcFailed);
+    EXPECT_EQ(in, expect) << size << "B message";
+  }
 }
 
 }  // namespace
