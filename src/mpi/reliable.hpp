@@ -58,13 +58,15 @@ struct RecoveryInfo {
 
 /// One protocol message. kEager carries a full envelope; kRts carries the
 /// envelope metadata only (no payload, no grant — the receiving transport
-/// synthesises the grant); kCts/kBulk reference their rendezvous by the RTS
-/// frame's sequence number; kAbort broadcasts an operation failure. The
-/// recovery kinds (ULFM-style layer, PR 7) are alpha-only control frames:
-/// kPing is a heartbeat probe whose retry exhaustion *is* the failure
-/// detector, kFailNotice gossips a detected failure, kRevoke floods a
-/// communicator revocation, and kAgree carries the fault-tolerant agreement
-/// protocol (contributions up to the coordinator, decided results back).
+/// synthesises the grant). A rendezvous is named by the transport's
+/// references to its parked halves (opaque to the channel): kRts/kCts carry
+/// the sender's in `rdvz`, kCts/kBulk the receiver's in `rdvz_recv`. kAbort
+/// broadcasts an operation failure. The recovery kinds (the ULFM-style
+/// layer) are alpha-only control frames: kPing is a heartbeat probe whose
+/// retry exhaustion *is* the failure detector, kFailNotice gossips a
+/// detected failure, kRevoke floods a communicator revocation, and kAgree
+/// carries the fault-tolerant agreement protocol (contributions up to the
+/// coordinator, decided results back).
 struct Frame {
   enum class Kind {
     kEager, kRts, kCts, kBulk, kAbort, kPing, kFailNotice, kRevoke, kAgree
@@ -72,6 +74,7 @@ struct Frame {
   Kind kind = Kind::kEager;
   Envelope env;
   std::uint64_t rdvz = 0;
+  std::uint64_t rdvz_recv = 0;
   ErrCode code = ErrCode::kOk;
   Bytes wire_bytes = 0;  ///< bytes the fabric charges for this frame
   MemSpace src_space = MemSpace::kHost;

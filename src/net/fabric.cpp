@@ -60,10 +60,9 @@ void Fabric::transfer(const Route& route, Bytes bytes,
   for (LinkId l : route.links)
     ADAPT_CHECK(l >= 0 && l < static_cast<LinkId>(capacity_.size()));
 
-  // Paths that never enter bandwidth sharing. Under kUncontended a keyed
-  // message still queues behind its pair, in closed form. Under kFairShare a
-  // zero-byte message skips sharing only while its pair's transmit queue is
-  // idle: behind a busy queue it waits like any other message (below), or it
+  // Paths that never enter bandwidth sharing. Under kFairShare a zero-byte
+  // message skips sharing only while its pair's transmit queue is idle:
+  // behind a busy queue it waits like any other message (below), or it
   // would overtake the messages posted before it.
   const bool shared =
       !route.links.empty() && policy_ == SharingPolicy::kFairShare;
@@ -72,11 +71,7 @@ void Fabric::transfer(const Route& route, Bytes bytes,
       (route.serial_key < 0 || !serial_queue(route.serial_key).busy);
   if (!shared || zero_unqueued) {
     const TimeNs stream = stream_time(bytes, route.per_flow_cap);
-    const TimeNs arrive =
-        policy_ == SharingPolicy::kUncontended && route.serial_key >= 0
-            ? serial_queue(route.serial_key)
-                  .clock.arrive(sim_.now(), route.alpha, stream)
-            : sim_.now() + route.alpha + stream;
+    const TimeNs arrive = sim_.now() + route.alpha + stream;
     if (recorder_ && route.trace) {
       recorder_->transfer_active(route.trace, arrive - stream, stream);
       recorder_->transfer_end(route.trace, arrive);

@@ -15,7 +15,6 @@
 // is exactly the distinction §3.2.2 and §4.1 reason about.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -30,9 +29,10 @@ namespace adapt::net {
 
 /// Sharing discipline. kFairShare divides each link max-min fairly among
 /// its flows. kUncontended gives links unbounded capacity (pure Hockney, for
-/// the contention ablation and as the sharded engine's model), but a keyed
-/// message still waits for its pair's transmit queue (PairClock), so
-/// neither policy lets a message overtake an earlier one to the same peer.
+/// the contention ablation and as the sharded engine's model); there the
+/// engines price messages on runtime::MessageLegs' per-pair transmit clocks
+/// instead, so neither policy lets a message overtake an earlier one to the
+/// same peer.
 enum class SharingPolicy { kFairShare, kUncontended };
 
 /// Time to stream `bytes` at `per_flow_cap`, rounded up to a whole ns.
@@ -40,19 +40,6 @@ inline TimeNs stream_time(Bytes bytes, double per_flow_cap) {
   return static_cast<TimeNs>(
       std::ceil(static_cast<double>(bytes) / per_flow_cap));
 }
-
-/// A (src, dst) pair's serial transmit queue in closed form, shared by the
-/// fabric's kUncontended path and the sharded engine: a message streams once
-/// its alpha has elapsed and the pair's previous message has arrived.
-struct PairClock {
-  TimeNs free_at = 0;
-
-  /// Prices one message posted at `now`; returns its arrival time.
-  TimeNs arrive(TimeNs now, TimeNs alpha, TimeNs stream) {
-    free_at = std::max(now + alpha, free_at) + stream;
-    return free_at;
-  }
-};
 
 /// Route + cost parameters of one message.
 struct Route {
@@ -81,8 +68,8 @@ class Fabric {
   LinkId add_link(double capacity_bytes_per_ns);
 
   /// Starts a message; `on_complete` runs (once) at the virtual time the last
-  /// byte arrives. Under kUncontended a message with a serial key takes its
-  /// arrival from the pair's PairClock. Under kFairShare a zero-byte message
+  /// byte arrives. Under kUncontended that is alpha plus the stream time at
+  /// the route's cap, serial key or not. Under kFairShare a zero-byte message
   /// completes after alpha alone when its route is empty or its pair's
   /// transmit queue is idle; behind a busy queue it waits for the messages
   /// posted before it, like any other. The callback type matches the event
@@ -96,7 +83,6 @@ class Fabric {
   void set_fault_injector(const FaultInjector* injector) {
     injector_ = injector;
   }
-  const FaultInjector* fault_injector() const { return injector_; }
 
   /// Installs (or clears) the trace/metrics recorder: traced routes get
   /// their activation/completion times filled in, per-link byte counters
@@ -197,17 +183,15 @@ class Fabric {
   std::vector<double> rates_;
   std::vector<char> neck_dirty_;  // per component flow: bottleneck is dirty
 
-  // Per-serial-key FIFO state, indexed by the key. Under kFairShare a key is
+  // Per-serial-key FIFO state under kFairShare, indexed by the key. A key is
   // "busy" while one of its flows is queued for activation or active;
-  // waiters chain through pending_pool_ slots. Under kUncontended only the
-  // clock is used. The table grows to the largest key seen (bounded by
-  // the number of communicating pairs) and never shrinks, so steady-state
-  // queueing never touches the heap.
+  // waiters chain through pending_pool_ slots. The table grows to the
+  // largest key seen (bounded by the number of communicating pairs) and
+  // never shrinks, so steady-state queueing never touches the heap.
   struct SerialQueue {
     bool busy = false;
     int head = -1;
     int tail = -1;
-    PairClock clock;  ///< kUncontended: the queue in closed form
   };
   SerialQueue& serial_queue(std::int64_t key);
   std::vector<SerialQueue> serial_;

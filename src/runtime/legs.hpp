@@ -7,7 +7,7 @@
 // overhead). Events are keyed by the rank whose code schedules them — RTS
 // and data legs by the sender, CTS by the receiver — so the ShardedEngine
 // and the SimEngine run the same schedule. A data leg is priced on its
-// pair's net::PairClock with both ends posted at once, or, on the SimEngine's
+// pair's clock with both ends posted at once, or, on the SimEngine's
 // fair-share fabric, as a flow whose one completion event runs both ends.
 //
 // State is per shard (the SimEngine has one) and only touched by the
@@ -24,6 +24,11 @@
 // event, possibly on another shard, so it captures at carry; so does a
 // corrupted leg, before it damages the bytes, and so does every in-flight
 // leg of a sender whose endpoint fails its sends (end_borrows).
+//
+// With reliable channels set (one shard), a message is frames on its
+// sender's mpi::ReliableChannel, captured at submit; send_wire prices each
+// transmission on the same legs. A rendezvous parks its halves in the same
+// slots, which its frames name by SlotPool reference (stale once failed).
 #pragma once
 
 #include <array>
@@ -43,7 +48,8 @@
 
 namespace adapt::runtime {
 
-/// The raw transport: no leg is ever given up on, so on_failed never runs.
+/// The message transport of both discrete-event engines. Raw legs are never
+/// given up on, so on_failed runs only for reliable frames.
 class MessageLegs final : public mpi::Transport {
  public:
   /// `host` and `core` must outlive the legs; `shards` is the host's shard
@@ -57,6 +63,10 @@ class MessageLegs final : public mpi::Transport {
   /// Decides every leg's fate with `injector` (null: lossless). One-shard
   /// hosts only.
   void set_fault_injector(const net::FaultInjector* injector);
+  using Channels = std::vector<std::unique_ptr<mpi::ReliableChannel>>;
+  /// Sends every message as frames on `channels` (one per rank, owned by
+  /// the host); `escalate(origin)` runs after one of origin's failed.
+  void set_channels(Channels* channels, std::function<void(Rank)> escalate);
 
   /// Ships env from env.src, whose code is running, to env.dst.
   void submit(mpi::Envelope env, MemSpace src_space, MemSpace dst_space,
@@ -65,11 +75,10 @@ class MessageLegs final : public mpi::Transport {
   /// Captures the borrowed payload of every message src has parked.
   void end_borrows(Rank src) override;
 
-  /// The cached route between fixed endpoints and memories, its serial key
-  /// the pair's dense index on src's shard. The trace id is reset: a caller
-  /// stamps it per message.
-  net::Route& route(Rank src, MemSpace src_space, Rank dst,
-                    MemSpace dst_space);
+  /// Channel downcall: one transmission of a frame or ack, to wire.dst.
+  void send_wire(const mpi::WireFrame& wire);
+  /// Channel upcall for kEager/kRts/kCts/kBulk frames from `from`.
+  void on_frame(Rank self, Rank from, const mpi::Frame& frame);
 
   /// Resident bytes of the pair tables and cached routes.
   std::uint64_t pair_bytes() const;
@@ -80,7 +89,9 @@ class MessageLegs final : public mpi::Transport {
   /// Per-(src, dst) state: the transmit queue, the raw fault-key sequence
   /// and the routes index per (src space, dst space), -1 until first used.
   struct Pair {
-    net::PairClock clock;
+    /// The pair's serial transmit queue in closed form, its pair clock: when
+    /// its last data leg arrives (see clocked()).
+    TimeNs clock = 0;
     std::uint64_t raw_seq = 0;
     std::array<std::int32_t, 4> routes{-1, -1, -1, -1};
   };
@@ -94,6 +105,10 @@ class MessageLegs final : public mpi::Transport {
     std::uint64_t seq = 0;            ///< raw fault-key sequence number
     std::uint64_t trace = 0;          ///< data-leg trace record (0 = none)
     std::uint32_t incoming = kNone;   ///< the receiver's slot (rendezvous)
+    std::function<void(mpi::ErrCode)> on_failed;  ///< reliable only
+    /// Reliable rendezvous: the memories the bulk frame travels between.
+    MemSpace src_space = MemSpace::kHost;
+    MemSpace dst_space = MemSpace::kHost;
   };
 
   /// What an RTS carries to the receiver (plain data: cheap to move).
@@ -131,15 +146,27 @@ class MessageLegs final : public mpi::Transport {
   /// Index in src's Shard::routes of the route between the given memories;
   /// its serial key is the pair's index in Shard::pairs, assigned on the
   /// pair's first message (the tables grow with the pairs that communicate).
+  /// The route's trace id is reset: a caller stamps it per message.
   std::uint32_t route_index(Rank src, MemSpace src_space, Rank dst,
                             MemSpace dst_space);
 
-  /// Sends an alpha-only RTS/CTS from `from` to `to`, whose arrival runs
-  /// `next`; false when a fault loses it. Fault keys name the message's
-  /// sender and its route index there (one-shard hosts only).
-  bool control(Rank from, Rank to, mpi::Frame::Kind kind, Rank sender,
-               std::uint32_t route, std::uint64_t seq, TimeNs alpha,
-               sim::EventFn next);
+  /// The fate of one transmission (lossless without an injector).
+  net::TransferFate decide(const net::FaultKey& key,
+                           const std::vector<net::LinkId>& links) const;
+  /// An alpha-only leg from `from` to `to`, traced as `kind`, whose arrival
+  /// after `delay` runs `next`.
+  void control(Rank from, Rank to, int kind, TimeNs delay, sim::EventFn next);
+  /// A raw RTS/CTS, keyed by the message's sender and route index there;
+  /// false when a fault loses or damages it.
+  bool handshake(Rank from, Rank to, mpi::Frame::Kind kind, Rank sender,
+                 std::uint32_t route, std::uint64_t seq, TimeNs alpha,
+                 sim::EventFn next);
+  /// Stamps `route` with a fabric flow's trace record; returns it (0: none).
+  std::uint64_t trace_flow(net::Route& route, Bytes bytes,
+                           const net::FaultKey& key);
+  /// Prices and traces a data leg on its pair's clock; returns its arrival.
+  TimeNs clocked(const net::Route& route, Bytes bytes,
+                 const net::FaultKey& key, const net::TransferFate& fate);
 
   /// Puts the data of the message parked in src's `slot` on the wire.
   void carry(Rank src, std::uint32_t slot, mpi::Frame::Kind kind);
@@ -158,12 +185,30 @@ class MessageLegs final : public mpi::Transport {
   void grant(Rank dst, std::uint32_t incoming, mpi::PostedRecv recv);
   void finalize(Rank dst, std::uint32_t incoming, const mpi::Envelope& env);
 
+  mpi::ReliableChannel& channel(Rank r) {
+    return *(*channels_)[static_cast<std::size_t>(r)];
+  }
+  void submit_reliable(mpi::Envelope env, MemSpace src_space,
+                       MemSpace dst_space, std::function<void()> on_sent,
+                       std::function<void(mpi::ErrCode)> on_failed);
+  /// Submits an eager or bulk frame, which completes or fails its send.
+  void submit_data(mpi::Frame frame, std::function<void()> on_sent,
+                   std::function<void(mpi::ErrCode)> on_failed);
+  void arrive_wire(mpi::WireFrame wire, bool corrupted);
+  /// A receive matched a reliable RTS: park it, CTS back.
+  void grant_reliable(Rank dst, Rank src, std::uint64_t outgoing,
+                      mpi::PostedRecv recv);
+  void send_bulk(Rank src, const mpi::Frame& cts);
+  void land_bulk(Rank dst, const mpi::Frame& bulk);
+
   RankHost& host_;
   RankCore& core_;
   Bytes eager_threshold_;
   TimeNs recv_overhead_;
   net::Fabric* fabric_ = nullptr;
   const net::FaultInjector* injector_ = nullptr;
+  Channels* channels_ = nullptr;
+  std::function<void(Rank)> escalate_;
   /// One per host shard, each in its own allocation (no false sharing).
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -158,18 +158,28 @@ void RankCore::launch(const RankProgram& program) {
   result_ = RunResult{};
   result_.rank_finish.assign(static_cast<std::size_t>(n), -1);
   failures_.assign(static_cast<std::size_t>(n), nullptr);
+  frames_.assign(static_cast<std::size_t>(n), nullptr);
   for (Rank r = 0; r < n; ++r) {
     run_on(
         r,
         [this, r, &program] {
-          sim::run_detached(
-              program(context(r)), [this, r](std::exception_ptr ep) {
-                const auto i = static_cast<std::size_t>(r);
+          const auto i = static_cast<std::size_t>(r);
+          const sim::Detached run = sim::run_detached(
+              program(context(r)), [this, r, i](std::exception_ptr ep) {
                 result_.rank_finish[i] = host_.now_of(r);
                 failures_[i] = ep;
+                frames_[i] = nullptr;
               });
+          // A program that finished at once has already freed its frame.
+          if (result_.rank_finish[i] < 0) frames_[i] = run.frame;
         },
         0);
+  }
+}
+
+void RankCore::abandon() {
+  for (std::coroutine_handle<>& frame : frames_) {
+    if (frame) std::exchange(frame, nullptr).destroy();
   }
 }
 
@@ -185,6 +195,7 @@ RunResult RankCore::finish() {
       failed = i;
     }
   }
+  if (failed < failures_.size() || remaining > 0) abandon();
   if (failed < failures_.size()) std::rethrow_exception(failures_[failed]);
   ADAPT_CHECK(remaining == 0)
       << remaining << " of " << n

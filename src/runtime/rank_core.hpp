@@ -11,6 +11,7 @@
 // a Context exposes, and through the rank's endpoint its recorder.
 #pragma once
 
+#include <coroutine>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -84,6 +85,10 @@ class RankCore {
   /// run as a deadlock if a rank never finished, else returns every rank's
   /// finish time.
   RunResult finish();
+  /// Destroys every unfinished rank's program frame, with what it holds.
+  /// No event of the run may run after it: finish() calls it once events
+  /// drained; an engine whose event loop threw, when it is destroyed.
+  void abandon();
 
   /// Deterministic rank-state gauge: cumulative coroutine-frame bytes (the
   /// engine's arenas) + matcher footprint + cumulative pool acquisitions.
@@ -119,6 +124,7 @@ class RankCore {
   std::vector<TimeNs> progress_busy_until_;  // progress context
   RunResult result_;                         // the current run's finishes
   std::vector<std::exception_ptr> failures_;  // the current run's failures
+  std::vector<std::coroutine_handle<>> frames_;  // unfinished ranks' programs
 };
 
 }  // namespace adapt::runtime

@@ -130,7 +130,7 @@ class RecoveryService {
   const RecoveryOptions& options() const { return options_; }
   Recovery& rank_facade(Rank r);
 
-  // -- transport upcalls (SimTransport::on_frame / channel give-up hook) ----
+  // -- transport upcalls (SimEngine::on_frame / channel give-up hook) ------
   void on_give_up(Rank self, Rank peer);
   void on_notice(Rank self, Rank about);
   void on_revoke(Rank self, std::uint64_t fingerprint);

@@ -69,7 +69,7 @@ ShardedEngine::ShardedEngine(const topo::Machine& machine,
   }
 }
 
-ShardedEngine::~ShardedEngine() = default;
+ShardedEngine::~ShardedEngine() { core_.abandon(); }
 
 void ShardedEngine::schedule(Rank producer, Rank at, TimeNs t,
                              sim::EventFn&& fn) {

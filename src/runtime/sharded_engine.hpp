@@ -23,7 +23,7 @@
 //
 // Cost model: the SimEngine's under SharingPolicy::kUncontended. Both
 // engines run ranks on one RankCore, messages on one set of legs
-// (MessageLegs, each (src, dst) pair priced by its net::PairClock on the
+// (MessageLegs, each (src, dst) pair priced by its transmit clock on the
 // source rank's shard) and events in one keyed order, so the uncontended
 // SimEngine produces this engine's trace byte for byte (DESIGN.md §14.5).
 // The fluid max-min fair-sharing fabric is deliberately not modelled —

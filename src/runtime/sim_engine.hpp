@@ -1,9 +1,11 @@
 // Discrete-event execution engine: every rank is a coroutine scheduled on one
 // virtual clock; messages move through the contention-aware ClusterNet;
 // rank CPUs are serialised resources that noise can occupy. The rank core,
-// the raw message legs and the keyed event order are the ones the
-// ShardedEngine runs (RankCore, MessageLegs, sim::EventKeys), so with
+// the message legs (its transport) and the keyed event order are the ones
+// the ShardedEngine runs (RankCore, MessageLegs, sim::EventKeys), so with
 // SharingPolicy::kUncontended both engines produce the same trace.
+// Reliable frames ride the same legs; the engine keeps only the frame kinds
+// that are not messages (the abort flood, the recovery protocol).
 //
 // This is the engine all paper-scale experiments run on.
 #pragma once
@@ -95,7 +97,6 @@ class SimEngine final : public Engine, private RankHost {
   support::BufferPool& pool() { return pool_; }
   /// Reliability-channel introspection; null when reliability is off.
   mpi::ReliableChannel* channel(Rank r);
-  const net::FaultInjector* fault_injector() const { return injector_.get(); }
   /// The active recorder, or null when observability is off.
   obs::Recorder* recorder() { return obs_; }
   /// The engine's persistent-collective plan cache (never null).
@@ -118,7 +119,8 @@ class SimEngine final : public Engine, private RankHost {
   void poison_rank(Rank r, mpi::ErrCode code);
 
  private:
-  class SimTransport;
+  /// Channel upcall: a deduplicated frame from `from` reached rank `self`.
+  void on_frame(Rank self, Rank from, const mpi::Frame& frame);
 
   // RankHost: one virtual clock for every rank.
   TimeNs now_of(Rank) const override { return sim_.now(); }
@@ -148,10 +150,9 @@ class SimEngine final : public Engine, private RankHost {
   sim::Simulator sim_;
   net::ClusterNet net_;
   std::unique_ptr<net::FaultInjector> injector_;
-  std::vector<std::unique_ptr<mpi::ReliableChannel>> channels_;
-  std::unique_ptr<SimTransport> transport_;
+  MessageLegs::Channels channels_;
   RankCore core_;
-  MessageLegs legs_;  ///< the raw protocol; SimTransport adds reliability
+  MessageLegs legs_;  ///< the core's transport (bound before it is built)
   std::unique_ptr<gpu::GpuRuntime> gpu_;
   std::unique_ptr<tune::PlanCache> plan_cache_;
   std::unique_ptr<RecoveryService> recovery_;

@@ -141,7 +141,8 @@ inline Task<void> Promise<void>::get_return_object() {
 }  // namespace detail
 
 /// Eager fire-and-forget coroutine used to drive a top-level Task. Its frame
-/// self-destructs at completion.
+/// self-destructs at completion; `frame` names it until then, so an owner
+/// that knows the task never finished can destroy it (and the Task it runs).
 struct Detached {
   struct promise_type {
     static void* operator new(std::size_t bytes) {
@@ -151,12 +152,16 @@ struct Detached {
       support::frame_free(p, bytes);
     }
 
-    Detached get_return_object() noexcept { return {}; }
+    Detached get_return_object() noexcept {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept { std::terminate(); }
   };
+
+  std::coroutine_handle<> frame;
 };
 
 /// Starts `t` immediately; invokes `on_done` (with the captured exception, or

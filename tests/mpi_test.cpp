@@ -267,12 +267,15 @@ TEST(P2P, WaitAnyReturnsACompletedIndex) {
 // match receives in the order they were sent, whatever their sizes. A
 // trailing small message must wait behind the larger ones still queued on
 // the pair's transmit queue instead of completing after alpha alone — under
-// either sharing policy.
+// either sharing policy, as raw messages or as reliable frames.
 std::vector<Bytes> arrival_sizes_of_trailing_message(
     Rank target, Bytes trailing,
-    net::SharingPolicy sharing = net::SharingPolicy::kFairShare) {
+    net::SharingPolicy sharing = net::SharingPolicy::kFairShare,
+    bool reliable = false) {
   topo::Machine m(topo::cori(2), 64);
-  SimEngine engine(m, {.sharing = sharing});
+  runtime::SimEngineOptions options{.sharing = sharing};
+  if (reliable) options.reliability = mpi::ReliabilityConfig{};
+  SimEngine engine(m, options);
   std::vector<Bytes> sizes;
   auto program = [&](Context& ctx) -> sim::Task<> {
     if (ctx.rank() == 0) {
@@ -306,11 +309,13 @@ TEST(P2P, ZeroByteMessageDoesNotOvertakeIntraNode) {
 }
 
 TEST(P2P, UncontendedSmallMessageDoesNotOvertake) {
-  for (const Rank target : {1, 32}) {
-    EXPECT_EQ(arrival_sizes_of_trailing_message(
-                  target, 1, net::SharingPolicy::kUncontended),
-              (std::vector<Bytes>{kib(32), kib(32), kib(32), 1}))
-        << "target rank " << target;
+  for (const bool reliable : {false, true}) {
+    for (const Rank target : {1, 32}) {
+      EXPECT_EQ(arrival_sizes_of_trailing_message(
+                    target, 1, net::SharingPolicy::kUncontended, reliable),
+                (std::vector<Bytes>{kib(32), kib(32), kib(32), 1}))
+          << "target rank " << target << (reliable ? ", reliable" : "");
+    }
   }
 }
 
@@ -381,6 +386,30 @@ TEST(P2P, DeadlockIsDiagnosed) {
     co_return;
   };
   EXPECT_THROW(engine.run(program), Error);
+}
+
+// A run that ends by a rank's exception or by deadlock destroys the frames
+// of the ranks that never finished, with everything they hold.
+TEST(P2P, AbnormalRunDestroysUnfinishedFrames) {
+  struct Flag {
+    bool* destroyed;
+    ~Flag() { *destroyed = true; }
+  };
+  topo::Machine m(topo::cori(1), 2);
+  for (const bool deadlock : {true, false}) {
+    SimEngine engine(m);
+    bool destroyed = false;
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      if (ctx.rank() == 0) {
+        if (!deadlock) throw Error("rank 0 fails");
+        co_return;
+      }
+      const Flag flag{&destroyed};
+      co_await ctx.recv(0, 1, MutView{nullptr, 8});  // never sent
+    };
+    EXPECT_THROW(engine.run(program), Error);
+    EXPECT_TRUE(destroyed) << (deadlock ? "deadlock" : "exception");
+  }
 }
 
 TEST(Comm, WorldAndMembership) {

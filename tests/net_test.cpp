@@ -134,29 +134,6 @@ TEST(Fabric, UncontendedPolicyIgnoresSharing) {
   for (TimeNs t : done) EXPECT_EQ(t, 1000);
 }
 
-TEST(Fabric, UncontendedPairQueueKeepsPostingOrder) {
-  // Three 32 KiB transfers then a 1 B transfer on one pair's serial key:
-  // links are unbounded, but the pair's transmit queue is still FIFO, so
-  // each message streams after its predecessor arrived (MPI non-overtaking).
-  sim::Simulator sim;
-  Fabric fabric(sim, SharingPolicy::kUncontended);
-  const LinkId l = fabric.add_link(1.0);
-  Route route{{l}, 1.0, 100};
-  route.serial_key = 0;
-  std::vector<Bytes> order;
-  std::vector<TimeNs> done;
-  for (const Bytes bytes : {kib(32), kib(32), kib(32), Bytes{1}}) {
-    fabric.transfer(route, bytes, [&, bytes] {
-      order.push_back(bytes);
-      done.push_back(sim.now());
-    });
-  }
-  sim.run();
-  EXPECT_EQ(order, (std::vector<Bytes>{kib(32), kib(32), kib(32), 1}));
-  EXPECT_EQ(done, (std::vector<TimeNs>{100 + 32768, 100 + 2 * 32768,
-                                       100 + 3 * 32768, 100 + 3 * 32768 + 1}));
-}
-
 TEST(Fabric, ManyFlowsConserveCapacity) {
   sim::Simulator sim;
   Fabric fabric(sim);

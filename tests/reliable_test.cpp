@@ -14,6 +14,7 @@
 #include "src/mpi/reliable.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/support/slot_pool.hpp"
 #include "src/topo/presets.hpp"
 
 namespace adapt {
@@ -213,65 +214,173 @@ TEST(ReliableChannel, BackoffSpacesRetransmits) {
 /// retry budget (give-up lands at ~51ms) but not the abort flood sent right
 /// after: the failure must surface as an error code on BOTH endpoints — the
 /// sender via give-up, the receiver via the abort flood — never as a hang.
+/// Each frame travels a data or control leg under either sharing policy.
 TEST(ReliableEngine, RetryExhaustionSurfacesOnBothEndpoints) {
   const topo::Machine machine(topo::cori(1), 2);
-  runtime::SimEngineOptions options;
-  options.faults.outages.push_back(
-      {/*a=*/0, /*b=*/1, /*link=*/-1, /*from=*/0, /*until=*/milliseconds(30)});
-  options.reliability = mpi::ReliabilityConfig{};
-  runtime::SimEngine engine(machine, options);
+  for (const net::SharingPolicy sharing :
+       {net::SharingPolicy::kFairShare, net::SharingPolicy::kUncontended}) {
+    SCOPED_TRACE(sharing == net::SharingPolicy::kFairShare ? "fair-share"
+                                                           : "uncontended");
+    runtime::SimEngineOptions options;
+    options.sharing = sharing;
+    options.faults.outages.push_back({/*a=*/0, /*b=*/1, /*link=*/-1,
+                                      /*from=*/0,
+                                      /*until=*/milliseconds(30)});
+    options.reliability = mpi::ReliabilityConfig{};
+    runtime::SimEngine engine(machine, options);
 
-  std::vector<ErrCode> codes(2, ErrCode::kOk);
-  const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
-    std::vector<std::byte> buf(1024);
-    try {
-      if (ctx.rank() == 0) {
-        co_await ctx.send(1, /*tag=*/7,
-                          mpi::ConstView{buf.data(), (Bytes)buf.size()});
-      } else {
-        co_await ctx.recv(0, /*tag=*/7,
-                          mpi::MutView{buf.data(), (Bytes)buf.size()});
+    std::vector<ErrCode> codes(2, ErrCode::kOk);
+    const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      std::vector<std::byte> buf(1024);
+      try {
+        if (ctx.rank() == 0) {
+          co_await ctx.send(1, /*tag=*/7,
+                            mpi::ConstView{buf.data(), (Bytes)buf.size()});
+        } else {
+          co_await ctx.recv(0, /*tag=*/7,
+                            mpi::MutView{buf.data(), (Bytes)buf.size()});
+        }
+      } catch (const mpi::FaultError& e) {
+        codes[static_cast<std::size_t>(ctx.rank())] = e.code();
       }
-    } catch (const mpi::FaultError& e) {
-      codes[static_cast<std::size_t>(ctx.rank())] = e.code();
-    }
-  };
-  engine.run(program);
+    };
+    engine.run(program);
 
-  EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted) << "sender-side give-up";
-  EXPECT_EQ(codes[1], ErrCode::kErrProcFailed)
-      << "receiver learns through the abort flood";
-  EXPECT_TRUE(engine.endpoint(1).poisoned());
+    EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted) << "sender-side give-up";
+    EXPECT_EQ(codes[1], ErrCode::kErrProcFailed)
+        << "receiver learns through the abort flood";
+    EXPECT_TRUE(engine.endpoint(1).poisoned());
+  }
 }
 
 /// Same outage, rendezvous-sized payload: the RTS never gets through, the
 /// sender's give-up escalates job-wide, and the posted receive fails too.
 TEST(ReliableEngine, RendezvousPartitionFailsBothRequests) {
   const topo::Machine machine(topo::cori(1), 2);
+  for (const net::SharingPolicy sharing :
+       {net::SharingPolicy::kFairShare, net::SharingPolicy::kUncontended}) {
+    SCOPED_TRACE(sharing == net::SharingPolicy::kFairShare ? "fair-share"
+                                                           : "uncontended");
+    runtime::SimEngineOptions options;
+    options.sharing = sharing;
+    options.faults.outages.push_back({/*a=*/0, /*b=*/1, /*link=*/-1,
+                                      /*from=*/0,
+                                      /*until=*/milliseconds(30)});
+    options.reliability = mpi::ReliabilityConfig{};
+    runtime::SimEngine engine(machine, options);
+
+    const Bytes big = kib(256);  // above the eager threshold
+    std::vector<ErrCode> codes(2, ErrCode::kOk);
+    const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+      std::vector<std::byte> buf(static_cast<std::size_t>(big));
+      try {
+        if (ctx.rank() == 0) {
+          co_await ctx.send(1, /*tag=*/9, mpi::ConstView{buf.data(), big});
+        } else {
+          co_await ctx.recv(0, /*tag=*/9, mpi::MutView{buf.data(), big});
+        }
+      } catch (const mpi::FaultError& e) {
+        codes[static_cast<std::size_t>(ctx.rank())] = e.code();
+      }
+    };
+    engine.run(program);
+
+    EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted);
+    EXPECT_EQ(codes[1], ErrCode::kErrProcFailed);
+  }
+}
+
+// ------------------------------------------------- stale rendezvous frames
+
+/// Two rendezvous messages from rank 0 to rank 1, one after the other, so
+/// the second parks its halves in the slots the first released. While the
+/// second is parked, `inject` hands rank `at`'s channel a frame that names
+/// the first rendezvous (a late CTS or bulk frame of a finished or failed
+/// rendezvous). Returns the second message's received bytes and both
+/// ranks' finish times.
+struct StaleRun {
+  std::vector<std::byte> sent;
+  std::vector<std::byte> received;
+  std::vector<TimeNs> finish;
+};
+
+StaleRun run_with_stale_frame(Rank at, Frame::Kind kind, bool inject) {
+  const topo::Machine machine(topo::cori(1), 2);
   runtime::SimEngineOptions options;
-  options.faults.outages.push_back(
-      {/*a=*/0, /*b=*/1, /*link=*/-1, /*from=*/0, /*until=*/milliseconds(30)});
   options.reliability = mpi::ReliabilityConfig{};
   runtime::SimEngine engine(machine, options);
 
+  // What the first rendezvous's halves were named: the first parking of a
+  // fresh pool's first slot, on either side.
+  support::SlotPool<int> fresh;
+  const std::uint64_t first = fresh.ref(fresh.acquire(0));
+
   const Bytes big = kib(256);  // above the eager threshold
-  std::vector<ErrCode> codes(2, ErrCode::kOk);
+  std::vector<std::byte> out(static_cast<std::size_t>(big));
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::byte(3 * i + 1);
+  const std::vector<std::byte> garbage(out.size(), std::byte{0xee});
+  StaleRun result;
+  result.sent = out;
+  result.received.assign(out.size(), std::byte{0});
+  std::vector<std::byte> scratch(out.size());
+
+  const auto forge = [&] {
+    WireFrame wire;
+    wire.src = 1 - at;
+    wire.dst = at;
+    wire.seq = std::uint64_t{1} << 40;  // far above any real frame's
+    wire.frame.kind = kind;
+    wire.frame.rdvz = first;
+    wire.frame.rdvz_recv = first;
+    if (kind == Frame::Kind::kBulk) {
+      wire.frame.wire_bytes = big;
+      wire.frame.env.src = 0;
+      wire.frame.env.dst = 1;
+      wire.frame.env.tag = 2;
+      wire.frame.env.size = big;
+      wire.frame.env.borrow(garbage.data());
+    }
+    engine.channel(at)->on_wire(wire);
+  };
   const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
-    std::vector<std::byte> buf(static_cast<std::size_t>(big));
-    try {
-      if (ctx.rank() == 0) {
-        co_await ctx.send(1, /*tag=*/9, mpi::ConstView{buf.data(), big});
-      } else {
-        co_await ctx.recv(0, /*tag=*/9, mpi::MutView{buf.data(), big});
-      }
-    } catch (const mpi::FaultError& e) {
-      codes[static_cast<std::size_t>(ctx.rank())] = e.code();
+    if (ctx.rank() == 0) {
+      co_await ctx.send(1, /*tag=*/1, mpi::ConstView{out.data(), big});
+      auto second = ctx.isend(1, /*tag=*/2, mpi::ConstView{out.data(), big});
+      if (inject && at == 0) forge();  // the second awaits its CTS
+      co_await mpi::wait(second);
+    } else {
+      co_await ctx.recv(0, /*tag=*/1, mpi::MutView{scratch.data(), big});
+      co_await ctx.sleep_for(microseconds(200));  // the second RTS waits
+      auto second = ctx.irecv(
+          0, /*tag=*/2, mpi::MutView{result.received.data(), big});
+      if (inject && at == 1) forge();  // the second awaits its bulk frame
+      co_await mpi::wait(second);
     }
   };
-  engine.run(program);
+  result.finish = engine.run(program).rank_finish;
+  return result;
+}
 
-  EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted);
-  EXPECT_EQ(codes[1], ErrCode::kErrProcFailed);
+/// A late CTS names a rendezvous whose sender half is gone and whose slot
+/// now holds the next message: the sender drops it, and the next message
+/// still waits for its own CTS.
+TEST(StaleRendezvous, LateCtsLeavesTheReusedSlotAlone) {
+  const StaleRun clean = run_with_stale_frame(0, Frame::Kind::kCts, false);
+  const StaleRun stale = run_with_stale_frame(0, Frame::Kind::kCts, true);
+  EXPECT_EQ(clean.received, clean.sent);
+  EXPECT_EQ(stale.finish, clean.finish);
+  EXPECT_EQ(stale.received, clean.sent);
+}
+
+/// A late bulk frame names a receive that already finished, and its slot
+/// now holds the next matched receive: the receiver drops it, so the next
+/// receive gets its own bytes at its own time.
+TEST(StaleRendezvous, LateBulkLeavesTheReusedSlotAlone) {
+  const StaleRun clean = run_with_stale_frame(1, Frame::Kind::kBulk, false);
+  const StaleRun stale = run_with_stale_frame(1, Frame::Kind::kBulk, true);
+  EXPECT_EQ(clean.received, clean.sent);
+  EXPECT_EQ(stale.finish, clean.finish);
+  EXPECT_EQ(stale.received, clean.sent);
 }
 
 // ---------------------------------------------------- borrowed send buffers

@@ -301,6 +301,25 @@ ShardedRun run_sharded_bcast(int nranks, int shards, Bytes msg, Bytes seg,
   return out;
 }
 
+// A deadlocked run destroys the frames of the ranks that never finished,
+// whatever shard they ran on.
+TEST(ShardedEngine, DeadlockDestroysUnfinishedFrames) {
+  struct Flag {
+    int* destroyed;
+    ~Flag() { ++*destroyed; }
+  };
+  const topo::Machine machine(topo::cori(2), 64);
+  runtime::ShardedEngine engine(machine, {.shards = 2});
+  int destroyed = 0;
+  auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    if (ctx.rank() % 2 == 0) co_return;
+    const Flag flag{&destroyed};
+    co_await ctx.recv(ctx.rank() - 1, 1, mpi::MutView{nullptr, 8});
+  };
+  EXPECT_THROW(engine.run(program), Error);
+  EXPECT_EQ(destroyed, 32);
+}
+
 TEST(ShardedEngine, SmallBcastPayloadCorrectAcrossShards) {
   for (const int shards : {1, 2}) {
     const ShardedRun run =
@@ -382,7 +401,7 @@ TEST(ShardedEngine, GoldenHashes4096) {
 
 // ---------------------------------------------------------------------------
 // Cross-engine differential: both engines run ranks on one RankCore,
-// messages on one set of MessageLegs priced by each pair's net::PairClock,
+// messages on one set of MessageLegs priced by each pair's transmit clock,
 // and events in one keyed order, so the sharded engine at any shard count
 // reproduces the uncontended SimEngine rank by rank and record by record.
 // ---------------------------------------------------------------------------
