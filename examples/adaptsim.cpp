@@ -1,42 +1,5 @@
-// adaptsim: general-purpose driver for one-off experiments.
-//
-// Pick a cluster (preset or custom spec), an MPI library personality, an
-// operation, a message-size range and a noise level, and get the measured
-// times — everything the figure benches do, but à la carte.
-//
-//   ./adaptsim --cluster cori --nodes 8 --ranks 256 --lib ompi-adapt
-//              --op bcast --min 65536 --max 4194304 --noise 5 --iters 4
-//   (single command line; wrapped here for readability)
-//   ./adaptsim --spec "nodes=4,sockets=2,cores=8,bw_node=10" --lib cray ...
-//   ./adaptsim --machine nodes=16,ppn=8 --lib ompi-han --op bcast
-//   (--machine is an alias for --spec; ppn= builds flat nodes with the
-//   first-class SHM channel enabled, the natural shape for two-level HAN)
-//
-// Observability: --trace=FILE writes a Chrome/Perfetto trace of the final
-// message size's run (load at ui.perfetto.dev); --metrics=FILE writes the
-// counter/histogram registry as CSV.
-//
-// Tuning: --tuning switches tunable personalities (ompi-adapt) from their
-// built-in heuristics to the src/tune decision engine; --dump-table=FILE
-// writes the decision table filled during the run as JSON.
-//
-// Persistent collectives: --persistent measures the MPI-4-style
-// init/start/wait path instead of one-shot calls — each rank builds its
-// handle once per message size (planning, tree, tuner decision all happen
-// there, cached engine-wide in the plan cache) and every timed iteration
-// just replays it.
-//
-// Scale: --shards=N runs the sweep on the sharded conservative-lookahead
-// engine (N worker threads over a partitioned event core) instead of the
-// SimEngine. Results, traces, and metrics are byte-identical for any N —
-// only wall clock changes. Incompatible with --persistent, --recover, and
-// GPU personalities (those need SimEngine-only services). See DESIGN.md §14.
-//
-// Recovery: --recover runs the self-healing demo instead of the size sweep —
-// a rank is killed mid-collective (--kill=RANK, --kill-at=MICROS) and the
-// survivors revoke, agree on the failure set, shrink, and re-issue on the
-// survivor communicator. Combine with --trace to see the revoke/agree/shrink
-// protocol events in Perfetto. See DESIGN.md §13 for the recovery model.
+// adaptsim: general-purpose driver for one-off experiments. kUsage below
+// documents its flags; `adaptsim --help` prints it.
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -65,6 +28,49 @@
 using namespace adapt;
 
 namespace {
+
+constexpr const char* kUsage = R"(adaptsim: general-purpose driver for one-off experiments.
+
+Pick a cluster (preset or custom spec), an MPI library personality, an
+operation, a message-size range and a noise level, and get the measured
+times — everything the figure benches do, but à la carte.
+
+  ./adaptsim --cluster cori --nodes 8 --ranks 256 --lib ompi-adapt
+             --op bcast --min 65536 --max 4194304 --noise 5 --iters 4
+  (single command line; wrapped here for readability)
+  ./adaptsim --spec "nodes=4,sockets=2,cores=8,bw_node=10" --lib cray ...
+  ./adaptsim --machine nodes=16,ppn=8 --lib ompi-han --op bcast
+  (--machine is an alias for --spec; ppn= builds flat nodes with the
+  first-class SHM channel enabled, the natural shape for two-level HAN)
+
+Every flag that takes a value accepts both --key VALUE and --key=VALUE.
+
+Observability: --trace=FILE writes a Chrome/Perfetto trace of the final
+message size's run (load at ui.perfetto.dev); --metrics=FILE writes the
+counter/histogram registry as CSV.
+
+Tuning: --tuning switches tunable personalities (ompi-adapt) from their
+built-in heuristics to the src/tune decision engine; --dump-table=FILE
+writes the decision table filled during the run as JSON.
+
+Persistent collectives: --persistent measures the MPI-4-style
+init/start/wait path instead of one-shot calls — each rank builds its
+handle once per message size (planning, tree, tuner decision all happen
+there, cached engine-wide in the plan cache) and every timed iteration
+just replays it.
+
+Scale: --shards=N runs the sweep on the sharded conservative-lookahead
+engine (N worker threads over a partitioned event core) instead of the
+SimEngine. Results, traces, and metrics are byte-identical for any N —
+only wall clock changes. Incompatible with --persistent, --recover, and
+GPU personalities (those need SimEngine-only services). See DESIGN.md §14.
+
+Recovery: --recover runs the self-healing demo instead of the size sweep —
+a rank is killed mid-collective (--kill=RANK, --kill-at=MICROS) and the
+survivors revoke, agree on the failure set, shrink, and re-issue on the
+survivor communicator. Combine with --trace to see the revoke/agree/shrink
+protocol events in Perfetto. See DESIGN.md §13 for the recovery model.
+)";
 
 /// `adaptsim --recover`: one engine run with a seeded rank death and the
 /// self-healing wrapper healing around it. Prints the per-rank outcome
@@ -245,6 +251,10 @@ int run_recover_demo(const bench::Cli& cli, const topo::Machine& machine,
 
 int main(int argc, char** argv) {
   bench::Cli cli(argc, argv);
+  if (cli.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
   const std::string lib_name = cli.get("lib", "ompi-adapt");
   const std::string op = cli.get("op", "bcast");
   const int nodes = static_cast<int>(cli.get_int("nodes", 8));

@@ -12,7 +12,9 @@ Cli::Cli(int argc, char** argv) {
     std::string arg = argv[i];
     ADAPT_CHECK(arg.rfind("--", 0) == 0) << "expected --flag, got " << arg;
     arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    if (const auto eq = arg.find('='); eq != std::string::npos) {
+      args_[arg.substr(0, eq)] = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args_[arg] = argv[++i];
     } else {
       // Move-assigned: assigning the literal in place trips GCC 12's

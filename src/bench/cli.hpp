@@ -9,8 +9,8 @@
 
 namespace adapt::bench {
 
-/// Parses "--key value" and "--flag" style arguments; anything unknown to the
-/// caller is rejected via the accessors' `known` bookkeeping.
+/// Parses "--key value", "--key=value" and "--flag" style arguments. Keys
+/// the caller never asks for are ignored.
 class Cli {
  public:
   Cli(int argc, char** argv);

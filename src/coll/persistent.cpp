@@ -164,16 +164,19 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
   base_tag_ = ctx.alloc_tags(static_cast<Tag>(per_round_tags_) * kTagRounds);
   part_ready_.assign(static_cast<std::size_t>(partitions_), 0);
 
-  // -- warm the engine pool for the round's eager footprint ----------------
+  // -- warm the engine pool for the round's footprint ---------------------
   // Captured payloads in flight: on the pair clocks each leg copies its
   // segment at carry, N per child edge plus N up; plus M unexpected staging
   // slots. (On the fair-share fabric a send borrows its buffer, so only
-  // unexpected arrivals take a block.) One reserve call at init keeps every
+  // unexpected arrivals take a block.) A reduce round also borrows its fold
+  // windows, min(S, M) per child edge, for as long as it runs. All are
+  // one segment's size class. One reserve call at init keeps every
   // steady-state acquire a free-list hit.
   if (support::BufferPool* pool = ctx.pool();
       pool != nullptr && !buffer.synthetic() && bytes > 0) {
     const int in_flight =
-        (nkids + 1) * coll.outstanding_sends + coll.outstanding_recvs;
+        (nkids + 1) * coll.outstanding_sends + coll.outstanding_recvs +
+        static_cast<int>(pipe_->window_slots());
     pool->reserve(std::min(coll.segment_size, std::max<Bytes>(bytes, 1)),
                   in_flight);
   }

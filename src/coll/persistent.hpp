@@ -10,7 +10,9 @@
 // (detail::AdaptPipeline, pipeline.hpp: the same machine one-shot
 // Style::kAdapt bcast/reduce run once per call) with every piece of round
 // state pre-sized, and warm the engine's BufferPool for the round's
-// worst-case eager footprint. start()/wait() then replay rounds on that
+// worst-case footprint (eager staging plus the reduce fold windows, which
+// a round borrows while it runs, so an idle handle holds no scratch).
+// start()/wait() then replay rounds on that
 // machine allocation-free: every callback a round posts captures
 // {this, packed-ints} — small and trivially copyable, so std::function
 // keeps it in inline storage. Allreduce is one machine running its reduce

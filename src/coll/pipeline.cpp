@@ -83,15 +83,11 @@ AdaptPipeline::AdaptPipeline(runtime::Context& ctx, Edges edges,
     // holds its window until its fold ran, so a window is never
     // overwritten while an accumulation still reads it.
     windows_ = std::min(S, static_cast<std::size_t>(opts_.outstanding_recvs));
-    const std::size_t slots = nkids * windows_;
+    const std::size_t slots = window_slots();
     ADAPT_CHECK(slots <= std::numeric_limits<std::uint32_t>::max())
         << nkids << " children x " << windows_
         << " windows overflow the callback packing";
     scratch_.reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      scratch_.push_back(mpi::Payload::scratch(ctx.pool(), opts_.segment_size,
-                                               buffer_.synthetic()));
-    }
     if (gated_) parked_.reserve(slots);
   }
 }
@@ -187,7 +183,11 @@ void AdaptPipeline::fail(mpi::ErrCode code) {
 void AdaptPipeline::cb_exit() {
   --outstanding_;
   if (on_drained_) {
-    if (drained()) on_drained_();
+    if (drained()) {
+      // Every callback that could touch a window has retired.
+      scratch_.clear();
+      on_drained_();
+    }
     return;
   }
   // One-shot: wake the caller once the round drained or at its first
@@ -346,6 +346,14 @@ void AdaptPipeline::start_reduce() {
       for (int s = 0; s < S; ++s) reduce_segment_ready(s);
     }
     return;
+  }
+  // Borrow this round's windows, each sized for the largest segment;
+  // cb_exit (persistent) or the destructor (one-shot) returns them.
+  ADAPT_CHECK(scratch_.empty()) << "the previous round kept its windows";
+  const Bytes window = segs_.length(0);
+  for (std::size_t i = 0; i < window_slots(); ++i) {
+    scratch_.push_back(mpi::Payload::recv_scratch(ctx_->pool(), window,
+                                                  buffer_.synthetic()));
   }
   for (std::size_t c = 0; c < kids(); ++c) {
     for (std::size_t w = 0; w < windows_; ++w)

@@ -3,12 +3,15 @@
 // Broadcast half: M receives stay posted on the parent edge, and each child
 // edge keeps up to N sends in flight, advancing through the segments in
 // order as they arrive (child independence, segment independence). Reduce
-// half: M receives stay posted per child edge into private scratch windows,
-// each arrival is folded into the accumulator as its own event, and a
-// segment goes up the tree (N in flight) the moment every child has
-// contributed to it. No Waitall anywhere: every step is a completion
-// callback, and every callback captures {this, one packed word}, which
-// std::function keeps in inline storage.
+// half: M receives stay posted per child edge into scratch windows, each
+// arrival is folded into the accumulator as its own event, and a segment
+// goes up the tree (N in flight) the moment every child has contributed to
+// it. The windows are lent by the engine pool for one round: taken when the
+// reduce half starts, returned once the round has drained (persistent) or
+// with the machine (one-shot), so an idle persistent handle holds none. No
+// Waitall anywhere: every step is a completion callback, and every callback
+// captures {this, one packed word}, which std::function keeps in inline
+// storage.
 //
 // One machine, two callers:
 //   * One-shot Style::kAdapt bcast/reduce (run_once) build a machine per
@@ -61,6 +64,9 @@ class AdaptPipeline {
                               const CollOpts& opts, Tag base_tag);
 
   int segments() const { return segs_.count(); }
+  /// Scratch windows one round borrows: min(S, M) per child edge, each the
+  /// size of the largest segment.
+  std::size_t window_slots() const { return kids() * windows_; }
   /// Tags one round uses.
   int tags() const;
 
@@ -122,7 +128,6 @@ class AdaptPipeline {
   bool gated_;
   std::function<void()> on_drained_;
   std::size_t windows_ = 0;  ///< reduce: scratch windows per child edge
-  std::vector<mpi::Payload> scratch_;  ///< reduce: per (child, window) slot
   // §4.1 explicit CPU buffer: stage each segment into the other memory
   // space; child edges sourcing that space gate on the copy.
   bool flushes_ = false;
@@ -142,6 +147,10 @@ class AdaptPipeline {
   std::vector<int> inflight_;    // per child: sends in flight (<= N)
   int next_recv_post_ = 0;
   // reduce
+  /// Per (child, window) slot, unzeroed: lent from the pool at the round's
+  /// start and returned only once every callback that could touch one has
+  /// retired, so no receive writes into a block that was handed back.
+  std::vector<mpi::Payload> scratch_;
   std::vector<int> contributed_;  // per segment: child folds done
   std::vector<int> next_recv_;    // per child: next segment to post
   std::vector<std::uint64_t> parked_;  // gated: folds awaiting local data

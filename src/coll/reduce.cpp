@@ -16,10 +16,11 @@ namespace {
 using detail::Edges;
 
 /// Scratch space for one in-flight child contribution; real iff the
-/// accumulator is real, pooled when the engine has a pool.
+/// accumulator is real, pooled when the engine has a pool. Unzeroed: each
+/// accumulate reads only the bytes its receive just wrote.
 mpi::Payload make_scratch(runtime::Context& ctx, const mpi::MutView& accum,
                           Bytes len) {
-  return mpi::Payload::scratch(ctx.pool(), len, accum.synthetic());
+  return mpi::Payload::recv_scratch(ctx.pool(), len, accum.synthetic());
 }
 
 /// Suspending accumulate used by the blocking/nonblocking styles: charges the

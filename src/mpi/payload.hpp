@@ -11,7 +11,10 @@
 // engine's BufferPool and recycle across segments and collectives;
 // engine-free payloads (unit tests, user buffers) fall back to plain heap
 // blocks. Either way the first `size` bytes start zeroed, exactly as the
-// vector-backed payloads did.
+// vector-backed payloads did — except receive-only scratch
+// (Payload::recv_scratch: reduce fold windows, baseline reduce scratch),
+// whose every byte is written by a receive before anything reads it, so
+// its contents start unspecified.
 #pragma once
 
 #include <cstddef>
@@ -80,6 +83,19 @@ class Payload {
                          bool synthetic) {
     if (synthetic) return Payload::synthetic(size);
     return pool ? Payload::pooled(*pool, size) : Payload::real(size);
+  }
+  /// scratch() without the zero fill, for receive-only scratch: every byte
+  /// a reader touches was first written by a completed receive, so clearing
+  /// the block would be wasted work. Contents start unspecified.
+  static Payload recv_scratch(support::BufferPool* pool, Bytes size,
+                              bool synthetic) {
+    Payload p;
+    p.size_ = size;
+    if (!synthetic && size > 0) {
+      p.buf_ = pool ? pool->acquire_raw(size)
+                    : support::BufferRef::heap_raw(size);
+    }
+    return p;
   }
 
   Bytes size() const { return size_; }

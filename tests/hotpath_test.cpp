@@ -12,6 +12,7 @@
 //    every round takes fresh tags, and that SimEngine's per-message state
 //    (matcher buckets, rendezvous slots, pooled requests) stays bounded
 //    across one-shot and baseline collectives.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -742,9 +743,10 @@ TEST(SimEngineMessageState, NonblockingBaselineStaysUnderOnePerMessage) {
 // On the fair-share fabric a send borrows its buffer and the data leg copies
 // it once, straight into the posted receive: a pool block is taken only for
 // an unexpected arrival's staging copy (one block per message used to be
-// the eager send copy). A warm persistent 64-rank bcast + reduce round with
-// real payload therefore takes exactly as many blocks as it had unexpected
-// payload arrivals — none, when every receive was pre-posted.
+// the eager send copy), and for the fold windows a reduce round borrows
+// while it runs (min(S, M) per child edge of the handle's tree). A warm
+// persistent 64-rank bcast + reduce round with real payload therefore takes
+// exactly its unexpected payload arrivals plus its lent windows in blocks.
 TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
   constexpr int kRanks = 64;
   constexpr Bytes kBytes = kib(64);
@@ -771,6 +773,7 @@ TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
   };
   Totals before;
   Totals after;
+  std::uint64_t windows_per_round = 0;  // summed over the ranks
   auto program = [&](runtime::Context& ctx) -> sim::Task<> {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
     const mpi::MutView view{mine.data(), kBytes};
@@ -778,6 +781,10 @@ TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
     auto reduce = coll::reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
                                     mpi::Datatype::kInt32, /*root=*/0);
     auto bar = coll::barrier_init(ctx, world);
+    windows_per_round +=
+        reduce->plan().tree.kids(ctx.rank()).size() *
+        static_cast<std::size_t>(std::min(
+            reduce->segments(), coll::CollOpts{}.outstanding_recvs));
     for (int r = 0; r < kWarm + kMeasured; ++r) {
       // Every rank is past the previous barrier and no payload moves
       // before the root starts the bcast, so the snapshot is exact.
@@ -798,10 +805,13 @@ TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
   const std::uint64_t blocks = after.blocks - before.blocks;
   const std::uint64_t unexpected = after.unexpected - before.unexpected;
   const std::uint64_t sends = after.sends - before.sends;
+  const std::uint64_t lent = windows_per_round * kMeasured;
   ASSERT_GT(sends, 0u);
-  EXPECT_EQ(blocks, unexpected)
+  ASSERT_GT(lent, 0u);
+  EXPECT_EQ(blocks, unexpected + lent)
       << blocks << " pool blocks for " << unexpected
-      << " unexpected payload arrivals over " << sends << " sends";
+      << " unexpected payload arrivals and " << lent
+      << " lent fold windows over " << sends << " sends";
 }
 
 // ---------------------------------------------------------- tree building

@@ -6,6 +6,9 @@
 // after warm-up, proven by a counting global operator new), and the
 // segment machine's two callers: a persistent round replays the one-shot
 // simulation exactly, and both reduce exactly with 300 posted receives.
+// Reduce fold windows are lent per round: idle handles hold no pool block,
+// and the unzeroed windows never leak a stale byte into a sum.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/coll/moreops.hpp"
 #include "src/coll/persistent.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/mpi/comm.hpp"
@@ -26,6 +30,7 @@
 #include "src/mpi/errors.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/support/buffer_pool.hpp"
 #include "src/topo/presets.hpp"
 #include "src/tune/tuner.hpp"
 
@@ -681,8 +686,14 @@ TEST(AllocationFree, HundredStartsAllocateNothingAfterWarmup) {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
     PersistentOpts popts;
     popts.coll.segment_size = 256;
-    auto op = bcast_init(ctx, world, mpi::MutView{mine.data(), kBytes},
-                         /*root=*/0, popts);
+    const mpi::MutView view{mine.data(), kBytes};
+    auto op = bcast_init(ctx, world, view, /*root=*/0, popts);
+    // Reduce rounds borrow their fold windows from the engine pool and
+    // return them when they drain; the pool's free lists absorb that.
+    auto red = reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                           mpi::Datatype::kInt32, /*root=*/0, popts);
+    auto ar = allreduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                             mpi::Datatype::kInt32, popts);
     auto bar = barrier_init(ctx, world);
     // One flat loop, no helper coroutine: a nested coroutine frame would
     // itself heap-allocate per call and poison the measurement. Rounds
@@ -694,6 +705,10 @@ TEST(AllocationFree, HundredStartsAllocateNothingAfterWarmup) {
       if (ctx.rank() == 0) fill(mine, 0, 0);
       EXPECT_EQ(op->start(), ErrCode::kOk);
       co_await op->wait();
+      EXPECT_EQ(red->start(), ErrCode::kOk);
+      co_await red->wait();
+      EXPECT_EQ(ar->start(), ErrCode::kOk);
+      co_await ar->wait();
       EXPECT_EQ(bar->start(), ErrCode::kOk);
       co_await bar->wait();
     }
@@ -904,6 +919,192 @@ TEST(WideReceiveWindow, ThreeHundredWindowsReduceExactly) {
     }
     EXPECT_EQ(wrong, 0u) << (persistent ? "persistent" : "one-shot")
                          << " reduce: root elements wrong of " << kElems;
+  }
+}
+
+// ------------------------------------------------------- lent fold windows
+
+// A reduce round borrows its fold windows from the engine pool and returns
+// them once it has drained, so an idle handle holds none: destroying the
+// handles after their rounds gives the pool nothing back, and eight handles
+// of each kind per rank cost the pool no more misses, and no larger
+// footprint, than one. Two shapes: one 1000-byte segment under a 4 KiB
+// segment size (one window per child edge, sized at the segment), and
+// sixteen 256-byte segments (min(S, M) = 4 windows per child edge).
+TEST(LentWindows, IdleHandlesHoldNoScratch) {
+  struct PoolUse {
+    std::uint64_t misses = 0;
+    std::uint64_t footprint = 0;  // every block the pool ever allocated
+  };
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const auto use_with = [&](Bytes bytes, Bytes segment, int handles) {
+    topo::Machine machine = test_machine();
+    SimEngine engine(machine);
+    std::vector<std::vector<std::byte>> bufs(
+        kRanks, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
+    // Owned outside the run, so the handles are destroyed after it.
+    std::vector<std::vector<PersistentOpPtr>> ops(kRanks);
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      const auto me = static_cast<std::size_t>(ctx.rank());
+      const mpi::MutView view{bufs[me].data(), bytes};
+      PersistentOpts popts;
+      popts.coll.segment_size = segment;
+      for (int k = 0; k < handles; ++k) {
+        ops[me].push_back(reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                                      mpi::Datatype::kInt32, /*root=*/0,
+                                      popts));
+        ops[me].push_back(allreduce_init(ctx, world, view,
+                                         mpi::ReduceOp::kSum,
+                                         mpi::Datatype::kInt32, popts));
+      }
+      // A barrier after each round keeps every rank on the same handle, so
+      // no rank runs ahead and parks unexpected payloads in the pool.
+      auto bar = barrier_init(ctx, world);
+      for (const PersistentOpPtr& op : ops[me]) {
+        EXPECT_EQ(op->start(), ErrCode::kOk);
+        co_await op->wait();
+        EXPECT_EQ(op->last_error(), ErrCode::kOk);
+        EXPECT_EQ(bar->start(), ErrCode::kOk);
+        co_await bar->wait();
+      }
+    };
+    EXPECT_NO_THROW(engine.run(program));
+    const std::uint64_t cached = engine.pool().cached_bytes();
+    ops.clear();
+    EXPECT_EQ(engine.pool().cached_bytes(), cached)
+        << handles << " idle handle(s) per kind per rank held pool blocks";
+    return PoolUse{engine.pool().misses(), engine.pool().cached_bytes()};
+  };
+  for (const auto& [bytes, segment] :
+       {std::pair<Bytes, Bytes>{1000, 4096}, std::pair<Bytes, Bytes>{4096, 256}}) {
+    SCOPED_TRACE("bytes " + std::to_string(bytes) + ", segment " +
+                 std::to_string(segment));
+    const PoolUse one = use_with(bytes, segment, 1);
+    const PoolUse eight = use_with(bytes, segment, 8);
+    EXPECT_LE(eight.misses, one.misses)
+        << "pool misses grew with the handle count";
+    EXPECT_LE(eight.footprint, one.footprint)
+        << "pool footprint grew with the handle count";
+  }
+}
+
+// Fold windows and the baseline reduces' scratch are not zeroed: every byte
+// a fold reads was first written by its receive. The pool's blocks of the
+// window's size class are dirtied with 0xA5 before each run, so a fold that
+// read a byte its receive did not write would spoil an exact int32 sum.
+enum class DirtyCase {
+  kAdaptReduce,
+  kAdaptAllreduce,
+  kBlockingReduce,
+  kNonblockingReduce,
+  kPersistentReduce,
+  kPersistentAllreduce,
+  kPartitionedReduce,
+};
+
+void dirty_pool(support::BufferPool& pool, Bytes window) {
+  std::vector<support::BufferRef> blocks;
+  for (int i = 0; i < 64; ++i) {
+    blocks.push_back(pool.acquire_raw(window));
+    std::memset(blocks.back().data(), 0xA5,
+                static_cast<std::size_t>(blocks.back().capacity()));
+  }
+}  // every block goes back to the free list here
+
+TEST(LentWindows, UnzeroedWindowsNeverLeakStaleBytes) {
+  constexpr std::size_t kElems = 250;  // 1000 bytes
+  constexpr Bytes kBytes = kElems * sizeof(std::int32_t);
+  constexpr int kParts = 2;
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const Tree tree = binomial_tree(kRanks, 0);
+  std::vector<std::int32_t> expected(kElems, 0);
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < kElems; ++i) {
+      expected[i] += static_cast<std::int32_t>(r * 1000 + i);
+    }
+  }
+  const std::pair<DirtyCase, const char*> cases[] = {
+      {DirtyCase::kAdaptReduce, "one-shot adapt reduce"},
+      {DirtyCase::kAdaptAllreduce, "one-shot adapt allreduce"},
+      {DirtyCase::kBlockingReduce, "blocking reduce"},
+      {DirtyCase::kNonblockingReduce, "nonblocking reduce"},
+      {DirtyCase::kPersistentReduce, "persistent reduce"},
+      {DirtyCase::kPersistentAllreduce, "persistent allreduce"},
+      {DirtyCase::kPartitionedReduce, "partitioned reduce"},
+  };
+  // One segment, then four ending in a short one (256 x 3 + 232 bytes).
+  for (const Bytes segment : {Bytes{4096}, Bytes{256}}) {
+    for (const auto& [c, name] : cases) {
+      SCOPED_TRACE(std::string(name) + ", segment " + std::to_string(segment));
+      topo::Machine machine = test_machine();
+      SimEngine engine(machine);
+      dirty_pool(engine.pool(), std::min(segment, kBytes));
+      std::vector<std::vector<std::int32_t>> accum(
+          kRanks, std::vector<std::int32_t>(kElems));
+      for (int r = 0; r < kRanks; ++r) {
+        for (std::size_t i = 0; i < kElems; ++i) {
+          accum[static_cast<std::size_t>(r)][i] =
+              static_cast<std::int32_t>(r * 1000 + i);
+        }
+      }
+      const CollOpts opts{.segment_size = segment};
+      auto program = [&](Context& ctx) -> sim::Task<> {
+        const mpi::MutView view{
+            reinterpret_cast<std::byte*>(
+                accum[static_cast<std::size_t>(ctx.rank())].data()),
+            kBytes};
+        const auto sum = mpi::ReduceOp::kSum;
+        const auto i32 = mpi::Datatype::kInt32;
+        PersistentOpts popts;
+        popts.coll = opts;
+        PersistentOpPtr op;
+        switch (c) {
+          case DirtyCase::kAdaptReduce:
+          case DirtyCase::kBlockingReduce:
+          case DirtyCase::kNonblockingReduce: {
+            const Style style = c == DirtyCase::kAdaptReduce ? Style::kAdapt
+                                : c == DirtyCase::kBlockingReduce
+                                    ? Style::kBlocking
+                                    : Style::kNonblocking;
+            co_await coll::reduce(ctx, world, view, sum, i32, 0, tree, style,
+                                  opts);
+            co_return;
+          }
+          case DirtyCase::kAdaptAllreduce:
+            co_await coll::allreduce(ctx, world, view, sum, i32, tree, tree,
+                                     Style::kAdapt, opts);
+            co_return;
+          case DirtyCase::kPersistentReduce:
+            op = reduce_init(ctx, world, view, sum, i32, 0, popts);
+            break;
+          case DirtyCase::kPersistentAllreduce:
+            op = allreduce_init(ctx, world, view, sum, i32, popts);
+            break;
+          case DirtyCase::kPartitionedReduce:
+            popts.partitions = kParts;
+            op = reduce_init(ctx, world, view, sum, i32, 0, popts);
+            break;
+        }
+        EXPECT_EQ(op->start(), ErrCode::kOk);
+        if (op->partitions() > 0) {
+          // Lower ranks (the parents) declare their data last, so child
+          // contributions arrive first and their folds park on the windows.
+          for (int p = 0; p < kParts; ++p) {
+            co_await ctx.sleep_for(microseconds(10 * (kRanks - ctx.rank())));
+            EXPECT_EQ(op->pready(p), ErrCode::kOk);
+          }
+        }
+        co_await op->wait();
+        EXPECT_EQ(op->last_error(), ErrCode::kOk);
+      };
+      ASSERT_NO_THROW(engine.run(program));
+      const bool all_ranks = c == DirtyCase::kAdaptAllreduce ||
+                             c == DirtyCase::kPersistentAllreduce;
+      for (int r = 0; r < (all_ranks ? kRanks : 1); ++r) {
+        EXPECT_EQ(accum[static_cast<std::size_t>(r)], expected)
+            << "rank " << r;
+      }
+    }
   }
 }
 

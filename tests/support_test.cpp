@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "src/bench/cli.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/rng.hpp"
@@ -219,6 +222,35 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(v.as_object(), Error);
   EXPECT_THROW(v.as_string(), Error);
   EXPECT_THROW(v.at("k"), Error);
+}
+
+// The bench/example flag parser: "--key value" and "--key=value" set the
+// same key (split at the first '='), and a bare "--flag" reads as "1".
+TEST(BenchCli, AcceptsBothValueForms) {
+  std::vector<std::string> args = {"adaptsim",
+                                   "--nodes",
+                                   "2",
+                                   "--trace=out.json",
+                                   "--spec=nodes=4,ppn=8",
+                                   "--persistent",
+                                   "--kill-at=250",
+                                   "--metrics",
+                                   "m.csv",
+                                   "--empty="};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const bench::Cli cli(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(cli.get_int("nodes", 0), 2);
+  EXPECT_EQ(cli.get("trace", ""), "out.json");
+  EXPECT_EQ(cli.get("spec", ""), "nodes=4,ppn=8");
+  EXPECT_TRUE(cli.has("persistent"));
+  EXPECT_EQ(cli.get("persistent", ""), "1");
+  EXPECT_EQ(cli.get_int("kill-at", 0), 250);
+  EXPECT_EQ(cli.get("metrics", ""), "m.csv");
+  EXPECT_TRUE(cli.has("empty"));
+  EXPECT_EQ(cli.get("empty", "unset"), "");
+  EXPECT_FALSE(cli.has("trace=out.json"));
+  EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
 }  // namespace
