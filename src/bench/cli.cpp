@@ -17,9 +17,7 @@ Cli::Cli(int argc, char** argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args_[arg] = argv[++i];
     } else {
-      // Move-assigned: assigning the literal in place trips GCC 12's
-      // -Wrestrict false positive in Release.
-      args_[arg] = std::string("1");
+      args_[arg] = std::nullopt;  // a bare flag: present, without a value
     }
   }
 }
@@ -27,14 +25,15 @@ Cli::Cli(int argc, char** argv) {
 std::string Cli::get(const std::string& key, const std::string& fallback)
     const {
   const auto it = args_.find(key);
-  return it == args_.end() ? fallback : it->second;
+  return it == args_.end() || !it->second ? fallback : *it->second;
 }
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback)
     const {
   const auto it = args_.find(key);
-  return it == args_.end() ? fallback
-                           : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == args_.end() || !it->second
+             ? fallback
+             : std::strtoll(it->second->c_str(), nullptr, 10);
 }
 
 bool Cli::has(const std::string& key) const { return args_.count(key) > 0; }

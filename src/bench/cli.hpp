@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/topo/hardware.hpp"
@@ -15,12 +16,14 @@ class Cli {
  public:
   Cli(int argc, char** argv);
 
+  /// The flag's value; `fallback` when the flag is absent or given bare
+  /// ("--trace" alone). "--key=" reads as "".
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   bool has(const std::string& key) const;
 
  private:
-  std::map<std::string, std::string> args_;
+  std::map<std::string, std::optional<std::string>> args_;  ///< nullopt: bare
 };
 
 /// Builds the paper's machine for a cluster name at a node count, with the

@@ -30,7 +30,7 @@ HanGroups han_groups(const mpi::Comm& comm, const topo::Machine& machine,
 }
 
 Tree build_han_tree(const topo::Machine& machine, const mpi::Comm& comm,
-                    Rank root, const HanSpec& spec) {
+                    Rank root, const TwoLevelShape& shape) {
   const HanGroups g = han_groups(comm, machine, root);
   const Rank root_global = comm.global(root);
   TreeBuilder b(comm.size(), root);
@@ -44,31 +44,15 @@ Tree build_han_tree(const topo::Machine& machine, const mpi::Comm& comm,
   // slow-lane (fabric) children and long-haul transfers start earliest.
   if (g.leaders.size() > 1) {
     to_local(g.leaders.members());
-    b.shape(spec.inter_node, group, root, spec.radix);
+    b.shape(shape.inter_node, group, root, shape.radix);
   }
   for (const mpi::Comm& node : g.nodes) {
     if (node.size() <= 1) continue;
     to_local(node.members());
-    b.shape(spec.intra_node, group,
-            comm.local_of(leader_of(node, root_global)), spec.radix);
+    b.shape(shape.intra_node, group,
+            comm.local_of(leader_of(node, root_global)), shape.radix);
   }
   return std::move(b).finish();
-}
-
-sim::Task<> han_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                      mpi::MutView buffer, Rank root,
-                      const topo::Machine& machine, const HanSpec& spec) {
-  const Tree tree = build_han_tree(machine, comm, root, spec);
-  co_await bcast(ctx, comm, buffer, root, tree, spec.style, spec.opts);
-}
-
-sim::Task<> han_reduce(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView accum, mpi::ReduceOp op,
-                       mpi::Datatype dtype, Rank root,
-                       const topo::Machine& machine, const HanSpec& spec) {
-  const Tree tree = build_han_tree(machine, comm, root, spec);
-  co_await reduce(ctx, comm, accum, op, dtype, root, tree, spec.style,
-                  spec.opts);
 }
 
 }  // namespace adapt::coll

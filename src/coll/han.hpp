@@ -4,7 +4,8 @@
 // Each collective is split into an intra-node stage over the first-class SHM
 // channel and an inter-node stage over elected node leaders — but unlike the
 // sequential multi-communicator baseline (hierarchical.hpp, paper §3.1), both
-// stages live in ONE spanning tree over ONE communicator and run under the
+// stages live in ONE spanning tree over ONE communicator, so the HAN
+// collective is just coll::bcast/reduce over build_han_tree() under the
 // event-driven kAdapt style. A leader's arrival callback forwards segment k
 // intra-node while segment k+1 is still in flight inter-node, so the levels
 // overlap at segment granularity (the paper's §3.2 contrast).
@@ -16,21 +17,20 @@
 // is led by its first member in communicator order.
 #pragma once
 
-#include "src/coll/coll.hpp"
 #include "src/coll/tree.hpp"
 #include "src/mpi/comm.hpp"
 #include "src/topo/hardware.hpp"
 
 namespace adapt::coll {
 
-struct HanSpec {
+/// A two-level tree shape: one shape over the node leaders, one within each
+/// node. Fused into one tree by build_han_tree, or run level by level by the
+/// hierarchical baseline (hierarchical.hpp).
+struct TwoLevelShape {
   TreeKind inter_node = TreeKind::kBinomial;  ///< shape over node leaders
   TreeKind intra_node = TreeKind::kKNomial;   ///< shape within each node
   int radix = 4;
-  /// kAdapt is what realises the segment-level overlap between levels; the
-  /// other styles are accepted for differential testing.
-  Style style = Style::kAdapt;
-  CollOpts opts;
+  auto operator<=>(const TwoLevelShape&) const = default;
 };
 
 /// The node decomposition of a communicator: per-node sub-communicators (via
@@ -49,18 +49,6 @@ HanGroups han_groups(const mpi::Comm& comm, const topo::Machine& machine,
 /// shape per node, leaders gluing the levels. Upper-level edges come first in
 /// each leader's child list so inter-node transfers start earliest.
 Tree build_han_tree(const topo::Machine& machine, const mpi::Comm& comm,
-                    Rank root, const HanSpec& spec = {});
-
-/// Two-level broadcast with segment-level overlap between the levels.
-sim::Task<> han_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                      mpi::MutView buffer, Rank root,
-                      const topo::Machine& machine, const HanSpec& spec = {});
-
-/// Two-level reduce: intra-node partials flow to leaders while the leaders'
-/// inter-node edges already forward earlier segments.
-sim::Task<> han_reduce(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView accum, mpi::ReduceOp op,
-                       mpi::Datatype dtype, Rank root,
-                       const topo::Machine& machine, const HanSpec& spec = {});
+                    Rank root, const TwoLevelShape& shape = {});
 
 }  // namespace adapt::coll

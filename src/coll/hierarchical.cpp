@@ -4,71 +4,82 @@
 
 namespace adapt::coll {
 
+HierLevels hier_levels(const topo::Machine& machine, const mpi::Comm& comm,
+                       Rank root, const TwoLevelShape& shape) {
+  HierLevels h{han_groups(comm, machine, root), {}, {}, {}};
+  const mpi::Comm& leaders = h.groups.leaders;
+  h.node.resize(static_cast<std::size_t>(comm.size()));
+  for (std::size_t i = 0; i < h.groups.nodes.size(); ++i) {
+    const mpi::Comm& node = h.groups.nodes[i];
+    for (const Rank r : node.members())
+      h.node[static_cast<std::size_t>(comm.local_of(r))] = static_cast<int>(i);
+    const Rank leader = leaders.global(static_cast<Rank>(i));
+    h.node_trees.push_back(build_tree(shape.intra_node, node.size(),
+                                      node.local_of(leader), shape.radix));
+  }
+  h.leader_tree = build_tree(shape.inter_node, leaders.size(),
+                             leaders.local_of(comm.global(root)), shape.radix);
+  return h;
+}
+
 namespace {
 
-/// The caller's node group in `g` (han_groups splits by node; the root leads
-/// its node, elsewhere the first member in communicator order leads).
-std::size_t node_of(const HanGroups& g, Rank rank) {
-  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    if (g.nodes[i].contains(rank)) return i;
-  }
-  ADAPT_UNREACHABLE("rank outside the communicator");
+/// The caller's node communicator, its tree and its leader (global).
+struct Place {
+  const mpi::Comm& node;
+  const Tree& node_tree;
+  Rank leader;
+};
+
+Place place_of(const HierLevels& h, const mpi::Comm& comm, Rank me) {
+  const Rank local = comm.local_of(me);
+  ADAPT_CHECK(local >= 0) << "rank " << me << " outside the communicator";
+  const int i = h.node[static_cast<std::size_t>(local)];
+  return {h.groups.nodes[static_cast<std::size_t>(i)],
+          h.node_trees[static_cast<std::size_t>(i)],
+          h.groups.leaders.global(i)};
 }
 
 }  // namespace
 
 sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView buffer, Rank root, const HanGroups& g,
-                       const HierSpec& spec) {
-  const std::size_t node = node_of(g, ctx.rank());
-  const mpi::Comm& my_node = g.nodes[node];
-  const Rank my_leader = g.leaders.global(static_cast<Rank>(node));
-  const Segmenter segs(buffer.size, spec.opts.segment_size);
+                       mpi::MutView buffer, const HierLevels& h, Style style,
+                       const CollOpts& opts) {
+  const Place me = place_of(h, comm, ctx.rank());
+  const mpi::Comm& leaders = h.groups.leaders;
+  const Segmenter segs(buffer.size, opts.segment_size);
   // Both phases' tags are allocated on EVERY rank so counters stay aligned
   // even though only leaders run phase 1.
   const Tag inter_tag = ctx.alloc_tags(segs.count());
   const Tag intra_tag = ctx.alloc_tags(segs.count());
 
-  if (my_leader == ctx.rank() && g.leaders.size() > 1) {
-    const Rank leader_root = g.leaders.local_of(comm.global(root));
-    const Tree tree = build_tree(spec.inter_node, g.leaders.size(),
-                                     leader_root, spec.radix);
-    co_await bcast_tagged(ctx, g.leaders, buffer, leader_root, tree,
-                          spec.style, spec.opts, inter_tag);
+  if (me.leader == ctx.rank() && leaders.size() > 1) {
+    co_await bcast_tagged(ctx, leaders, buffer, h.leader_tree.root,
+                          h.leader_tree, style, opts, inter_tag);
   }
-  if (my_node.size() > 1) {
-    const Rank node_root = my_node.local_of(my_leader);
-    const Tree tree = build_tree(spec.intra_node, my_node.size(),
-                                     node_root, spec.radix);
-    co_await bcast_tagged(ctx, my_node, buffer, node_root, tree, spec.style,
-                          spec.opts, intra_tag);
+  if (me.node.size() > 1) {
+    co_await bcast_tagged(ctx, me.node, buffer, me.node_tree.root,
+                          me.node_tree, style, opts, intra_tag);
   }
 }
 
 sim::Task<> hier_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                         mpi::MutView accum, mpi::ReduceOp op,
-                        mpi::Datatype dtype, Rank root, const HanGroups& g,
-                        const HierSpec& spec) {
-  const std::size_t node = node_of(g, ctx.rank());
-  const mpi::Comm& my_node = g.nodes[node];
-  const Rank my_leader = g.leaders.global(static_cast<Rank>(node));
-  const Segmenter segs(accum.size, spec.opts.segment_size);
+                        mpi::Datatype dtype, const HierLevels& h, Style style,
+                        const CollOpts& opts) {
+  const Place me = place_of(h, comm, ctx.rank());
+  const mpi::Comm& leaders = h.groups.leaders;
+  const Segmenter segs(accum.size, opts.segment_size);
   const Tag intra_tag = ctx.alloc_tags(segs.count());
   const Tag inter_tag = ctx.alloc_tags(segs.count());
 
-  if (my_node.size() > 1) {
-    const Rank node_root = my_node.local_of(my_leader);
-    const Tree tree = build_tree(spec.intra_node, my_node.size(),
-                                     node_root, spec.radix);
-    co_await reduce_tagged(ctx, my_node, accum, op, dtype, node_root, tree,
-                           spec.style, spec.opts, intra_tag);
+  if (me.node.size() > 1) {
+    co_await reduce_tagged(ctx, me.node, accum, op, dtype, me.node_tree.root,
+                           me.node_tree, style, opts, intra_tag);
   }
-  if (my_leader == ctx.rank() && g.leaders.size() > 1) {
-    const Rank leader_root = g.leaders.local_of(comm.global(root));
-    const Tree tree = build_tree(spec.inter_node, g.leaders.size(),
-                                     leader_root, spec.radix);
-    co_await reduce_tagged(ctx, g.leaders, accum, op, dtype, leader_root, tree,
-                           spec.style, spec.opts, inter_tag);
+  if (me.leader == ctx.rank() && leaders.size() > 1) {
+    co_await reduce_tagged(ctx, leaders, accum, op, dtype, h.leader_tree.root,
+                           h.leader_tree, style, opts, inter_tag);
   }
 }
 

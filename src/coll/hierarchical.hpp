@@ -4,7 +4,7 @@
 // the levels run SEQUENTIALLY — the intra-node phase of a broadcast cannot
 // start until the leader received everything from the inter-node phase, so
 // levels never overlap. ADAPT's single-communicator topo tree (§3.2) is the
-// contrast.
+// contrast; the same TwoLevelShape fused into one tree is HAN (han.hpp).
 #pragma once
 
 #include "src/coll/coll.hpp"
@@ -12,26 +12,31 @@
 
 namespace adapt::coll {
 
-struct HierSpec {
-  TreeKind inter_node = TreeKind::kBinomial;  ///< among node leaders
-  TreeKind intra_node = TreeKind::kKNomial;   ///< within each node
-  int radix = 4;
-  Style style = Style::kNonblocking;
-  CollOpts opts;
+/// A two-level shape laid out level by level over one communicator: the
+/// node split, each member's node, and one tree per level. Built once per
+/// (communicator, root, shape) and cached (shape.hpp's TreeCache::hier).
+struct HierLevels {
+  HanGroups groups;
+  std::vector<int> node;  ///< node index (into groups.nodes) per local rank
+  Tree leader_tree;       ///< inter_node shape over groups.leaders
+  std::vector<Tree> node_trees;  ///< intra_node shape per node, at its leader
 };
 
+HierLevels hier_levels(const topo::Machine& machine, const mpi::Comm& comm,
+                       Rank root, const TwoLevelShape& shape);
+
 /// Hierarchical broadcast: inter-node phase over node leaders, then a fully
-/// separate intra-node phase per node. `groups` is han_groups(comm, machine,
-/// root); it must outlive the returned task.
+/// separate intra-node phase per node. `levels` is hier_levels(machine, comm,
+/// root, shape), which fixes the root; it must outlive the returned task.
 sim::Task<> hier_bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                       mpi::MutView buffer, Rank root, const HanGroups& groups,
-                       const HierSpec& spec);
+                       mpi::MutView buffer, const HierLevels& levels,
+                       Style style, const CollOpts& opts);
 
 /// Hierarchical reduce: intra-node phase to each node leader, then the
-/// inter-node phase over leaders. `groups` as for hier_bcast.
+/// inter-node phase over leaders. `levels` as for hier_bcast.
 sim::Task<> hier_reduce(runtime::Context& ctx, const mpi::Comm& comm,
                         mpi::MutView accum, mpi::ReduceOp op,
-                        mpi::Datatype dtype, Rank root,
-                        const HanGroups& groups, const HierSpec& spec);
+                        mpi::Datatype dtype, const HierLevels& levels,
+                        Style style, const CollOpts& opts);
 
 }  // namespace adapt::coll

@@ -3,7 +3,13 @@
 //
 // The real comparators are closed source; what the paper observes about them
 // (and what drives every figure) is WHICH algorithm family and HOW much
-// synchronisation each uses. Each personality here pins those two choices:
+// synchronisation each uses. Each personality pins those two choices as a
+// plan per message size: one algorithm, one tree shape (coll::TreeShape,
+// shape.hpp: rank-order kind + radix, topology TopoTreeSpec, or two-level
+// TwoLevelShape), one Style and one CollOpts. The shape resolves to a tree,
+// or for `intel` to its level-by-level HierLevels, through the library's one
+// TreeCache, built on the first call per (communicator, root, shape) and
+// replayed after. Tuned plans take their shape from tune::decision_shape.
 //
 //   ompi-adapt          ADAPT event-driven + single-comm topo tree (chains);
 //                       consults the run's tuner (Context::tuner()) instead
@@ -11,18 +17,19 @@
 //   ompi-adapt-tuned    ompi-adapt with its own always-on decision engine
 //                       (src/tune): topology/segment/radix from the Hockney
 //                       cost model, cached per (op, comm size, size bucket)
-//   ompi-han            HAN-style two-level: one fused tree (binomial over
-//                       node leaders + k-nomial per node over the SHM
-//                       channel) under the event-driven style, levels
-//                       overlapping at segment granularity
+//   ompi-han            HAN-style two-level: the default TwoLevelShape fused
+//                       into one tree (binomial over node leaders + k-nomial
+//                       per node over the SHM channel) under the event-driven
+//                       style, levels overlapping at segment granularity
 //   ompi-default        Open MPI "tuned": nonblocking + Waitall, rank-order
 //                       trees, message-size decision rules
 //   ompi-default-topo   tuned's nonblocking style on ADAPT's topo tree
 //                       (isolates the Waitall penalty, Fig. 8)
 //   cray                topology-aware but blocking-P2P pipelines
 //   mvapich             blocking k-nomial, rank-order
-//   intel               hierarchical multi-communicator (SHM-based k-nomial),
-//                       sequential levels, vectorised reduction
+//   intel               hierarchical multi-communicator: the same
+//                       TwoLevelShape run level by level (hier_bcast /
+//                       hier_reduce), vectorised reduction
 //   intel-topo-*        the Fig. 8 Intel algorithm variants
 //
 // Tuning constants (segment sizes, radices, γ scales) are this model's

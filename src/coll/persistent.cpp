@@ -123,12 +123,8 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
         const tune::Decision d = tuner->choose(top, comm.size(), bytes,
                                                &tstats);
         if (obs::Recorder* rec = ctx.recorder()) {
-          obs::MetricsRegistry& m = rec->metrics();
-          m.counter(tstats.cache_hit ? "tuner.hits" : "tuner.misses") += 1;
-          m.histogram("tuner.bucket").record(tune::Tuner::bucket(bytes));
-          rec->instant(obs::rank_pid(ctx.rank()), obs::kTidMain,
-                       obs::Cat::kTune, "tune " + tune::decision_label(d),
-                       rec->now(), d.predicted);
+          tune::trace_choice(*rec, obs::rank_pid(ctx.rank()), tstats, bytes,
+                             d, d.predicted);
         }
         plan.decision = d;
         plan.tuned = true;

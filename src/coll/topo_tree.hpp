@@ -23,6 +23,7 @@ struct TopoTreeSpec {
   TreeKind socket_level = TreeKind::kChain;  ///< socket leaders within a node
   TreeKind node_level = TreeKind::kChain;    ///< node leaders across nodes
   int radix = 4;                             ///< for k-ary / k-nomial levels
+  auto operator<=>(const TopoTreeSpec&) const = default;
 };
 
 /// Builds the multi-level tree over the local ranks of `comm`, rooted at

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/coll/han.hpp"
-#include "src/coll/topo_tree.hpp"
+#include "src/coll/shape.hpp"
+#include "src/obs/trace.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 
@@ -214,30 +214,25 @@ int Tuner::table_size() const {
 
 // ---------------------------------------------------------- application ---
 
-coll::Tree decision_tree(const topo::Machine& machine, const mpi::Comm& comm,
-                         Rank root, const Decision& decision) {
+coll::TreeShape decision_shape(const Decision& decision) {
   switch (decision.topology) {
-    case Topology::kTopoChain:
-      return coll::build_topo_tree(machine, comm, root, coll::TopoTreeSpec{});
-    case Topology::kTopoKnomial: {
-      coll::TopoTreeSpec spec;
-      spec.core_level = coll::TreeKind::kKNomial;
-      spec.socket_level = coll::TreeKind::kKNomial;
-      spec.node_level = coll::TreeKind::kKNomial;
-      spec.radix = decision.radix;
-      return coll::build_topo_tree(machine, comm, root, spec);
-    }
+    case Topology::kTopoChain: return coll::TopoTreeSpec{};
+    case Topology::kTopoKnomial:
+      return coll::TopoTreeSpec{coll::TreeKind::kKNomial,
+                                coll::TreeKind::kKNomial,
+                                coll::TreeKind::kKNomial, decision.radix};
     case Topology::kBinomial:
-      return coll::build_tree(coll::TreeKind::kBinomial, comm.size(), root);
-    case Topology::kChain:
-      return coll::build_tree(coll::TreeKind::kChain, comm.size(), root);
-    case Topology::kHan: {
-      coll::HanSpec spec;
-      spec.radix = decision.radix;
-      return coll::build_han_tree(machine, comm, root, spec);
-    }
+      return coll::RankOrderShape{coll::TreeKind::kBinomial};
+    case Topology::kChain: return coll::RankOrderShape{coll::TreeKind::kChain};
+    case Topology::kHan:
+      return coll::TwoLevelShape{.radix = decision.radix};
   }
   ADAPT_UNREACHABLE("bad tuned topology");
+}
+
+coll::Tree decision_tree(const topo::Machine& machine, const mpi::Comm& comm,
+                         Rank root, const Decision& decision) {
+  return coll::build_tree(machine, comm, root, decision_shape(decision));
 }
 
 Bytes decision_segment(const Decision& decision, Bytes message) {
@@ -249,6 +244,18 @@ std::string decision_label(const Decision& decision) {
   std::ostringstream ss;
   ss << topology_name(decision.topology) << "/s" << decision.segment;
   return ss.str();
+}
+
+std::string trace_choice(obs::Recorder& rec, int pid,
+                         const Tuner::ChooseStats& stats, Bytes message,
+                         const Decision& decision, TimeNs predicted) {
+  obs::MetricsRegistry& m = rec.metrics();
+  m.counter(stats.cache_hit ? "tuner.hits" : "tuner.misses") += 1;
+  m.histogram("tuner.bucket").record(Tuner::bucket(message));
+  std::string winner = decision_label(decision);
+  rec.instant(pid, obs::kTidMain, obs::Cat::kTune, "tune " + winner,
+              rec.now(), predicted);
+  return winner;
 }
 
 }  // namespace adapt::tune

@@ -22,7 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "src/coll/shape.hpp"
 #include "src/tune/cost.hpp"
+
+namespace adapt::obs {
+class Recorder;
+}  // namespace adapt::obs
 
 namespace adapt::tune {
 
@@ -148,8 +153,12 @@ class Tuner {
   DecisionTable table_;
 };
 
+/// The tree shape a decision names (the only Decision::topology switch).
+coll::TreeShape decision_shape(const Decision& decision);
+
 /// Maps a decision onto a concrete communicator: the tree coll::bcast/reduce
-/// should run. Shared by the tuned personality and the guideline harness.
+/// should run, build_tree() over decision_shape(). The tuned personality
+/// caches the same tree through its TreeCache.
 coll::Tree decision_tree(const topo::Machine& machine, const mpi::Comm& comm,
                          Rank root, const Decision& decision);
 
@@ -159,5 +168,13 @@ Bytes decision_segment(const Decision& decision, Bytes message);
 /// Short label for a decision — "topo-chain/s65536" — used as the trace
 /// "winner" grouping key by kTune events (see adapt-trace summarize).
 std::string decision_label(const Decision& decision);
+
+/// The decision engine's trace hook, shared by the tuned personalities and
+/// persistent init: bumps tuner.{hits,misses} and the tuner.bucket
+/// histogram and emits the kTune "tune <winner>" instant carrying
+/// `predicted`. Returns the winner label.
+std::string trace_choice(obs::Recorder& rec, int pid,
+                         const Tuner::ChooseStats& stats, Bytes message,
+                         const Decision& decision, TimeNs predicted);
 
 }  // namespace adapt::tune

@@ -1,13 +1,16 @@
 // HAN two-level collectives (src/coll/han): the fused tree's structure under
-// arbitrary rank→node placements, byte-exactness over the SHM transport, and
-// the headline performance pin — segment-overlapped two-level broadcast beats
-// the sequential multi-communicator hierarchy it replaces.
+// arbitrary rank→node placements, byte-exactness over the SHM transport, the
+// headline performance pin — segment-overlapped two-level broadcast beats
+// the sequential multi-communicator hierarchy it replaces — and the cached
+// hierarchical layout the intel personality runs (TreeCache::hier).
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "src/coll/han.hpp"
 #include "src/coll/hierarchical.hpp"
+#include "src/coll/library.hpp"
+#include "src/coll/shape.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
@@ -116,6 +119,7 @@ TEST(HanBcast, ByteExactUnderScrambledPlacement) {
   SimEngine engine(m);
   const mpi::Comm world = mpi::Comm::world(16);
   const Rank root = 7;
+  const Tree tree = build_han_tree(m, world, root);
   const Bytes bytes = 6000;
   const auto golden = pattern(bytes, 42);
   std::vector<std::vector<std::byte>> bufs(
@@ -123,7 +127,8 @@ TEST(HanBcast, ByteExactUnderScrambledPlacement) {
   bufs[static_cast<std::size_t>(root)] = golden;
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
-    co_await han_bcast(ctx, world, mpi::MutView{mine.data(), bytes}, root, m);
+    co_await bcast(ctx, world, mpi::MutView{mine.data(), bytes}, root, tree,
+                   Style::kAdapt);
   };
   engine.run(program);
   for (int r = 0; r < 16; ++r) {
@@ -139,6 +144,7 @@ TEST(HanReduce, ByteExactUnderReversedPlacement) {
   SimEngine engine(m);
   const mpi::Comm world = mpi::Comm::world(16);
   const Rank root = 3;
+  const Tree tree = build_han_tree(m, world, root);
   const int kInts = 512;
   const Bytes bytes = kInts * 4;
   std::vector<std::vector<std::int32_t>> vals(16,
@@ -153,10 +159,10 @@ TEST(HanReduce, ByteExactUnderReversedPlacement) {
   }
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = vals[static_cast<std::size_t>(ctx.rank())];
-    co_await han_reduce(
+    co_await reduce(
         ctx, world,
         mpi::MutView{reinterpret_cast<std::byte*>(mine.data()), bytes},
-        mpi::ReduceOp::kSum, mpi::Datatype::kInt32, root, m);
+        mpi::ReduceOp::kSum, mpi::Datatype::kInt32, root, tree, Style::kAdapt);
   };
   engine.run(program);
   EXPECT_EQ(vals[static_cast<std::size_t>(root)], want);
@@ -188,16 +194,14 @@ TEST(HanPerf, BeatsSequentialHierarchicalBcast) {
     return engine.run(program).total_time;
   };
 
-  HierSpec hier;
-  hier.opts.segment_size = kib(16);
-  const HanGroups groups = han_groups(world, m, root);
+  const CollOpts opts{.segment_size = kib(16)};
+  const HierLevels levels = hier_levels(m, world, root, TwoLevelShape{});
   const TimeNs sequential = timed([&](Context& ctx, mpi::MutView buf) {
-    return hier_bcast(ctx, world, buf, root, groups, hier);
+    return hier_bcast(ctx, world, buf, levels, Style::kNonblocking, opts);
   });
-  HanSpec han;
-  han.opts.segment_size = kib(16);
+  const Tree tree = build_han_tree(m, world, root);
   const TimeNs overlapped = timed([&](Context& ctx, mpi::MutView buf) {
-    return han_bcast(ctx, world, buf, root, m, han);
+    return bcast(ctx, world, buf, root, tree, Style::kAdapt, opts);
   });
 
   EXPECT_GT(overlapped, 0);
@@ -206,6 +210,117 @@ TEST(HanPerf, BeatsSequentialHierarchicalBcast) {
       << "han " << overlapped << " ns vs hier " << sequential
       << " ns — speedup " << (static_cast<double>(sequential) /
                               static_cast<double>(overlapped));
+}
+
+bool same_tree(const Tree& a, const Tree& b) {
+  return a.root == b.root && a.parent == b.parent &&
+         a.child_begin == b.child_begin && a.child_list == b.child_list;
+}
+
+/// The sequential hierarchy built from scratch: han_groups, a scan of the
+/// nodes for every rank, and one build_tree per level, each rooted at its
+/// elected leader (the root on its node, else the node's first member).
+HierLevels fresh_levels(const topo::Machine& m, const mpi::Comm& comm,
+                        Rank root, const TwoLevelShape& shape) {
+  HierLevels h{han_groups(comm, m, root), {}, {}, {}};
+  const Rank root_global = comm.global(root);
+  for (Rank r = 0; r < comm.size(); ++r) {
+    for (std::size_t i = 0; i < h.groups.nodes.size(); ++i) {
+      if (h.groups.nodes[i].contains(comm.global(r)))
+        h.node.push_back(static_cast<int>(i));
+    }
+  }
+  const mpi::Comm& leaders = h.groups.leaders;
+  h.leader_tree = build_tree(shape.inter_node, leaders.size(),
+                             leaders.local_of(root_global), shape.radix);
+  for (const mpi::Comm& node : h.groups.nodes) {
+    const Rank leader =
+        node.contains(root_global) ? root_global : node.members().front();
+    h.node_trees.push_back(build_tree(shape.intra_node, node.size(),
+                                      node.local_of(leader), shape.radix));
+  }
+  return h;
+}
+
+/// Dense, reversed and cyclic (round-robin over nodes) placements.
+std::vector<topo::Machine> placements() {
+  std::vector<topo::Machine> out;
+  out.emplace_back(topo::han_cluster(4, 4), 16);
+  out.emplace_back(topo::han_cluster(4, 4), reversed_slots(16));
+  out.emplace_back(topo::han_cluster(4, 4), strided_slots(16, 4, 4));
+  return out;
+}
+
+TEST(HierCache, EntryMatchesFreshBuildUnderEveryPlacement) {
+  const mpi::Comm world = mpi::Comm::world(16);
+  const TwoLevelShape shapes[] = {
+      {}, {TreeKind::kChain, TreeKind::kFlat, 2}, {.intra_node = TreeKind::kKAry}};
+  for (const topo::Machine& m : placements()) {
+    TreeCache cache(m);
+    for (const Rank root : {Rank{0}, Rank{5}, Rank{15}}) {
+      for (const TwoLevelShape& shape : shapes) {
+        const HierLevels& got = cache.hier(world, root, shape);
+        const HierLevels want = fresh_levels(m, world, root, shape);
+        EXPECT_EQ(&got, &cache.hier(world, root, shape)) << "not cached";
+        EXPECT_EQ(got.node, want.node) << "root " << root;
+        EXPECT_EQ(got.groups.leaders.members(), want.groups.leaders.members());
+        EXPECT_TRUE(same_tree(got.leader_tree, want.leader_tree))
+            << "root " << root;
+        ASSERT_EQ(got.node_trees.size(), want.node_trees.size());
+        for (std::size_t i = 0; i < want.node_trees.size(); ++i) {
+          EXPECT_EQ(got.groups.nodes[i].members(),
+                    want.groups.nodes[i].members());
+          EXPECT_TRUE(same_tree(got.node_trees[i], want.node_trees[i]))
+              << "root " << root << " node " << i;
+        }
+        // The fused tree of the same shape shares the entry's key.
+        EXPECT_TRUE(same_tree(cache.tree(world, root, shape),
+                              build_han_tree(m, world, root, shape)));
+      }
+    }
+  }
+}
+
+/// Per-rank finish times of the intel personality against hier_bcast /
+/// hier_reduce over freshly built levels with intel's style and options.
+TEST(HierCache, IntelMatchesFreshHierarchy) {
+  const mpi::Comm world = mpi::Comm::world(16);
+  const Bytes bytes = kib(256);  // 16 segments of 16 KiB
+  const CollOpts bcast_opts{.segment_size = default_segment_size(bytes)};
+  const CollOpts reduce_opts{.segment_size = default_segment_size(bytes),
+                             .gamma_scale = 0.5};
+  for (const topo::Machine& m : placements()) {
+    const auto intel = make_library("intel", m);
+    for (const Rank root : {Rank{0}, Rank{5}, Rank{15}}) {
+      const HierLevels levels = fresh_levels(m, world, root, TwoLevelShape{});
+      const auto finish = [&](bool reduce_op, bool fresh) {
+        SimEngine engine(m);
+        std::vector<std::vector<std::int32_t>> bufs(
+            16, std::vector<std::int32_t>(bytes / 4, 1));
+        auto program = [&](Context& ctx) -> sim::Task<> {
+          auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+          const mpi::MutView view{reinterpret_cast<std::byte*>(mine.data()),
+                                  bytes};
+          const auto op = mpi::ReduceOp::kSum;
+          const auto dt = mpi::Datatype::kInt32;
+          if (reduce_op && fresh) {
+            co_await hier_reduce(ctx, world, view, op, dt, levels,
+                                 Style::kNonblocking, reduce_opts);
+          } else if (reduce_op) {
+            co_await intel->reduce(ctx, world, view, op, dt, root);
+          } else if (fresh) {
+            co_await hier_bcast(ctx, world, view, levels, Style::kNonblocking,
+                                bcast_opts);
+          } else {
+            co_await intel->bcast(ctx, world, view, root);
+          }
+        };
+        return engine.run(program).rank_finish;
+      };
+      EXPECT_EQ(finish(false, false), finish(false, true)) << "bcast " << root;
+      EXPECT_EQ(finish(true, false), finish(true, true)) << "reduce " << root;
+    }
+  }
 }
 
 }  // namespace

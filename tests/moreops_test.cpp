@@ -415,12 +415,11 @@ TEST(Hierarchical, BcastAcrossNodes) {
   std::vector<std::vector<std::byte>> bufs(
       64, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
   bufs[20] = golden;
-  HierSpec spec;
-  const HanGroups groups = han_groups(world, m, root);
+  const HierLevels levels = hier_levels(m, world, root, TwoLevelShape{});
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
-    co_await hier_bcast(ctx, world, mpi::MutView{mine.data(), bytes}, root,
-                        groups, spec);
+    co_await hier_bcast(ctx, world, mpi::MutView{mine.data(), bytes}, levels,
+                        Style::kNonblocking, CollOpts{});
   };
   engine.run(program);
   for (int r = 0; r < 64; ++r) {
@@ -447,15 +446,14 @@ TEST(Hierarchical, ReduceAcrossNodes) {
       expected[i] += v[i];
     }
   }
-  HierSpec spec;
-  const HanGroups groups = han_groups(world, m, root);
+  const HierLevels levels = hier_levels(m, world, root, TwoLevelShape{});
   auto program = [&](Context& ctx) -> sim::Task<> {
     auto& mine = contrib[static_cast<std::size_t>(ctx.rank())];
     co_await hier_reduce(ctx, world,
                          mpi::MutView{reinterpret_cast<std::byte*>(mine.data()),
                                       400},
-                         mpi::ReduceOp::kSum, mpi::Datatype::kInt32, root,
-                         groups, spec);
+                         mpi::ReduceOp::kSum, mpi::Datatype::kInt32, levels,
+                         Style::kNonblocking, CollOpts{});
   };
   engine.run(program);
   EXPECT_EQ(contrib[5], expected);

@@ -244,7 +244,7 @@ TEST(BenchCli, AcceptsBothValueForms) {
   EXPECT_EQ(cli.get("trace", ""), "out.json");
   EXPECT_EQ(cli.get("spec", ""), "nodes=4,ppn=8");
   EXPECT_TRUE(cli.has("persistent"));
-  EXPECT_EQ(cli.get("persistent", ""), "1");
+  EXPECT_EQ(cli.get("persistent", "fallback"), "fallback");
   EXPECT_EQ(cli.get_int("kill-at", 0), 250);
   EXPECT_EQ(cli.get("metrics", ""), "m.csv");
   EXPECT_TRUE(cli.has("empty"));

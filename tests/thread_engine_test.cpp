@@ -232,20 +232,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ThreadEngine, LibraryPersonalityRunsForReal) {
   const int n = 8;
-  topo::Machine m = small_machine(n);
-  ThreadEngine engine(m);
+  // Four ranks on each of two nodes, so both levels of intel's hierarchy
+  // and of ompi-han's fused tree run, and every personality's TreeCache is
+  // filled from concurrent rank threads.
+  const topo::Machine m(topo::cori(2),
+                        std::vector<int>{0, 1, 2, 3, 32, 33, 34, 35});
   const mpi::Comm world = mpi::Comm::world(n);
-  auto lib = coll::make_library("ompi-adapt", m);
-  std::vector<std::vector<std::byte>> bufs(
-      static_cast<std::size_t>(n), std::vector<std::byte>(4096));
-  bufs[3].assign(4096, std::byte(0x7E));
-  auto program = [&](Context& ctx) -> sim::Task<> {
-    auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
-    co_await lib->bcast(ctx, world, mpi::MutView{mine.data(), 4096}, 3);
-  };
-  engine.run(program);
-  for (int r = 0; r < n; ++r) {
-    EXPECT_EQ(bufs[static_cast<std::size_t>(r)][4095], std::byte(0x7E));
+  for (const char* name : {"ompi-adapt", "intel", "ompi-han"}) {
+    ThreadEngine engine(m);
+    auto lib = coll::make_library(name, m);
+    std::vector<std::vector<std::byte>> bufs(
+        static_cast<std::size_t>(n), std::vector<std::byte>(4096));
+    bufs[3].assign(4096, std::byte(0x7E));
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+      co_await lib->bcast(ctx, world, mpi::MutView{mine.data(), 4096}, 3);
+    };
+    engine.run(program);
+    for (int r = 0; r < n; ++r) {
+      EXPECT_EQ(bufs[static_cast<std::size_t>(r)][4095], std::byte(0x7E))
+          << name << " rank " << r;
+    }
   }
 }
 

@@ -208,7 +208,7 @@ inline Rank local_of_scan(const mpi::Comm& comm, Rank global) {
 /// The fused two-level HAN tree, merged level by level.
 inline RefTree build_han_tree(const topo::Machine& machine,
                               const mpi::Comm& comm, Rank root,
-                              const HanSpec& spec = {}) {
+                              const TwoLevelShape& spec = {}) {
   const HanGroups g = han_groups(comm, machine, root);
   const Rank root_global = comm.global(root);
   RefTree result = empty_tree(comm.size());

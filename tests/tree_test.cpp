@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/coll/han.hpp"
+#include "src/coll/shape.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
 #include "src/support/rng.hpp"
@@ -471,7 +472,7 @@ TEST(TreeReference, HanTreeOnHanCluster) {
       for (Rank root = 0; root < comm.size(); ++root) {
         for (const TreeKind inter : kAllKinds) {
           for (const TreeKind intra : kAllKinds) {
-            HanSpec hs;
+            TwoLevelShape hs;
             hs.inter_node = inter;
             hs.intra_node = intra;
             hs.radix = 2 + (root % 3);
@@ -484,6 +485,38 @@ TEST(TreeReference, HanTreeOnHanCluster) {
           }
         }
       }
+    }
+  }
+}
+
+// The TreeCache key carries every field of the shape: shapes that differ
+// only in the socket level, the node level or the radix each resolve to
+// their own tree, the one build_tree() gives fresh.
+TEST(TreeCacheKey, CarriesTheFullShape) {
+  // Four sockets per node, so the socket level's shape shows.
+  const topo::Machine m(topo::parse_spec("nodes=4,sockets=4,cores=4"), 64);
+  const mpi::Comm world = mpi::Comm::world(64);
+  const TreeKind kC = TreeKind::kChain;
+  const TreeKind kK = TreeKind::kKNomial;
+  const std::vector<TreeShape> shapes = {
+      TopoTreeSpec{},
+      TopoTreeSpec{kC, TreeKind::kFlat, kC, 4},
+      TopoTreeSpec{kC, kC, TreeKind::kBinomial, 4},
+      TopoTreeSpec{kK, kK, kK, 2},
+      TopoTreeSpec{kK, kK, kK, 3},
+      RankOrderShape{kK, 2},
+      RankOrderShape{kK, 4},
+      TwoLevelShape{},
+      TwoLevelShape{.radix = 2}};
+  TreeCache cache(m);
+  for (const Rank root : {Rank{0}, Rank{37}}) {
+    for (const TreeShape& shape : shapes) cache.tree(world, root, shape);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Tree& got = cache.tree(world, root, shapes[i]);
+      const Tree want = build_tree(m, world, root, shapes[i]);
+      EXPECT_EQ(got.parent, want.parent) << "shape " << i << " root " << root;
+      EXPECT_EQ(got.child_list, want.child_list)
+          << "shape " << i << " root " << root;
     }
   }
 }
