@@ -30,7 +30,7 @@
 #include "src/bench/report.hpp"
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
-#include "src/runtime/sharded_engine.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/support/parallel.hpp"
 #include "src/support/table.hpp"
 
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   for (const int shards : shard_counts) {
     runtime::ShardedEngineOptions options;
     options.shards = shards;
-    runtime::ShardedEngine engine(setup.machine, options);
+    runtime::SimEngine engine(setup.machine, options);
 
     auto fn = [&](runtime::Context& ctx, int) -> sim::Task<> {
       (void)ctx;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bench/cli.hpp"
@@ -18,7 +19,6 @@
 #include "src/mpi/errors.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/json.hpp"
 #include "src/support/table.hpp"
@@ -59,11 +59,13 @@ handle once per message size (planning, tree, tuner decision all happen
 there, cached engine-wide in the plan cache) and every timed iteration
 just replays it.
 
-Scale: --shards=N runs the sweep on the sharded conservative-lookahead
-engine (N worker threads over a partitioned event core) instead of the
-SimEngine. Results, traces, and metrics are byte-identical for any N —
-only wall clock changes. Incompatible with --persistent, --recover, and
-GPU personalities (those need SimEngine-only services). See DESIGN.md §14.
+Scale: --shards=N runs the sweep on N shards of the engine (N worker
+threads over a partitioned event core, conservative time windows, links
+of unbounded capacity) instead of one shard with the fair-share fabric.
+Results, traces, and metrics are byte-identical for any N — only wall
+clock changes. --shards exits 1 when combined with --persistent,
+--tuning, --dump-table, --recover or a GPU personality: those need
+services only one shard has. See DESIGN.md §14.
 
 Recovery: --recover runs the self-healing demo instead of the size sweep —
 a rank is killed mid-collective (--kill=RANK, --kill-at=MICROS) and the
@@ -280,23 +282,32 @@ int main(int argc, char** argv) {
                             : topo::PlacementPolicy::kByCore);
   const mpi::Comm world = mpi::Comm::world(ranks);
 
-  if (cli.has("recover")) return run_recover_demo(cli, machine, world, op, min_msg);
-
   const int shards = static_cast<int>(cli.get_int("shards", 0));
-  if (shards > 0 && cli.has("persistent")) {
-    std::cerr << "--shards is incompatible with --persistent (the sharded "
-                 "engine has no plan cache)\n";
-    return 1;
+  if (shards > 0) {
+    // Each of these needs a service only a one-shard engine has.
+    const std::pair<const char*, const char*> one_shard_only[] = {
+        {"persistent", "plan cache"},
+        {"tuning", "tuner"},
+        {"dump-table", "tuner"},
+        {"recover", "recovery layer"}};
+    for (const auto& [flag, service] : one_shard_only) {
+      if (cli.has(flag)) {
+        std::cerr << "--shards is incompatible with --" << flag << " (a "
+                  << "sharded engine has no " << service << ")\n";
+        return 1;
+      }
+    }
+    if (lib_name.ends_with("-gpu")) {
+      std::cerr << "--shards is incompatible with GPU personalities (a "
+                   "sharded engine is CPU-only)\n";
+      return 1;
+    }
   }
+  if (cli.has("recover")) return run_recover_demo(cli, machine, world, op, min_msg);
 
   std::shared_ptr<coll::MpiLibrary> lib;
   net::GpuConfig gpu_config;
   if (lib_name.ends_with("-gpu")) {
-    if (shards > 0) {
-      std::cerr << "--shards is incompatible with GPU personalities (the "
-                   "sharded engine is CPU-only)\n";
-      return 1;
-    }
     auto gpu_lib = gpu::make_gpu_library(lib_name, machine);
     gpu_config = gpu_lib->gpu_config();
     lib = gpu_lib;
@@ -320,13 +331,13 @@ int main(int argc, char** argv) {
       // One recorder observes one engine run; keep the final size's trace.
       recorder = std::make_shared<obs::Recorder>();
     }
-    std::unique_ptr<runtime::Engine> engine;
+    std::unique_ptr<runtime::SimEngine> engine;
     if (shards > 0) {
       runtime::ShardedEngineOptions options;
       options.shards = shards;
       options.noise = noise::paper_noise(noise_duty, 0xCAFE + noise_duty);
       options.recorder = recorder;
-      engine = std::make_unique<runtime::ShardedEngine>(machine, options);
+      engine = std::make_unique<runtime::SimEngine>(machine, options);
     } else {
       runtime::SimEngineOptions options;
       options.gpu = gpu_config;

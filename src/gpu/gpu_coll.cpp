@@ -1,10 +1,8 @@
 #include "src/gpu/gpu_coll.hpp"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 
-#include "src/coll/topo_tree.hpp"
+#include "src/coll/shape.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::gpu {
@@ -24,29 +22,21 @@ Bytes gpu_segment(Bytes msg) {
 class BaseGpuLibrary : public GpuLibrary {
  public:
   BaseGpuLibrary(std::string name, const topo::Machine& machine)
-      : name_(std::move(name)), machine_(machine) {}
+      : name_(std::move(name)), machine_(machine), trees_(machine) {}
   std::string name() const override { return name_; }
 
  protected:
-  /// Keyed on the communicator's fingerprint, like coll's TreeCache: a
-  /// tree is built for one membership and is wrong for any other.
+  /// The topology-aware tree, chains at every level (§5.2.1), when `topo`;
+  /// else a radix-4 k-nomial over communicator order.
   const Tree& tree_for(const mpi::Comm& comm, Rank root, bool topo) {
-    const Key key{comm.fingerprint(), root, topo};
-    auto it = trees_.find(key);
-    if (it == trees_.end()) {
-      coll::TopoTreeSpec chains;  // chain at every level (§5.2.1)
-      Tree t = topo ? coll::build_topo_tree(machine_, comm, root, chains)
-                    : coll::build_tree(coll::TreeKind::kKNomial, comm.size(), root,
-                                       4);
-      it = trees_.emplace(key, std::move(t)).first;
-    }
-    return it->second;
+    if (topo) return trees_.tree(comm, root, coll::TopoTreeSpec{});
+    return trees_.tree(comm, root,
+                       coll::RankOrderShape{coll::TreeKind::kKNomial, 4});
   }
 
   std::string name_;
   const topo::Machine& machine_;
-  using Key = std::tuple<std::uint64_t, Rank, bool>;
-  std::map<Key, Tree> trees_;
+  coll::TreeCache trees_;
 };
 
 /// MVAPICH2-like: device-direct transfers over IPC/GPUDirect, k-nomial tree,

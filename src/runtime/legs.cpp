@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/obs/trace.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::runtime {
@@ -23,9 +24,9 @@ constexpr int kAckKind = 100;  ///< an ack's fault-key kind (frames: Kind)
 
 }  // namespace
 
-MessageLegs::MessageLegs(RankHost& host, RankCore& core,
+MessageLegs::MessageLegs(SimEngine& engine, RankCore& core,
                          const topo::Machine& machine, int shards)
-    : host_(host),
+    : engine_(engine),
       core_(core),
       eager_threshold_(machine.spec().eager_threshold),
       recv_overhead_(machine.spec().cpu_overhead) {
@@ -34,6 +35,12 @@ MessageLegs::MessageLegs(RankHost& host, RankCore& core,
 }
 
 MessageLegs::~MessageLegs() = default;
+
+MessageLegs::Shard& MessageLegs::shard(Rank r) {
+  return shards_.size() == 1
+             ? *shards_.front()
+             : *shards_[static_cast<std::size_t>(engine_.shard_of(r))];
+}
 
 void MessageLegs::set_fault_injector(const net::FaultInjector* injector) {
   ADAPT_CHECK(injector == nullptr || shards_.size() == 1)
@@ -66,7 +73,7 @@ std::uint32_t MessageLegs::route_index(Rank src, MemSpace src_space,
   std::int32_t& ri =
       sh.pairs[it->second].routes[static_cast<std::size_t>(spaces)];
   if (ri < 0) {
-    net::Route route = host_.route(src, src_space, dst, dst_space);
+    net::Route route = engine_.route(src, src_space, dst, dst_space);
     route.serial_key = it->second;
     ri = static_cast<std::int32_t>(sh.routes.size());
     sh.routes.push_back(std::move(route));
@@ -94,16 +101,16 @@ net::TransferFate MessageLegs::decide(
     const net::FaultKey& key, const std::vector<net::LinkId>& links) const {
   return injector_ == nullptr
              ? net::TransferFate{}
-             : injector_->decide(key, links, host_.now_of(key.src));
+             : injector_->decide(key, links, engine_.now_of(key.src));
 }
 
 void MessageLegs::control(Rank from, Rank to, int kind, TimeNs delay,
                           sim::EventFn next) {
-  const TimeNs now = host_.now_of(from);
+  const TimeNs now = engine_.now_of(from);
   if (obs::Recorder* rec = core_.endpoint(from).recorder()) {
     rec->transfer_alpha_only(from, to, kind, now, now + delay);
   }
-  host_.schedule(from, to, now + delay, std::move(next));
+  engine_.schedule(from, to, now + delay, std::move(next));
 }
 
 bool MessageLegs::handshake(Rank from, Rank to, mpi::Frame::Kind kind,
@@ -124,7 +131,7 @@ bool MessageLegs::handshake(Rank from, Rank to, mpi::Frame::Kind kind,
 std::uint64_t MessageLegs::trace_flow(net::Route& route, Bytes bytes,
                                       const net::FaultKey& key) {
   obs::Recorder* rec = core_.endpoint(key.src).recorder();
-  const TimeNs now = host_.now_of(key.src);
+  const TimeNs now = engine_.now_of(key.src);
   return route.trace =
              rec ? rec->transfer_begin(key.src, key.dst, bytes, key.kind, now)
                  : 0;
@@ -135,7 +142,7 @@ TimeNs MessageLegs::clocked(const net::Route& route, Bytes bytes,
                             const net::TransferFate& fate) {
   // A data leg streams once its alpha has elapsed and the pair's previous
   // leg has arrived.
-  const TimeNs now = host_.now_of(key.src);
+  const TimeNs now = engine_.now_of(key.src);
   const TimeNs stream = net::stream_time(bytes, route.per_flow_cap);
   TimeNs& clock =
       shard(key.src).pairs[static_cast<std::size_t>(route.serial_key)].clock;
@@ -207,18 +214,18 @@ void MessageLegs::carry(Rank src, std::uint32_t slot, mpi::Frame::Kind kind) {
   const net::TransferFate fate = decide(key, route.links);
   const TimeNs arrive = clocked(route, bytes, key, fate);
   Outgoing m = sh.out.release(slot);
-  host_.schedule(src, src, arrive,
-                 [this, src, on_sent = std::move(m.on_sent)]() mutable {
-                   core_.run_progress(src, std::move(on_sent), 0);
-                 });
+  engine_.schedule(src, src, arrive,
+                   [this, src, on_sent = std::move(m.on_sent)]() mutable {
+                     core_.run_progress(src, std::move(on_sent), 0);
+                   });
   if (!settle(m, fate)) return;
   // The receiving end is its own event, which may run after the sender's
   // completion (or on another shard): the leg takes its copy now.
   m.env.capture(core_.endpoint(src).pool());
-  host_.schedule(src, dst, arrive,
-                 [this, env = std::move(m.env), in = m.incoming]() mutable {
-                   receive(std::move(env), in);
-                 });
+  engine_.schedule(src, dst, arrive,
+                   [this, env = std::move(m.env), in = m.incoming]() mutable {
+                     receive(std::move(env), in);
+                   });
 }
 
 void MessageLegs::land(Rank src, std::uint32_t slot,
@@ -347,10 +354,10 @@ void MessageLegs::send_wire(const mpi::WireFrame& wire) {
   const net::TransferFate fate = decide(key, route.links);
   const TimeNs arrive = clocked(route, bytes, key, fate);
   if (!fate.delivered) return;
-  host_.schedule(wire.src, wire.dst, arrive,
-                 [this, wire, corrupted = fate.corrupted] {
-                   arrive_wire(wire, corrupted);
-                 });
+  engine_.schedule(wire.src, wire.dst, arrive,
+                   [this, wire, corrupted = fate.corrupted] {
+                     arrive_wire(wire, corrupted);
+                   });
 }
 
 void MessageLegs::arrive_wire(mpi::WireFrame wire, bool corrupted) {

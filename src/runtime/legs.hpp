@@ -1,21 +1,21 @@
-// The raw message legs both discrete-event engines drive.
+// The SimEngine's raw message legs, the same at any shard count.
 //
 // An eager message is one data leg; a rendezvous message is an alpha-only
 // RTS, an alpha-only CTS once a receive matched, and a bulk data leg. A data
 // leg ends at its arrival time in the sender's completion and the
 // receiver's side (eager: delivery; bulk: finalisation after the receive
 // overhead). Events are keyed by the rank whose code schedules them — RTS
-// and data legs by the sender, CTS by the receiver — so the ShardedEngine
-// and the SimEngine run the same schedule. A data leg is priced on its
-// pair's clock with both ends posted at once, or, on the SimEngine's
-// fair-share fabric, as a flow whose one completion event runs both ends.
+// and data legs by the sender, CTS by the receiver — so every shard count
+// runs the same schedule. A data leg is priced on its pair's clock with
+// both ends posted at once, or, on a one-shard engine's fair-share fabric,
+// as a flow whose one completion event runs both ends.
 //
-// State is per shard (the SimEngine has one) and only touched by the
-// shard's own ranks; whatever crosses shards travels inside the event. A
-// message between legs is parked in a slot, so callbacks capture a handle
-// and fit their inline storage: a warm engine allocates nothing per
-// message. Fault fates and poisoned receivers exist only on the one-shard
-// SimEngine, where a leg may reach both ends.
+// State is per shard and only touched by the shard's own ranks; whatever
+// crosses shards travels inside the event. A message between legs is
+// parked in a slot, so callbacks capture a handle and fit their inline
+// storage: a warm engine allocates nothing per message. Fault fates and
+// poisoned receivers exist only on a one-shard engine, where a leg may
+// reach both ends.
 //
 // Payloads are borrowed from the sender until the data leg reads them
 // (mpi::Envelope). A fabric flow's completion runs both ends in one event
@@ -48,13 +48,13 @@
 
 namespace adapt::runtime {
 
-/// The message transport of both discrete-event engines. Raw legs are never
+/// The SimEngine's message transport. Raw legs are never
 /// given up on, so on_failed runs only for reliable frames.
 class MessageLegs final : public mpi::Transport {
  public:
-  /// `host` and `core` must outlive the legs; `shards` is the host's shard
-  /// count (every shard_of(r) is below it).
-  MessageLegs(RankHost& host, RankCore& core, const topo::Machine& machine,
+  /// `engine` and `core` must outlive the legs; `shards` is the engine's
+  /// shard count (every shard_of(r) is below it).
+  MessageLegs(SimEngine& engine, RankCore& core, const topo::Machine& machine,
               int shards);
   ~MessageLegs() override;
 
@@ -138,11 +138,8 @@ class MessageLegs final : public mpi::Transport {
     support::SlotPool<Incoming> in;
   };
 
-  Shard& shard(Rank r) {
-    return shards_.size() == 1
-               ? *shards_.front()
-               : *shards_[static_cast<std::size_t>(host_.shard_of(r))];
-  }
+  /// The state of the shard that runs rank r.
+  Shard& shard(Rank r);
   /// Index in src's Shard::routes of the route between the given memories;
   /// its serial key is the pair's index in Shard::pairs, assigned on the
   /// pair's first message (the tables grow with the pairs that communicate).
@@ -201,7 +198,7 @@ class MessageLegs final : public mpi::Transport {
   void send_bulk(Rank src, const mpi::Frame& cts);
   void land_bulk(Rank dst, const mpi::Frame& bulk);
 
-  RankHost& host_;
+  SimEngine& engine_;
   RankCore& core_;
   Bytes eager_threshold_;
   TimeNs recv_overhead_;

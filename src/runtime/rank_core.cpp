@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/obs/trace.hpp"
+#include "src/runtime/sim_engine.hpp"
 #include "src/support/error.hpp"
 #include "src/support/log.hpp"
 
@@ -23,7 +24,7 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
         endpoint_(rank, nranks, *this, transport, costs) {}
 
   // Context and RankExecutor.
-  TimeNs now() const override { return core_.host_.now_of(rank_); }
+  TimeNs now() const override { return core_.engine_.now_of(rank_); }
 
   // RankExecutor.
   void post(std::function<void()> fn, TimeNs cpu_cost) override {
@@ -64,14 +65,14 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
     });
   }
 
-  gpu::Device* gpu() override { return core_.host_.gpu_of(rank_); }
+  gpu::Device* gpu() override { return core_.engine_.gpu_of(rank_); }
   support::BufferPool* pool() override { return &core_.pool_; }
   obs::Recorder* recorder() override { return endpoint_.recorder(); }
-  tune::Tuner* tuner() override { return core_.host_.tuner_service(); }
+  tune::Tuner* tuner() override { return core_.engine_.tuner_service(); }
   tune::PlanCache* plan_cache() override {
-    return core_.host_.plan_cache_service();
+    return core_.engine_.plan_cache_service();
   }
-  Recovery* recovery() override { return core_.host_.recovery_of(rank_); }
+  Recovery* recovery() override { return core_.engine_.recovery_of(rank_); }
 
  private:
   RankCore& core_;
@@ -82,10 +83,10 @@ class RankCore::SimRank final : public Context, public mpi::RankExecutor {
 
 // ---------------------------------------------------------------- RankCore ---
 
-RankCore::RankCore(RankHost& host, const topo::Machine& machine,
+RankCore::RankCore(SimEngine& engine, const topo::Machine& machine,
                    mpi::Transport& transport, support::BufferPool& pool,
                    std::shared_ptr<noise::NoiseModel> noise)
-    : host_(host),
+    : engine_(engine),
       pool_(pool),
       noise_(noise ? std::move(noise) : std::make_shared<noise::NoNoise>()),
       log_ctx_(log_level() != LogLevel::kOff) {
@@ -129,7 +130,7 @@ TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
   ADAPT_CHECK(cpu_cost >= 0);
   const auto i = static_cast<std::size_t>(r);
   TimeNs& busy = progress ? progress_busy_until_[i] : busy_until_[i];
-  const TimeNs now = host_.now_of(r);
+  const TimeNs now = engine_.now_of(r);
   const TimeNs ready = std::max(now, busy);
   const TimeNs start = noisy ? noise_->next_free(r, ready) : ready;
   busy = start + cpu_cost;
@@ -141,11 +142,11 @@ TimeNs RankCore::occupy(Rank r, bool progress, bool noisy, TimeNs cpu_cost) {
 
 void RankCore::post(Rank r, TimeNs t, sim::EventFn&& fn) {
   if (!log_ctx_) {
-    host_.schedule(r, r, t, std::move(fn));
+    engine_.schedule(r, r, t, std::move(fn));
     return;
   }
   const SimRank* rank = ranks_[static_cast<std::size_t>(r)].get();
-  host_.schedule(r, r, t, [r, rank, fn = std::move(fn)]() mutable {
+  engine_.schedule(r, r, t, [r, rank, fn = std::move(fn)]() mutable {
     ScopedLogContext lc(
         r, [](const void* p) { return static_cast<const SimRank*>(p)->now(); },
         rank);
@@ -166,7 +167,7 @@ void RankCore::launch(const RankProgram& program) {
           const auto i = static_cast<std::size_t>(r);
           const sim::Detached run = sim::run_detached(
               program(context(r)), [this, r, i](std::exception_ptr ep) {
-                result_.rank_finish[i] = host_.now_of(r);
+                result_.rank_finish[i] = engine_.now_of(r);
                 failures_[i] = ep;
                 frames_[i] = nullptr;
               });

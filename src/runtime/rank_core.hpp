@@ -1,14 +1,13 @@
-// The rank core both discrete-event engines share.
+// The SimEngine's rank core, the same at any shard count.
 //
-// SimEngine (one virtual clock) and ShardedEngine (one clock per shard) run
-// ranks the same way: every rank has a main thread that noise can occupy and
-// a progress context it cannot, each a busy-until clock; its endpoint posts
-// work through those clocks; its program is a coroutine started at time
-// zero of the run, and the run ends when every rank's program has finished.
-// RankCore owns all of that once. An engine supplies only what differs
-// between them: through RankHost a rank's current time, a way to schedule
-// a rank's event, the route between two ranks and the engine-only services
-// a Context exposes, and through the rank's endpoint its recorder.
+// Every rank has a main thread that noise can occupy and a progress context
+// it cannot, each a busy-until clock; its endpoint posts work through those
+// clocks; its program is a coroutine started at time zero of the run, and
+// the run ends when every rank's program has finished. RankCore owns all of
+// that. It calls the engine directly for a rank's current time (its
+// shard's clock), to schedule a rank's event, and for the one-shard
+// services a Context exposes; the engine installs each rank's recorder on
+// the rank's endpoint.
 #pragma once
 
 #include <coroutine>
@@ -28,39 +27,14 @@
 
 namespace adapt::runtime {
 
-/// What a discrete-event engine supplies to its RankCore and MessageLegs,
-/// besides each rank's recorder, which it installs on the rank's endpoint.
-class RankHost {
- public:
-  /// Current time on rank r's clock.
-  virtual TimeNs now_of(Rank r) const = 0;
-  /// Schedules fn at absolute time t (>= now_of(producer)) as the next
-  /// event of rank `producer`, the rank whose code is running; it runs
-  /// where rank `at` runs.
-  virtual void schedule(Rank producer, Rank at, TimeNs t,
-                        sim::EventFn&& fn) = 0;
-  /// Index of the shard that runs rank r's events (0 on a one-clock engine).
-  virtual int shard_of(Rank) const { return 0; }
-  /// Cost route of a message from src to dst between the given memories.
-  virtual net::Route route(Rank src, MemSpace src_space, Rank dst,
-                           MemSpace dst_space) = 0;
-
-  // Engine services behind Context; null on engines without them.
-  virtual gpu::Device* gpu_of(Rank) { return nullptr; }
-  virtual Recovery* recovery_of(Rank) { return nullptr; }
-  virtual tune::Tuner* tuner_service() { return nullptr; }
-  virtual tune::PlanCache* plan_cache_service() { return nullptr; }
-
- protected:
-  ~RankHost() = default;
-};
+class SimEngine;
 
 class RankCore {
  public:
-  /// Builds every rank's context, executor and endpoint. The host, machine,
-  /// transport and pool must outlive the core; the host's virtuals are not
+  /// Builds every rank's context, executor and endpoint. The engine,
+  /// machine, transport and pool must outlive the core; the engine is not
   /// called before the first run.
-  RankCore(RankHost& host, const topo::Machine& machine,
+  RankCore(SimEngine& engine, const topo::Machine& machine,
            mpi::Transport& transport, support::BufferPool& pool,
            std::shared_ptr<noise::NoiseModel> noise);
   ~RankCore();
@@ -110,7 +84,7 @@ class RankCore {
   /// when logging is on.
   void post(Rank r, TimeNs t, sim::EventFn&& fn);
 
-  RankHost& host_;
+  SimEngine& engine_;
   support::BufferPool& pool_;
   std::shared_ptr<noise::NoiseModel> noise_;
   /// Sampled at construction: when logging is on, rank callbacks run under a

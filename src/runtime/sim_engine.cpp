@@ -1,30 +1,45 @@
 #include "src/runtime/sim_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/gpu/device.hpp"
+#include "src/obs/merge.hpp"
 #include "src/support/error.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::runtime {
 
+namespace {
+
+constexpr TimeNs kForever = sim::Simulator::kForever;
+
+}  // namespace
+
 SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
     : machine_(machine),
-      options_(options),
-      sim_(machine.nranks()),
-      net_(sim_, machine, options.sharing, options.gpu),
-      core_(*this, machine, legs_, pool_, options.noise),
+      options_(std::move(options)),
+      keys_(machine.nranks()),
+      machine_topo_(machine),
+      topo_(&machine_topo_),
+      core_(*this, machine, legs_, pool_, options_.noise),
       legs_(*this, core_, machine, 1) {
-  if (options_.perturb) sim_.set_perturbation(options_.perturb);
+  shards_.push_back(
+      std::make_unique<Shard>(keys_, sim::EventQueue::kDefaultReserve, 1));
+  solo_ = shards_.front().get();
+  sim::Simulator& sim = solo_->sim;
+  net_ = std::make_unique<net::ClusterNet>(sim, machine, options_.sharing,
+                                           options_.gpu);
+  if (options_.perturb) sim.set_perturbation(options_.perturb);
   if (options_.sharing == net::SharingPolicy::kFairShare) {
-    legs_.set_fabric(&net_.fabric());
+    legs_.set_fabric(&net_->fabric());
   }
   const int n = machine_.nranks();
   plan_cache_ = std::make_unique<tune::PlanCache>();
 
   if (options_.faults.enabled()) {
     injector_ = std::make_unique<net::FaultInjector>(options_.faults);
-    net_.fabric().set_fault_injector(injector_.get());
+    net_->fabric().set_fault_injector(injector_.get());
     legs_.set_fault_injector(injector_.get());
   }
   if (options_.reliability) {
@@ -33,8 +48,8 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
       channels_.push_back(std::make_unique<mpi::ReliableChannel>(
           r, *options_.reliability,
           [this](const mpi::WireFrame& wire) { legs_.send_wire(wire); },
-          [this, r](TimeNs delay, std::function<void()> fn) {
-            sim_.schedule(r, sim_.now() + delay, std::move(fn));
+          [&sim, r](TimeNs delay, std::function<void()> fn) {
+            sim.schedule(r, sim.now() + delay, std::move(fn));
           },
           [this, r](Rank from, const mpi::Frame& frame) {
             on_frame(r, from, frame);
@@ -63,17 +78,17 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
   }
   abort_flooded_.assign(static_cast<std::size_t>(n), 0);
   if (machine_.spec().gpus_per_socket > 0) {
-    gpu_ = std::make_unique<gpu::GpuRuntime>(sim_, net_, machine_);
+    gpu_ = std::make_unique<gpu::GpuRuntime>(sim, *net_, machine_);
   }
 
   // Observability: install hook pointers only for an enabled recorder, so a
   // disabled one is indistinguishable from none (the zero-event guarantee).
   if (options_.recorder && options_.recorder->enabled()) {
     obs_ = options_.recorder.get();
-    obs_->set_clock([this] { return sim_.now(); });
+    obs_->set_clock([&sim] { return sim.now(); });
     obs_->init_ranks(n);
-    sim_.set_queue_stats(&obs_->queue_stats());
-    net_.fabric().set_recorder(obs_);
+    sim.set_queue_stats(&obs_->queue_stats());
+    net_->fabric().set_recorder(obs_);
     for (auto& ch : channels_) ch->set_recorder(obs_);
     for (Rank r = 0; r < n; ++r) core_.endpoint(r).set_recorder(obs_);
     plan_cache_->set_recorder(obs_);
@@ -86,7 +101,61 @@ SimEngine::SimEngine(const topo::Machine& machine, SimEngineOptions options)
   }
 }
 
+SimEngine::SimEngine(const topo::Machine& machine,
+                     ShardedEngineOptions options)
+    : machine_(machine),
+      keys_(machine.nranks()),
+      machine_topo_(machine),
+      topo_(options.topology ? options.topology : &machine_topo_),
+      map_(topo::make_shard_map(*topo_, std::max(options.shards, 1))),
+      core_(*this, machine, legs_, pool_, std::move(options.noise)),
+      legs_(*this, core_, machine, map_.shards) {
+  const int n = machine_.nranks();
+  ADAPT_CHECK(topo_->nranks() == n)
+      << "topology describes " << topo_->nranks() << " ranks but the machine "
+      << "places " << n;
+  ADAPT_CHECK(options.shards >= 1);
+  shards_.reserve(static_cast<std::size_t>(map_.shards));
+  for (const std::vector<Rank>& local : map_.ranks) {
+    // Steady-state bound on the same-time cohort and radix levels: a few
+    // in-flight events per local rank plus the historical floor, so shard
+    // queues never reallocate mid-run (pinned by the allocation regression
+    // test).
+    shards_.push_back(
+        std::make_unique<Shard>(keys_, local.size() * 4 + 64, map_.shards));
+  }
+  if (map_.shards == 1) {
+    solo_ = shards_.front().get();
+  } else {
+    lookahead_ = topo_->min_cross_block_alpha();
+    ADAPT_CHECK(lookahead_ > 0)
+        << "conservative sharding needs positive cross-block latency";
+    workers_ = std::make_unique<support::ShardPool>(map_.shards);
+  }
+  if (options.recorder && options.recorder->enabled()) {
+    merged_ = std::move(options.recorder);
+    merged_->init_ranks(n);
+  }
+}
+
 SimEngine::~SimEngine() { core_.abandon(); }
+
+net::ClusterNet& SimEngine::net() {
+  ADAPT_CHECK(net_ != nullptr) << "the sharded engine has no ClusterNet";
+  return *net_;
+}
+
+net::Route SimEngine::route(Rank src, MemSpace src_space, Rank dst,
+                            MemSpace dst_space) {
+  if (net_ != nullptr) return net_->route_mem(src, src_space, dst, dst_space);
+  ADAPT_CHECK(src_space == MemSpace::kHost && dst_space == MemSpace::kHost)
+      << "the sharded engine is host-only; use SimEngineOptions for GPU runs";
+  const topo::RouteCost rc = topo_->route(src, dst);
+  net::Route route;
+  route.alpha = rc.alpha;
+  route.per_flow_cap = 1.0 / rc.beta_ns_per_byte;
+  return route;
+}
 
 TimeNs SimEngine::death_time(Rank r) const {
   for (const net::FaultPlan::Death& d : options_.faults.deaths) {
@@ -131,7 +200,7 @@ void SimEngine::on_frame(Rank self, Rank from, const mpi::Frame& frame) {
 void SimEngine::poison_rank(Rank r, mpi::ErrCode code) {
   if (obs_ && !endpoint(r).poisoned()) {
     obs_->instant(obs::rank_pid(r), obs::kTidProgress, obs::Cat::kProto,
-                  "poisoned", sim_.now(), static_cast<std::int64_t>(code));
+                  "poisoned", now_of(r), static_cast<std::int64_t>(code));
   }
   endpoint(r).poison(code);
 }
@@ -140,7 +209,7 @@ void SimEngine::initiate_abort(Rank origin, mpi::ErrCode code) {
   if (endpoint(origin).poisoned()) return;  // the first failure cause wins
   if (obs_) {
     obs_->instant(obs::rank_pid(origin), obs::kTidProgress, obs::Cat::kProto,
-                  "abort", sim_.now(), static_cast<std::int64_t>(code));
+                  "abort", now_of(origin), static_cast<std::int64_t>(code));
   }
   // Notify peers over the reliable channel *before* poisoning the origin
   // (poison drops incoming traffic, not outgoing frames). Without channels
@@ -163,14 +232,139 @@ void SimEngine::initiate_abort(Rank origin, mpi::ErrCode code) {
   poison_rank(origin, code);
 }
 
-RunResult SimEngine::run(const RankProgram& program) {
-  core_.launch(program);
-  {
-    support::FrameArena::Scope frames(&frame_arena_);
-    sim_.run();
+// ---------------------------------------------------------- the one loop ---
+
+void SimEngine::schedule_sharded(Rank producer, Rank at, TimeNs t,
+                                 sim::EventFn&& fn) {
+  const int from = shard_of(producer);
+  const int to = shard_of(at);
+  if (from == to) {
+    shards_[static_cast<std::size_t>(to)]->sim.schedule(producer, t,
+                                                        std::move(fn));
+    return;
   }
-  if (obs_) core_.record_state(obs_->metrics(), frame_arena_.total_bytes());
+  // Cross-shard: t is at least this window's end (route alpha >= lookahead),
+  // so delivery at the next window's drain is never late.
+  Shard& sh = *shards_[static_cast<std::size_t>(from)];
+  sh.outbox[static_cast<std::size_t>(to)][epoch_ & 1].push_back(
+      Msg{t, keys_.next(producer), std::move(fn)});
+}
+
+TimeNs SimEngine::pending_min(const Shard& sh) const {
+  TimeNs t = sh.sim.pending_time();
+  for (const auto& box : sh.outbox) {
+    for (const auto& epoch : box) {
+      for (const Msg& m : epoch) t = std::min(t, m.time);
+    }
+  }
+  return t;
+}
+
+void SimEngine::round(int s, TimeNs window) {
+  Shard& sh = *shards_[static_cast<std::size_t>(s)];
+  try {
+    support::FrameArena::Scope frames(&sh.arena);
+    // Drain the off-epoch inboxes: everything peers appended last window.
+    const std::size_t prev = (epoch_ + 1) & 1;
+    for (auto& peer : shards_) {
+      auto& box = peer->outbox[static_cast<std::size_t>(s)][prev];
+      for (Msg& m : box) sh.sim.schedule_keyed(m.time, m.key, std::move(m.fn));
+      box.clear();
+    }
+    sh.sim.run(window == kForever ? kForever : window - 1);
+  } catch (...) {
+    sh.fatal = std::current_exception();
+  }
+}
+
+RunResult SimEngine::run(const RankProgram& program) {
+  const int n = machine_.nranks();
+  std::uint64_t scheduled_before = 0;
+  if (merged_ != nullptr) {
+    for (auto& sh : shards_) {
+      sh->rec = std::make_unique<obs::Recorder>(true);
+      sh->rec->init_ranks(n);
+      sh->rec->set_clock([&sim = sh->sim] { return sim.now(); });
+      scheduled_before += sh->sim.events_scheduled();
+    }
+    for (Rank r = 0; r < n; ++r) {
+      endpoint(r).set_recorder(shard_for(r).rec.get());
+    }
+  }
+
+  // Re-align the shard clocks before reusing the engine: each shard's clock
+  // stopped at its OWN last event of the previous run, and the window
+  // protocol is only sound when clocks start within the lookahead of each
+  // other. The alignment point — the time of the globally last event — is
+  // shard-invariant, so back-to-back runs stay byte-identical for any shard
+  // count (it is exactly where the single-shard clock already is).
+  TimeNs start = 0;
+  for (const auto& sh : shards_) start = std::max(start, sh->sim.now());
+  for (auto& sh : shards_) {
+    sh->sim.advance_to(start);
+    sh->fatal = nullptr;
+  }
+
+  core_.launch(program);
+  // The window loop. At one shard the lookahead is unbounded, so the first
+  // window runs everything.
+  for (;;) {
+    TimeNs horizon = kForever;
+    for (const auto& sh : shards_) {
+      horizon = std::min(horizon, pending_min(*sh));
+    }
+    if (horizon == kForever) break;
+    const TimeNs window =
+        horizon > kForever - lookahead_ ? kForever : horizon + lookahead_;
+    if (workers_ != nullptr) {
+      workers_->run_round([this, window](int s) { round(s, window); });
+    } else {
+      round(0, window);
+    }
+    ++epoch_;
+    for (const auto& sh : shards_) {
+      if (sh->fatal) std::rethrow_exception(sh->fatal);
+    }
+  }
+
+  if (merged_ != nullptr) {
+    std::vector<const obs::Recorder*> parts;
+    parts.reserve(shards_.size());
+    std::uint64_t scheduled = 0;
+    for (const auto& sh : shards_) {
+      parts.push_back(sh->rec.get());
+      scheduled += sh->sim.events_scheduled();
+    }
+    obs::merge_recorders(parts, *merged_);
+    merged_->queue_stats().scheduled += scheduled - scheduled_before;
+    // The rank-state gauge and its components: cumulative, shard-invariant
+    // quantities only (peaks and pool-cache occupancy are interleaving-
+    // dependent and must never reach byte-compared output).
+    core_.record_state(merged_->metrics(), frame_bytes());
+    for (Rank r = 0; r < n; ++r) endpoint(r).set_recorder(nullptr);
+    for (auto& sh : shards_) sh->rec.reset();
+  } else if (obs_ != nullptr) {
+    core_.record_state(obs_->metrics(), frame_bytes());
+  }
   return core_.finish();
+}
+
+std::uint64_t SimEngine::frame_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto& sh : shards_) total += sh->arena.total_bytes();
+  return total;
+}
+
+std::uint64_t SimEngine::rank_state_bytes() const {
+  return core_.state_bytes(frame_bytes());
+}
+
+std::uint64_t SimEngine::rank_state_peak_bytes() const {
+  // The pair tables only grow, so their size is their peak.
+  std::uint64_t peak = 0;
+  for (const auto& sh : shards_) peak += sh->arena.peak_bytes();
+  return peak + legs_.pair_bytes() + core_.matcher_bytes() +
+         pool_.cached_bytes();
 }
 
 }  // namespace adapt::runtime

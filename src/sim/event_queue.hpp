@@ -5,8 +5,8 @@
 // producer being the rank whose code scheduled it: at equal times a rank's
 // own events fire in the order it scheduled them, different ranks' by
 // sequence, then rank. A key depends only on what one rank has scheduled,
-// never on how ranks are spread over queues, so the SimEngine's queue and
-// the ShardedEngine's per-shard queues run the same schedule and produce
+// never on how ranks are spread over queues, so the SimEngine's per-shard
+// queues run the same schedule at any shard count and produce
 // byte-identical traces — the property the determinism tests pin down.
 //
 // Schedule perturbation (verification mode): a seeded PerturbConfig replaces
@@ -184,7 +184,7 @@ class EventQueue {
  public:
   /// `expected_cohort` sizes the up-front reservation of the cohort heap and
   /// radix levels (entries, not bytes). The default matches the historical
-  /// constant; sharded engines pass their shard-local steady-state bound so
+  /// constant; a sharded engine passes each shard's steady-state bound so
   /// per-shard queues never reallocate mid-run (see the ctor comment).
   explicit EventQueue(std::size_t expected_cohort = kDefaultReserve);
   EventQueue(const EventQueue&) = delete;
@@ -221,12 +221,13 @@ class EventQueue {
 
   /// Time of the earliest live event WITHOUT advancing the monotone cursor:
   /// later pushes at or after the current cursor remain legal even below the
-  /// returned time. The sharded engine's window barrier peeks every shard's
-  /// queue between rounds; a cursor committed to a far-future local event
-  /// would reject legitimate cross-shard messages that land nearer. Exact
-  /// (not a bound): with the cohort empty, the lowest non-empty radix bucket
-  /// contains the queue minimum. Sweeps cancelled entries it scans over so a
-  /// dead entry cannot pin a stale minimum. Precondition: !empty().
+  /// returned time. The SimEngine's window loop peeks every shard's queue
+  /// between windows, and a bounded Simulator::run peeks its own; a cursor
+  /// committed to a far-future local event would reject legitimate
+  /// cross-shard messages that land nearer. Exact (not a bound): with the
+  /// cohort empty, the lowest non-empty radix bucket contains the queue
+  /// minimum. Sweeps cancelled entries it scans over so a dead entry cannot
+  /// pin a stale minimum. Precondition: !empty().
   TimeNs peek_min_time() const;
 
   /// True when a live event at exactly time `t` is still pending. Like

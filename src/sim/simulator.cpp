@@ -7,7 +7,13 @@ namespace adapt::sim {
 EventHandle Simulator::schedule(int producer, TimeNs t, EventFn&& fn) {
   ADAPT_CHECK(t >= now_) << "scheduling into the past: t=" << t
                          << " now=" << now_;
-  return queue_.push(t, keys_.next(producer), std::move(fn));
+  return queue_.push(t, keys_->next(producer), std::move(fn));
+}
+
+void Simulator::schedule_keyed(TimeNs t, std::uint64_t key, EventFn&& fn) {
+  ADAPT_CHECK(t >= now_) << "scheduling into the past: t=" << t
+                         << " now=" << now_;
+  queue_.push(t, key, std::move(fn));
 }
 
 EventHandle Simulator::at(TimeNs t, EventFn fn) {
@@ -16,7 +22,12 @@ EventHandle Simulator::at(TimeNs t, EventFn fn) {
 
 EventHandle Simulator::after(TimeNs delay, EventFn fn) {
   ADAPT_CHECK(delay >= 0) << "negative delay " << delay;
-  return queue_.push(now_ + delay, keys_.next(producer_), std::move(fn));
+  return queue_.push(now_ + delay, keys_->next(producer_), std::move(fn));
+}
+
+void Simulator::advance_to(TimeNs t) {
+  ADAPT_CHECK(t >= now_) << "advance_to(" << t << ") at " << now_;
+  now_ = t;
 }
 
 void Simulator::at_instant_end(EventFn fn) {
@@ -44,7 +55,10 @@ void Simulator::fire() {
 TimeNs Simulator::run(TimeNs until) {
   for (;;) {
     if (end_instant_if_due()) continue;
-    if (queue_.empty() || queue_.next_time() > until) break;
+    if (queue_.empty()) break;
+    // Peek, never next_time(): committing the queue's monotone cursor past
+    // `until` would reject an event another shard delivers below it.
+    if (until != kForever && queue_.peek_min_time() > until) break;
     fire();
   }
   return now_;

@@ -17,7 +17,6 @@
 #include "src/coll/topo_tree.hpp"
 #include "src/coll/tree.hpp"
 #include "src/mpi/errors.hpp"
-#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/runtime/thread_engine.hpp"
 #include "src/support/error.hpp"
@@ -691,7 +690,7 @@ std::optional<std::string> run_once(const CaseConfig& config,
       runtime::ShardedEngineOptions engine_opts;
       engine_opts.shards = spec.shards;
       engine_opts.recorder = std::move(recorder);
-      runtime::ShardedEngine engine(machine, engine_opts);
+      runtime::SimEngine engine(machine, engine_opts);
       const runtime::RunResult result = engine.run(body);
       if (finish) *finish = result.rank_finish;
     } else {

@@ -36,8 +36,8 @@ class Recorder;
 
 namespace adapt::verify {
 
-/// Which engine executes a run. kSharded is the conservative-lookahead
-/// sharded engine (runtime/sharded_engine.hpp): stable schedule only (its
+/// Which engine executes a run. kSharded is the SimEngine built from
+/// ShardedEngineOptions (runtime/sim_engine.hpp): stable schedule only (its
 /// keyed event order is incompatible with perturbation), no chaos, no
 /// persistent rows — its job in the matrix is proving the sharded runtime
 /// produces byte-identical collective results for any shard count, at the

@@ -111,7 +111,7 @@ TimeNs run_sim(const topo::Machine& machine, tune::Op op,
                const coll::Tree& tree, coll::Style style,
                const coll::CollOpts& opts, Bytes bytes, long* sim_runs) {
   const mpi::Comm comm = mpi::Comm::world(machine.nranks());
-  runtime::SimEngine engine(machine, {});
+  runtime::SimEngine engine(machine);
   mpi::MutView buffer{nullptr, bytes};  // synthetic payload: times, no data
   const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
     if (op == tune::Op::kBcast) {
@@ -128,7 +128,7 @@ TimeNs run_sim(const topo::Machine& machine, tune::Op op,
 TimeNs simulate_sag(const topo::Machine& machine, Bytes bytes,
                     coll::AllgatherAlgo algo, long* sim_runs) {
   const mpi::Comm comm = mpi::Comm::world(machine.nranks());
-  runtime::SimEngine engine(machine, {});
+  runtime::SimEngine engine(machine);
   mpi::MutView buffer{nullptr, bytes};
   const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
     co_await coll::bcast_scatter_allgather(ctx, comm, buffer, 0, algo);

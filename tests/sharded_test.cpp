@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -479,6 +480,65 @@ TEST(EngineDifferential, AdaptAt1024RanksMatchesUncontendedSimEngine) {
     };
     expect_engines_agree(machine, program,
                          is_bcast ? "adapt bcast" : "adapt reduce");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Engine reuse: a run starts where the previous one's last event left the
+// clocks (DESIGN.md §14.2), on every shard.
+// ---------------------------------------------------------------------------
+
+TEST(EngineReuse, BackToBackRunsMatchFreshOneShardEngine) {
+  // Two different collectives: the bcast ends on some shard's clock first,
+  // the reduce then starts every rank from the globally last event.
+  const topo::Machine machine(topo::cori(8), 256);
+  const mpi::Comm world = mpi::Comm::world(256);
+  const coll::Tree chain = coll::build_topo_tree(machine, world, 0);
+  const coll::Tree binomial =
+      coll::build_tree(coll::TreeKind::kBinomial, world.size(), 37);
+  const coll::CollOpts opts{.segment_size = kib(64)};
+  const runtime::RankProgram bcast =
+      [&](runtime::Context& ctx) -> sim::Task<> {
+    co_await coll::bcast(ctx, world, mpi::MutView{nullptr, kib(512)}, 0,
+                         chain, coll::Style::kAdapt, opts);
+  };
+  const runtime::RankProgram reduce =
+      [&](runtime::Context& ctx) -> sim::Task<> {
+    co_await coll::reduce(ctx, world, mpi::MutView{nullptr, kib(256)},
+                          mpi::ReduceOp::kSum, mpi::Datatype::kFloat, 37,
+                          binomial, coll::Style::kNonblocking, opts);
+  };
+  struct Runs {
+    std::vector<TimeNs> finish[2];
+    std::string trace[2];  ///< the merged export after each run
+  };
+  const auto run_both = [&](int shards) {
+    auto rec = std::make_shared<obs::Recorder>(true);
+    runtime::SimEngine engine(
+        machine, runtime::ShardedEngineOptions{.shards = shards,
+                                               .recorder = rec});
+    EXPECT_EQ(engine.shards(), shards);
+    Runs out;
+    for (int i = 0; i < 2; ++i) {
+      out.finish[i] = engine.run(i == 0 ? bcast : reduce).rank_finish;
+      std::ostringstream trace;
+      obs::write_trace_json(*rec, trace);
+      out.trace[i] = trace.str();
+    }
+    return out;
+  };
+  const Runs want = run_both(1);
+  ASSERT_GT(*std::min_element(want.finish[1].begin(), want.finish[1].end()),
+            *std::max_element(want.finish[0].begin(), want.finish[0].end()))
+      << "the second run must start after the first one's last event";
+  for (const int shards : {1, 2, 4}) {
+    const Runs got = run_both(shards);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(got.finish[i], want.finish[i])
+          << "run " << i << " at shards=" << shards;
+      EXPECT_TRUE(got.trace[i] == want.trace[i])
+          << "merged trace after run " << i << " at shards=" << shards;
+    }
   }
 }
 

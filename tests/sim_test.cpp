@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/runtime/sharded_engine.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/simulator.hpp"
@@ -385,8 +384,9 @@ TEST(EventKeys, PerturbedKeyedPushesReplayPerSeed) {
 }
 
 TEST(EventKeys, BothEnginesRejectTooManyRanksAlike) {
-  // 2^20 ranks do not fit the key's rank field. Both engines build their
-  // keys before any rank state, so the check is cheap to reach.
+  // 2^20 ranks do not fit the key's rank field. The engine builds its keys
+  // before any rank state under either option type, so the check is cheap
+  // to reach.
   const topo::Machine machine(topo::cori(1 << 15), 1 << 20);
   const auto message = [&](auto make) {
     try {
@@ -397,8 +397,9 @@ TEST(EventKeys, BothEnginesRejectTooManyRanksAlike) {
     return std::string("no error");
   };
   const std::string sim = message([&] { runtime::SimEngine engine(machine); });
-  const std::string sharded =
-      message([&] { runtime::ShardedEngine engine(machine); });
+  const std::string sharded = message([&] {
+    runtime::SimEngine engine(machine, runtime::ShardedEngineOptions{});
+  });
   EXPECT_NE(sim.find("event keys reserve 20 bits for the rank"),
             std::string::npos)
       << sim;
