@@ -164,9 +164,11 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
   // Captured payloads in flight: on the pair clocks each leg copies its
   // segment at carry, N per child edge plus N up; plus M unexpected staging
   // slots. (On the fair-share fabric a send borrows its buffer, so only
-  // unexpected arrivals take a block.) A reduce round also borrows its fold
-  // windows, min(S, M) per child edge, for as long as it runs. All are
-  // one segment's size class. One reserve call at init keeps every
+  // unexpected arrivals take a block.) Reduce receives fold where they
+  // land and borrow nothing, except in a partitioned round, where a
+  // receive posted before its segment's pready borrows a fold window until
+  // its fold ran: at most min(S, M) per child edge (window_slots()). All
+  // are one segment's size class. One reserve call at init keeps every
   // steady-state acquire a free-list hit.
   if (support::BufferPool* pool = ctx.pool();
       pool != nullptr && !buffer.synthetic() && bytes > 0) {

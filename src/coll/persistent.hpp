@@ -10,14 +10,14 @@
 // (detail::AdaptPipeline, pipeline.hpp: the same machine one-shot
 // Style::kAdapt bcast/reduce run once per call) with every piece of round
 // state pre-sized, and warm the engine's BufferPool for the round's
-// worst-case footprint (eager staging plus the reduce fold windows, which
-// a round borrows while it runs, so an idle handle holds no scratch).
-// start()/wait() then replay rounds on that
-// machine allocation-free: every callback a round posts captures
-// {this, packed-ints} — small and trivially copyable, so std::function
-// keeps it in inline storage. Allreduce is one machine running its reduce
-// half chained into its bcast half over one tree; the barrier is a
-// dissemination schedule of its own.
+// worst-case footprint (eager staging, plus, for a partitioned reduce, the
+// fold windows a round borrows while segments await pready; reduce
+// receives otherwise fold in place, and an idle handle holds no scratch).
+// start()/wait() then replay rounds on that machine allocation-free:
+// every callback a round posts captures {this, packed-ints} — small and
+// trivially copyable, so std::function keeps it in inline storage.
+// Allreduce is one machine running its reduce half chained into its bcast
+// half over one tree; the barrier is a dissemination schedule of its own.
 //
 // Lifecycle (MPI-4 shaped, error codes instead of UB):
 //   * start() on a handle whose previous round has not been waited returns

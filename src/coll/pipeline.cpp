@@ -1,7 +1,6 @@
 #include "src/coll/pipeline.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 
 #include "src/gpu/device.hpp"
@@ -11,18 +10,22 @@ namespace adapt::coll::detail {
 
 namespace {
 
-/// A reduce callback's state: the scratch slot (child * windows + window)
-/// in the high word, the segment in the low word.
-constexpr std::uint64_t pack(std::size_t slot, int s) {
-  return (static_cast<std::uint64_t>(slot) << 32) |
+/// A reduce callback's state: the receive slot (child * M' + k, M' =
+/// min(S, M)) in bits 32-62, whether the receive landed in a lent window
+/// (bit 63), and the segment in the low word.
+constexpr std::uint64_t kWindowed = std::uint64_t{1} << 63;
+constexpr std::uint64_t pack(std::size_t slot, int s, bool windowed) {
+  return (windowed ? kWindowed : 0) |
+         (static_cast<std::uint64_t>(slot) << 32) |
          static_cast<std::uint32_t>(s);
 }
 constexpr std::size_t slot_of(std::uint64_t v) {
-  return static_cast<std::size_t>(v >> 32);
+  return static_cast<std::size_t>((v & ~kWindowed) >> 32);
 }
 constexpr int seg_of(std::uint64_t v) {
   return static_cast<int>(v & 0xffffffffu);
 }
+constexpr bool windowed_of(std::uint64_t v) { return (v & kWindowed) != 0; }
 
 }  // namespace
 
@@ -79,16 +82,18 @@ AdaptPipeline::AdaptPipeline(runtime::Context& ctx, Edges edges,
     contributed_.assign(S, 0);
     next_recv_.assign(nkids, 0);
     ready_q_.assign(S, 0);
-    // At most min(S, M) receives per child are ever posted at once; each
-    // holds its window until its fold ran, so a window is never
-    // overwritten while an accumulation still reads it.
-    windows_ = std::min(S, static_cast<std::size_t>(opts_.outstanding_recvs));
-    const std::size_t slots = window_slots();
-    ADAPT_CHECK(slots <= std::numeric_limits<std::uint32_t>::max())
-        << nkids << " children x " << windows_
-        << " windows overflow the callback packing";
-    scratch_.reserve(slots);
-    if (gated_) parked_.reserve(slots);
+    // At most min(S, M) receives per child are ever posted at once, one per
+    // slot; a slot is re-posted only once its fold event ran.
+    slots_per_kid_ =
+        std::min(S, static_cast<std::size_t>(opts_.outstanding_recvs));
+    const std::size_t slots = nkids * slots_per_kid_;
+    ADAPT_CHECK(slots < (std::size_t{1} << 31))
+        << nkids << " children x " << slots_per_kid_
+        << " receive slots overflow the callback packing";
+    if (gated_) {
+      windows_.resize(slots);  // empty until a receive borrows one
+      parked_.reserve(slots);
+    }
   }
 }
 
@@ -157,7 +162,7 @@ void AdaptPipeline::release(int first, int end) {
     auto keep = parked_.begin();
     for (const std::uint64_t packed : parked_) {
       if (seg_of(packed) == s) {
-        schedule_fold(slot_of(packed), s);
+        schedule_fold(packed);
       } else {
         *keep++ = packed;
       }
@@ -184,8 +189,9 @@ void AdaptPipeline::cb_exit() {
   --outstanding_;
   if (on_drained_) {
     if (drained()) {
-      // Every callback that could touch a window has retired.
-      scratch_.clear();
+      // Every callback that could touch a window has retired; a failed
+      // round may have left some lent.
+      for (mpi::Payload& w : windows_) w = mpi::Payload{};
       on_drained_();
     }
     return;
@@ -347,44 +353,50 @@ void AdaptPipeline::start_reduce() {
     }
     return;
   }
-  // Borrow this round's windows, each sized for the largest segment;
-  // cb_exit (persistent) or the destructor (one-shot) returns them.
-  ADAPT_CHECK(scratch_.empty()) << "the previous round kept its windows";
-  const Bytes window = segs_.length(0);
-  for (std::size_t i = 0; i < window_slots(); ++i) {
-    scratch_.push_back(mpi::Payload::recv_scratch(ctx_->pool(), window,
-                                                  buffer_.synthetic()));
-  }
-  for (std::size_t c = 0; c < kids(); ++c) {
-    for (std::size_t w = 0; w < windows_; ++w)
-      post_reduce_recv(c * windows_ + w);
-  }
+  for (std::size_t slot = 0; slot < kids() * slots_per_kid_; ++slot)
+    post_reduce_recv(slot);
 }
 
 void AdaptPipeline::post_reduce_recv(std::size_t slot) {
   if (error_ != mpi::ErrCode::kOk) return;
-  const std::size_t c = slot / windows_;
+  const std::size_t c = slot / slots_per_kid_;
   if (next_recv_[c] >= segs_.count()) return;
   const int s = next_recv_[c]++;
   ++outstanding_;
-  auto req = ctx_->irecv(edges_.kids_global[c], base_tag_ + s,
-                         scratch_[slot].view().slice(0, segs_.length(s)));
-  req->set_completion_cb([this, packed = pack(slot, s)](mpi::Request& r) {
-    if (r.failed()) {
-      fail(r.error());
-    } else if (error_ == mpi::ErrCode::kOk) {
-      segment_event(*ctx_, "seg_recv", seg_of(packed));
-      schedule_fold(slot_of(packed), seg_of(packed));
-    }
-    cb_exit();
-  });
+  const Rank child = edges_.kids_global[c];
+  // Once segment s's local data is in place, the child's bytes fold straight
+  // into the accumulator where they land. Before a gated segment is
+  // released its piece may still change, so they wait in a window lent for
+  // this receive, sized for the largest segment, until the fold event.
+  const bool windowed =
+      gated_ && local_ready_[static_cast<std::size_t>(s)] == 0;
+  mpi::RequestPtr req;
+  if (windowed) {
+    windows_[slot] = mpi::Payload::recv_scratch(
+        ctx_->pool(), segs_.length(0), buffer_.synthetic());
+    req = ctx_->irecv(child, base_tag_ + s,
+                      windows_[slot].view().slice(0, segs_.length(s)));
+  } else {
+    req = ctx_->irecv(child, base_tag_ + s, piece(s), dtype_, op_);
+  }
+  req->set_completion_cb(
+      [this, packed = pack(slot, s, windowed)](mpi::Request& r) {
+        if (r.failed()) {
+          fail(r.error());
+        } else if (error_ == mpi::ErrCode::kOk) {
+          segment_event(*ctx_, "seg_recv", seg_of(packed));
+          schedule_fold(packed);
+        }
+        cb_exit();
+      });
 }
 
-void AdaptPipeline::schedule_fold(std::size_t slot, int s) {
+void AdaptPipeline::schedule_fold(std::uint64_t packed) {
   ++outstanding_;
+  const int s = seg_of(packed);
   const Bytes len = segs_.length(s);
-  auto fold = [this, packed = pack(slot, s)] {
-    run_fold(slot_of(packed), seg_of(packed));
+  auto fold = [this, packed] {
+    run_fold(packed);
     cb_exit();
   };
   if (opts_.gpu_reduce) {
@@ -399,18 +411,25 @@ void AdaptPipeline::schedule_fold(std::size_t slot, int s) {
   }
 }
 
-void AdaptPipeline::run_fold(std::size_t slot, int s) {
+// The modelled fold: a folding receive already combined the bytes when
+// they landed, so only a windowed one has arithmetic left to do here.
+void AdaptPipeline::run_fold(std::uint64_t packed) {
   if (error_ != mpi::ErrCode::kOk) return;
+  const std::size_t slot = slot_of(packed);
+  const int s = seg_of(packed);
   const auto si = static_cast<std::size_t>(s);
-  if (gated_ && local_ready_[si] == 0) {
-    // Child data beat this rank's own contribution: park the fold until
-    // release() covers segment s.
-    parked_.push_back(pack(slot, s));
-    return;
+  if (windowed_of(packed)) {
+    if (local_ready_[si] == 0) {
+      // Child data beat this rank's own contribution: park the fold until
+      // release() covers segment s.
+      parked_.push_back(packed);
+      return;
+    }
+    const Bytes len = segs_.length(s);
+    apply_if_real(piece(s), windows_[slot].cview().slice(0, len), op_, dtype_,
+                  len);
+    windows_[slot] = mpi::Payload{};  // back to the pool
   }
-  const Bytes len = segs_.length(s);
-  apply_if_real(piece(s), scratch_[slot].cview().slice(0, len), op_, dtype_,
-                len);
   post_reduce_recv(slot);
   if (++contributed_[si] == static_cast<int>(kids())) reduce_segment_ready(s);
 }

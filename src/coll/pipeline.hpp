@@ -3,22 +3,26 @@
 // Broadcast half: M receives stay posted on the parent edge, and each child
 // edge keeps up to N sends in flight, advancing through the segments in
 // order as they arrive (child independence, segment independence). Reduce
-// half: M receives stay posted per child edge into scratch windows, each
-// arrival is folded into the accumulator as its own event, and a segment
-// goes up the tree (N in flight) the moment every child has contributed to
-// it. The windows are lent by the engine pool for one round: taken when the
-// reduce half starts, returned once the round has drained (persistent) or
-// with the machine (one-shot), so an idle persistent handle holds none. No
-// Waitall anywhere: every step is a completion callback, and every callback
-// captures {this, one packed word}, which std::function keeps in inline
-// storage.
+// half: M folding receives stay posted per child edge, straight into the
+// accumulator's pieces: each child segment is folded in (mpi::apply) where
+// it lands, so no byte is copied first. Each arrival then runs its fold
+// event (the modelled γ·len, its re-post, the counters), and a segment goes
+// up the tree (N in flight) the moment every child's fold event has run.
+// Only a gated round needs scratch: a receive posted before its segment's
+// release cannot fold into a piece that may still change, so it lands in a
+// window lent by the engine pool, and its fold event parks until the
+// release, applies the window and returns it. No Waitall anywhere: every
+// step is a completion callback, and every callback captures {this, one
+// packed word}, which std::function keeps in inline storage.
 //
 // One machine, two callers:
 //   * One-shot Style::kAdapt bcast/reduce (run_once) build a machine per
 //     call and run one round over the caller's tree and tags. The caller
 //     wakes when the round has drained, or at its first failure; in the
 //     latter case the machine outlives the caller and frees itself when
-//     its last callback retires.
+//     its last callback retires. Its receives still point into the
+//     caller's buffer then: the failure's poison has failed every one of
+//     them, and a failed receive places nothing.
 //   * A persistent handle (persistent.cpp) builds one machine at init and
 //     replays rounds on it. A round is over only once every callback it
 //     posted has retired, success or failure; the handle is told through
@@ -64,9 +68,10 @@ class AdaptPipeline {
                               const CollOpts& opts, Tag base_tag);
 
   int segments() const { return segs_.count(); }
-  /// Scratch windows one round borrows: min(S, M) per child edge, each the
+  /// Most windows one round can borrow at once: none without gating (every
+  /// receive folds where it lands), else min(S, M) per child edge, each the
   /// size of the largest segment.
-  std::size_t window_slots() const { return kids() * windows_; }
+  std::size_t window_slots() const { return windows_.size(); }
   /// Tags one round uses.
   int tags() const;
 
@@ -111,8 +116,8 @@ class AdaptPipeline {
   // Reduce half.
   void start_reduce();
   void post_reduce_recv(std::size_t slot);
-  void schedule_fold(std::size_t slot, int s);
-  void run_fold(std::size_t slot, int s);
+  void schedule_fold(std::uint64_t packed);
+  void run_fold(std::uint64_t packed);
   void reduce_segment_ready(int s);
   void pump_parent();
 
@@ -127,7 +132,7 @@ class AdaptPipeline {
   Segmenter segs_;
   bool gated_;
   std::function<void()> on_drained_;
-  std::size_t windows_ = 0;  ///< reduce: scratch windows per child edge
+  std::size_t slots_per_kid_ = 0;  ///< reduce: receive slots, min(S, M)
   // §4.1 explicit CPU buffer: stage each segment into the other memory
   // space; child edges sourcing that space gate on the copy.
   bool flushes_ = false;
@@ -147,10 +152,11 @@ class AdaptPipeline {
   std::vector<int> inflight_;    // per child: sends in flight (<= N)
   int next_recv_post_ = 0;
   // reduce
-  /// Per (child, window) slot, unzeroed: lent from the pool at the round's
-  /// start and returned only once every callback that could touch one has
-  /// retired, so no receive writes into a block that was handed back.
-  std::vector<mpi::Payload> scratch_;
+  /// Gated: per receive slot, the unzeroed window a receive posted before
+  /// its segment's release landed in. Lent from the pool at the post and
+  /// returned by its fold, or at the drain of a failed round, once no
+  /// callback can touch it; empty otherwise.
+  std::vector<mpi::Payload> windows_;
   std::vector<int> contributed_;  // per segment: child folds done
   std::vector<int> next_recv_;    // per child: next segment to post
   std::vector<std::uint64_t> parked_;  // gated: folds awaiting local data

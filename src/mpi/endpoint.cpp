@@ -1,7 +1,5 @@
 #include "src/mpi/endpoint.hpp"
 
-#include <cstring>
-
 #include "src/obs/trace.hpp"
 #include "src/support/error.hpp"
 
@@ -94,7 +92,8 @@ RequestPtr Endpoint::isend(Rank dst, Tag tag, ConstView data, SendOpts opts) {
   return req;
 }
 
-RequestPtr Endpoint::irecv(Rank src, Tag tag, MutView buffer, Datatype dtype) {
+RequestPtr Endpoint::irecv(Rank src, Tag tag, MutView buffer, Datatype dtype,
+                          std::optional<ReduceOp> fold) {
   if (poisoned())
     return failed_request(Request::Kind::kRecv, src, tag, poisoned_);
   if (const ErrCode code = validate(src, /*wildcard_ok=*/true, rank_, nranks_,
@@ -103,6 +102,7 @@ RequestPtr Endpoint::irecv(Rank src, Tag tag, MutView buffer, Datatype dtype) {
     return failed_request(Request::Kind::kRecv, src, tag, code);
   }
   auto req = make_request(Request::Kind::kRecv, src, tag, buffer.size);
+  if (fold) req->set_fold(*fold, dtype);
   exec_.charge(costs_.cpu_overhead);
 
   PostedRecv posted{req, buffer, src, tag};
@@ -174,17 +174,12 @@ void Endpoint::deliver(Envelope env) {
 
 void Endpoint::finalize_recv(const PostedRecv& recv, const Envelope& env) {
   // The receive may have failed (poison) while this finalisation was queued:
-  // completion is final, so neither copy into the buffer nor complete again.
+  // completion is final, so neither place into the buffer nor complete again.
   if (recv.request->complete()) return;
-  ADAPT_CHECK(env.size <= recv.buffer.size)
-      << "message of " << env.size << "B overflows a " << recv.buffer.size
-      << "B receive buffer (src=" << env.src << " tag=" << env.tag << ")";
-  // Only a captured payload is left to copy here (an unexpected hit, a
+  // Only a captured payload is left to place here (an unexpected hit, a
   // reliable bulk frame); every other path placed its bytes on arrival.
   ADAPT_CHECK(!env.borrowing()) << "borrow outlived its data leg";
-  if (const std::byte* from = env.bytes(); from && !recv.buffer.synthetic()) {
-    std::memcpy(recv.buffer.data, from, static_cast<std::size_t>(env.size));
-  }
+  env.write_into(recv);
   ++recvs_done_;
   if (rec_) {
     auto& rc = rec_->metrics().rank(rank_);

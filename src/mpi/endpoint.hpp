@@ -8,6 +8,10 @@
 //     that noise and rank-side overheads defer exactly the work that needs
 //     the CPU (matching, callbacks), never in-flight transfers.
 //
+// A receive may fold instead of copy: irecv with a ReduceOp lands each
+// message as buffer = buffer OP message (ADAPT's reduce receives), on every
+// delivery path and exactly once.
+//
 // All Endpoint methods must be invoked from the owning rank's execution
 // context (simulator event loop / the rank's own thread).
 #pragma once
@@ -15,11 +19,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/mpi/datatype.hpp"
 #include "src/mpi/errors.hpp"
 #include "src/mpi/match.hpp"
+#include "src/mpi/op.hpp"
 #include "src/mpi/payload.hpp"
 #include "src/mpi/request.hpp"
 #include "src/support/slot_pool.hpp"
@@ -111,8 +117,13 @@ class Endpoint {
   RequestPtr isend(Rank dst, Tag tag, ConstView data, SendOpts opts = {});
 
   /// Nonblocking receive (wildcards allowed). Argument validation as isend.
+  /// With `fold`, a folding receive: the message lands as
+  /// `buffer = buffer OP message` over `dtype` elements, on whichever path
+  /// it takes (expected, unexpected, rendezvous, reliable), exactly once —
+  /// so `buffer` must hold the left operand while the receive is posted.
   RequestPtr irecv(Rank src, Tag tag, MutView buffer,
-                   Datatype dtype = Datatype::kUint8);
+                   Datatype dtype = Datatype::kUint8,
+                   std::optional<ReduceOp> fold = std::nullopt);
 
   /// Transport upcall: an envelope (eager data or rendezvous RTS) reached
   /// this rank. Invoked at arrival time; pre-posted matching is modelled as
@@ -120,8 +131,9 @@ class Endpoint {
   /// follow-ups (callbacks, unexpected copies) are deferred internally.
   void deliver(Envelope env);
 
-  /// Copies `env`'s payload, if it still carries a captured one, into the
-  /// matched receive and completes it.
+  /// Writes `env`'s payload, if it still carries a captured one, into the
+  /// matched receive (a copy, or a fold for a folding receive) and
+  /// completes it.
   /// Must run on this rank's execution context (transports call it through
   /// the executor after a rendezvous data transfer).
   void finalize_recv(const PostedRecv& recv, const Envelope& env);

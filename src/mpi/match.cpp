@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/mpi/op.hpp"
 #include "src/support/error.hpp"
 
 namespace adapt::mpi {
@@ -27,15 +28,26 @@ void Envelope::capture_borrowed(support::BufferPool* pool) {
   std::memcpy(data_.data(), from, static_cast<std::size_t>(size));
 }
 
-void Envelope::place_bytes(const PostedRecv& recv) {
-  if (!recv.request->complete()) {
-    ADAPT_CHECK(size <= recv.buffer.size)
-        << "message of " << size << "B overflows a " << recv.buffer.size
-        << "B receive buffer (src=" << src << " tag=" << tag << ")";
-    if (!recv.buffer.synthetic()) {
-      std::memcpy(recv.buffer.data, bytes(), static_cast<std::size_t>(size));
-    }
+// A folding receive's op and datatype ride its request, so a posted entry
+// is no larger than a plain receive's (it feeds the matcher's footprint).
+static_assert(sizeof(PostedRecv) == 32);
+
+void Envelope::write_into(const PostedRecv& recv) const {
+  ADAPT_CHECK(size <= recv.buffer.size)
+      << "message of " << size << "B overflows a " << recv.buffer.size
+      << "B receive buffer (src=" << src << " tag=" << tag << ")";
+  const std::byte* from = bytes();
+  if (from == nullptr || recv.buffer.synthetic()) return;
+  const Request& req = *recv.request;
+  if (req.folds()) {
+    apply(req.fold_op(), req.fold_dtype(), recv.buffer.data, from, size);
+  } else {
+    std::memcpy(recv.buffer.data, from, static_cast<std::size_t>(size));
   }
+}
+
+void Envelope::place_bytes(const PostedRecv& recv) {
+  if (!recv.request->complete()) write_into(recv);
   drop_payload();
 }
 

@@ -8,6 +8,14 @@
 // matched, so ADAPT posts more receives (M) than each sender keeps in
 // flight (N).
 //
+// Placement: a matched payload lands in the receive's buffer through one
+// step, Envelope::write_into — a copy, or, for a folding receive (a reduce
+// receive whose request carries an op and datatype), a fold into the bytes
+// already there. Expected eager data and rendezvous bulk are placed on
+// arrival (place_into); a captured payload (an unexpected hit, a reliable
+// bulk frame) at finalisation. Either way a payload is placed once, and a
+// receive that has already failed gets nothing.
+//
 // Both queues are bucketed by the concrete (source, tag) pair, so the
 // common case — a fully specified receive meeting a fully specified
 // envelope — is an O(1) bucket-front hit instead of a linear scan across
@@ -48,7 +56,9 @@
 
 namespace adapt::mpi {
 
-/// A receive that has been posted and not yet matched.
+/// A receive that has been posted and not yet matched. A folding receive
+/// (Request::folds) keeps its op and datatype on the request, not here:
+/// posted entries are part of the matcher's footprint gauge.
 struct PostedRecv {
   RequestPtr request;
   MutView buffer;
@@ -145,12 +155,17 @@ struct Envelope {
   void capture(support::BufferPool* pool) {
     if (borrowing_) capture_borrowed(pool);
   }
-  /// Copies the payload into `recv`'s buffer and drops it, so the receive
-  /// later completes without a second copy. A receive that has already
-  /// failed gets no copy: its buffer may be gone.
+  /// Writes the payload into `recv`'s buffer and drops it, so the receive
+  /// later completes without touching the bytes again. A receive that has
+  /// already failed gets nothing: its buffer may be gone.
   void place_into(const PostedRecv& recv) {
     if (bytes() != nullptr) place_bytes(recv);
   }
+  /// The one placement step: copies the payload into `recv`'s buffer, or,
+  /// for a folding receive, folds it in (buffer = buffer OP payload). No
+  /// payload or a synthetic buffer writes nothing; a payload larger than the
+  /// buffer is a hard error.
+  void write_into(const PostedRecv& recv) const;
   /// Forgets the payload (borrowed or captured); `size` is kept.
   void drop_payload() {
     if (borrowing_) {

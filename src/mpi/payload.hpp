@@ -12,9 +12,10 @@
 // engine-free payloads (unit tests, user buffers) fall back to plain heap
 // blocks. Either way the first `size` bytes start zeroed, exactly as the
 // vector-backed payloads did — except receive-only scratch
-// (Payload::recv_scratch: reduce fold windows, baseline reduce scratch),
-// whose every byte is written by a receive before anything reads it, so
-// its contents start unspecified.
+// (Payload::recv_scratch: the fold windows of reduce receives posted before
+// a gated segment's release, baseline reduce scratch), whose every byte is
+// written by a receive before anything reads it, so its contents start
+// unspecified.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,32 @@
 
 namespace adapt::mpi {
 
+namespace {
+
+/// A Request's fields without the fold spec, in declaration order.
+struct RequestWithoutFold {
+  detail::RequestLink link;
+  Request::Kind kind;
+  Rank peer;
+  Tag tag;
+  Bytes size;
+  RankExecutor* owner_exec;
+  bool complete;
+  ErrCode error;
+  Rank actual_src;
+  Tag actual_tag;
+  Bytes actual_size;
+  std::uint32_t refs;
+  RequestPool* pool;
+  RequestWaiter* waiter;
+  RequestCallback on_complete;
+};
+
+}  // namespace
+
+// Folding receives cost no request memory: the op and datatype fill padding.
+static_assert(sizeof(Request) == sizeof(RequestWithoutFold));
+
 void Request::release(Request* request) {
   if (request->pool_ != nullptr) {
     request->pool_->recycle(request);

@@ -31,7 +31,9 @@
 #include <functional>
 #include <utility>
 
+#include "src/mpi/datatype.hpp"
 #include "src/mpi/errors.hpp"
+#include "src/mpi/op.hpp"
 #include "src/support/error.hpp"
 #include "src/support/units.hpp"
 
@@ -88,6 +90,19 @@ class Request : private detail::RequestLink {
   Tag tag() const { return tag_; }
   Bytes size() const { return size_; }
   bool complete() const { return complete_; }
+
+  /// Receives only: a folding receive lands each message as
+  /// `buffer = buffer OP message` over `fold_dtype()` elements instead of
+  /// copying it (Endpoint::irecv's `fold`; Envelope::write_into).
+  bool folds() const { return folds_; }
+  ReduceOp fold_op() const { return static_cast<ReduceOp>(fold_op_); }
+  Datatype fold_dtype() const { return static_cast<Datatype>(fold_dtype_); }
+  /// Runtime-internal: makes this (receive) request a folding one.
+  void set_fold(ReduceOp op, Datatype dtype) {
+    folds_ = true;
+    fold_op_ = static_cast<std::uint8_t>(op);
+    fold_dtype_ = static_cast<std::uint8_t>(dtype);
+  }
 
   /// Error code set at completion; kOk for successful operations. A failed
   /// request is complete (callbacks fire, waiters wake) but carries no data.
@@ -183,6 +198,11 @@ class Request : private detail::RequestLink {
   Bytes size_;
   RankExecutor* owner_exec_ = nullptr;
   bool complete_ = false;
+  // The fold spec sits in the padding after `complete_`, so it costs a
+  // Request no bytes (static_assert in request.cpp).
+  bool folds_ = false;
+  std::uint8_t fold_op_ = 0;
+  std::uint8_t fold_dtype_ = 0;
   ErrCode error_ = ErrCode::kOk;
   Rank actual_src_ = kAnyRank;
   Tag actual_tag_ = kAnyTag;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "src/mpi/endpoint.hpp"
 #include "src/mpi/p2p.hpp"
@@ -98,8 +99,10 @@ class Context {
                         mpi::SendOpts opts = {}) {
     return endpoint().isend(dst, tag, data, opts);
   }
-  mpi::RequestPtr irecv(Rank src, Tag tag, mpi::MutView buffer) {
-    return endpoint().irecv(src, tag, buffer);
+  mpi::RequestPtr irecv(Rank src, Tag tag, mpi::MutView buffer,
+                        mpi::Datatype dtype = mpi::Datatype::kUint8,
+                        std::optional<mpi::ReduceOp> fold = std::nullopt) {
+    return endpoint().irecv(src, tag, buffer, dtype, fold);
   }
   /// Blocking send/recv, MPI_Send/MPI_Recv-style.
   sim::Task<> send(Rank dst, Tag tag, mpi::ConstView data,

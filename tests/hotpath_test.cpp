@@ -741,13 +741,21 @@ TEST(SimEngineMessageState, NonblockingBaselineStaysUnderOnePerMessage) {
 // ------------------------------------------------------------ payload copies
 
 // On the fair-share fabric a send borrows its buffer and the data leg copies
-// it once, straight into the posted receive: a pool block is taken only for
-// an unexpected arrival's staging copy (one block per message used to be
-// the eager send copy), and for the fold windows a reduce round borrows
-// while it runs (min(S, M) per child edge of the handle's tree). A warm
-// persistent 64-rank bcast + reduce round with real payload therefore takes
-// exactly its unexpected payload arrivals plus its lent windows in blocks.
-TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
+// it once, straight into the posted receive, and a reduce receive folds a
+// child's segment straight into the accumulator where it lands. A pool
+// block is taken only for an unexpected arrival's staging copy (one block
+// per message used to be the eager send copy, and one per reduce receive
+// its fold window), and, in a partitioned round, for the window of each
+// reduce receive posted before its segment was released. Returns the
+// blocks, the unexpected payload arrivals and the lent windows of four warm
+// persistent 64-rank bcast + reduce rounds with real payload.
+struct RoundBlocks {
+  std::uint64_t blocks = 0;
+  std::uint64_t unexpected = 0;
+  std::uint64_t lent = 0;
+};
+
+RoundBlocks persistent_round_blocks(int partitions) {
   constexpr int kRanks = 64;
   constexpr Bytes kBytes = kib(64);
   constexpr int kWarm = 3;
@@ -777,14 +785,21 @@ TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
   auto program = [&](runtime::Context& ctx) -> sim::Task<> {
     auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
     const mpi::MutView view{mine.data(), kBytes};
+    coll::PersistentOpts popts;
+    popts.partitions = partitions;
     auto bcast = coll::bcast_init(ctx, world, view, /*root=*/0);
     auto reduce = coll::reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
-                                    mpi::Datatype::kInt32, /*root=*/0);
+                                    mpi::Datatype::kInt32, /*root=*/0, popts);
     auto bar = coll::barrier_init(ctx, world);
-    windows_per_round +=
-        reduce->plan().tree.kids(ctx.rank()).size() *
-        static_cast<std::size_t>(std::min(
-            reduce->segments(), coll::CollOpts{}.outstanding_recvs));
+    if (partitions > 0) {
+      // Every receive a round posts at its start precedes the release of
+      // its segment, and every later one follows it: min(S, M) windows per
+      // child edge.
+      windows_per_round +=
+          reduce->plan().tree.kids(ctx.rank()).size() *
+          static_cast<std::size_t>(std::min(
+              reduce->segments(), coll::CollOpts{}.outstanding_recvs));
+    }
     for (int r = 0; r < kWarm + kMeasured; ++r) {
       // Every rank is past the previous barrier and no payload moves
       // before the root starts the bcast, so the snapshot is exact.
@@ -795,23 +810,41 @@ TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
       EXPECT_EQ(bcast->start(), mpi::ErrCode::kOk);
       co_await bcast->wait();
       EXPECT_EQ(reduce->start(), mpi::ErrCode::kOk);
+      if (partitions > 0) {
+        // Children's segments arrive before their parents release theirs,
+        // so folds park on the windows.
+        co_await ctx.sleep_for(microseconds(20));
+        for (int p = 0; p < partitions; ++p) {
+          EXPECT_EQ(reduce->pready(p), mpi::ErrCode::kOk);
+        }
+      }
       co_await reduce->wait();
       EXPECT_EQ(bar->start(), mpi::ErrCode::kOk);
       co_await bar->wait();
     }
     if (ctx.rank() == 0) after = totals();
   };
-  ASSERT_NO_THROW(engine.run(program));
-  const std::uint64_t blocks = after.blocks - before.blocks;
-  const std::uint64_t unexpected = after.unexpected - before.unexpected;
-  const std::uint64_t sends = after.sends - before.sends;
-  const std::uint64_t lent = windows_per_round * kMeasured;
-  ASSERT_GT(sends, 0u);
-  ASSERT_GT(lent, 0u);
-  EXPECT_EQ(blocks, unexpected + lent)
-      << blocks << " pool blocks for " << unexpected
-      << " unexpected payload arrivals and " << lent
-      << " lent fold windows over " << sends << " sends";
+  EXPECT_NO_THROW(engine.run(program));
+  EXPECT_GT(after.sends, before.sends);
+  return RoundBlocks{after.blocks - before.blocks,
+                     after.unexpected - before.unexpected,
+                     windows_per_round * kMeasured};
+}
+
+TEST(PayloadCopies, PersistentRoundTakesBlocksOnlyForUnexpectedArrivals) {
+  const RoundBlocks round = persistent_round_blocks(/*partitions=*/0);
+  EXPECT_EQ(round.blocks, round.unexpected)
+      << round.blocks << " pool blocks for " << round.unexpected
+      << " unexpected payload arrivals";
+}
+
+TEST(PayloadCopies, PartitionedRoundLendsWindowsOnlyBeforeRelease) {
+  const RoundBlocks round = persistent_round_blocks(/*partitions=*/2);
+  ASSERT_GT(round.lent, 0u);
+  EXPECT_EQ(round.blocks, round.unexpected + round.lent)
+      << round.blocks << " pool blocks for " << round.unexpected
+      << " unexpected payload arrivals and " << round.lent
+      << " lent fold windows";
 }
 
 // ---------------------------------------------------------- tree building

@@ -6,8 +6,11 @@
 // after warm-up, proven by a counting global operator new), and the
 // segment machine's two callers: a persistent round replays the one-shot
 // simulation exactly, and both reduce exactly with 300 posted receives.
-// Reduce fold windows are lent per round: idle handles hold no pool block,
-// and the unzeroed windows never leak a stale byte into a sum.
+// Reduce receives fold where they land; a partitioned round lends fold
+// windows only to receives posted before their segment's release: idle
+// handles hold no pool block, and the unzeroed windows never leak a stale
+// byte into a sum. A one-shot reduce that failed leaves no fold landing in
+// its caller's buffer after the caller resumed.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -924,13 +927,15 @@ TEST(WideReceiveWindow, ThreeHundredWindowsReduceExactly) {
 
 // ------------------------------------------------------- lent fold windows
 
-// A reduce round borrows its fold windows from the engine pool and returns
-// them once it has drained, so an idle handle holds none: destroying the
-// handles after their rounds gives the pool nothing back, and eight handles
-// of each kind per rank cost the pool no more misses, and no larger
-// footprint, than one. Two shapes: one 1000-byte segment under a 4 KiB
-// segment size (one window per child edge, sized at the segment), and
-// sixteen 256-byte segments (min(S, M) = 4 windows per child edge).
+// Reduce receives fold where they land, and only a partitioned round
+// borrows fold windows from the engine pool (for receives posted before
+// their segment's release), returning each by its fold. So an idle handle
+// holds none: destroying the handles after their rounds gives the pool
+// nothing back, and eight handles of each kind per rank cost the pool no
+// more misses, and no larger footprint, than one. Two shapes: one
+// 1000-byte segment under a 4 KiB segment size (one window per child edge,
+// sized at the segment), and sixteen 256-byte segments (min(S, M) = 4
+// windows per child edge).
 TEST(LentWindows, IdleHandlesHoldNoScratch) {
   struct PoolUse {
     std::uint64_t misses = 0;
@@ -956,12 +961,20 @@ TEST(LentWindows, IdleHandlesHoldNoScratch) {
         ops[me].push_back(allreduce_init(ctx, world, view,
                                          mpi::ReduceOp::kSum,
                                          mpi::Datatype::kInt32, popts));
+        PersistentOpts parted = popts;
+        parted.partitions = 2;
+        ops[me].push_back(reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                                      mpi::Datatype::kInt32, /*root=*/0,
+                                      parted));
       }
       // A barrier after each round keeps every rank on the same handle, so
       // no rank runs ahead and parks unexpected payloads in the pool.
       auto bar = barrier_init(ctx, world);
       for (const PersistentOpPtr& op : ops[me]) {
         EXPECT_EQ(op->start(), ErrCode::kOk);
+        for (int p = 0; p < op->partitions(); ++p) {
+          EXPECT_EQ(op->pready(p), ErrCode::kOk);
+        }
         co_await op->wait();
         EXPECT_EQ(op->last_error(), ErrCode::kOk);
         EXPECT_EQ(bar->start(), ErrCode::kOk);
@@ -1105,6 +1118,68 @@ TEST(LentWindows, UnzeroedWindowsNeverLeakStaleBytes) {
             << "rank " << r;
       }
     }
+  }
+}
+
+// ------------------------------------------------ one-shot failure contract
+
+// A one-shot ADAPT reduce wakes its caller at the first failure and leaves
+// its machine to drain. Its posted receives fold straight into the caller's
+// accumulator (as the bcast half's receives write into its buffer), so
+// once the caller has resumed nothing may land there any more: the
+// failure's poison fails every receive still posted. A child dies mid-round
+// with the reliable runtime on; each survivor that caught the failure
+// overwrites its buffer with a sentinel, and the sentinel must still be
+// whole once the engine has run to quiescence.
+TEST(OneShotFailure, NoFoldLandsAfterTheCallerResumed) {
+  constexpr std::size_t kElems = std::size_t{1} << 20;  // 4 MiB of int32
+  constexpr Bytes kBytes = kElems * sizeof(std::int32_t);
+  constexpr std::int32_t kSentinel = 0x5e171e1;
+  constexpr Rank kVictim = 4;  // binomial tree: parent 0, children 5 and 6
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const Tree tree = binomial_tree(kRanks, 0);
+  topo::Machine machine = test_machine();
+  runtime::SimEngineOptions options;
+  // Quick give-ups, so the failure spreads while segments are still moving.
+  options.reliability = mpi::ReliabilityConfig{.ack_timeout = microseconds(20),
+                                               .backoff = 1.0,
+                                               .max_retries = 2};
+  options.faults.deaths.push_back({kVictim, microseconds(150)});
+  SimEngine engine(machine, options);
+  std::vector<std::vector<std::int32_t>> accum(
+      kRanks, std::vector<std::int32_t>(kElems));
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < kElems; ++i) {
+      accum[static_cast<std::size_t>(r)][i] =
+          static_cast<std::int32_t>(r * 1000 + i);
+    }
+  }
+  std::vector<char> caught(kRanks, 0);
+  // Segments above cori's 64 KiB eager threshold go by rendezvous.
+  const CollOpts opts{.segment_size = kib(128)};
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    auto& mine = accum[static_cast<std::size_t>(ctx.rank())];
+    const mpi::MutView view{reinterpret_cast<std::byte*>(mine.data()),
+                            kBytes};
+    try {
+      co_await coll::reduce(ctx, world, view, mpi::ReduceOp::kSum,
+                            mpi::Datatype::kInt32, 0, tree, Style::kAdapt,
+                            opts);
+    } catch (const mpi::FaultError&) {
+      caught[static_cast<std::size_t>(ctx.rank())] = 1;
+      std::fill(mine.begin(), mine.end(), kSentinel);
+    }
+  };
+  EXPECT_NO_THROW(engine.run(program));
+  EXPECT_TRUE(caught[0]) << "the root's reduce must fail";
+  for (Rank r = 0; r < kRanks; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (r == kVictim || !caught[ri]) continue;
+    const auto spoilt = static_cast<std::size_t>(std::count_if(
+        accum[ri].begin(), accum[ri].end(),
+        [](std::int32_t v) { return v != kSentinel; }));
+    EXPECT_EQ(spoilt, 0u) << "rank " << r
+                          << ": a fold landed after its caller resumed";
   }
 }
 

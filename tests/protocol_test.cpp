@@ -12,6 +12,7 @@
 #include "src/runtime/sim_engine.hpp"
 #include "src/runtime/thread_engine.hpp"
 #include "src/topo/presets.hpp"
+#include "tests/engine_matrix.hpp"
 
 namespace adapt::runtime {
 namespace {
@@ -317,52 +318,6 @@ TEST(Protocol, WildcardSourceObservesActualSender) {
 // pair-clock legs at carry, the ThreadEngine on the receiver's thread), so
 // every case runs on each of them.
 
-enum class EngineKind { kFairShare, kUncontended, kSharded, kThread };
-enum class Arrival { kExpected, kUnexpected, kRendezvous };
-
-struct ContractCase {
-  EngineKind engine;
-  Arrival arrival;
-};
-
-std::string contract_label(const ContractCase& c) {
-  static const char* const kEngines[] = {"FairShare", "Uncontended",
-                                         "Sharded2", "Thread"};
-  static const char* const kArrivals[] = {"EagerExpected", "EagerUnexpected",
-                                          "Rendezvous"};
-  return std::string(kEngines[static_cast<int>(c.engine)]) +
-         kArrivals[static_cast<int>(c.arrival)];
-}
-
-void PrintTo(const ContractCase& c, std::ostream* os) {
-  *os << contract_label(c);
-}
-
-std::string contract_name(const testing::TestParamInfo<ContractCase>& info) {
-  return contract_label(info.param);
-}
-
-std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                    const topo::Machine& m) {
-  switch (kind) {
-    case EngineKind::kFairShare:
-      return std::make_unique<SimEngine>(m);
-    case EngineKind::kUncontended: {
-      SimEngineOptions options;
-      options.sharing = net::SharingPolicy::kUncontended;
-      return std::make_unique<SimEngine>(m, options);
-    }
-    case EngineKind::kSharded: {
-      ShardedEngineOptions options;
-      options.shards = 2;
-      return std::make_unique<SimEngine>(m, options);
-    }
-    case EngineKind::kThread:
-      return std::make_unique<ThreadEngine>(m);
-  }
-  return nullptr;
-}
-
 class SendBufferContract : public testing::TestWithParam<ContractCase> {};
 
 TEST_P(SendBufferContract, ReceiverGetsTheBytesAsOfIsend) {
@@ -414,19 +369,6 @@ TEST_P(SendBufferContract, ReceiverGetsTheBytesAsOfIsend) {
   if (c.engine != EngineKind::kThread) {  // real time decides there
     EXPECT_EQ(staged, c.arrival == Arrival::kUnexpected ? 1u : 0u);
   }
-}
-
-std::vector<ContractCase> contract_cases() {
-  std::vector<ContractCase> cases;
-  for (EngineKind engine :
-       {EngineKind::kFairShare, EngineKind::kUncontended, EngineKind::kSharded,
-        EngineKind::kThread}) {
-    for (Arrival arrival :
-         {Arrival::kExpected, Arrival::kUnexpected, Arrival::kRendezvous}) {
-      cases.push_back({engine, arrival});
-    }
-  }
-  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SendBufferContract,

@@ -1,10 +1,14 @@
 // Unit tests of the retransmit machinery (mpi::ReliableChannel), driven by a
 // scripted lossy wire on a bare simulator — no engine, no fabric — plus
 // engine-level checks that retry exhaustion surfaces as error codes on BOTH
-// endpoints of a partitioned send/recv.
+// endpoints of a partitioned send/recv, and the placement contract of
+// payload bytes (borrowed sends, folding receives) on every engine.
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,9 +17,12 @@
 #include "src/mpi/p2p.hpp"
 #include "src/mpi/reliable.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/runtime/thread_engine.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/slot_pool.hpp"
 #include "src/topo/presets.hpp"
+#include "src/verify/chaos.hpp"
+#include "tests/engine_matrix.hpp"
 
 namespace adapt {
 namespace {
@@ -450,6 +457,211 @@ TEST(BorrowedPayload, PoisonedSendWhoseBufferIsFreedReadsNothingAfterFree) {
     engine.run(program);
     EXPECT_EQ(send_code, ErrCode::kErrProcFailed);
     EXPECT_EQ(in, expect) << size << "B message";
+  }
+}
+
+// ------------------------------------------------------ fold on placement
+//
+// A folding receive (irecv with a ReduceOp) lands each message as
+// buffer = buffer OP message, on whichever path the message takes, exactly
+// once. Each case folds int32 vectors from two senders into one buffer that
+// starts with the receiver's own values. Every rank's values differ, so a
+// fold that is missing, doubled, or replaced by a copy spoils the sum.
+
+std::vector<std::int32_t> fold_values(Rank r, std::size_t n) {
+  std::vector<std::int32_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::int32_t>((r + 1) * 100003 + 7 * i);
+  }
+  return v;
+}
+
+mpi::MutView int32_view(std::vector<std::int32_t>& v) {
+  return mpi::MutView{reinterpret_cast<std::byte*>(v.data()),
+                      static_cast<Bytes>(v.size() * sizeof(std::int32_t))};
+}
+
+std::vector<std::int32_t> plus(std::vector<std::int32_t> a,
+                               const std::vector<std::int32_t>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+  return a;
+}
+
+using runtime::Arrival;
+using runtime::ContractCase;
+using runtime::EngineKind;
+
+class FoldOnPlacement : public testing::TestWithParam<ContractCase> {};
+
+TEST_P(FoldOnPlacement, EachMessageFoldsExactlyOnce) {
+  const ContractCase c = GetParam();
+  const bool sharded = c.engine == EngineKind::kSharded;
+  // The sharded engine puts the receiver on the other node, hence on the
+  // other shard.
+  const topo::Machine m = sharded ? topo::Machine(topo::cori(2), 64)
+                                  : topo::Machine(topo::cori(1), 3);
+  const Rank receiver = sharded ? 32 : 2;
+  // Rendezvous: above the eager threshold (64 KiB on cori).
+  const Bytes size = c.arrival == Arrival::kRendezvous
+                         ? m.spec().eager_threshold + kib(4)
+                         : kib(4);
+  const auto n = static_cast<std::size_t>(size) / sizeof(std::int32_t);
+  std::unique_ptr<runtime::Engine> engine = runtime::make_engine(c.engine, m);
+  if (sharded) {
+    ASSERT_EQ(static_cast<runtime::SimEngine&>(*engine).shards(), 2);
+  }
+
+  std::vector<std::vector<std::int32_t>> out = {fold_values(0, n),
+                                                fold_values(1, n)};
+  std::vector<std::int32_t> accum = fold_values(receiver, n);
+  const std::vector<std::int32_t> expect = plus(plus(accum, out[0]), out[1]);
+  std::uint64_t staged = 0;
+  auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    const Rank me = ctx.rank();
+    if (me == 0 || me == 1) {
+      // Expected arrivals: let the receives be posted first.
+      if (c.arrival != Arrival::kUnexpected) {
+        co_await ctx.sleep_for(microseconds(50));
+      }
+      co_await ctx.send(receiver, /*tag=*/5,
+                        int32_view(out[static_cast<std::size_t>(me)])
+                            .as_const());
+    } else if (me == receiver) {
+      if (c.arrival == Arrival::kUnexpected) {
+        co_await ctx.sleep_for(milliseconds(2));  // long after the sends
+      }
+      std::vector<mpi::RequestPtr> recvs;
+      for (const Rank src : {0, 1}) {
+        recvs.push_back(ctx.irecv(src, /*tag=*/5, int32_view(accum),
+                                  mpi::Datatype::kInt32, mpi::ReduceOp::kSum));
+      }
+      co_await mpi::wait_all(recvs);
+      staged = ctx.endpoint().unexpected_payloads();
+    }
+  };
+  engine->run(program);
+  EXPECT_EQ(accum, expect);
+  if (c.engine != EngineKind::kThread) {  // real time decides there
+    EXPECT_EQ(staged, c.arrival == Arrival::kUnexpected ? 2u : 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, FoldOnPlacement,
+                         testing::ValuesIn(runtime::contract_cases()),
+                         runtime::contract_name);
+
+/// Reliable frames under a lossy plan: data frames are retransmitted, and a
+/// lost ack makes the sender transmit a frame the receiver already has. The
+/// channel's dedup hands each frame up once, so each message still folds
+/// once — eager frames on arrival, rendezvous bulk at finalisation.
+TEST(FoldOnPlacement, RetransmittedFramesFoldOnce) {
+  const topo::Machine machine(topo::cori(1), 3);
+  constexpr int kMsgs = 4;  // per sender, one tag each
+  for (const net::SharingPolicy sharing :
+       {net::SharingPolicy::kFairShare, net::SharingPolicy::kUncontended}) {
+    for (const Bytes size : {kib(4), machine.spec().eager_threshold + kib(4)}) {
+      SCOPED_TRACE(std::string(sharing == net::SharingPolicy::kFairShare
+                                   ? "fair-share "
+                                   : "uncontended ") +
+                   std::to_string(size) + "B");
+      runtime::SimEngineOptions options;
+      options.sharing = sharing;
+      options.faults.seed = 11;
+      options.faults.drop = 0.3;
+      options.reliability = verify::chaos_reliability();
+      runtime::SimEngine engine(machine, options);
+      const auto n = static_cast<std::size_t>(size) / sizeof(std::int32_t);
+      std::vector<std::vector<std::int32_t>> out;
+      for (Rank r = 0; r < 2 * kMsgs; ++r) out.push_back(fold_values(r + 3, n));
+      std::vector<std::int32_t> accum = fold_values(2, n);
+      std::vector<std::int32_t> expect = accum;
+      for (const auto& v : out) expect = plus(expect, v);
+      auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+        const Rank me = ctx.rank();
+        if (me == 2) {
+          std::vector<mpi::RequestPtr> recvs;
+          for (const Rank src : {0, 1}) {
+            for (int k = 0; k < kMsgs; ++k) {
+              recvs.push_back(ctx.irecv(src, k, int32_view(accum),
+                                        mpi::Datatype::kInt32,
+                                        mpi::ReduceOp::kSum));
+            }
+          }
+          co_await mpi::wait_all(recvs);
+        } else {
+          std::vector<mpi::RequestPtr> sends;
+          for (int k = 0; k < kMsgs; ++k) {
+            sends.push_back(ctx.isend(
+                2, k,
+                int32_view(out[static_cast<std::size_t>(me * kMsgs + k)])
+                    .as_const()));
+          }
+          co_await mpi::wait_all(sends);
+        }
+      };
+      engine.run(program);
+      EXPECT_EQ(accum, expect);
+      std::uint64_t retransmits = 0;
+      std::uint64_t duplicates = 0;
+      for (Rank r = 0; r < 3; ++r) {
+        retransmits += engine.channel(r)->stats().retransmits;
+        duplicates += engine.channel(r)->stats().duplicates;
+      }
+      EXPECT_GT(retransmits, 0u) << "the lossy plan must retransmit";
+      EXPECT_GT(duplicates, 0u) << "a lost ack must re-deliver a frame";
+    }
+  }
+}
+
+/// A receive that poison() has already failed folds nothing, whether its
+/// payload was matched from the unexpected queue (finalisation pending) or
+/// is a rendezvous bulk still in flight.
+TEST(FoldOnPlacement, FailedReceiveFoldsNothing) {
+  const topo::Machine machine(topo::cori(1), 2);
+  for (const net::SharingPolicy sharing :
+       {net::SharingPolicy::kFairShare, net::SharingPolicy::kUncontended}) {
+    for (const bool rendezvous : {false, true}) {
+      SCOPED_TRACE(std::string(sharing == net::SharingPolicy::kFairShare
+                                   ? "fair-share "
+                                   : "uncontended ") +
+                   (rendezvous ? "rendezvous" : "unexpected eager"));
+      runtime::SimEngineOptions options;
+      options.sharing = sharing;
+      runtime::SimEngine engine(machine, options);
+      const Bytes size = rendezvous ? mib(4) : kib(4);
+      const auto n = static_cast<std::size_t>(size) / sizeof(std::int32_t);
+      std::vector<std::int32_t> out = fold_values(0, n);
+      std::vector<std::int32_t> accum = fold_values(1, n);
+      const std::vector<std::int32_t> untouched = accum;
+      ErrCode code = ErrCode::kOk;
+      auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+        if (ctx.rank() == 0) {
+          co_await ctx.send(1, /*tag=*/4, int32_view(out).as_const());
+          co_return;
+        }
+        if (!rendezvous) {
+          // The payload waits on the unexpected queue; the receive matches
+          // it and queues its finalisation, and is failed before that runs.
+          co_await ctx.sleep_for(milliseconds(1));
+        }
+        auto req = ctx.irecv(0, /*tag=*/4, int32_view(accum),
+                             mpi::Datatype::kInt32, mpi::ReduceOp::kSum);
+        if (rendezvous) {
+          // Past the handshake, long before the 4 MiB bulk lands.
+          co_await ctx.sleep_for(microseconds(100));
+          EXPECT_FALSE(req->complete());
+        }
+        ctx.endpoint().poison(ErrCode::kErrProcFailed);
+        try {
+          co_await mpi::wait(req);
+        } catch (const mpi::FaultError& e) {
+          code = e.code();
+        }
+      };
+      engine.run(program);
+      EXPECT_EQ(code, ErrCode::kErrProcFailed);
+      EXPECT_EQ(accum, untouched);
+    }
   }
 }
 
