@@ -22,16 +22,6 @@ Two checks, in decreasing order of signal:
 Usage: check_perf.py --baseline BENCH_micro.json --run fresh.json
                      [--threshold 0.4]
 
-Steady-state mode (--steady) gates the persistent-collective issue-rate
-benchmark (bench/steady_state --json) instead. Its two checks mirror the
-same split: the persistent arm's allocs_per_start and the persistent/percall
-speedup are both intra-run numbers — machine-independent ratios the gate can
-pin hard — while the optional committed baseline is again only a
-catastrophic-regression tripwire on collectives_per_sec.
-
-Usage: check_perf.py --steady --run steady.json [--baseline BENCH_steady.json]
-                     [--min-speedup 5] [--max-allocs 0.1] [--threshold 0.4]
-
 Shard-scaling mode (--shard-scaling) gates bench/shard_scaling --json against
 BENCH_shard.json. The determinism half is machine-independent and pinned
 hard: simulated time and the finish-time hash must match the committed
@@ -83,53 +73,6 @@ def load_benchmarks(path):
         key = name[: -len("_median")] if name.endswith("_median") else name
         out[key] = b
     return out
-
-
-def check_steady(args):
-    with open(args.run) as f:
-        doc = json.load(f)
-    arms = doc["arms"]
-    persistent, percall = arms["persistent"], arms["percall"]
-    failures = []
-
-    allocs = persistent["allocs_per_start"]
-    if allocs > args.max_allocs:
-        failures.append(
-            f"persistent arm allocs_per_start={allocs:.3f} "
-            f"(limit {args.max_allocs}) — replay is no longer allocation-free")
-    else:
-        print(f"persistent allocs_per_start={allocs:.3f} ok")
-
-    speedup = doc["speedup"]
-    if speedup < args.min_speedup:
-        failures.append(
-            f"persistent/percall speedup {speedup:.2f}x below the "
-            f"{args.min_speedup}x floor")
-    else:
-        print(f"persistent/percall speedup={speedup:.2f}x ok "
-              f"(floor {args.min_speedup}x)")
-
-    if args.baseline:
-        with open(args.baseline) as f:
-            base = json.load(f)
-        for arm in ("persistent", "percall"):
-            ratio = (arms[arm]["collectives_per_sec"] /
-                     base["arms"][arm]["collectives_per_sec"])
-            marker = "ok" if ratio >= args.threshold else "REGRESSED"
-            print(f"{arm}: collectives/s ratio vs baseline = "
-                  f"{ratio:.3f} {marker}")
-            if ratio < args.threshold:
-                failures.append(
-                    f"{arm}: collectives/s fell to {ratio:.3f}x of baseline "
-                    f"(threshold {args.threshold}x)")
-
-    if failures:
-        print("\nPERF GATE FAILED:", file=sys.stderr)
-        for f in failures:
-            print("  " + f, file=sys.stderr)
-        return 1
-    print("\nsteady-state perf gate ok")
-    return 0
 
 
 def check_shard_scaling(args):
@@ -238,11 +181,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline")
     ap.add_argument("--run", required=True)
-    ap.add_argument("--steady", action="store_true",
-                    help="gate a bench/steady_state --json report instead of "
-                         "a google-benchmark one")
-    ap.add_argument("--min-speedup", type=float, default=5.0,
-                    help="steady mode: persistent/percall speedup floor")
     ap.add_argument("--shard-scaling", action="store_true",
                     help="gate a bench/shard_scaling --json report")
     ap.add_argument("--min-shard-speedup", type=float, default=3.0,
@@ -253,9 +191,8 @@ def main():
     ap.add_argument("--disabled-ratio", type=float, default=0.8,
                     help="intra-run floor for each XDisabled benchmark vs "
                          "its reference (same machine, same process)")
-    ap.add_argument("--max-allocs", type=float, default=None,
-                    help="allocation-counter ceiling (default 0.001 for "
-                         "micro mode, 0.1 for steady mode)")
+    ap.add_argument("--max-allocs", type=float, default=0.001,
+                    help="allocs_per_item ceiling")
     ap.add_argument("--adapt-trace",
                     help="path to the adapt-trace binary; with "
                          "--trace-baseline/--trace-run, a failing gate "
@@ -270,16 +207,12 @@ def main():
     ap.add_argument("--trace-report",
                     help="also write the diff output here (CI artifact)")
     args = ap.parse_args()
-    if args.max_allocs is None:
-        args.max_allocs = 0.1 if args.steady else 0.001
 
-    if args.steady:
-        return check_steady(args)
     if args.shard_scaling:
         return check_shard_scaling(args)
 
     if not args.baseline:
-        ap.error("--baseline is required outside --steady mode")
+        ap.error("--baseline is required in micro mode")
     baseline = load_benchmarks(args.baseline)
     fresh = load_benchmarks(args.run)
     failures = []

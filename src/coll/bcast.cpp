@@ -1,6 +1,7 @@
 // Broadcast in the three implementation styles the paper analyses (§2).
 // Algorithm 3 (Fig. 4), ADAPT's event-driven style, is one round of the
-// segment machine in pipeline.cpp.
+// segment machine in pipeline.cpp: ibcast issues it as a request, and the
+// blocking call waits on that request.
 #include "src/coll/pipeline.hpp"
 #include "src/support/error.hpp"
 
@@ -120,13 +121,27 @@ sim::Task<> bcast_tagged(runtime::Context& ctx, const mpi::Comm& comm,
     case Style::kNonblocking:
       co_await bcast_nonblocking(ctx, e, buffer, segs, opts, base_tag);
       co_return;
-    case Style::kAdapt:
-      co_await detail::AdaptPipeline::run_once(
+    case Style::kAdapt: {
+      CollRequest req = detail::AdaptPipeline::issue(
           ctx, std::move(e), detail::AdaptPipeline::Stages::kBcast, buffer,
           {}, {}, opts, base_tag);
+      co_await req.wait(ctx);
       co_return;
+    }
   }
   ADAPT_UNREACHABLE("bad style");
+}
+
+CollRequest ibcast(runtime::Context& ctx, const mpi::Comm& comm,
+                   mpi::MutView buffer, Rank root, const Tree& tree,
+                   const CollOpts& opts) {
+  const Tag base_tag =
+      ctx.alloc_tags(Segmenter(buffer.size, opts.segment_size).count());
+  ADAPT_CHECK(tree.root == root)
+      << "tree rooted at " << tree.root << ", ibcast root " << root;
+  return detail::AdaptPipeline::issue(
+      ctx, detail::resolve(ctx, comm, tree),
+      detail::AdaptPipeline::Stages::kBcast, buffer, {}, {}, opts, base_tag);
 }
 
 sim::Task<> bcast(runtime::Context& ctx, const mpi::Comm& comm,

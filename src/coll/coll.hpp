@@ -12,7 +12,9 @@
 // consistent arguments, like MPI.
 #pragma once
 
+#include <coroutine>
 #include <functional>
+#include <utility>
 
 #include "src/coll/tree.hpp"
 #include "src/mpi/comm.hpp"
@@ -22,6 +24,10 @@
 #include "src/sim/task.hpp"
 
 namespace adapt::coll {
+
+namespace detail {
+class AdaptPipeline;
+}  // namespace detail
 
 enum class Style { kBlocking, kNonblocking, kAdapt };
 
@@ -82,6 +88,45 @@ sim::Task<> reduce(runtime::Context& ctx, const mpi::Comm& comm,
                    mpi::MutView accum, mpi::ReduceOp op, mpi::Datatype dtype,
                    Rank root, const Tree& tree, Style style,
                    const CollOpts& opts = {});
+
+/// An ADAPT collective in flight on this rank (MPI_Ibcast / MPI_Ireduce):
+/// one round of the segment machine, driven by completion callbacks in the
+/// progress context. Dropped without a wait, the round runs on, and its
+/// machine frees itself when its last callback retires.
+class [[nodiscard]] CollRequest {
+ public:
+  CollRequest(CollRequest&& other) noexcept
+      : machine_(std::exchange(other.machine_, nullptr)) {}
+  CollRequest& operator=(CollRequest&&) = delete;
+  ~CollRequest();
+
+  /// Resumes on the rank's main thread (ctx.defer(0, ...)) once the round
+  /// has drained, or throws mpi::FaultError at its first failure.
+  struct [[nodiscard]] Awaiter {
+    runtime::Context* ctx;
+    detail::AdaptPipeline* machine;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const;
+  };
+  Awaiter wait(runtime::Context& ctx) { return Awaiter{&ctx, machine_}; }
+
+ private:
+  friend class detail::AdaptPipeline;
+  explicit CollRequest(detail::AdaptPipeline* machine) : machine_(machine) {}
+
+  detail::AdaptPipeline* machine_;
+};
+
+/// Nonblocking Style::kAdapt bcast/reduce: start the round and return at
+/// once; the blocking call is this plus a wait. The buffer must stay alive
+/// until the round is over.
+CollRequest ibcast(runtime::Context& ctx, const mpi::Comm& comm,
+                   mpi::MutView buffer, Rank root, const Tree& tree,
+                   const CollOpts& opts = {});
+CollRequest ireduce(runtime::Context& ctx, const mpi::Comm& comm,
+                    mpi::MutView accum, mpi::ReduceOp op, mpi::Datatype dtype,
+                    Rank root, const Tree& tree, const CollOpts& opts = {});
 
 /// Dissemination barrier over the communicator.
 sim::Task<> barrier(runtime::Context& ctx, const mpi::Comm& comm);

@@ -7,9 +7,9 @@
 // size (tuner decision recorded in the engine's DecisionTable AND the
 // engine-wide tune::PlanCache, keyed by (op, comm fingerprint, size bucket,
 // root)), resolve this rank's edges, build its ADAPT segment machine
-// (detail::AdaptPipeline, pipeline.hpp: the same machine one-shot
-// Style::kAdapt bcast/reduce run once per call) with every piece of round
-// state pre-sized, and warm the engine's BufferPool for the round's
+// (detail::AdaptPipeline, pipeline.hpp: the machine an ibcast/ireduce
+// request runs once per call) with every piece of round state pre-sized,
+// and warm the engine's BufferPool for the round's
 // worst-case footprint (eager staging, plus, for a partitioned reduce, the
 // fold windows a round borrows while segments await pready; reduce
 // receives otherwise fold in place, and an idle handle holds no scratch).
@@ -27,8 +27,8 @@
 //   * wait() is an awaitable; it resumes once the round fully drains (every
 //     posted callback retired, success or failure) and throws FaultError on
 //     a failed round. The uniform error contract is the per-call
-//     collectives', but not their wake rule: a one-shot call throws at the
-//     first failure and leaves its machine to drain on its own, while a
+//     collectives', but not their wake rule: a one-shot request throws at
+//     the first failure and leaves its machine to drain on its own, while a
 //     persistent round must drain before its handle can start again.
 //   * Overlapping start()s of *independent* handles pipeline: each handle
 //     owns a private block of kTagRounds x per-round tags used round-robin,

@@ -1,7 +1,6 @@
 #include "src/coll/pipeline.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/gpu/device.hpp"
 #include "src/support/error.hpp"
@@ -214,31 +213,14 @@ void AdaptPipeline::detach() {
   }
 }
 
-sim::Task<> AdaptPipeline::run_once(runtime::Context& ctx, Edges edges,
-                                    Stages stages, mpi::MutView buffer,
-                                    mpi::ReduceOp op, mpi::Datatype dtype,
-                                    const CollOpts& opts, Tag base_tag) {
-  struct Detach {
-    void operator()(AdaptPipeline* m) const { m->detach(); }
-  };
-  const std::unique_ptr<AdaptPipeline, Detach> m(
-      new AdaptPipeline(ctx, std::move(edges), stages, buffer, op, dtype,
-                        opts, /*gated=*/false));
+CollRequest AdaptPipeline::issue(runtime::Context& ctx, Edges edges,
+                                 Stages stages, mpi::MutView buffer,
+                                 mpi::ReduceOp op, mpi::Datatype dtype,
+                                 const CollOpts& opts, Tag base_tag) {
+  auto* m = new AdaptPipeline(ctx, std::move(edges), stages, buffer, op,
+                              dtype, opts, /*gated=*/false);
   m->start(base_tag);
-  // The callback chains ran in the progress context; the collective's
-  // completion is observed on the application thread.
-  co_await sim::Suspend([p = m.get()](std::coroutine_handle<> h) {
-    if (p->caller_done()) {
-      p->ctx_->defer(0, [h] { h.resume(); });
-    } else {
-      p->waiter_ = h;
-    }
-  });
-  if (m->error_ != mpi::ErrCode::kOk) {
-    throw mpi::FaultError(m->error_, stages == Stages::kBcast
-                                         ? "adapt bcast failed"
-                                         : "adapt reduce failed");
-  }
+  return CollRequest(m);
 }
 
 // -------------------------------------------------------------- bcast half ---
@@ -473,3 +455,29 @@ void AdaptPipeline::pump_parent() {
 }
 
 }  // namespace adapt::coll::detail
+
+namespace adapt::coll {
+
+CollRequest::~CollRequest() {
+  if (machine_) machine_->detach();
+}
+
+// The callback chains ran in the progress context; the collective's
+// completion is observed on the application thread.
+void CollRequest::Awaiter::await_suspend(std::coroutine_handle<> h) {
+  ADAPT_CHECK(machine != nullptr) << "wait on a moved-from CollRequest";
+  if (machine->caller_done()) {
+    ctx->defer(0, [h] { h.resume(); });
+  } else {
+    machine->waiter_ = h;
+  }
+}
+
+void CollRequest::Awaiter::await_resume() const {
+  if (machine->error_ == mpi::ErrCode::kOk) return;
+  throw mpi::FaultError(
+      machine->error_,
+      machine->has_bcast() ? "adapt bcast failed" : "adapt reduce failed");
+}
+
+}  // namespace adapt::coll

@@ -16,13 +16,13 @@
 // packed word}, which std::function keeps in inline storage.
 //
 // One machine, two callers:
-//   * One-shot Style::kAdapt bcast/reduce (run_once) build a machine per
-//     call and run one round over the caller's tree and tags. The caller
-//     wakes when the round has drained, or at its first failure; in the
-//     latter case the machine outlives the caller and frees itself when
-//     its last callback retires. Its receives still point into the
-//     caller's buffer then: the failure's poison has failed every one of
-//     them, and a failed receive places nothing.
+//   * A request from ibcast/ireduce (coll::CollRequest; the blocking
+//     Style::kAdapt calls wait on one) owns a machine built for one round.
+//     Its wait wakes once the round has drained, or at its first failure;
+//     a machine whose request is gone before it drained frees itself when
+//     its last callback retires. A failed machine's receives still point
+//     into the caller's buffer then: the failure's poison has failed every
+//     one of them, and a failed receive places nothing.
 //   * A persistent handle (persistent.cpp) builds one machine at init and
 //     replays rounds on it. A round is over only once every callback it
 //     posted has retired, success or failure; the handle is told through
@@ -52,7 +52,7 @@ class AdaptPipeline {
   /// contributions) becomes ready piecewise through release() instead of at
   /// start(). `on_drained` (persistent callers) is invoked when a retiring
   /// callback leaves the round drained; without it the machine serves one
-  /// run_once round.
+  /// CollRequest round.
   AdaptPipeline(runtime::Context& ctx, Edges edges, Stages stages,
                 mpi::MutView buffer, mpi::ReduceOp op, mpi::Datatype dtype,
                 const CollOpts& opts, bool gated,
@@ -60,12 +60,12 @@ class AdaptPipeline {
   AdaptPipeline(const AdaptPipeline&) = delete;
   AdaptPipeline& operator=(const AdaptPipeline&) = delete;
 
-  /// One-shot round on tags [base_tag, base_tag + tags()); throws
-  /// mpi::FaultError at the first failure.
-  static sim::Task<> run_once(runtime::Context& ctx, Edges edges,
-                              Stages stages, mpi::MutView buffer,
-                              mpi::ReduceOp op, mpi::Datatype dtype,
-                              const CollOpts& opts, Tag base_tag);
+  /// Builds a one-shot machine, starts its round on tags
+  /// [base_tag, base_tag + tags()) and hands it to the returned request.
+  static CollRequest issue(runtime::Context& ctx, Edges edges, Stages stages,
+                           mpi::MutView buffer, mpi::ReduceOp op,
+                           mpi::Datatype dtype, const CollOpts& opts,
+                           Tag base_tag);
 
   int segments() const { return segs_.count(); }
   /// Most windows one round can borrow at once: none without gating (every
@@ -90,6 +90,9 @@ class AdaptPipeline {
   mpi::ErrCode error() const { return error_; }
 
  private:
+  friend class coll::CollRequest;
+  friend struct coll::CollRequest::Awaiter;
+
   std::size_t kids() const { return edges_.kids_global.size(); }
   /// A one-shot caller wakes at the first failure, else once drained.
   bool caller_done() const {
@@ -102,7 +105,7 @@ class AdaptPipeline {
 
   void fail(mpi::ErrCode code);
   void cb_exit();  ///< retire one posted callback
-  void detach();   ///< the one-shot caller is gone
+  void detach();   ///< the one-shot request is gone
 
   // Broadcast half.
   void start_bcast();
@@ -165,7 +168,7 @@ class AdaptPipeline {
   int ready_tail_ = 0;
   int inflight_up_ = 0;
 
-  // -- one-shot caller -----------------------------------------------------
+  // -- one-shot request ---------------------------------------------------
   std::coroutine_handle<> waiter_;
   bool detached_ = false;
 };

@@ -2,7 +2,8 @@
 // with segment-wise accumulation on the CPU (γ per byte, occupying the rank)
 // or offloaded to the rank's GPU (§4.2, overlapping with communication).
 // ADAPT's event-driven style is one round of the segment machine in
-// pipeline.cpp.
+// pipeline.cpp: ireduce issues it as a request, and the blocking call waits
+// on that request.
 #include <memory>
 
 #include "src/coll/pipeline.hpp"
@@ -136,13 +137,28 @@ sim::Task<> reduce_tagged(runtime::Context& ctx, const mpi::Comm& comm,
       co_await reduce_nonblocking(ctx, e, accum, op, dtype, segs, opts,
                                   base_tag);
       co_return;
-    case Style::kAdapt:
-      co_await detail::AdaptPipeline::run_once(
+    case Style::kAdapt: {
+      CollRequest req = detail::AdaptPipeline::issue(
           ctx, std::move(e), detail::AdaptPipeline::Stages::kReduce, accum,
           op, dtype, opts, base_tag);
+      co_await req.wait(ctx);
       co_return;
+    }
   }
   ADAPT_UNREACHABLE("bad style");
+}
+
+CollRequest ireduce(runtime::Context& ctx, const mpi::Comm& comm,
+                    mpi::MutView accum, mpi::ReduceOp op, mpi::Datatype dtype,
+                    Rank root, const Tree& tree, const CollOpts& opts) {
+  const Tag base_tag =
+      ctx.alloc_tags(Segmenter(accum.size, opts.segment_size).count());
+  ADAPT_CHECK(tree.root == root)
+      << "tree rooted at " << tree.root << ", ireduce root " << root;
+  return detail::AdaptPipeline::issue(
+      ctx, detail::resolve(ctx, comm, tree),
+      detail::AdaptPipeline::Stages::kReduce, accum, op, dtype, opts,
+      base_tag);
 }
 
 sim::Task<> reduce(runtime::Context& ctx, const mpi::Comm& comm,

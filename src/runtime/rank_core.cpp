@@ -164,14 +164,15 @@ void RankCore::launch(const RankProgram& program) {
     run_on(
         r,
         [this, r, &program] {
-          const auto i = static_cast<std::size_t>(r);
           const sim::Detached run = sim::run_detached(
-              program(context(r)), [this, r, i](std::exception_ptr ep) {
+              program(context(r)), [this, r](std::exception_ptr ep) {
+                const auto i = static_cast<std::size_t>(r);
                 result_.rank_finish[i] = engine_.now_of(r);
                 failures_[i] = ep;
                 frames_[i] = nullptr;
               });
           // A program that finished at once has already freed its frame.
+          const auto i = static_cast<std::size_t>(r);
           if (result_.rank_finish[i] < 0) frames_[i] = run.frame;
         },
         0);

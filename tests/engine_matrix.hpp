@@ -1,5 +1,6 @@
 // The engine x arrival matrix the payload-placement contract tests run on
-// (SendBufferContract in protocol_test, FoldOnPlacement in reliable_test):
+// (SendBufferContract in protocol_test, FoldOnPlacement in reliable_test;
+// NonblockingColl in moreops_test runs on the engines alone):
 // each engine ends a send's borrow and places the bytes its own way (fabric
 // flows at landing, pair-clock legs at carry, the ThreadEngine on the
 // receiver's thread), and each arrival takes a different placement path
@@ -22,17 +23,25 @@ namespace adapt::runtime {
 enum class EngineKind { kFairShare, kUncontended, kSharded, kThread };
 enum class Arrival { kExpected, kUnexpected, kRendezvous };
 
+inline constexpr EngineKind kAllEngines[] = {
+    EngineKind::kFairShare, EngineKind::kUncontended, EngineKind::kSharded,
+    EngineKind::kThread};
+
+inline const char* engine_label(EngineKind kind) {
+  static const char* const kEngines[] = {"FairShare", "Uncontended",
+                                         "Sharded2", "Thread"};
+  return kEngines[static_cast<int>(kind)];
+}
+
 struct ContractCase {
   EngineKind engine;
   Arrival arrival;
 };
 
 inline std::string contract_label(const ContractCase& c) {
-  static const char* const kEngines[] = {"FairShare", "Uncontended",
-                                         "Sharded2", "Thread"};
   static const char* const kArrivals[] = {"EagerExpected", "EagerUnexpected",
                                           "Rendezvous"};
-  return std::string(kEngines[static_cast<int>(c.engine)]) +
+  return std::string(engine_label(c.engine)) +
          kArrivals[static_cast<int>(c.arrival)];
 }
 
@@ -48,9 +57,7 @@ inline std::string contract_name(
 /// Every engine with every arrival.
 inline std::vector<ContractCase> contract_cases() {
   std::vector<ContractCase> cases;
-  for (EngineKind engine :
-       {EngineKind::kFairShare, EngineKind::kUncontended, EngineKind::kSharded,
-        EngineKind::kThread}) {
+  for (EngineKind engine : kAllEngines) {
     for (Arrival arrival :
          {Arrival::kExpected, Arrival::kUnexpected, Arrival::kRendezvous}) {
       cases.push_back({engine, arrival});

@@ -6,10 +6,10 @@
 #include "src/coll/hierarchical.hpp"
 #include "src/coll/library.hpp"
 #include "src/coll/moreops.hpp"
-#include "src/coll/nonblocking.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
+#include "tests/engine_matrix.hpp"
 
 namespace adapt::coll {
 namespace {
@@ -320,88 +320,102 @@ TEST(Alltoall, PersonalisedExchange) {
 }
 
 
+// The nonblocking requests run on every engine: completion callbacks drive
+// the round on the simulated engines' progress context and on the
+// ThreadEngine's rank threads alike.
 TEST(NonblockingColl, IbcastOverlapsComputeAndDeliversData) {
-  topo::Machine m(topo::cori(2), 32);
-  SimEngine engine(m);
-  const mpi::Comm world = mpi::Comm::world(32);
-  const Tree tree = binomial_tree(32, 0);
-  const Bytes bytes = 4096;
-  const auto golden = pattern(bytes, 9);
-  std::vector<std::vector<std::byte>> bufs(
-      32, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
-  bufs[0] = golden;
-  std::vector<TimeNs> issue_latency(32, -1);
-  auto program = [&](Context& ctx) -> sim::Task<> {
-    auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
-    const TimeNs t0 = ctx.now();
-    auto req = ibcast(ctx, world, mpi::MutView{mine.data(), bytes}, 0, tree,
-                      CollOpts{.segment_size = 1024});
-    issue_latency[static_cast<std::size_t>(ctx.rank())] = ctx.now() - t0;
-    // Overlapped application compute while the collective progresses.
-    co_await ctx.compute(microseconds(200));
-    co_await req->wait(ctx);
-  };
-  engine.run(program);
-  for (int r = 0; r < 32; ++r) {
-    EXPECT_EQ(bufs[static_cast<std::size_t>(r)], golden) << "rank " << r;
-    // Issuing is immediate -- the collective runs asynchronously.
-    EXPECT_EQ(issue_latency[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  for (const runtime::EngineKind kind : runtime::kAllEngines) {
+    SCOPED_TRACE(runtime::engine_label(kind));
+    topo::Machine m(topo::cori(2), 32);
+    const auto engine = runtime::make_engine(kind, m);
+    const mpi::Comm world = mpi::Comm::world(32);
+    const Tree tree = binomial_tree(32, 0);
+    const Bytes bytes = 4096;
+    const auto golden = pattern(bytes, 9);
+    std::vector<std::vector<std::byte>> bufs(
+        32, std::vector<std::byte>(static_cast<std::size_t>(bytes)));
+    bufs[0] = golden;
+    std::vector<TimeNs> issue_latency(32, -1);
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      auto& mine = bufs[static_cast<std::size_t>(ctx.rank())];
+      const TimeNs t0 = ctx.now();
+      auto req = ibcast(ctx, world, mpi::MutView{mine.data(), bytes}, 0, tree,
+                        CollOpts{.segment_size = 1024});
+      issue_latency[static_cast<std::size_t>(ctx.rank())] = ctx.now() - t0;
+      // Overlapped application compute while the collective progresses.
+      co_await ctx.compute(microseconds(200));
+      co_await req.wait(ctx);
+    };
+    engine->run(program);
+    for (int r = 0; r < 32; ++r) {
+      EXPECT_EQ(bufs[static_cast<std::size_t>(r)], golden) << "rank " << r;
+      // Issuing is immediate -- the collective runs asynchronously. The
+      // ThreadEngine's clock is the host's, which moves while a rank works.
+      if (kind == runtime::EngineKind::kThread) continue;
+      EXPECT_EQ(issue_latency[static_cast<std::size_t>(r)], 0) << "rank " << r;
+    }
   }
 }
 
 TEST(NonblockingColl, IreduceMatchesSerialSum) {
-  topo::Machine m(topo::cori(1), 8);
-  SimEngine engine(m);
-  const mpi::Comm world = mpi::Comm::world(8);
-  const Tree tree = chain_tree(8, 0);
-  std::vector<std::vector<std::int32_t>> contrib(8);
-  std::vector<std::int32_t> expected(128, 0);
-  Rng rng(14);
-  for (int r = 0; r < 8; ++r) {
-    auto& v = contrib[static_cast<std::size_t>(r)];
-    v.resize(128);
-    for (std::size_t i = 0; i < 128; ++i) {
-      v[i] = static_cast<std::int32_t>(rng.next_in(-5, 5));
-      expected[i] += v[i];
+  for (const runtime::EngineKind kind : runtime::kAllEngines) {
+    SCOPED_TRACE(runtime::engine_label(kind));
+    topo::Machine m(topo::cori(1), 8);
+    const auto engine = runtime::make_engine(kind, m);
+    const mpi::Comm world = mpi::Comm::world(8);
+    const Tree tree = chain_tree(8, 0);
+    std::vector<std::vector<std::int32_t>> contrib(8);
+    std::vector<std::int32_t> expected(128, 0);
+    Rng rng(14);
+    for (int r = 0; r < 8; ++r) {
+      auto& v = contrib[static_cast<std::size_t>(r)];
+      v.resize(128);
+      for (std::size_t i = 0; i < 128; ++i) {
+        v[i] = static_cast<std::int32_t>(rng.next_in(-5, 5));
+        expected[i] += v[i];
+      }
     }
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      auto& mine = contrib[static_cast<std::size_t>(ctx.rank())];
+      auto req = ireduce(
+          ctx, world,
+          mpi::MutView{reinterpret_cast<std::byte*>(mine.data()), 512},
+          mpi::ReduceOp::kSum, mpi::Datatype::kInt32, 0, tree,
+          CollOpts{.segment_size = 128});
+      co_await ctx.compute(microseconds(50));
+      co_await req.wait(ctx);
+    };
+    engine->run(program);
+    EXPECT_EQ(contrib[0], expected);
   }
-  auto program = [&](Context& ctx) -> sim::Task<> {
-    auto& mine = contrib[static_cast<std::size_t>(ctx.rank())];
-    auto req = ireduce(ctx, world,
-                       mpi::MutView{reinterpret_cast<std::byte*>(mine.data()),
-                                    512},
-                       mpi::ReduceOp::kSum, mpi::Datatype::kInt32, 0, tree,
-                       CollOpts{.segment_size = 128});
-    co_await ctx.compute(microseconds(50));
-    co_await req->wait(ctx);
-  };
-  engine.run(program);
-  EXPECT_EQ(contrib[0], expected);
 }
 
 TEST(NonblockingColl, SeveralInFlightCollectivesPipeline) {
   // Two ibcasts issued back to back progress concurrently; both complete.
-  topo::Machine m(topo::cori(1), 16);
-  SimEngine engine(m);
-  const mpi::Comm world = mpi::Comm::world(16);
-  const Tree tree = chain_tree(16, 0);
-  std::vector<std::vector<std::byte>> a(16, std::vector<std::byte>(2048)),
-      b(16, std::vector<std::byte>(2048));
-  a[0].assign(2048, std::byte(0xA1));
-  b[0].assign(2048, std::byte(0xB2));
-  auto program = [&](Context& ctx) -> sim::Task<> {
-    const auto me = static_cast<std::size_t>(ctx.rank());
-    auto ra = ibcast(ctx, world, mpi::MutView{a[me].data(), 2048}, 0, tree,
-                     CollOpts{.segment_size = 512});
-    auto rb = ibcast(ctx, world, mpi::MutView{b[me].data(), 2048}, 0, tree,
-                     CollOpts{.segment_size = 512});
-    co_await ra->wait(ctx);
-    co_await rb->wait(ctx);
-  };
-  engine.run(program);
-  for (int r = 0; r < 16; ++r) {
-    EXPECT_EQ(a[static_cast<std::size_t>(r)][2047], std::byte(0xA1));
-    EXPECT_EQ(b[static_cast<std::size_t>(r)][2047], std::byte(0xB2));
+  for (const runtime::EngineKind kind : runtime::kAllEngines) {
+    SCOPED_TRACE(runtime::engine_label(kind));
+    topo::Machine m(topo::cori(1), 16);
+    const auto engine = runtime::make_engine(kind, m);
+    const mpi::Comm world = mpi::Comm::world(16);
+    const Tree tree = chain_tree(16, 0);
+    std::vector<std::vector<std::byte>> a(16, std::vector<std::byte>(2048)),
+        b(16, std::vector<std::byte>(2048));
+    a[0].assign(2048, std::byte(0xA1));
+    b[0].assign(2048, std::byte(0xB2));
+    auto program = [&](Context& ctx) -> sim::Task<> {
+      const auto me = static_cast<std::size_t>(ctx.rank());
+      auto ra = ibcast(ctx, world, mpi::MutView{a[me].data(), 2048}, 0, tree,
+                       CollOpts{.segment_size = 512});
+      auto rb = ibcast(ctx, world, mpi::MutView{b[me].data(), 2048}, 0, tree,
+                       CollOpts{.segment_size = 512});
+      co_await ra.wait(ctx);
+      co_await rb.wait(ctx);
+    };
+    engine->run(program);
+    for (int r = 0; r < 16; ++r) {
+      EXPECT_EQ(a[static_cast<std::size_t>(r)][2047], std::byte(0xA1));
+      EXPECT_EQ(b[static_cast<std::size_t>(r)][2047], std::byte(0xB2));
+    }
   }
 }
 

@@ -724,12 +724,61 @@ TEST(AllocationFree, HundredStartsAllocateNothingAfterWarmup) {
       << "persistent start/wait rounds touched the heap in steady state";
 }
 
+// A whole warm engine run allocates nothing either, beyond the per-rank
+// finish vector it returns: not launching the rank programs (each one's
+// detached driver frame and its completion callback), not the collectives
+// they replay. 64 ranks, each with a persistent bcast and reduce handle
+// built in a first run; the third run is counted from before engine.run()
+// to after it returns.
+TEST(AllocationFree, WarmEngineRunAllocatesNothing) {
+  constexpr int kWideRanks = 64;
+  constexpr Bytes kBytes = 4096;
+  topo::Machine machine(topo::cori(2), kWideRanks);
+  SimEngine engine(machine);  // no recorder: tracing buffers would allocate
+  const mpi::Comm world = mpi::Comm::world(kWideRanks);
+  std::vector<std::vector<std::byte>> bufs(
+      kWideRanks, std::vector<std::byte>(static_cast<std::size_t>(kBytes)));
+  std::vector<PersistentOpPtr> bcasts(kWideRanks);
+  std::vector<PersistentOpPtr> reduces(kWideRanks);
+  const runtime::RankProgram init = [&](Context& ctx) -> sim::Task<> {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    PersistentOpts popts;
+    popts.coll.segment_size = 1024;
+    const mpi::MutView view{bufs[me].data(), kBytes};
+    bcasts[me] = bcast_init(ctx, world, view, /*root=*/0, popts);
+    reduces[me] = reduce_init(ctx, world, view, mpi::ReduceOp::kSum,
+                              mpi::Datatype::kInt32, /*root=*/0, popts);
+    co_return;
+  };
+  const runtime::RankProgram rounds = [&](Context& ctx) -> sim::Task<> {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(bcasts[me]->start(), ErrCode::kOk);
+      co_await bcasts[me]->wait();
+      EXPECT_EQ(reduces[me]->start(), ErrCode::kOk);
+      co_await reduces[me]->wait();
+    }
+  };
+  ASSERT_NO_THROW(engine.run(init));
+  ASSERT_NO_THROW(engine.run(rounds));  // warms every pool and slab
+  constexpr std::uint64_t kFinishVector = 1;  // RunResult::rank_finish
+  const std::uint64_t before = g_alloc_count.load();
+  const runtime::RunResult result = engine.run(rounds);
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(result.rank_finish.size(), std::size_t{kWideRanks});
+  EXPECT_EQ(after - before, kFinishVector)
+      << "a warm engine run touched the heap beyond its result";
+}
+
 // ------------------------------------------------------- one-shot parity
 //
-// One-shot Style::kAdapt bcast/reduce and one persistent round over the same
-// explicit tree and CollOpts drive the same segment machine, so they must
-// produce the same simulation: per-rank finish times, the recorder's
-// transfer list, and every rank's seg_* instants, event for event.
+// One-shot Style::kAdapt bcast/reduce, an ibcast/ireduce request waited at
+// once, and one persistent round over the same explicit tree and CollOpts
+// drive the same segment machine, so they must produce the same simulation:
+// per-rank finish times, the recorder's transfer list, and every rank's
+// seg_* instants, event for event.
+
+enum class Caller { kBlocking, kRequest, kPersistent };
 
 struct ParityRun {
   std::vector<TimeNs> finish;                 // per rank
@@ -737,7 +786,7 @@ struct ParityRun {
   std::vector<std::vector<std::string>> seg;  // per rank, chronological
 };
 
-ParityRun run_parity(bool reduce, bool persistent, Bytes bytes,
+ParityRun run_parity(bool reduce, Caller caller, Bytes bytes,
                      Bytes segment, bool perturbed) {
   constexpr int kParityRanks = 64;
   topo::Machine machine(topo::cori(2), kParityRanks);
@@ -762,7 +811,7 @@ ParityRun run_parity(bool reduce, bool persistent, Bytes bytes,
   auto program = [&](Context& ctx) -> sim::Task<> {
     const auto me = static_cast<std::size_t>(ctx.rank());
     const mpi::MutView view{bufs[me].data(), bytes};
-    if (persistent) {
+    if (caller == Caller::kPersistent) {
       PersistentOpts popts;
       popts.coll = opts;
       popts.tree = &tree;
@@ -771,6 +820,11 @@ ParityRun run_parity(bool reduce, bool persistent, Bytes bytes,
                        : bcast_init(ctx, world, view, 0, popts);
       EXPECT_EQ(op->start(), ErrCode::kOk);
       co_await op->wait();
+    } else if (caller == Caller::kRequest) {
+      CollRequest req = reduce ? ireduce(ctx, world, view, mpi::ReduceOp::kSum,
+                                         mpi::Datatype::kInt32, 0, tree, opts)
+                               : ibcast(ctx, world, view, 0, tree, opts);
+      co_await req.wait(ctx);
     } else if (reduce) {
       co_await coll::reduce(ctx, world, view, mpi::ReduceOp::kSum,
                             mpi::Datatype::kInt32, 0, tree, Style::kAdapt,
@@ -823,28 +877,41 @@ void PrintTo(const ParityCase& c, std::ostream* os) {
 
 class OneShotParity : public testing::TestWithParam<ParityCase> {};
 
-TEST_P(OneShotParity, PersistentRoundReplaysTheOneShotSimulation) {
-  const ParityCase c = GetParam();
-  const ParityRun once =
-      run_parity(c.reduce, /*persistent=*/false, c.bytes, c.segment,
-                 c.perturbed);
-  const ParityRun round =
-      run_parity(c.reduce, /*persistent=*/true, c.bytes, c.segment,
-                 c.perturbed);
-  EXPECT_EQ(once.finish, round.finish);
+/// `replay` must be `once`'s simulation event for event.
+void expect_same_simulation(const ParityRun& once, const ParityRun& replay) {
+  EXPECT_EQ(once.finish, replay.finish);
   ASSERT_FALSE(once.transfers.empty());
-  const std::size_t t = first_diff(once.transfers, round.transfers);
-  EXPECT_TRUE(t == once.transfers.size() && t == round.transfers.size())
+  const std::size_t t = first_diff(once.transfers, replay.transfers);
+  EXPECT_TRUE(t == once.transfers.size() && t == replay.transfers.size())
       << "transfer " << t << " of " << once.transfers.size() << " / "
-      << round.transfers.size() << " differs";
+      << replay.transfers.size() << " differs";
   for (std::size_t r = 0; r < once.seg.size(); ++r) {
     ASSERT_FALSE(once.seg[r].empty()) << "rank " << r;
-    const std::size_t i = first_diff(once.seg[r], round.seg[r]);
-    EXPECT_TRUE(i == once.seg[r].size() && i == round.seg[r].size())
+    const std::size_t i = first_diff(once.seg[r], replay.seg[r]);
+    EXPECT_TRUE(i == once.seg[r].size() && i == replay.seg[r].size())
         << "rank " << r << " seg instant " << i << " differs: "
         << (i < once.seg[r].size() ? once.seg[r][i] : "<end>") << " vs "
-        << (i < round.seg[r].size() ? round.seg[r][i] : "<end>");
+        << (i < replay.seg[r].size() ? replay.seg[r][i] : "<end>");
   }
+}
+
+TEST_P(OneShotParity, PersistentRoundReplaysTheOneShotSimulation) {
+  const ParityCase c = GetParam();
+  expect_same_simulation(
+      run_parity(c.reduce, Caller::kBlocking, c.bytes, c.segment,
+                 c.perturbed),
+      run_parity(c.reduce, Caller::kPersistent, c.bytes, c.segment,
+                 c.perturbed));
+}
+
+// The blocking call is the request plus a wait.
+TEST_P(OneShotParity, RequestPlusWaitReplaysTheBlockingCall) {
+  const ParityCase c = GetParam();
+  expect_same_simulation(
+      run_parity(c.reduce, Caller::kBlocking, c.bytes, c.segment,
+                 c.perturbed),
+      run_parity(c.reduce, Caller::kRequest, c.bytes, c.segment,
+                 c.perturbed));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1180,6 +1247,75 @@ TEST(OneShotFailure, NoFoldLandsAfterTheCallerResumed) {
         [](std::int32_t v) { return v != kSentinel; }));
     EXPECT_EQ(spoilt, 0u) << "rank " << r
                           << ": a fold landed after its caller resumed";
+  }
+}
+
+// ------------------------------------------------------- one-shot requests
+
+// A request dropped without a wait leaves its round running: the data
+// still reaches every rank, and the machine frees itself once its last
+// callback retires (under ASan with leak checking, a machine nobody frees
+// fails the run). The root and an interior rank of the chain drop theirs;
+// everyone else waits.
+TEST(OneShotRequest, DroppedIbcastStillDeliversAndFreesItself) {
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const Tree tree = chain_tree(kRanks, 0);
+  topo::Machine machine = test_machine();
+  SimEngine engine(machine);
+  constexpr Bytes kBytes = 8192;
+  std::vector<std::vector<std::byte>> bufs(
+      kRanks, std::vector<std::byte>(static_cast<std::size_t>(kBytes)));
+  fill(bufs[0], 0, 1);
+  const std::vector<std::byte> golden = bufs[0];
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    const mpi::MutView view{bufs[static_cast<std::size_t>(ctx.rank())].data(),
+                            kBytes};
+    CollRequest req =
+        ibcast(ctx, world, view, 0, tree, CollOpts{.segment_size = 1024});
+    if (ctx.rank() == 0 || ctx.rank() == 3) co_return;  // dropped
+    co_await req.wait(ctx);
+  };
+  ASSERT_NO_THROW(engine.run(program));
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(bufs[static_cast<std::size_t>(r)], golden) << "rank " << r;
+  }
+}
+
+// A child dies mid-round, with the reliable runtime set up as in
+// OneShotFailure: every survivor's wait() throws FaultError.
+TEST(OneShotRequest, IreduceWaitThrowsWhenAChildDies) {
+  constexpr std::size_t kElems = std::size_t{1} << 20;  // 4 MiB of int32
+  constexpr Bytes kBytes = kElems * sizeof(std::int32_t);
+  constexpr Rank kVictim = 4;  // binomial tree: parent 0, children 5 and 6
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const Tree tree = binomial_tree(kRanks, 0);
+  topo::Machine machine = test_machine();
+  runtime::SimEngineOptions options;
+  options.reliability = mpi::ReliabilityConfig{.ack_timeout = microseconds(20),
+                                               .backoff = 1.0,
+                                               .max_retries = 2};
+  options.faults.deaths.push_back({kVictim, microseconds(150)});
+  SimEngine engine(machine, options);
+  std::vector<std::vector<std::int32_t>> accum(
+      kRanks, std::vector<std::int32_t>(kElems, 1));
+  std::vector<char> caught(kRanks, 0);
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    auto& mine = accum[static_cast<std::size_t>(ctx.rank())];
+    CollRequest req = ireduce(
+        ctx, world,
+        mpi::MutView{reinterpret_cast<std::byte*>(mine.data()), kBytes},
+        mpi::ReduceOp::kSum, mpi::Datatype::kInt32, 0, tree,
+        CollOpts{.segment_size = kib(128)});
+    try {
+      co_await req.wait(ctx);
+    } catch (const mpi::FaultError&) {
+      caught[static_cast<std::size_t>(ctx.rank())] = 1;
+    }
+  };
+  EXPECT_NO_THROW(engine.run(program));
+  for (Rank r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    EXPECT_TRUE(caught[static_cast<std::size_t>(r)]) << "rank " << r;
   }
 }
 
