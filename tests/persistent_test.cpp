@@ -3,9 +3,12 @@
 // and fingerprint-guarded invalidation, overlapping starts of independent
 // handles, per-start schedule identity, the steady-state allocation-freedom
 // the cached schedule exists to deliver (100 starts, zero heap traffic
-// after warm-up, proven by a counting global operator new), and the
-// segment machine's two callers: a persistent round replays the one-shot
-// simulation exactly, and both reduce exactly with 300 posted receives.
+// after warm-up, and a whole warm engine run that allocates nothing but its
+// result, proven by a counting global operator new), and the segment
+// machine's callers: a request waited at once replays the blocking
+// one-shot simulation exactly, as does a persistent round, and both reduce
+// exactly with 300 posted receives. A dropped request still delivers and
+// frees its machine; a failed one throws from its wait.
 // Reduce receives fold where they land; a partitioned round lends fold
 // windows only to receives posted before their segment's release: idle
 // handles hold no pool block, and the unzeroed windows never leak a stale
