@@ -1,6 +1,6 @@
 // Broadcast in the three implementation styles the paper analyses (§2).
 // Algorithm 3 (Fig. 4), ADAPT's event-driven style, is one round of the
-// segment machine in pipeline.cpp: ibcast issues it as a request, and the
+// segment machine in pipeline.cpp: ibcast starts it as a request, and the
 // blocking call waits on that request.
 #include "src/coll/pipeline.hpp"
 #include "src/support/error.hpp"
@@ -122,7 +122,7 @@ sim::Task<> bcast_tagged(runtime::Context& ctx, const mpi::Comm& comm,
       co_await bcast_nonblocking(ctx, e, buffer, segs, opts, base_tag);
       co_return;
     case Style::kAdapt: {
-      CollRequest req = detail::AdaptPipeline::issue(
+      CollRequest req = detail::AdaptPipeline::start_request(
           ctx, std::move(e), detail::AdaptPipeline::Stages::kBcast, buffer,
           {}, {}, opts, base_tag);
       co_await req.wait(ctx);
@@ -139,7 +139,7 @@ CollRequest ibcast(runtime::Context& ctx, const mpi::Comm& comm,
       ctx.alloc_tags(Segmenter(buffer.size, opts.segment_size).count());
   ADAPT_CHECK(tree.root == root)
       << "tree rooted at " << tree.root << ", ibcast root " << root;
-  return detail::AdaptPipeline::issue(
+  return detail::AdaptPipeline::start_request(
       ctx, detail::resolve(ctx, comm, tree),
       detail::AdaptPipeline::Stages::kBcast, buffer, {}, {}, opts, base_tag);
 }

@@ -213,10 +213,10 @@ void AdaptPipeline::detach() {
   }
 }
 
-CollRequest AdaptPipeline::issue(runtime::Context& ctx, Edges edges,
-                                 Stages stages, mpi::MutView buffer,
-                                 mpi::ReduceOp op, mpi::Datatype dtype,
-                                 const CollOpts& opts, Tag base_tag) {
+CollRequest AdaptPipeline::start_request(runtime::Context& ctx, Edges edges,
+                                         Stages stages, mpi::MutView buffer,
+                                         mpi::ReduceOp op, mpi::Datatype dtype,
+                                         const CollOpts& opts, Tag base_tag) {
   auto* m = new AdaptPipeline(ctx, std::move(edges), stages, buffer, op,
                               dtype, opts, /*gated=*/false);
   m->start(base_tag);

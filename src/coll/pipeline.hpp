@@ -62,10 +62,10 @@ class AdaptPipeline {
 
   /// Builds a one-shot machine, starts its round on tags
   /// [base_tag, base_tag + tags()) and hands it to the returned request.
-  static CollRequest issue(runtime::Context& ctx, Edges edges, Stages stages,
-                           mpi::MutView buffer, mpi::ReduceOp op,
-                           mpi::Datatype dtype, const CollOpts& opts,
-                           Tag base_tag);
+  static CollRequest start_request(runtime::Context& ctx, Edges edges,
+                                   Stages stages, mpi::MutView buffer,
+                                   mpi::ReduceOp op, mpi::Datatype dtype,
+                                   const CollOpts& opts, Tag base_tag);
 
   int segments() const { return segs_.count(); }
   /// Most windows one round can borrow at once: none without gating (every

@@ -2,7 +2,7 @@
 // with segment-wise accumulation on the CPU (γ per byte, occupying the rank)
 // or offloaded to the rank's GPU (§4.2, overlapping with communication).
 // ADAPT's event-driven style is one round of the segment machine in
-// pipeline.cpp: ireduce issues it as a request, and the blocking call waits
+// pipeline.cpp: ireduce starts it as a request, and the blocking call waits
 // on that request.
 #include <memory>
 
@@ -138,7 +138,7 @@ sim::Task<> reduce_tagged(runtime::Context& ctx, const mpi::Comm& comm,
                                   base_tag);
       co_return;
     case Style::kAdapt: {
-      CollRequest req = detail::AdaptPipeline::issue(
+      CollRequest req = detail::AdaptPipeline::start_request(
           ctx, std::move(e), detail::AdaptPipeline::Stages::kReduce, accum,
           op, dtype, opts, base_tag);
       co_await req.wait(ctx);
@@ -155,7 +155,7 @@ CollRequest ireduce(runtime::Context& ctx, const mpi::Comm& comm,
       ctx.alloc_tags(Segmenter(accum.size, opts.segment_size).count());
   ADAPT_CHECK(tree.root == root)
       << "tree rooted at " << tree.root << ", ireduce root " << root;
-  return detail::AdaptPipeline::issue(
+  return detail::AdaptPipeline::start_request(
       ctx, detail::resolve(ctx, comm, tree),
       detail::AdaptPipeline::Stages::kReduce, accum, op, dtype, opts,
       base_tag);
