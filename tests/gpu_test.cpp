@@ -219,14 +219,24 @@ TEST(GpuColl, AdaptBeatsNaiveBaselines) {
 }
 
 TEST(GpuColl, AdaptFinishTimesPinned) {
-  // Exact simulated times of the two ADAPT GPU paths at 16 MiB: the §4.1
-  // host-cache staging copies (bcast) and the §4.2 stream folds (reduce).
-  // Any change to how the segment machine drives them moves these.
+  // Exact simulated times of the three GPU personalities at 16 MiB. For
+  // ADAPT: the §4.1 host-cache staging copies (bcast) and the §4.2 stream
+  // folds (reduce); any change to how the segment machine drives them moves
+  // these. The two baselines pin their trees, segments, memory spaces and
+  // CPU-fold γ scale.
   topo::Machine m = gpu_machine(2);
   EXPECT_EQ(gpu_coll_time("ompi-adapt-gpu", m, mib(16), /*reduce=*/false),
             TimeNs{4119686});
   EXPECT_EQ(gpu_coll_time("ompi-adapt-gpu", m, mib(16), /*reduce=*/true),
             TimeNs{3835168});
+  EXPECT_EQ(gpu_coll_time("mvapich-gpu", m, mib(16), /*reduce=*/false),
+            TimeNs{6977693});
+  EXPECT_EQ(gpu_coll_time("mvapich-gpu", m, mib(16), /*reduce=*/true),
+            TimeNs{34121561});
+  EXPECT_EQ(gpu_coll_time("ompi-default-gpu", m, mib(16), /*reduce=*/false),
+            TimeNs{8311687});
+  EXPECT_EQ(gpu_coll_time("ompi-default-gpu", m, mib(16), /*reduce=*/true),
+            TimeNs{26325413});
 }
 
 TEST(GpuColl, TreeCacheKeysOnCommunicator) {
