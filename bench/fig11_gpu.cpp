@@ -9,8 +9,8 @@
 #include "src/bench/cli.hpp"
 #include "src/bench/imb.hpp"
 #include "src/bench/report.hpp"
+#include "src/coll/library.hpp"
 #include "src/topo/presets.hpp"
-#include "src/gpu/gpu_coll.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/table.hpp"
 
@@ -23,7 +23,7 @@ double run_one(int nodes, const std::string& lib_name, bool is_bcast,
   topo::Machine machine(topo::psg(nodes), nodes * 4,
                         topo::PlacementPolicy::kByGpu);
   const mpi::Comm world = mpi::Comm::world(machine.nranks());
-  auto lib = gpu::make_gpu_library(lib_name, machine);
+  auto lib = coll::make_library(lib_name, machine);
   runtime::SimEngineOptions options;
   options.gpu = lib->gpu_config();
   runtime::SimEngine engine(machine, options);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> header = {"library"};
     for (Bytes s : sizes) header.push_back(format_bytes(s));
     Table table(header);
-    for (const std::string& name : gpu::gpu_libraries()) {
+    for (const std::string& name : coll::gpu_libraries()) {
       std::vector<double> row;
       for (Bytes msg : sizes) {
         row.push_back(run_one(max_nodes, name, is_bcast, msg, iters));
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       header.push_back(std::to_string(n) + ":" + std::to_string(4 * n));
     }
     Table table(header);
-    for (const std::string& name : gpu::gpu_libraries()) {
+    for (const std::string& name : coll::gpu_libraries()) {
       std::vector<double> row;
       for (int n = 1; n <= max_nodes; n *= 2) {
         row.push_back(run_one(n, name, is_bcast, mib(32), iters));

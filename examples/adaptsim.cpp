@@ -14,7 +14,6 @@
 #include "src/coll/library.hpp"
 #include "src/coll/persistent.hpp"
 #include "src/coll/selfheal.hpp"
-#include "src/gpu/gpu_coll.hpp"
 #include "src/mpi/comm_ft.hpp"
 #include "src/mpi/errors.hpp"
 #include "src/obs/export.hpp"
@@ -305,15 +304,8 @@ int main(int argc, char** argv) {
   }
   if (cli.has("recover")) return run_recover_demo(cli, machine, world, op, min_msg);
 
-  std::shared_ptr<coll::MpiLibrary> lib;
-  net::GpuConfig gpu_config;
-  if (lib_name.ends_with("-gpu")) {
-    auto gpu_lib = gpu::make_gpu_library(lib_name, machine);
-    gpu_config = gpu_lib->gpu_config();
-    lib = gpu_lib;
-  } else {
-    lib = coll::make_library(lib_name, machine);
-  }
+  const std::shared_ptr<coll::MpiLibrary> lib =
+      coll::make_library(lib_name, machine);
 
   std::cout << "cluster=" << spec.name << " nodes=" << spec.nodes
             << " ranks=" << ranks << " lib=" << lib_name << " op=" << op
@@ -340,7 +332,7 @@ int main(int argc, char** argv) {
       engine = std::make_unique<runtime::SimEngine>(machine, options);
     } else {
       runtime::SimEngineOptions options;
-      options.gpu = gpu_config;
+      options.gpu = lib->gpu_config();
       options.noise = noise::paper_noise(noise_duty, 0xCAFE + noise_duty);
       options.tuning = tuner;  // shared across sizes: the table fills once
       options.recorder = recorder;

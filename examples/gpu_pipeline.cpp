@@ -10,7 +10,7 @@
 #include <string>
 
 #include "src/bench/imb.hpp"
-#include "src/gpu/gpu_coll.hpp"
+#include "src/coll/library.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/table.hpp"
 #include "src/topo/presets.hpp"
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
             << format_bytes(msg) << " GPU-resident messages\n\n";
 
   Table table({"library", "bcast(ms)", "reduce(ms)"});
-  for (const std::string& name : gpu::gpu_libraries()) {
-    auto lib = gpu::make_gpu_library(name, machine);
+  for (const std::string& name : coll::gpu_libraries()) {
+    auto lib = coll::make_library(name, machine);
     double results[2];
     for (int which = 0; which < 2; ++which) {
       runtime::SimEngineOptions options;

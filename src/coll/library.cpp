@@ -1,9 +1,8 @@
 #include "src/coll/library.hpp"
 
+#include <algorithm>
 #include <optional>
 
-#include "src/coll/moreops.hpp"
-#include "src/coll/shape.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/error.hpp"
 #include "src/tune/tuner.hpp"
@@ -16,20 +15,6 @@ Bytes default_segment_size(Bytes message) {
 }
 
 namespace {
-
-/// One collective's execution recipe for a given message size: which
-/// algorithm runs over which tree shape, in which synchronisation style.
-struct Plan {
-  enum class Algo { kTree, kHier, kScatterAllgather, kRabenseifner };
-  Algo algo = Algo::kTree;
-  Style style = Style::kNonblocking;
-  TreeShape shape;  ///< kTree: any shape; kHier: a TwoLevelShape
-  AllgatherAlgo ag = AllgatherAlgo::kRing;
-  Bytes segment = kib(128);
-  double gamma_scale = 1.0;
-};
-
-using PlanFn = std::function<Plan(Bytes message)>;
 
 /// Emits the "tuned <winner>" instant carrying the simulated collective
 /// time when the coroutine frame unwinds — the counterpart of the
@@ -83,113 +68,95 @@ Plan tuned_plan(runtime::Context& ctx, tune::Tuner& tuner, tune::Op op,
                                 tuner.predict(op, ranks, d, msg));
   }
   Plan p;
-  p.style = tuner.options().style;
+  p.style = Style::kAdapt;
   p.shape = tune::decision_shape(d);
-  p.segment = tune::decision_segment(d, msg);
+  p.opts.segment_size = tune::decision_segment(d, msg);
   return p;
 }
 
-class PlanLibrary final : public MpiLibrary {
- public:
-  /// `own_tuner` (the "-tuned" personality) makes tuning unconditional;
-  /// `engine_tunable` consults the engine's Context::tuner() when the run
-  /// opted in via SimEngineOptions::tuning and falls back to the heuristic
-  /// PlanFns otherwise.
-  PlanLibrary(std::string name, const topo::Machine& machine, PlanFn bcast_fn,
-              PlanFn reduce_fn,
-              std::shared_ptr<tune::Tuner> own_tuner = nullptr,
-              bool engine_tunable = false)
-      : name_(std::move(name)),
-        cache_(machine),
-        bcast_fn_(std::move(bcast_fn)),
-        reduce_fn_(std::move(reduce_fn)),
-        own_tuner_(std::move(own_tuner)),
-        engine_tunable_(engine_tunable) {}
+}  // namespace
 
-  std::string name() const override { return name_; }
+MpiLibrary::MpiLibrary(std::string name, const topo::Machine& machine,
+                       PlanFn bcast_fn, PlanFn reduce_fn,
+                       std::shared_ptr<tune::Tuner> own_tuner,
+                       bool engine_tunable, net::GpuConfig gpu)
+    : name_(std::move(name)),
+      cache_(machine),
+      bcast_fn_(std::move(bcast_fn)),
+      reduce_fn_(std::move(reduce_fn)),
+      own_tuner_(std::move(own_tuner)),
+      engine_tunable_(engine_tunable),
+      gpu_(gpu) {}
 
-  sim::Task<> bcast(runtime::Context& ctx, const mpi::Comm& comm,
-                    mpi::MutView buffer, Rank root) override {
-    tune::Tuner* tuner = active_tuner(ctx);
-    ADAPT_CHECK(tuner != nullptr || bcast_fn_ != nullptr)
-        << name_ << " has no broadcast algorithm";
-    std::string winner;
-    const Plan p = tuner ? tuned_plan(ctx, *tuner, tune::Op::kBcast,
-                                      comm.size(), buffer.size, winner)
-                         : bcast_fn_(buffer.size);
-    std::optional<TunedProbe> probe;
-    if (!winner.empty()) probe.emplace(ctx, winner);
-    const CollOpts opts = make_opts(p);
-    switch (p.algo) {
-      case Plan::Algo::kTree:
-        co_await coll::bcast(ctx, comm, buffer, root,
-                             cache_.tree(comm, root, p.shape), p.style, opts);
-        co_return;
-      case Plan::Algo::kHier:
-        co_await hier_bcast(ctx, comm, buffer, hier(comm, root, p), p.style,
-                            opts);
-        co_return;
-      case Plan::Algo::kScatterAllgather:
-        co_await bcast_scatter_allgather(ctx, comm, buffer, root, p.ag);
-        co_return;
-      case Plan::Algo::kRabenseifner:
-        break;
-    }
-    ADAPT_UNREACHABLE("bad broadcast plan");
+sim::Task<> MpiLibrary::bcast(runtime::Context& ctx, const mpi::Comm& comm,
+                              mpi::MutView buffer, Rank root) {
+  tune::Tuner* tuner = active_tuner(ctx);
+  ADAPT_CHECK(tuner != nullptr || bcast_fn_ != nullptr)
+      << name_ << " has no broadcast algorithm";
+  std::string winner;
+  const Plan p = tuner ? tuned_plan(ctx, *tuner, tune::Op::kBcast,
+                                    comm.size(), buffer.size, winner)
+                       : bcast_fn_(buffer.size);
+  std::optional<TunedProbe> probe;
+  if (!winner.empty()) probe.emplace(ctx, winner);
+  switch (p.algo) {
+    case Plan::Algo::kTree:
+      co_await coll::bcast(ctx, comm, buffer, root,
+                           cache_.tree(comm, root, p.shape), p.style, p.opts);
+      co_return;
+    case Plan::Algo::kHier:
+      co_await hier_bcast(ctx, comm, buffer,
+                          cache_.hier(comm, root,
+                                      std::get<TwoLevelShape>(p.shape)),
+                          p.style, p.opts);
+      co_return;
+    case Plan::Algo::kScatterAllgather:
+      co_await bcast_scatter_allgather(ctx, comm, buffer, root, p.ag);
+      co_return;
+    case Plan::Algo::kRabenseifner:
+      break;
   }
+  ADAPT_UNREACHABLE("bad broadcast plan");
+}
 
-  sim::Task<> reduce(runtime::Context& ctx, const mpi::Comm& comm,
-                     mpi::MutView accum, mpi::ReduceOp op,
-                     mpi::Datatype dtype, Rank root) override {
-    tune::Tuner* tuner = active_tuner(ctx);
-    ADAPT_CHECK(tuner != nullptr || reduce_fn_ != nullptr)
-        << name_ << " has no reduce algorithm";
-    std::string winner;
-    const Plan p = tuner ? tuned_plan(ctx, *tuner, tune::Op::kReduce,
-                                      comm.size(), accum.size, winner)
-                         : reduce_fn_(accum.size);
-    std::optional<TunedProbe> probe;
-    if (!winner.empty()) probe.emplace(ctx, winner);
-    const CollOpts opts = make_opts(p);
-    switch (p.algo) {
-      case Plan::Algo::kTree:
-        co_await coll::reduce(ctx, comm, accum, op, dtype, root,
-                              cache_.tree(comm, root, p.shape), p.style, opts);
-        co_return;
-      case Plan::Algo::kHier:
-        co_await hier_reduce(ctx, comm, accum, op, dtype, hier(comm, root, p),
-                             p.style, opts);
-        co_return;
-      case Plan::Algo::kRabenseifner:
-        co_await reduce_rabenseifner(ctx, comm, accum, op, dtype, root, opts);
-        co_return;
-      case Plan::Algo::kScatterAllgather:
-        break;
-    }
-    ADAPT_UNREACHABLE("bad reduce plan");
+sim::Task<> MpiLibrary::reduce(runtime::Context& ctx, const mpi::Comm& comm,
+                               mpi::MutView accum, mpi::ReduceOp op,
+                               mpi::Datatype dtype, Rank root) {
+  tune::Tuner* tuner = active_tuner(ctx);
+  ADAPT_CHECK(tuner != nullptr || reduce_fn_ != nullptr)
+      << name_ << " has no reduce algorithm";
+  std::string winner;
+  const Plan p = tuner ? tuned_plan(ctx, *tuner, tune::Op::kReduce,
+                                    comm.size(), accum.size, winner)
+                       : reduce_fn_(accum.size);
+  std::optional<TunedProbe> probe;
+  if (!winner.empty()) probe.emplace(ctx, winner);
+  switch (p.algo) {
+    case Plan::Algo::kTree:
+      co_await coll::reduce(ctx, comm, accum, op, dtype, root,
+                            cache_.tree(comm, root, p.shape), p.style, p.opts);
+      co_return;
+    case Plan::Algo::kHier:
+      co_await hier_reduce(ctx, comm, accum, op, dtype,
+                           cache_.hier(comm, root,
+                                       std::get<TwoLevelShape>(p.shape)),
+                           p.style, p.opts);
+      co_return;
+    case Plan::Algo::kRabenseifner:
+      co_await reduce_rabenseifner(ctx, comm, accum, op, dtype, root, p.opts);
+      co_return;
+    case Plan::Algo::kScatterAllgather:
+      break;
   }
+  ADAPT_UNREACHABLE("bad reduce plan");
+}
 
- private:
-  static CollOpts make_opts(const Plan& p) {
-    return CollOpts{.segment_size = p.segment, .gamma_scale = p.gamma_scale};
-  }
+tune::Tuner* MpiLibrary::active_tuner(runtime::Context& ctx) const {
+  if (own_tuner_) return own_tuner_.get();
+  return engine_tunable_ ? ctx.tuner() : nullptr;
+}
 
-  const HierLevels& hier(const mpi::Comm& comm, Rank root, const Plan& p) {
-    return cache_.hier(comm, root, std::get<TwoLevelShape>(p.shape));
-  }
-
-  tune::Tuner* active_tuner(runtime::Context& ctx) const {
-    if (own_tuner_) return own_tuner_.get();
-    return engine_tunable_ ? ctx.tuner() : nullptr;
-  }
-
-  std::string name_;
-  TreeCache cache_;
-  PlanFn bcast_fn_;
-  PlanFn reduce_fn_;
-  std::shared_ptr<tune::Tuner> own_tuner_;
-  bool engine_tunable_ = false;
-};
+namespace {
 
 // ------------------------------------------------------- personalities ---
 
@@ -199,8 +166,8 @@ Plan tree_plan(Style style, TreeShape shape, Bytes msg,
   Plan p;
   p.style = style;
   p.shape = shape;
-  p.segment = default_segment_size(msg);
-  p.gamma_scale = gamma_scale;
+  p.opts.segment_size = default_segment_size(msg);
+  p.opts.gamma_scale = gamma_scale;
   return p;
 }
 
@@ -216,10 +183,10 @@ Plan default_tuned_bcast(Bytes msg) {
   p.style = Style::kNonblocking;
   if (msg < kib(256)) {
     p.shape = RankOrderShape{TreeKind::kBinomial};
-    p.segment = std::max<Bytes>(1, msg);
+    p.opts.segment_size = std::max<Bytes>(1, msg);
   } else {
     p.shape = RankOrderShape{TreeKind::kBinary};
-    p.segment = kib(128);
+    p.opts.segment_size = kib(128);
   }
   return p;
 }
@@ -247,7 +214,7 @@ Plan mvapich_plan(Bytes msg) {
   p.shape = RankOrderShape{TreeKind::kKNomial, 4};
   // Rendezvous-sized segments: every blocking hop couples sender to receiver
   // (the paper's worst noise amplifier, Fig. 7b).
-  p.segment = msg < kib(128) ? std::max<Bytes>(1, msg) : kib(128);
+  p.opts.segment_size = msg < kib(128) ? std::max<Bytes>(1, msg) : kib(128);
   return p;
 }
 
@@ -270,7 +237,7 @@ Plan hier_plan(TreeKind intra, double gamma, Bytes msg) {
 
 Plan flat_variant(TreeKind kind, double gamma, Bytes seg_or_zero, Bytes msg) {
   Plan p = tree_plan(Style::kNonblocking, RankOrderShape{kind}, msg, gamma);
-  if (seg_or_zero > 0) p.segment = seg_or_zero;
+  if (seg_or_zero > 0) p.opts.segment_size = seg_or_zero;
   return p;
 }
 
@@ -281,25 +248,110 @@ Plan sag_variant(AllgatherAlgo algo) {
   return p;
 }
 
+// --------------------------------------------------- GPU personalities ---
+
+Bytes gpu_segment(Bytes msg) {
+  // GPU messages are 1-32 MB; 1 MB segments keep PCIe transfers efficient
+  // while still filling the pipeline.
+  return std::clamp<Bytes>(msg / 8, kib(256), mib(1));
+}
+
+/// Folding device-resident data on the CPU drags every byte across PCIe and
+/// back around the fold; fold cost ~ gamma + 2/bw_pcie per byte.
+constexpr double kCpuFoldOfDeviceData = 1.7;
+
+/// Plan over device-resident data: every edge moves device to device.
+Plan device_plan(Style style, TreeShape shape, Bytes msg,
+                 double gamma_scale = 1.0) {
+  Plan p;
+  p.style = style;
+  p.shape = shape;
+  p.opts.segment_size = gpu_segment(msg);
+  p.opts.gamma_scale = gamma_scale;
+  p.opts.send = {MemSpace::kDevice, MemSpace::kDevice};
+  return p;
+}
+
+/// MVAPICH2-like: device-direct transfers over IPC/GPUDirect, radix-4
+/// k-nomial over communicator order, Waitall pipeline, reduction on the CPU
+/// (the state of practice §4.2 calls out: no GPU offload).
+Plan mvapich_gpu_bcast(Bytes msg) {
+  return device_plan(Style::kNonblocking,
+                     RankOrderShape{TreeKind::kKNomial, 4}, msg);
+}
+
+Plan mvapich_gpu_reduce(Bytes msg) {
+  return device_plan(Style::kNonblocking,
+                     RankOrderShape{TreeKind::kKNomial, 4}, msg,
+                     kCpuFoldOfDeviceData);
+}
+
+/// Open MPI default: the tuned decision tree was never taught about GPUs
+/// (§5.2.2), so it picks a rank-order binomial even where a chain is optimal,
+/// and the runtime stages everything through the root port.
+Plan default_gpu_bcast(Bytes msg) {
+  return device_plan(Style::kNonblocking, RankOrderShape{TreeKind::kBinomial},
+                     msg);
+}
+
+Plan default_gpu_reduce(Bytes msg) {
+  return device_plan(Style::kNonblocking, RankOrderShape{TreeKind::kBinomial},
+                     msg, kCpuFoldOfDeviceData);
+}
+
+/// ADAPT on GPUs: topo-aware chain tree, event-driven, explicit CPU buffer
+/// at node leaders so NIC traffic, cache->GPU flushes and GPU-peer copies
+/// ride different PCIe lanes (§4.1).
+Plan adapt_gpu_bcast(const topo::Machine& m, Bytes msg) {
+  Plan p;
+  p.style = Style::kAdapt;
+  p.shape = TopoTreeSpec{};
+  p.opts.segment_size = gpu_segment(msg);
+  p.opts.gpu_host_cache = true;
+  p.opts.edge_spaces = [&m](Rank src, Rank dst) -> mpi::SendOpts {
+    switch (m.level_between(src, dst)) {
+      case topo::Level::kInterNode:
+        // leader host cache -> leader host cache over the NIC's own lanes
+        return {MemSpace::kHost, MemSpace::kHost};
+      case topo::Level::kInterSocket:
+        // host cache -> socket leader's GPU (QPI + pcie_down)
+        return {MemSpace::kHost, MemSpace::kDevice};
+      default:
+        // switch-local GPU peer DMA
+        return {MemSpace::kDevice, MemSpace::kDevice};
+    }
+  };
+  return p;
+}
+
+/// ADAPT's GPU reduce: the same tree, reductions offloaded to asynchronous
+/// GPU streams (§4.2).
+Plan adapt_gpu_reduce(Bytes msg) {
+  Plan p = device_plan(Style::kAdapt, TopoTreeSpec{}, msg);
+  p.opts.gpu_reduce = true;
+  return p;
+}
+
 }  // namespace
 
 std::shared_ptr<MpiLibrary> make_library(const std::string& name,
                                          const topo::Machine& machine) {
-  auto lib = [&](PlanFn b, PlanFn r) {
-    return std::make_shared<PlanLibrary>(name, machine, std::move(b),
-                                         std::move(r));
+  auto lib = [&](PlanFn b, PlanFn r, net::GpuConfig gpu = {}) {
+    return std::make_shared<MpiLibrary>(name, machine, std::move(b),
+                                        std::move(r), nullptr, false, gpu);
   };
   if (name == "ompi-adapt")
     // Engine-tunable: uses the heuristic adapt_plan unless the run installs
     // a Tuner via SimEngineOptions::tuning.
-    return std::make_shared<PlanLibrary>(name, machine, adapt_plan, adapt_plan,
-                                         nullptr, /*engine_tunable=*/true);
+    return std::make_shared<MpiLibrary>(name, machine, adapt_plan, adapt_plan,
+                                        nullptr, /*engine_tunable=*/true,
+                                        net::GpuConfig{});
   if (name == "ompi-adapt-tuned")
     // Self-contained tuned variant: owns its Tuner, so it tunes on every
     // engine (including the ThreadEngine, which has no SimEngineOptions).
-    return std::make_shared<PlanLibrary>(
+    return std::make_shared<MpiLibrary>(
         name, machine, adapt_plan, adapt_plan,
-        std::make_shared<tune::Tuner>(machine), false);
+        std::make_shared<tune::Tuner>(machine), false, net::GpuConfig{});
   if (name == "ompi-default")
     return lib(default_tuned_bcast, default_tuned_reduce);
   if (name == "ompi-default-topo")
@@ -344,10 +396,27 @@ std::shared_ptr<MpiLibrary> make_library(const std::string& name,
     return lib(nullptr, [](Bytes m) {
       Plan p;
       p.algo = Plan::Algo::kRabenseifner;
-      p.gamma_scale = 0.5;
-      p.segment = default_segment_size(m);
+      p.opts.gamma_scale = 0.5;
+      p.opts.segment_size = default_segment_size(m);
       return p;
     });
+
+  // GPU personalities (Fig. 11).
+  auto gpu_lib = [&](PlanFn b, PlanFn r, net::GpuConfig gpu) {
+    ADAPT_CHECK(machine.spec().gpus_per_socket > 0)
+        << "GPU personality on a machine without GPUs";
+    return lib(std::move(b), std::move(r), gpu);
+  };
+  if (name == "mvapich-gpu")
+    return gpu_lib(mvapich_gpu_bcast, mvapich_gpu_reduce,
+                   {.gpudirect = true, .peer_dma = true});
+  if (name == "ompi-default-gpu")
+    // No GPUDirect, no peer DMA: every transfer bounces through the root port.
+    return gpu_lib(default_gpu_bcast, default_gpu_reduce,
+                   {.gpudirect = false, .peer_dma = false});
+  if (name == "ompi-adapt-gpu")
+    return gpu_lib([&machine](Bytes m) { return adapt_gpu_bcast(machine, m); },
+                   adapt_gpu_reduce, {.gpudirect = true, .peer_dma = true});
   throw Error("unknown MPI library personality: " + name);
 }
 
@@ -357,6 +426,10 @@ std::vector<std::string> end_to_end_libraries(const std::string& cluster) {
   if (cluster == "stampede2")
     return {"intel", "mvapich", "ompi-default", "ompi-adapt"};
   return {"intel", "cray", "mvapich", "ompi-default", "ompi-adapt"};
+}
+
+std::vector<std::string> gpu_libraries() {
+  return {"mvapich-gpu", "ompi-default-gpu", "ompi-adapt-gpu"};
 }
 
 std::vector<std::string> intel_topo_bcast_variants() {

@@ -308,8 +308,6 @@ sim::Task<> reduce_rabenseifner(runtime::Context& ctx, const mpi::Comm& comm,
 
     // Phase 2: gather the p2 reduced blocks to the root.
     const auto [mine_lo, mine_hi] = range_bytes(lo, lo + 1);
-    const Rank root_idx_rank = comm.local_of(comm.global(root));
-    (void)root_idx_rank;
     if (me == root) {
       std::vector<mpi::RequestPtr> recvs;
       for (int i = 0; i < p2; ++i) {

@@ -34,6 +34,19 @@ const char* kind_name(PersistentOp::Kind kind) {
   return "?";
 }
 
+/// Drops the plans the context's cache keyed by `comm` (a freed or revoked
+/// communicator) and records the "plan_invalidate" instant.
+void invalidate_plans(runtime::Context& ctx, const mpi::Comm& comm) {
+  tune::PlanCache* cache = ctx.plan_cache();
+  if (cache == nullptr) return;
+  cache->invalidate_comm(comm.fingerprint());
+  if (obs::Recorder* rec = ctx.recorder()) {
+    rec->instant(obs::rank_pid(ctx.rank()), obs::kTidMain, obs::Cat::kCache,
+                 "plan_invalidate", rec->now(),
+                 static_cast<std::int64_t>(comm.fingerprint()));
+  }
+}
+
 tune::PlanOp plan_op_of(PersistentOp::Kind kind) {
   switch (kind) {
     case PersistentOp::Kind::kBcast: return tune::PlanOp::kBcast;
@@ -197,14 +210,7 @@ mpi::ErrCode PersistentOp::start() {
     // one is the recovery layer saying "shrink and re-init" — recoverable.
     // Both drop any cached plans keyed by it, so the cache cannot serve this
     // plan to a future lookalike lookup.
-    if (tune::PlanCache* cache = ctx_->plan_cache()) {
-      cache->invalidate_comm(comm_.fingerprint());
-      if (obs::Recorder* rec = ctx_->recorder()) {
-        rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidMain,
-                     obs::Cat::kCache, "plan_invalidate", rec->now(),
-                     static_cast<std::int64_t>(comm_.fingerprint()));
-      }
-    }
+    invalidate_plans(*ctx_, comm_);
     return comm_.state()->freed ? mpi::ErrCode::kErrCommFreed
                                 : mpi::ErrCode::kErrRevoked;
   }
@@ -398,14 +404,7 @@ PersistentOpPtr barrier_init(runtime::Context& ctx, const mpi::Comm& comm,
 
 void free_comm(runtime::Context& ctx, const mpi::Comm& comm) {
   comm.free();
-  if (tune::PlanCache* cache = ctx.plan_cache()) {
-    cache->invalidate_comm(comm.fingerprint());
-    if (obs::Recorder* rec = ctx.recorder()) {
-      rec->instant(obs::rank_pid(ctx.rank()), obs::kTidMain, obs::Cat::kCache,
-                   "plan_invalidate", rec->now(),
-                   static_cast<std::int64_t>(comm.fingerprint()));
-    }
-  }
+  invalidate_plans(ctx, comm);
 }
 
 }  // namespace adapt::coll

@@ -107,14 +107,21 @@ bool DecisionTable::load_json(const std::string& text, std::string* error) {
 
 // ---------------------------------------------------------------- Tuner ---
 
-Tuner::Tuner(const topo::Machine& machine, TunerOptions options)
-    : machine_(machine),
-      options_(std::move(options)),
-      model_(machine),
-      table_(machine.fingerprint()) {
-  ADAPT_CHECK(!options_.segments.empty() || options_.whole_message)
-      << "empty tuning grid";
-}
+namespace {
+
+/// Segment-size grid; the trailing 0 is the whole-message candidate.
+constexpr Bytes kSegments[] = {kib(16), kib(32), kib(64), kib(128), 0};
+/// Radix grid for the k-nomial topology families.
+constexpr int kRadices[] = {2, 4};
+/// Tuned plans run the ADAPT style at γ 1.0 (library.cpp), so the model
+/// prices them that way.
+constexpr coll::Style kStyle = coll::Style::kAdapt;
+constexpr double kGammaScale = 1.0;
+
+}  // namespace
+
+Tuner::Tuner(const topo::Machine& machine)
+    : machine_(machine), model_(machine), table_(machine.fingerprint()) {}
 
 int Tuner::bucket(Bytes bytes) {
   int b = 0;
@@ -129,8 +136,6 @@ std::vector<Decision> Tuner::candidates(Op op, int ranks, Bytes bytes) const {
       << "cannot tune a " << ranks << "-rank communicator on a "
       << machine_.nranks() << "-rank machine";
   const Bytes rep = bucket_bytes(bucket(bytes));
-  std::vector<Bytes> segments = options_.segments;
-  if (options_.whole_message) segments.push_back(0);
 
   std::vector<Decision> out;
   const auto price = [&](Decision d) {
@@ -143,13 +148,13 @@ std::vector<Decision> Tuner::candidates(Op op, int ranks, Bytes bytes) const {
   // Gating keeps the default grid byte-identical on every legacy machine.
   const bool han = machine_.spec().has_shm_channel() &&
                    ranks > machine_.spec().cores_per_node();
-  for (const Bytes seg : segments) {
+  for (const Bytes seg : kSegments) {
     price({Topology::kTopoChain, 4, seg, 0});
-    for (const int radix : options_.radices)
+    for (const int radix : kRadices)
       price({Topology::kTopoKnomial, radix, seg, 0});
     price({Topology::kBinomial, 4, seg, 0});
     if (han)
-      for (const int radix : options_.radices)
+      for (const int radix : kRadices)
         price({Topology::kHan, radix, seg, 0});
   }
   return out;
@@ -161,10 +166,10 @@ TimeNs Tuner::predict(Op op, int ranks, const Decision& decision,
   const coll::Tree tree = decision_tree(machine_, comm, /*root=*/0, decision);
   Workload work;
   work.op = op;
-  work.style = options_.style;
+  work.style = kStyle;
   work.bytes = bytes;
   work.segment = decision_segment(decision, bytes);
-  work.gamma_scale = options_.gamma_scale;
+  work.gamma_scale = kGammaScale;
   return model_.predict(work, comm, tree);
 }
 

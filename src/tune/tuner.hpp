@@ -1,13 +1,13 @@
 // The adaptive decision engine (paper §5.2.1; MPI Advance-style caching).
 //
-// A Tuner enumerates a candidate grid — topology × segment size × radix —
-// prices every candidate with the analytical CostModel, and caches the
-// predicted-best Decision per (collective, communicator size, message-size
-// bucket). Decisions depend only on those keys plus the machine, so the
-// cache is eviction-free and deterministic, and a filled table is a reusable
-// artifact: dump_json()/load_json() persist it together with the machine
-// fingerprint, and loading rejects a table recorded on a machine whose α/β/γ
-// parameters differ.
+// A Tuner enumerates a fixed candidate grid (tuner.cpp) — topology ×
+// segment size × radix — prices every candidate with the analytical
+// CostModel, and caches the predicted-best Decision per (collective,
+// communicator size, message-size bucket). Decisions depend only on those
+// keys plus the machine, so the cache is eviction-free and deterministic,
+// and a filled table is a reusable artifact: dump_json()/load_json()
+// persist it together with the machine fingerprint, and loading rejects a
+// table recorded on a machine whose α/β/γ parameters differ.
 //
 // Candidate evaluation lays trees over a dense rank prefix of the machine
 // (the cache is keyed by communicator SIZE, not membership — the MPI Advance
@@ -91,22 +91,11 @@ class DecisionTable {
   std::uint64_t misses_ = 0;
 };
 
-struct TunerOptions {
-  /// Segment-size grid; 0 (whole message) is appended when whole_message.
-  std::vector<Bytes> segments{kib(16), kib(32), kib(64), kib(128)};
-  bool whole_message = true;
-  /// Radix grid for the k-nomial topology family.
-  std::vector<int> radices{2, 4};
-  /// Style the tuned personality runs (and the model prices).
-  coll::Style style = coll::Style::kAdapt;
-  double gamma_scale = 1.0;
-};
-
 /// Thread-safe decision engine bound to one machine (personalities are
 /// invoked concurrently on the ThreadEngine).
 class Tuner {
  public:
-  explicit Tuner(const topo::Machine& machine, TunerOptions options = {});
+  explicit Tuner(const topo::Machine& machine);
 
   /// Observability out-params for one choose() call: whether the decision
   /// table already held the answer, and how many grid candidates were
@@ -136,7 +125,6 @@ class Tuner {
   static Bytes bucket_bytes(int bucket);
 
   const topo::Machine& machine() const { return machine_; }
-  const TunerOptions& options() const { return options_; }
 
   // Decision-table access (serialised against concurrent choose()).
   std::string dump_json() const;
@@ -147,7 +135,6 @@ class Tuner {
 
  private:
   const topo::Machine& machine_;
-  TunerOptions options_;
   CostModel model_;
   mutable std::mutex mutex_;
   DecisionTable table_;

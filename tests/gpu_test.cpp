@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "src/coll/library.hpp"
 #include "src/gpu/device.hpp"
-#include "src/gpu/gpu_coll.hpp"
 #include "src/runtime/sim_engine.hpp"
 #include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
@@ -118,7 +118,7 @@ TEST_P(GpuLibraryCorrectness, BcastAndReduceRealData) {
   topo::Machine m = gpu_machine(2);  // 8 GPUs over 2 nodes
   const int n = m.nranks();
   const mpi::Comm world = mpi::Comm::world(n);
-  auto lib = make_gpu_library(name, m);
+  auto lib = coll::make_library(name, m);
 
   {
     runtime::SimEngineOptions options;
@@ -181,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(AllGpuPersonalities, GpuLibraryCorrectness,
 TimeNs gpu_coll_time(const std::string& name, const topo::Machine& m,
                      Bytes msg, bool reduce) {
   const mpi::Comm world = mpi::Comm::world(m.nranks());
-  auto lib = make_gpu_library(name, m);
+  auto lib = coll::make_library(name, m);
   runtime::SimEngineOptions options;
   options.gpu = lib->gpu_config();
   SimEngine engine(m, options);
@@ -207,7 +207,7 @@ TEST(GpuColl, AdaptBeatsNaiveBaselines) {
   topo::Machine m = gpu_machine(2);
   const Bytes msg = mib(16);
   std::map<std::string, double> bcast_ms, reduce_ms;
-  for (const std::string& name : gpu_libraries()) {
+  for (const std::string& name : coll::gpu_libraries()) {
     bcast_ms[name] = to_ms(gpu_coll_time(name, m, msg, /*reduce=*/false));
     reduce_ms[name] = to_ms(gpu_coll_time(name, m, msg, /*reduce=*/true));
   }
@@ -247,7 +247,7 @@ TEST(GpuColl, TreeCacheKeysOnCommunicator) {
   const mpi::Comm world = mpi::Comm::world(n);
   const mpi::Comm half(std::vector<Rank>{0, 1, 4, 5});  // spans both nodes
   for (const std::string name : {"mvapich-gpu", "ompi-adapt-gpu"}) {
-    auto lib = make_gpu_library(name, m);
+    auto lib = coll::make_library(name, m);
     runtime::SimEngineOptions options;
     options.gpu = lib->gpu_config();
     SimEngine engine(m, options);
@@ -276,7 +276,7 @@ TEST(GpuColl, TreeCacheKeysOnCommunicator) {
 
 TEST(GpuColl, RejectsCpuOnlyMachine) {
   topo::Machine m(topo::cori(1), 8);
-  EXPECT_THROW(make_gpu_library("ompi-adapt-gpu", m), Error);
+  EXPECT_THROW(coll::make_library("ompi-adapt-gpu", m), Error);
 }
 
 }  // namespace
