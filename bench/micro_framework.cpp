@@ -26,6 +26,7 @@
 #include "src/support/buffer_pool.hpp"
 #include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
+#include "src/tune/tuner.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -198,6 +199,22 @@ void BM_TopoTreeBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopoTreeBuild)->Arg(128)->Arg(1024);
+
+void BM_DecisionTreeWarm(benchmark::State& state) {
+  // A one-shot tuned call's tree after its first: a lookup in the
+  // communicator's cache plus a copy of the tree's three arrays.
+  const int ranks = static_cast<int>(state.range(0));
+  topo::Machine machine(topo::cori((ranks + 31) / 32), ranks);
+  const mpi::Comm world = mpi::Comm::world(ranks);
+  tune::Decision d;
+  d.topology = tune::Topology::kTopoKnomial;
+  d.radix = 4;
+  tune::decision_tree(machine, world, 0, d);  // the one build
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tune::decision_tree(machine, world, 0, d));
+  }
+}
+BENCHMARK(BM_DecisionTreeWarm)->Arg(64);
 
 void BM_SimulatedBcast(benchmark::State& state) {
   // End-to-end simulator rate: one ADAPT broadcast per iteration.

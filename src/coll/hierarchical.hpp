@@ -14,7 +14,8 @@ namespace adapt::coll {
 
 /// A two-level shape laid out level by level over one communicator: the
 /// node split, each member's node, and one tree per level. Built once per
-/// (communicator, root, shape) and cached (shape.hpp's TreeCache::hier).
+/// (communicator, root, shape) and cached on the communicator (shape.hpp's
+/// cached_hier).
 struct HierLevels {
   HanGroups groups;
   std::vector<int> node;  ///< node index (into groups.nodes) per local rank

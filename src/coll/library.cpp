@@ -47,8 +47,8 @@ class TunedProbe {
 };
 
 /// Translates a tuned Decision into the Plan vocabulary: the tree is
-/// tune::decision_shape's, so the TreeCache holds exactly the tree
-/// tune::decision_tree builds.
+/// tune::decision_shape's, so the communicator's cache holds exactly the
+/// tree tune::decision_tree returns.
 ///
 /// With a recorder attached this is also the decision engine's trace hook
 /// (tune::trace_choice, with the model prediction at the actual message
@@ -81,7 +81,7 @@ MpiLibrary::MpiLibrary(std::string name, const topo::Machine& machine,
                        std::shared_ptr<tune::Tuner> own_tuner,
                        bool engine_tunable, net::GpuConfig gpu)
     : name_(std::move(name)),
-      cache_(machine),
+      machine_(machine),
       bcast_fn_(std::move(bcast_fn)),
       reduce_fn_(std::move(reduce_fn)),
       own_tuner_(std::move(own_tuner)),
@@ -102,11 +102,12 @@ sim::Task<> MpiLibrary::bcast(runtime::Context& ctx, const mpi::Comm& comm,
   switch (p.algo) {
     case Plan::Algo::kTree:
       co_await coll::bcast(ctx, comm, buffer, root,
-                           cache_.tree(comm, root, p.shape), p.style, p.opts);
+                           cached_tree(machine_, comm, root, p.shape), p.style,
+                           p.opts);
       co_return;
     case Plan::Algo::kHier:
       co_await hier_bcast(ctx, comm, buffer,
-                          cache_.hier(comm, root,
+                          cached_hier(machine_, comm, root,
                                       std::get<TwoLevelShape>(p.shape)),
                           p.style, p.opts);
       co_return;
@@ -134,11 +135,12 @@ sim::Task<> MpiLibrary::reduce(runtime::Context& ctx, const mpi::Comm& comm,
   switch (p.algo) {
     case Plan::Algo::kTree:
       co_await coll::reduce(ctx, comm, accum, op, dtype, root,
-                            cache_.tree(comm, root, p.shape), p.style, p.opts);
+                            cached_tree(machine_, comm, root, p.shape),
+                            p.style, p.opts);
       co_return;
     case Plan::Algo::kHier:
       co_await hier_reduce(ctx, comm, accum, op, dtype,
-                           cache_.hier(comm, root,
+                           cached_hier(machine_, comm, root,
                                        std::get<TwoLevelShape>(p.shape)),
                            p.style, p.opts);
       co_return;

@@ -7,9 +7,10 @@
 // Plan per message size: one algorithm, one tree shape (coll::TreeShape,
 // shape.hpp: rank-order kind + radix, topology TopoTreeSpec, or two-level
 // TwoLevelShape), one Style and one CollOpts. The shape resolves to a tree,
-// or for `intel` to its level-by-level HierLevels, through the library's one
-// TreeCache, built on the first call per (communicator, root, shape) and
-// replayed after. Tuned plans take their shape from tune::decision_shape.
+// or for `intel` to its level-by-level HierLevels, through the cache on the
+// communicator (shape.hpp's cached_tree / cached_hier): built on the first
+// call per (machine, root, shape) and replayed after, whichever personality
+// asks. Tuned plans take their shape from tune::decision_shape.
 //
 //   ompi-adapt          ADAPT event-driven + single-comm topo tree (chains);
 //                       consults the run's tuner (Context::tuner()) instead
@@ -81,8 +82,9 @@ struct Plan {
 
 using PlanFn = std::function<Plan(Bytes message)>;
 
-/// A personality bound to a machine: one plan function per collective and
-/// one TreeCache. Built by make_library.
+/// A personality bound to a machine: one plan function per collective; the
+/// trees its plans name are cached on each communicator. Built by
+/// make_library.
 class MpiLibrary {
  public:
   /// `own_tuner` (the "-tuned" personality) makes tuning unconditional;
@@ -108,7 +110,7 @@ class MpiLibrary {
   tune::Tuner* active_tuner(runtime::Context& ctx) const;
 
   std::string name_;
-  TreeCache cache_;
+  const topo::Machine& machine_;
   PlanFn bcast_fn_;
   PlanFn reduce_fn_;
   std::shared_ptr<tune::Tuner> own_tuner_;

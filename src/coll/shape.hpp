@@ -4,16 +4,14 @@
 // kind over communicator order, the topology-aware per-level spec
 // (topo_tree.hpp), or a two-level node-leader split (han.hpp). Every shape
 // resolves to a Tree through one builder, build_tree(machine, comm, root,
-// shape); the personalities (library.cpp) memoise the result per
-// (communicator, root, shape) in one TreeCache, and tune::decision_tree maps
-// a tuned Decision onto a shape first.
+// shape), and every consumer (the personalities in library.cpp,
+// tune::decision_tree, persistent init, the self-healing retries, the
+// tuner's table fill) resolves it through one cache that lives on the
+// communicator itself: cached_tree() builds a tree on first use per
+// (machine, root, shape) and replays it for the communicator's life, the way
+// Open MPI's coll/base caches its trees on the communicator.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
-#include <tuple>
 #include <variant>
 
 #include "src/coll/hierarchical.hpp"
@@ -31,34 +29,23 @@ struct RankOrderShape {
 using TreeShape = std::variant<RankOrderShape, TopoTreeSpec, TwoLevelShape>;
 
 /// Lays `shape` over the local ranks of `comm`, rooted at local `root`; a
-/// two-level shape gives the fused HAN tree.
+/// two-level shape gives the fused HAN tree. Validated by the builder.
 Tree build_tree(const topo::Machine& machine, const mpi::Comm& comm,
                 Rank root, const TreeShape& shape);
 
-/// Resolved shapes per (communicator fingerprint, root, shape). The
-/// fingerprint covers the full membership, so sub-communicators of equal
-/// size and first member but different members don't collide. Entries are
-/// built on first use and never evicted; returned references stay valid for
-/// the cache's life. Thread-safe (personalities run concurrently on the
-/// ThreadEngine).
-class TreeCache {
- public:
-  explicit TreeCache(const topo::Machine& machine) : machine_(machine) {}
-
-  /// The spanning tree build_tree() gives.
-  const Tree& tree(const mpi::Comm& comm, Rank root, const TreeShape& shape);
-  /// The same two-level shape laid out level by level (hier_levels()).
-  const HierLevels& hier(const mpi::Comm& comm, Rank root,
-                         const TwoLevelShape& shape);
-
- private:
-  struct Entry {
-    std::optional<Tree> tree;
-    std::optional<HierLevels> hier;
-  };
-  const topo::Machine& machine_;
-  std::mutex mutex_;
-  std::map<std::tuple<std::uint64_t, Rank, TreeShape>, Entry> entries_;
-};
+/// The tree build_tree() gives, cached on `comm`'s shared state per
+/// (machine id, root, shape): built on the first call, the same object on
+/// every later one. The key carries the machine because nothing ties a
+/// communicator to one; copies of a Comm share the cache, a communicator
+/// built anew (a split, another member list) starts empty. The reference
+/// stays valid while any copy of `comm` lives. Thread-safe (personalities
+/// run concurrently on the ThreadEngine).
+const Tree& cached_tree(const topo::Machine& machine, const mpi::Comm& comm,
+                        Rank root, const TreeShape& shape);
+/// The same two-level shape laid out level by level (hier_levels()),
+/// cached like cached_tree().
+const HierLevels& cached_hier(const topo::Machine& machine,
+                              const mpi::Comm& comm, Rank root,
+                              const TwoLevelShape& shape);
 
 }  // namespace adapt::coll

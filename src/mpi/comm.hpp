@@ -10,12 +10,15 @@
 // cache, and a freed flag set by free(). Persistent handles keep a weak
 // reference to the state — once any copy is freed, start() fails with
 // kErrCommFreed and cached plans bound to the state are invalidated, so a
-// freed or re-split communicator can never serve a stale schedule.
+// freed or re-split communicator can never serve a stale schedule. The
+// state also holds one slot the collective layer owns: its trees, resolved
+// once per communicator and dropped with it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -24,9 +27,9 @@
 
 namespace adapt::mpi {
 
-/// Shared, mostly-immutable communicator state. `freed` and `revoked` are
-/// the only mutable members; each flips once (Comm::free / Comm::revoke) and
-/// is only ever read afterwards.
+/// Shared, mostly-immutable communicator state. `freed` and `revoked` flip
+/// once (Comm::free / Comm::revoke) and are only ever read afterwards; the
+/// collective layer's attribute is the one other mutable member.
 struct CommState {
   std::vector<Rank> members;
   /// (global, local) for every member, sorted by global rank: local_of's
@@ -35,6 +38,14 @@ struct CommState {
   std::uint64_t fingerprint = 0;  ///< FNV-1a over the ordered member list
   bool freed = false;
   bool revoked = false;  ///< ULFM revocation: schedules on it are stale
+
+  /// The collective layer's per-communicator attribute (an MPI attribute in
+  /// spirit: src/coll keeps its resolved trees here, shape.hpp). Type-erased
+  /// so this layer includes no collective header; created on first use and
+  /// destroyed with the state. `coll_mutex` guards the slot and everything
+  /// in it.
+  mutable std::mutex coll_mutex;
+  mutable std::shared_ptr<void> coll_attr;
 
   bool alive() const { return !freed && !revoked; }
 };

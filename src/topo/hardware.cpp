@@ -1,5 +1,6 @@
 #include "src/topo/hardware.hpp"
 
+#include <atomic>
 #include <functional>
 #include <map>
 
@@ -17,8 +18,17 @@ const char* level_name(Level level) {
   return "?";
 }
 
+namespace {
+
+std::uint64_t next_machine_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Machine::Machine(MachineSpec spec, int nranks, PlacementPolicy policy)
-    : spec_(std::move(spec)), policy_(policy) {
+    : id_(next_machine_id()), spec_(std::move(spec)), policy_(policy) {
   ADAPT_CHECK(nranks > 0);
   ADAPT_CHECK(spec_.nodes > 0 && spec_.sockets_per_node > 0 &&
               spec_.cores_per_socket > 0);
@@ -54,7 +64,9 @@ Machine::Machine(MachineSpec spec, int nranks, PlacementPolicy policy)
 }
 
 Machine::Machine(MachineSpec spec, std::vector<int> slots)
-    : spec_(std::move(spec)), policy_(PlacementPolicy::kByCore) {
+    : id_(next_machine_id()),
+      spec_(std::move(spec)),
+      policy_(PlacementPolicy::kByCore) {
   ADAPT_CHECK(!slots.empty());
   ADAPT_CHECK(spec_.nodes > 0 && spec_.sockets_per_node > 0 &&
               spec_.cores_per_socket > 0);

@@ -143,7 +143,14 @@ class Machine {
   /// fingerprint and is rejected on a machine whose parameters differ.
   std::string fingerprint() const;
 
+  /// Process-unique identity, drawn from a counter when the machine is
+  /// built; a copy keeps it (a Machine is immutable). Caches keyed per
+  /// machine use it: an address can be reused after a free, and
+  /// fingerprint() builds a string on every call.
+  std::uint64_t id() const { return id_; }
+
  private:
+  std::uint64_t id_;
   MachineSpec spec_;
   PlacementPolicy policy_;
   std::vector<Loc> locs_;

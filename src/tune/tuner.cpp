@@ -137,9 +137,12 @@ std::vector<Decision> Tuner::candidates(Op op, int ranks, Bytes bytes) const {
       << machine_.nranks() << "-rank machine";
   const Bytes rep = bucket_bytes(bucket(bytes));
 
+  // One communicator for the whole grid: its tree cache builds each shape
+  // once, whatever the number of segment sizes priced over it.
+  const mpi::Comm comm = mpi::Comm::world(ranks);
   std::vector<Decision> out;
   const auto price = [&](Decision d) {
-    d.predicted = predict(op, ranks, d, rep);
+    d.predicted = predict_on(op, comm, d, rep);
     out.push_back(d);
   };
   // Two-level HAN candidates only exist on machines with a first-class SHM
@@ -162,8 +165,13 @@ std::vector<Decision> Tuner::candidates(Op op, int ranks, Bytes bytes) const {
 
 TimeNs Tuner::predict(Op op, int ranks, const Decision& decision,
                       Bytes bytes) const {
-  const mpi::Comm comm = mpi::Comm::world(ranks);
-  const coll::Tree tree = decision_tree(machine_, comm, /*root=*/0, decision);
+  return predict_on(op, mpi::Comm::world(ranks), decision, bytes);
+}
+
+TimeNs Tuner::predict_on(Op op, const mpi::Comm& comm,
+                         const Decision& decision, Bytes bytes) const {
+  const coll::Tree& tree = coll::cached_tree(machine_, comm, /*root=*/0,
+                                             decision_shape(decision));
   Workload work;
   work.op = op;
   work.style = kStyle;
@@ -237,7 +245,7 @@ coll::TreeShape decision_shape(const Decision& decision) {
 
 coll::Tree decision_tree(const topo::Machine& machine, const mpi::Comm& comm,
                          Rank root, const Decision& decision) {
-  return coll::build_tree(machine, comm, root, decision_shape(decision));
+  return coll::cached_tree(machine, comm, root, decision_shape(decision));
 }
 
 Bytes decision_segment(const Decision& decision, Bytes message) {

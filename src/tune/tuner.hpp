@@ -11,8 +11,9 @@
 //
 // Candidate evaluation lays trees over a dense rank prefix of the machine
 // (the cache is keyed by communicator SIZE, not membership — the MPI Advance
-// compromise); decision_tree() then maps the chosen shape onto the actual
-// communicator and root.
+// compromise), one communicator per grid, so each shape is built once;
+// decision_tree() then maps the chosen shape onto the actual communicator
+// and root through the tree cache on that communicator.
 #pragma once
 
 #include <cstdint>
@@ -134,6 +135,10 @@ class Tuner {
   int table_size() const;
 
  private:
+  /// predict() over the dense-prefix communicator `comm`, rooted at 0.
+  TimeNs predict_on(Op op, const mpi::Comm& comm, const Decision& decision,
+                    Bytes bytes) const;
+
   const topo::Machine& machine_;
   CostModel model_;
   mutable std::mutex mutex_;
@@ -144,8 +149,11 @@ class Tuner {
 coll::TreeShape decision_shape(const Decision& decision);
 
 /// Maps a decision onto a concrete communicator: the tree coll::bcast/reduce
-/// should run, build_tree() over decision_shape(). The tuned personality
-/// caches the same tree through its TreeCache.
+/// should run, build_tree() over decision_shape(). Built once per
+/// (machine, root, shape) and cached on `comm` (coll::cached_tree); every
+/// call returns a copy of the cached tree, so the result outlives a
+/// temporary communicator. The tuned personality runs the same cached
+/// tree in place.
 coll::Tree decision_tree(const topo::Machine& machine, const mpi::Comm& comm,
                          Rank root, const Decision& decision);
 

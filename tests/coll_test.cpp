@@ -194,9 +194,10 @@ TEST(Bcast, SubCommunicator) {
   EXPECT_EQ(bufs[4][100], std::byte(0));  // non-member untouched
 }
 
-// A library caches the topology trees it builds. Two communicators of the
-// same size and first member but different membership need different trees:
-// B spans four nodes, A one. Running A first must not hand B A's tree.
+// The topology trees a library runs are cached on the communicator. Two
+// communicators of the same size and first member but different membership
+// need different trees: B spans four nodes, A one. Running A first must not
+// hand B A's tree, in one library object or across two.
 TEST(Library, TreeCacheKeysOnFullMembership) {
   const topo::Machine m(topo::cori(4), 128);
   const mpi::Comm a({0, 1, 2, 3, 4, 5, 6, 7});
@@ -217,6 +218,11 @@ TEST(Library, TreeCacheKeysOnFullMembership) {
   const auto shared = make_library("ompi-adapt", m);
   bcast_on(*shared, a);
   EXPECT_EQ(bcast_on(*shared, b), b_fresh);
+  const TreeShape shape = TopoTreeSpec{};
+  EXPECT_NE(cached_tree(m, a, 0, shape).parent,
+            cached_tree(m, b, 0, shape).parent);
+  EXPECT_EQ(cached_tree(m, b, 0, shape).parent,
+            build_tree(m, b, 0, shape).parent);
 }
 
 TEST(Reduce, NonCommutativeSafetyViaMax) {

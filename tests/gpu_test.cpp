@@ -241,7 +241,8 @@ TEST(GpuColl, AdaptFinishTimesPinned) {
 
 TEST(GpuColl, TreeCacheKeysOnCommunicator) {
   // One library object serves the world and then a smaller sub-communicator
-  // with the same root: the second call needs a tree of its own.
+  // with the same root: the second call needs a tree of its own, which the
+  // sub-communicator's cache builds rather than the world's.
   topo::Machine m = gpu_machine(2);
   const int n = m.nranks();
   const mpi::Comm world = mpi::Comm::world(n);

@@ -2,7 +2,8 @@
 // arbitrary rank→node placements, byte-exactness over the SHM transport, the
 // headline performance pin — segment-overlapped two-level broadcast beats
 // the sequential multi-communicator hierarchy it replaces — and the cached
-// hierarchical layout the intel personality runs (TreeCache::hier).
+// hierarchical layout the intel personality runs (the communicator's
+// cached_hier).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -256,12 +257,11 @@ TEST(HierCache, EntryMatchesFreshBuildUnderEveryPlacement) {
   const TwoLevelShape shapes[] = {
       {}, {TreeKind::kChain, TreeKind::kFlat, 2}, {.intra_node = TreeKind::kKAry}};
   for (const topo::Machine& m : placements()) {
-    TreeCache cache(m);
     for (const Rank root : {Rank{0}, Rank{5}, Rank{15}}) {
       for (const TwoLevelShape& shape : shapes) {
-        const HierLevels& got = cache.hier(world, root, shape);
+        const HierLevels& got = cached_hier(m, world, root, shape);
         const HierLevels want = fresh_levels(m, world, root, shape);
-        EXPECT_EQ(&got, &cache.hier(world, root, shape)) << "not cached";
+        EXPECT_EQ(&got, &cached_hier(m, world, root, shape)) << "not cached";
         EXPECT_EQ(got.node, want.node) << "root " << root;
         EXPECT_EQ(got.groups.leaders.members(), want.groups.leaders.members());
         EXPECT_TRUE(same_tree(got.leader_tree, want.leader_tree))
@@ -274,7 +274,7 @@ TEST(HierCache, EntryMatchesFreshBuildUnderEveryPlacement) {
               << "root " << root << " node " << i;
         }
         // The fused tree of the same shape shares the entry's key.
-        EXPECT_TRUE(same_tree(cache.tree(world, root, shape),
+        EXPECT_TRUE(same_tree(cached_tree(m, world, root, shape),
                               build_han_tree(m, world, root, shape)));
       }
     }

@@ -849,8 +849,7 @@ TEST(PayloadCopies, PartitionedRoundLendsWindowsOnlyBeforeRelease) {
 
 // ---------------------------------------------------------- tree building
 
-// A one-shot collective builds its tree on every rank in every call (any
-// tree plugs into any style, paper §2.2.4), so a build is a few flat
+// Any tree plugs into any style (paper §2.2.4), so a build is a few flat
 // arrays whatever the size: the tree's three, the builder's edge list, and
 // the topology-aware builder's sort keys, members and leaders.
 TEST(TreeBuild, DecisionTreeAllocatesAFewArrays) {
@@ -860,12 +859,34 @@ TEST(TreeBuild, DecisionTreeAllocatesAFewArrays) {
   tune::Decision d;
   d.topology = tune::Topology::kTopoKnomial;
   d.radix = 4;
+  const coll::TreeShape shape = tune::decision_shape(d);
   for (Rank root = 0; root < kRanks; ++root) {
     const std::uint64_t before = g_alloc_count.load();
-    const coll::Tree tree = tune::decision_tree(machine, world, root, d);
+    const coll::Tree tree = coll::build_tree(machine, world, root, shape);
     const std::uint64_t allocs = g_alloc_count.load() - before;
     EXPECT_LE(allocs, 8u) << "root " << root;
     EXPECT_EQ(tree.size(), kRanks);
+  }
+}
+
+// A one-shot call builds its tree once per (communicator, root, shape) and
+// finds it on the communicator after: a warm decision_tree allocates only
+// the three arrays of the copy it returns.
+TEST(TreeBuild, WarmDecisionTreeAllocatesOnlyItsCopy) {
+  constexpr int kRanks = 64;
+  const topo::Machine machine(topo::cori(2), kRanks);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  tune::Decision d;
+  d.topology = tune::Topology::kTopoKnomial;
+  d.radix = 4;
+  for (Rank root = 0; root < kRanks; ++root) {
+    const coll::Tree cold = tune::decision_tree(machine, world, root, d);
+    const std::uint64_t before = g_alloc_count.load();
+    const coll::Tree warm = tune::decision_tree(machine, world, root, d);
+    const std::uint64_t allocs = g_alloc_count.load() - before;
+    EXPECT_EQ(allocs, 3u) << "root " << root;
+    EXPECT_EQ(warm.parent, cold.parent) << "root " << root;
+    EXPECT_EQ(warm.child_list, cold.child_list) << "root " << root;
   }
 }
 

@@ -233,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ThreadEngine, LibraryPersonalityRunsForReal) {
   const int n = 8;
   // Four ranks on each of two nodes, so both levels of intel's hierarchy
-  // and of ompi-han's fused tree run, and every personality's TreeCache is
+  // and of ompi-han's fused tree run, and the world's tree cache is
   // filled from concurrent rank threads.
   const topo::Machine m(topo::cori(2),
                         std::vector<int>{0, 1, 2, 3, 32, 33, 34, 35});

@@ -489,9 +489,9 @@ TEST(TreeReference, HanTreeOnHanCluster) {
   }
 }
 
-// The TreeCache key carries every field of the shape: shapes that differ
-// only in the socket level, the node level or the radix each resolve to
-// their own tree, the one build_tree() gives fresh.
+// The communicator's tree cache keys on every field of the shape: shapes
+// that differ only in the socket level, the node level or the radix each
+// resolve to their own tree, the one build_tree() gives fresh.
 TEST(TreeCacheKey, CarriesTheFullShape) {
   // Four sockets per node, so the socket level's shape shows.
   const topo::Machine m(topo::parse_spec("nodes=4,sockets=4,cores=4"), 64);
@@ -508,17 +508,100 @@ TEST(TreeCacheKey, CarriesTheFullShape) {
       RankOrderShape{kK, 4},
       TwoLevelShape{},
       TwoLevelShape{.radix = 2}};
-  TreeCache cache(m);
   for (const Rank root : {Rank{0}, Rank{37}}) {
-    for (const TreeShape& shape : shapes) cache.tree(world, root, shape);
+    for (const TreeShape& shape : shapes) cached_tree(m, world, root, shape);
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const Tree& got = cache.tree(world, root, shapes[i]);
+      const Tree& got = cached_tree(m, world, root, shapes[i]);
       const Tree want = build_tree(m, world, root, shapes[i]);
       EXPECT_EQ(got.parent, want.parent) << "shape " << i << " root " << root;
       EXPECT_EQ(got.child_list, want.child_list)
           << "shape " << i << " root " << root;
     }
   }
+}
+
+/// Both trees hold the same parents and ordered child lists.
+bool same_arrays(const Tree& a, const Tree& b) {
+  return a.root == b.root && a.parent == b.parent &&
+         a.child_begin == b.child_begin && a.child_list == b.child_list;
+}
+
+// A tree is built once per (machine, root, shape) and then served from the
+// communicator: every later lookup, through any copy of the communicator or
+// of the machine, returns the same object.
+TEST(CommTreeCache, SameKeyReturnsTheSameObject) {
+  const topo::Machine m(topo::cori(2), 64);
+  const mpi::Comm world = mpi::Comm::world(64);
+  const TreeShape shape = TopoTreeSpec{};
+  const Tree& first = cached_tree(m, world, 5, shape);
+  EXPECT_TRUE(same_arrays(first, build_tree(m, world, 5, shape)));
+  EXPECT_EQ(&cached_tree(m, world, 5, shape), &first);
+  const mpi::Comm copy = world;
+  EXPECT_EQ(&cached_tree(m, copy, 5, shape), &first);
+  const topo::Machine same = m;  // a copy keeps the machine's identity
+  EXPECT_EQ(same.id(), m.id());
+  EXPECT_EQ(&cached_tree(same, world, 5, shape), &first);
+  EXPECT_NE(&cached_tree(m, world, 6, shape), &first);
+  // A communicator built anew over the same members has a cache of its own.
+  const mpi::Comm again = mpi::Comm::world(64);
+  EXPECT_NE(&cached_tree(m, again, 5, shape), &first);
+}
+
+// Nothing ties a communicator to one machine: two machines that place the
+// same ranks differently each get the tree of their own placement over one
+// communicator.
+TEST(CommTreeCache, MachinesWithDifferentPlacementsGetTheirOwnTrees) {
+  constexpr int kRanks = 16;
+  const topo::Machine dense(topo::cori(2), kRanks);  // all on node 0
+  std::vector<int> slots(kRanks);
+  for (int r = 0; r < kRanks; ++r)
+    slots[static_cast<std::size_t>(r)] = (r % 2) * 32 + r / 2;  // cyclic
+  const topo::Machine cyclic(topo::cori(2), slots);
+  ASSERT_NE(dense.id(), cyclic.id());
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  for (const TreeShape& shape :
+       {TreeShape{TopoTreeSpec{}}, TreeShape{TwoLevelShape{}}}) {
+    const Tree& a = cached_tree(dense, world, 0, shape);
+    const Tree& b = cached_tree(cyclic, world, 0, shape);
+    EXPECT_NE(&a, &b);
+    EXPECT_NE(a.parent, b.parent);
+    EXPECT_TRUE(same_arrays(a, build_tree(dense, world, 0, shape)));
+    EXPECT_TRUE(same_arrays(b, build_tree(cyclic, world, 0, shape)));
+  }
+}
+
+// A split communicator starts with an empty cache: it never sees its
+// parent's tree, a sibling's, or that of a communicator of the same size
+// and first member but other members.
+TEST(CommTreeCache, SplitCommNeverSeesAnotherCommsTree) {
+  const topo::Machine m(topo::cori(4), 128);
+  const mpi::Comm world = mpi::Comm::world(128);
+  const TreeShape shape = TopoTreeSpec{};
+  const Tree& whole = cached_tree(m, world, 0, shape);
+  // Each part takes every fourth rank, so it spans all four nodes.
+  const std::vector<mpi::Comm> parts =
+      world.split_by([](Rank r) { return r % 4; });
+  ASSERT_EQ(parts.size(), 4u);
+  const mpi::Comm node0 = mpi::Comm([] {
+    std::vector<Rank> members(32);
+    std::iota(members.begin(), members.end(), 0);
+    return members;
+  }());
+  ASSERT_EQ(node0.size(), parts[0].size());
+  ASSERT_EQ(node0.global(0), parts[0].global(0));
+  const Tree& on_node0 = cached_tree(m, node0, 0, shape);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const Tree& t = cached_tree(m, parts[i], 0, shape);
+    EXPECT_NE(&t, &whole);
+    EXPECT_NE(&t, &on_node0);
+    if (i > 0) {
+      EXPECT_NE(&t, &cached_tree(m, parts[i - 1], 0, shape));
+    }
+    EXPECT_TRUE(same_arrays(t, build_tree(m, parts[i], 0, shape)))
+        << "part " << i;
+  }
+  EXPECT_FALSE(same_arrays(on_node0, cached_tree(m, parts[0], 0, shape)));
+  EXPECT_TRUE(same_arrays(on_node0, build_tree(m, node0, 0, shape)));
 }
 
 }  // namespace
